@@ -8,7 +8,8 @@ Three subcommands:
                   pseudo-random manifold points; text plus JSON output
   convergence     run the manufactured-solution study and emit a CSV table
                   (optionally failing, with --check, when the observed rates
-                  leave the expected windows)
+                  leave the expected windows, and writing, with --stats-json,
+                  each level's solver stats)
 
 All commands are deterministic for fixed flags, so reruns produce
 byte-identical files.
@@ -130,20 +131,21 @@ def _csv_lines(table: mms.ConvergenceTable):
 
 
 def _parse_levels(spec: str):
+    """``"r:L,r:L,..."`` to [(refinement, layers), ...]; ValueError if malformed."""
     levels = []
     for part in spec.split(","):
         r, L = part.split(":")
-        levels.append((int(r), int(L)))
-    if not levels:
-        raise ValueError("empty level list")
+        r, L = int(r), int(L)
+        if r < 0 or L < 1:
+            raise ValueError(f"need refinement >= 0 and layers >= 1, got {part!r}")
+        levels.append((r, L))
     return levels
 
 
 def cmd_convergence(args) -> int:
-    levels = _parse_levels(args.levels)
     table = mms.convergence_study(
         k=args.k,
-        levels=levels,
+        levels=args.levels,
         mode=args.mode,
         a=args.inner_radius,
         thickness=args.thickness,
@@ -158,6 +160,10 @@ def cmd_convergence(args) -> int:
 
     report_path = Path(args.forcing_report)
     report_path.write_text("\n".join(table.forcing_report.summary_lines()) + "\n")
+    if args.stats_json:
+        stats = [dict(r.solve_stats, level=r.level, residual=r.residual) for r in table.rows]
+        Path(args.stats_json).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.stats_json}")
 
     rate_p, rate_u = table.final_rates
     worst_res = max(r.residual for r in table.rows)
@@ -205,13 +211,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("convergence", help="manufactured-solution convergence study")
     common(p)
     p.add_argument("--k", type=int, default=1, choices=(1, 2))
-    p.add_argument("--levels", default="1:2,2:4,3:8", help="refinement:layers pairs")
+    p.add_argument("--levels", type=_parse_levels, default="1:2,2:4,3:8",
+                   help="refinement:layers pairs")
     p.add_argument("--mode", default="shallow", choices=("shallow", "deep"))
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--quadrature-degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=mms.DEFAULT_SEED)
     p.add_argument("--csv", default="convergence.csv")
     p.add_argument("--forcing-report", default="forcing_report.txt")
+    p.add_argument("--stats-json", default=None,
+                   help="optional JSON output: solver stats and residual per level")
     p.add_argument("--check", action="store_true", help="exit nonzero outside rate windows")
     p.set_defaults(func=cmd_convergence)
 

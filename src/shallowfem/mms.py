@@ -21,7 +21,7 @@ patched silently.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -379,6 +379,7 @@ class ConvergenceRow:
     rate_p: float = None
     rate_u: float = None
     residual: float = None
+    solve_stats: dict = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -454,6 +455,7 @@ def convergence_study(
                 ncells=mesh.n_cells, ndofs=u_space.n_dofs + p_space.n_dofs,
                 h_mesh=h, err_p=err_p, err_u=err_u,
                 rate_p=rate_p, rate_u=rate_u, residual=result.residual,
+                solve_stats=result.stats,
             )
         )
         prev = (err_p, err_u)

@@ -24,8 +24,8 @@ def k1_study():
 
 @pytest.fixture(scope="module")
 def k2_study():
-    """Quadratic study; one ladder step coarser keeps the direct solver
-    inside this machine's memory."""
+    """Quadratic study; one ladder step coarser than k=1 keeps the suite
+    fast (the (3,8) level alone takes minutes and several GiB)."""
     return mms.convergence_study(k=2, levels=[(0, 1), (1, 2), (2, 4)])
 
 

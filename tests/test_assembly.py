@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from shallowfem import assembly, fem, geometry, mesh
 
@@ -198,6 +201,52 @@ def test_solve_reports_failure(coarse_system):
     )
     with pytest.raises(assembly.SolverError):
         assembly.solve(bad)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+def test_condensed_solve_matches_full_spsolve(annulus_r0_l1_module, k, mode):
+    """Static condensation reproduces a direct solve of the full matrix."""
+    m = annulus_r0_l1_module
+    V1, V2 = build_spaces(m, k)
+    config = assembly.ProblemConfig(
+        mode=mode, k=k,
+        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
+        g=lambda x4: x4[..., 0] * x4[..., 1],
+    )
+    system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
+    result = assembly.solve(system)
+    z = np.concatenate([result.u.coeffs, result.p.coeffs])
+    ref = spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    stats = result.stats
+    assert stats["n_local_per_cell"] == {1: 1, 2: 15}[k]
+    n = system.matrix.shape[0]
+    assert stats["n_global"] == n - m.n_cells * stats["n_local_per_cell"]
+    assert stats["lu_nnz"] > 0 and stats["refinement_steps"] in (0, 1)
+
+
+def test_solve_rejects_cross_cell_pressure_coupling(coarse_system):
+    system = assembly.apply_inner_bc(coarse_system)
+    system.rhs[:] = 1.0
+    nu = system.n_u
+    A = system.matrix.tolil()
+    A[nu, nu + 1] = A[nu + 1, nu] = 0.5     # V2 DOFs of cells 0 and 1
+    with pytest.raises(assembly.SolverError, match="different cells"):
+        assembly.solve(dataclasses.replace(system, matrix=A.tocsr()))
+
+
+def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
+    system = assembly.apply_inner_bc(coarse_system)
+    system.rhs[:] = 1.0
+
+    def no_memory(matrix):
+        raise MemoryError
+
+    monkeypatch.setattr(assembly, "splu", no_memory)
+    with pytest.raises(assembly.SolverError, match=r"n=\d+, nnz=\d+"):
+        assembly.solve(system)
 
 
 def test_weak_residual_of_solution(annulus_r0_l1_module):

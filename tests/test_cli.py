@@ -158,6 +158,26 @@ def test_convergence_rerun_byte_identical(tiny_run, tmp_path):
     assert csv2.read_bytes() == csv.read_bytes()
 
 
+def test_convergence_stats_json(tiny_run, tmp_path):
+    """--stats-json adds one solver record per level and changes no result."""
+    _, csv, _ = tiny_run
+    csv2, stats = tmp_path / "table2.csv", tmp_path / "stats.json"
+    code = run(["convergence", "--k", "1", "--levels", "0:1,1:2",
+                "--csv", str(csv2), "--forcing-report", str(tmp_path / "f.txt"),
+                "--stats-json", str(stats)])
+    assert code == 0
+    assert csv2.read_bytes() == csv.read_bytes()
+    records = json.loads(stats.read_text())
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [r["level"] for r in records] == [1, 2]
+    for r, row in zip(records, rows):
+        assert set(r) == {"level", "n_global", "n_local_per_cell", "lu_nnz",
+                          "refinement_steps", "residual"}
+        ncells, ndofs = int(row[3]), int(row[4])
+        assert r["n_local_per_cell"] == 1 and r["n_global"] == ndofs - ncells
+        assert r["lu_nnz"] > 0 and r["residual"] <= 1e-10
+
+
 def test_convergence_check_fails_outside_window(tmp_path, capsys):
     """Pre-asymptotic rates on the two coarsest meshes miss the k=1 window."""
     code = run(["convergence", "--k", "1", "--levels", "0:1,1:2", "--check",
@@ -185,6 +205,14 @@ def test_parse_levels():
     assert cli._parse_levels("0:1") == [(0, 1)]
     with pytest.raises(ValueError):
         cli._parse_levels("1-2")
+
+
+@pytest.mark.parametrize("spec", ["1-2", "a:1", "1:2:3", "", "1:0", "-1:2"])
+def test_malformed_levels_is_usage_error(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["convergence", f"--levels={spec}"])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits():
