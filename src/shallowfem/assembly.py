@@ -19,6 +19,21 @@ The div(w) p coupling uses the Piola identity div v = dhat / det J, so the
 determinants cancel and D reduces to a single reference matrix shared by
 every cell.
 
+The velocity block uses the tensor representation (Kirby & Logg 2006).
+With physical basis J phi / det and Omega_3 = J pinv4 omega4 pushed through
+chi_e, the integrand of M + C at a point is phi_i . K phi_j, where
+
+    K = J^T J / det + 2 [omega_hat]x,      omega_hat = pinv4 omega4.
+
+The cross term carries no J and no det because (Ja) x (Jb) = det J J^-T
+(a x b) and J^-1 (J pinv4) = pinv4; both hold at every point, so one formula
+serves both modes.  The reference tensors T[(q,c,d),(i,j)] = w_q phi_ic
+phi_jd and Tb[(q,c),i] = w_q phi_ic are tabulated once per call, and each
+chunk of cells is a GEMM: A_uu = K @ T and b_u = fhat @ Tb with
+fhat = J^T J pinv4 f4.  M_p and b_p are GEMMs of w det against the V2
+basis.  Shallow mode broadcasts J and det from the centroid, deep mode
+samples them per point (``geometry.quadrature_jacobian``).
+
 ``solve`` condenses statically: every V2 DOF and every V1 interior moment
 belongs to one cell, so the cell-local block of the matrix is block
 diagonal.  Its blocks are inverted in one batch, the Schur complement on
@@ -123,6 +138,11 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     """Assemble the block system; see the module docstring for the layout."""
     if u_space.mesh is not p_space.mesh:
         raise ValueError("velocity and pressure spaces built on different meshes")
+    if not config.k == u_space.element.k == p_space.element.k:
+        raise ValueError(
+            f"config.k = {config.k} but the spaces have degree "
+            f"{u_space.element.k} (V1) and {p_space.element.k} (V2)"
+        )
     mesh = u_space.mesh
     coords = coordinate_field(config, mesh)
     x4 = manifold_coordinates(mesh)
@@ -139,12 +159,15 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     n_u, n_p = u_space.n_dofs, p_space.n_dofs
     n = n_u + n_p
 
+    # reference tensors, tabulated once; see the module docstring
+    phi, psi = tab1.values, tab2.values                      # (nq, nd1, 3), (nq, nd2)
+    T = np.einsum("q,qic,qjd->qcdij", w, phi, phi).reshape(9 * nq, nd1 * nd1)
+    Tb = (w[:, None, None] * phi).transpose(0, 2, 1).reshape(3 * nq, nd1)
+    Tp = np.einsum("qa,qb->qab", psi, psi).reshape(nq, nd2 * nd2)
     # det-free divergence coupling: identical on every cell
-    D_ref = np.einsum("q,qa,qd->ad", w, tab2.values, tab1.divergences)
+    D_ref = np.einsum("q,qa,qd->ad", w, psi, tab1.divergences)
 
-    centroid = np.array([[1.0 / 3.0, 1.0 / 3.0, 0.5]])
     n_fact = 0
-
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
 
@@ -153,35 +176,33 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         cells = np.arange(start, min(start + chunk, nc))
         ch = len(cells)
 
-        if config.mode == "shallow":
-            J = geometry.jacobian(coords, cells, centroid)   # (ch, 1, 3, 3)
-        else:
-            J = geometry.jacobian(coords, cells, pts)        # (ch, nq, 3, 3)
+        J = geometry.quadrature_jacobian(coords, cells, pts)  # (ch, 1 or nq, 3, 3)
         n_fact += J.n_factorizations
-        Jm = np.broadcast_to(J.J, (ch, nq, 3, 3))
-        det = np.broadcast_to(J.det, (ch, nq))
-
-        # chi_e pushforward for vector coefficients (affine, so one per cell)
-        J4 = geometry.jacobian4(x4, cells, centroid)         # (ch, 1, 4, 3)
+        JtJ = np.matmul(np.swapaxes(J.J, -1, -2), J.J)
+        J4 = geometry.jacobian4(x4, cells, geometry.CENTROID)  # (ch, 1, 4, 3)
         pinv4, _ = geometry.pseudo_inverse_pseudo_det(J4)
-        push = np.matmul(Jm, np.broadcast_to(pinv4, (ch, nq, 3, 4)))
 
         x4q = np.einsum("qv,evi->eqi", nbasis, x4[cells])    # (ch, nq, 4)
-        F3 = np.matmul(push, config.f4(x4q)[..., None])[..., 0]
         gq = config.g(x4q)
 
-        # physical basis values scaled by det: L[e,q,i,:] = J phi_i
-        L = np.einsum("eqcd,qid->eqic", Jm, tab1.values)
-        R = L
+        # K = J^T J / det + 2 [omega_hat]x with omega_hat = pinv4 omega4
+        K = np.empty((ch, nq, 3, 3))
+        K[:] = JtJ / J.det[..., None, None]
         if config.coriolis_enabled:
-            Om3 = np.matmul(push, config.omega4(x4q)[..., None])[..., 0]
-            R = L + np.cross(2.0 * Om3[:, :, None, :], L)
+            om = 2.0 * np.matmul(pinv4, config.omega4(x4q)[..., None])[..., 0]
+            K[..., 0, 1] -= om[..., 2]
+            K[..., 1, 0] += om[..., 2]
+            K[..., 0, 2] += om[..., 1]
+            K[..., 2, 0] -= om[..., 1]
+            K[..., 1, 2] -= om[..., 0]
+            K[..., 2, 1] += om[..., 0]
+        A_uu = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
+        fhat = np.matmul(np.matmul(JtJ, pinv4), config.f4(x4q)[..., None])
+        b_u = fhat.reshape(ch, 3 * nq) @ Tb
 
-        wdet = w[None, :] / det                              # (ch, nq)
-        A_uu = np.einsum("eqic,eqjc->eij", L * wdet[:, :, None, None], R)
-        b_u = np.einsum("q,eqic,eqc->ei", w, L, F3)
-        M_p = np.einsum("q,eq,qa,qb->eab", w, det, tab2.values, tab2.values)
-        b_p = np.einsum("q,eq,qa,eq->ea", w, det, tab2.values, gq)
+        wdet = w * J.det                                     # (ch, nq)
+        M_p = wdet @ Tp
+        b_p = (wdet * gq) @ psi
 
         gd1 = u_space.cell_dofs[cells]
         sg1 = u_space.cell_signs[cells]

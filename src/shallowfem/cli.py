@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import mms
-from .geometry import annulus_coordinates, hedgehog_coordinates
+from .assembly import SolverError
+from .geometry import DegenerateMapError, annulus_coordinates, hedgehog_coordinates
 from .mesh import build_icosahedral_sphere, classify_facets, extrude_radial
 
 __all__ = ["main"]
@@ -142,17 +143,29 @@ def _parse_levels(spec: str):
     return levels
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return value
+
+
 def cmd_convergence(args) -> int:
-    table = mms.convergence_study(
-        k=args.k,
-        levels=args.levels,
-        mode=args.mode,
-        a=args.inner_radius,
-        thickness=args.thickness,
-        tolerance=args.tolerance,
-        quadrature_degree=args.quadrature_degree,
-        seed=args.seed,
-    )
+    try:
+        table = mms.convergence_study(
+            k=args.k,
+            levels=args.levels,
+            mode=args.mode,
+            a=args.inner_radius,
+            thickness=args.thickness,
+            tolerance=args.tolerance,
+            quadrature_degree=args.quadrature_degree,
+            seed=args.seed,
+        )
+    except (SolverError, DegenerateMapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     csv_text = "\n".join(_csv_lines(table)) + "\n"
     Path(args.csv).write_text(csv_text)
@@ -215,7 +228,7 @@ def main(argv=None) -> int:
                    help="refinement:layers pairs")
     p.add_argument("--mode", default="shallow", choices=("shallow", "deep"))
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--quadrature-degree", type=int, default=None)
+    p.add_argument("--quadrature-degree", type=_nonnegative_int, default=None)
     p.add_argument("--seed", type=int, default=mms.DEFAULT_SEED)
     p.add_argument("--csv", default="convergence.csv")
     p.add_argument("--forcing-report", default="forcing_report.txt")

@@ -557,7 +557,7 @@ def interpolate_hdiv(space: FunctionSpace, coords, func) -> Field:
             J = jacobian(coords, cell, dof.points)
             x = nodal_basis(dof.points) @ nodal[cell]
             v = np.asarray(func(cell, dof.points, x), dtype=float)
-            vhat = np.einsum("pik,pk->pi", J.inverse, v) * J.det[:, None]
+            vhat = np.einsum("pik,pk->pi", np.linalg.inv(J.J), v) * J.det[:, None]
             coeffs[g] = space.cell_signs[cell, i] * dof.apply(vhat)
             written[g] = True
     return Field(space=space, coeffs=coeffs)

@@ -32,6 +32,7 @@ __all__ = [
     "nodal_basis",
     "nodal_basis_gradients",
     "jacobian",
+    "quadrature_jacobian",
     "jacobian4",
     "pseudo_inverse_pseudo_det",
     "tangent_frame",
@@ -171,7 +172,6 @@ class JacobianSample:
 
     J: np.ndarray          # (..., 3, 3)
     det: np.ndarray        # (...)
-    inverse: np.ndarray    # (..., 3, 3)
 
     @property
     def n_factorizations(self) -> int:
@@ -194,8 +194,23 @@ def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
         raise ValueError(
             f"non-positive Jacobian determinant ({det.min():.3e}); cell is inverted"
         )
-    inv = np.linalg.inv(J)
-    return JacobianSample(J=J, det=det, inverse=inv)
+    return JacobianSample(J=J, det=det)
+
+
+CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0, 0.5]])
+
+
+def quadrature_jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
+    """Jacobian samples for a chunk of cells, as the quadrature loops use them.
+
+    A field with ``column_axes`` (the hedgehog field) extrudes each column
+    rigidly, so its map is affine per cell: J is factored once at the
+    centroid and returned with shape (ncells, 1, 3, 3), which broadcasts
+    against (ncells, npts).  Any other field is sampled at every point.
+    """
+    if coords.column_axes is not None:
+        return jacobian(coords, cells, CENTROID)
+    return jacobian(coords, cells, points)
 
 
 def jacobian4(cell_coords4, cells, points) -> np.ndarray:

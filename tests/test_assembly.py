@@ -134,6 +134,16 @@ def test_assembly_deterministic(annulus_r0_l1_module):
     assert (A1 != A2).nnz == 0
 
 
+def test_mismatched_degree_rejected(annulus_r0_l1_module):
+    """A config whose k differs from the elements' would change the quadrature."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, 2)
+    with pytest.raises(ValueError, match="config.k = 1"):
+        assembly.assemble(assembly.ProblemConfig(mode="shallow", k=1), V1, V2)
+    _, V2_1 = build_spaces(annulus_r0_l1_module, 1)
+    with pytest.raises(ValueError):
+        assembly.assemble(assembly.ProblemConfig(mode="shallow", k=2), V1, V2_1)
+
+
 def test_mismatched_meshes_rejected(one_cell_mesh, annulus_r0_l1_module):
     V1, _ = build_spaces(one_cell_mesh, 1)
     _, V2 = build_spaces(annulus_r0_l1_module, 1)
@@ -309,3 +319,65 @@ def test_deep_mode_assembles_and_solves(annulus_r0_l1_module):
     result = assembly.solve(system)
     assert result.residual <= 1e-10
     assert np.isfinite(result.u.coeffs).all()
+
+
+def per_point_velocity_block(config, V1):
+    """A_uu and b_u by the per-point physical-basis formula.
+
+    With L = J phi at every quadrature point, Om3 = J pinv4 omega4 and
+    F3 = J pinv4 f4: A_uu = sum_q w/det L.(L + 2 Om3 x L) and
+    b_u = sum_q w L.F3, scattered with the DOF signs.
+    """
+    m = V1.mesh
+    coords = assembly.coordinate_field(config, m)
+    x4 = geometry.manifold_coordinates(m)
+    rule = fem.quadrature_prism(config.degree)
+    pts, w = rule.points, rule.weights
+    cells = np.arange(m.n_cells)
+    J = geometry.jacobian(coords, cells, pts)
+    J4 = geometry.jacobian4(x4, cells, np.array([[1 / 3, 1 / 3, 0.5]]))
+    pinv4, _ = geometry.pseudo_inverse_pseudo_det(J4)
+    push = np.matmul(J.J, pinv4)
+    x4q = np.einsum("qv,evi->eqi", geometry.nodal_basis(pts), x4)
+
+    L = np.einsum("eqcd,qid->eqic", J.J, fem.tabulate(V1.element, pts).values)
+    R = L
+    if config.coriolis_enabled:
+        Om3 = np.matmul(push, config.omega4(x4q)[..., None])[..., 0]
+        R = L + np.cross(2.0 * Om3[:, :, None, :], L)
+    A = np.einsum("q,eq,eqic,eqjc->eij", w, 1.0 / J.det, L, R)
+    F3 = np.matmul(push, config.f4(x4q)[..., None])[..., 0]
+    b = np.einsum("q,eqic,eqc->ei", w, L, F3)
+
+    sg, gd = V1.cell_signs, V1.cell_dofs
+    nd = V1.element.ndofs
+    A = A * sg[:, :, None] * sg[:, None, :]
+    A = sp.coo_matrix(
+        (A.ravel(), (np.repeat(gd, nd, axis=1).ravel(), np.tile(gd, (1, nd)).ravel())),
+        shape=(V1.n_dofs, V1.n_dofs),
+    ).toarray()
+    rhs = np.zeros(V1.n_dofs)
+    np.add.at(rhs, gd.ravel(), (b * sg).ravel())
+    return A, rhs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+@pytest.mark.parametrize("coriolis", [True, False])
+def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode, coriolis):
+    """The reference-tensor contraction equals the per-point formula."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, k)
+    config = assembly.ProblemConfig(
+        mode=mode, k=k, coriolis_enabled=coriolis,
+        omega4=lambda x4: np.stack(
+            [0.3 * x4[..., 1], -0.2 * x4[..., 3], 0.1 * x4[..., 0], 0.5 * x4[..., 2]], axis=-1
+        ),
+        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
+    )
+    system = assembly.assemble(config, V1, V2)
+    A_ref, b_ref = per_point_velocity_block(config, V1)
+    nu = system.n_u
+    A = system.matrix[:nu, :nu].toarray()
+    assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+    b = system.rhs[:nu]
+    assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shallowfem import cli, mesh
+from shallowfem import cli, geometry, mesh
 
 
 def run(argv):
@@ -223,3 +223,32 @@ def test_unknown_subcommand_exits():
 def test_k_choices_enforced():
     with pytest.raises(SystemExit):
         run(["convergence", "--k", "3"])
+
+
+def test_quadrature_degree_negative_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["convergence", "--quadrature-degree", "-1"])
+    assert exc.value.code == 2
+    assert "--quadrature-degree" in capsys.readouterr().err
+
+
+def test_convergence_solver_error_is_one_line(tmp_path, capsys):
+    """An unmet tolerance exits 1 with an error line, not a traceback."""
+    code = run(["convergence", "--k", "1", "--levels", "0:1", "--tolerance", "1e-30",
+                "--csv", str(tmp_path / "t.csv"),
+                "--forcing-report", str(tmp_path / "f.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve residual") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
+    def degenerate(**kwargs):
+        raise geometry.DegenerateMapError("4x3 Jacobian is rank deficient")
+
+    monkeypatch.setattr(cli.mms, "convergence_study", degenerate)
+    code = run(["convergence", "--csv", str(tmp_path / "t.csv"),
+                "--forcing-report", str(tmp_path / "f.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: 4x3 Jacobian is rank deficient\n"

@@ -254,6 +254,20 @@ def test_jacobian_factorization_count(annulus_r1_l2):
     assert one.n_factorizations == annulus_r1_l2.n_cells
 
 
+def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
+    """Hedgehog: one centroid sample per cell; annulus: every point."""
+    m = annulus_r1_l2
+    cells = np.arange(m.n_cells)
+    pts = np.array([[0.2, 0.3, 0.1], [0.5, 0.1, 0.9], [0.1, 0.1, 0.5]])
+    hh = geometry.quadrature_jacobian(geometry.hedgehog_coordinates(m), cells, pts)
+    assert hh.J.shape == (m.n_cells, 1, 3, 3) and hh.n_factorizations == m.n_cells
+    at_pts = geometry.jacobian(geometry.hedgehog_coordinates(m), cells, pts)
+    np.testing.assert_allclose(np.broadcast_to(hh.J, at_pts.J.shape), at_pts.J,
+                               rtol=0, atol=1e-12)
+    deep = geometry.quadrature_jacobian(geometry.annulus_coordinates(m), cells, pts)
+    assert deep.J.shape == (m.n_cells, 3, 3, 3) and deep.n_factorizations == 3 * m.n_cells
+
+
 # ---------------------------------------------------------------------------
 # pseudoinverse of the 4x3 manifold Jacobian
 # ---------------------------------------------------------------------------

@@ -278,6 +278,49 @@ def test_l2_errors_deterministic(case, coarse_solution):
     assert e1 == e2
 
 
+def per_point_l2_errors(u_h, p_h, case, coords):
+    """L^2 errors with J factored at every quadrature point of every cell."""
+    V1, V2 = u_h.space, p_h.space
+    m = V1.mesh
+    x4 = geometry.manifold_coordinates(m)
+    rule = fem.quadrature_prism(2 * V1.element.k + 8)
+    pts, w = rule.points, rule.weights
+    cells = np.arange(m.n_cells)
+    J = geometry.jacobian(coords, cells, pts)
+    J4 = geometry.jacobian4(x4, cells, np.array([[1 / 3, 1 / 3, 0.5]]))
+    pinv4, _ = geometry.pseudo_inverse_pseudo_det(J4)
+    x4q = np.einsum("qv,evi->eqi", geometry.nodal_basis(pts), x4)
+    u_ex = np.einsum("eqik,eqkj,eqj->eqi", J.J, np.broadcast_to(pinv4, J.J.shape[:2] + (3, 4)),
+                     case.u_exact(x4q))
+    chat = u_h.coeffs[V1.cell_dofs] * V1.cell_signs
+    u_hv = np.einsum("eqcd,qid,ei->eqc", J.J, fem.tabulate(V1.element, pts).values, chat)
+    u_hv /= J.det[..., None]
+    p_hv = p_h.coeffs[V2.cell_dofs] @ fem.tabulate(V2.element, pts).values.T
+    err_u2 = np.einsum("q,eq,eq->", w, J.det, ((u_hv - u_ex) ** 2).sum(-1))
+    err_p2 = np.einsum("q,eq,eq->", w, J.det, (p_hv - case.p_exact(x4q)) ** 2)
+    return np.sqrt(err_u2), np.sqrt(err_p2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_shallow_l2_errors_match_per_point_jacobian(case, coarse_solution, k):
+    """Factoring the affine hedgehog map once per cell changes no error norm."""
+    if k == 1:
+        _, _, _, coords, result = coarse_solution
+        u_h, p_h = result.u, result.p
+    else:
+        m = mesh.extrude_radial(mesh.build_icosahedral_sphere(0, 1.0), 1, 1.0)
+        facets = mesh.classify_facets(m)
+        V1 = fem.build_dof_map(m, facets, fem.make_element("V1", 2))
+        V2 = fem.build_dof_map(m, facets, fem.make_element("V2", 2))
+        rng = np.random.default_rng(5)
+        u_h = fem.Field(V1, rng.standard_normal(V1.n_dofs))
+        p_h = fem.Field(V2, rng.standard_normal(V2.n_dofs))
+        coords = geometry.hedgehog_coordinates(m)
+    got = mms.l2_errors(u_h, p_h, case, coords)
+    ref = per_point_l2_errors(u_h, p_h, case, coords)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+
 def test_interpolated_exact_error_is_comparable(case, coarse_solution):
     """The H(div) interpolant of u_exact lands near the solved field's error.
 
