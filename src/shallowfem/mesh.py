@@ -95,13 +95,6 @@ class BaseSphereMesh:
         """Vertex directions, i.e. vertices scaled back to the unit sphere."""
         return self.vertices / np.linalg.norm(self.vertices, axis=1)[:, None]
 
-    def chordal_areas(self) -> np.ndarray:
-        """Area of each flat (chordal) triangle."""
-        p = self.vertices[self.triangles]
-        return 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
-        )
-
 
 def _icosahedron():
     t = (1.0 + np.sqrt(5.0)) / 2.0

@@ -228,6 +228,71 @@ def test_printed_forcing_is_coriolis_term(case, ops, sample_points):
     )
 
 
+def solver_points(k, a, refinement, layers):
+    """The quadrature points at which ``assembly.assemble`` evaluates the forcing."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(refinement, radius=a), layers, 1.0)
+    x4 = geometry.manifold_coordinates(m)
+    pts = fem.quadrature_prism(assembly.ProblemConfig(mode="shallow", k=k).degree).points
+    return np.einsum("qv,evi->eqi", geometry.nodal_basis(pts), x4)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("k, refinement, layers", [(1, 2, 2), (2, 1, 2)])
+def test_closed_form_providers_match_fd_oracles(a, k, refinement, layers):
+    """derived_f4 / derived_g equal derive_forcing's FD-built (F, g) at solver points.
+
+    The points are chordal (inside S^2(a)); the providers must reproduce the
+    oracles there, not only on the manifold.
+    """
+    case = mms.ManufacturedCase(a=a, H=1.0)
+    ops = mms.ShallowOperators(a=a, H=1.0)
+    x4q = solver_points(k, a, refinement, layers)
+    assert np.abs(np.linalg.norm(x4q[..., :3], axis=-1) - a).max() > 1e-3
+    report = mms.derive_forcing(case, x4q.reshape(-1, 4), ops)
+    for got, ref in (
+        (case.derived_f4(ops)(x4q), report.F_derived.reshape(x4q.shape)),
+        (case.derived_g(ops)(x4q), report.g_derived.reshape(x4q.shape[:-1])),
+    ):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_closed_form_gradient_matches_projected_gradient(a):
+    """grad p inside derived_f4 agrees with the projected Euclidean gradient."""
+    case = mms.ManufacturedCase(a=a, H=1.0)
+    ops = mms.ShallowOperators(a=a, H=1.0)
+    pts = mms.sample_manifold_points(a, 1.0, 100, seed=7)
+    u = case.u_exact(pts)
+    grad = case.derived_f4(ops)(pts) - u - 2.0 * ops.tangent_cross(case.omega4(pts), u, pts)
+    ref = ops.grad_projected(case.p_exact, pts)
+    np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_closed_form_providers_finite_at_poles(a):
+    """At (0, 0, +-a, h) the frame falls back to a fixed pair and the forcing is 0.
+
+    u_exact, grad p and div u all vanish on the polar axis; the FD divergence
+    oracle divides by cos(phi) there, the closed forms do not.
+    """
+    case = mms.ManufacturedCase(a=a, H=1.0)
+    ops = mms.ShallowOperators(a=a, H=1.0)
+    h = np.array([0.0, 0.3, 1.0])
+    poles = np.concatenate([
+        np.column_stack([np.zeros((3, 2)), np.full(3, sgn * a), h]) for sgn in (1.0, -1.0)
+    ])
+    assert geometry.tangent_frame(poles, a).e_lambda[:, 0].tolist() == [1.0] * 6
+    f4 = case.derived_f4(ops)(poles)
+    g = case.derived_g(ops)(poles)
+    assert np.isfinite(f4).all() and np.isfinite(g).all()
+    np.testing.assert_allclose(f4, 0.0, atol=1e-12)
+    np.testing.assert_allclose(g, 0.0, atol=1e-12)
+    for pole in poles:
+        f4_1 = case.derived_f4(ops)(pole)
+        assert f4_1.shape == (4,) and np.isfinite(f4_1).all()
+        assert np.isfinite(case.derived_g(ops)(pole))
+
+
 def test_sample_points_live_on_manifold(sample_points):
     r = np.linalg.norm(sample_points[:, :3], axis=1)
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
