@@ -178,18 +178,19 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
 
         J = geometry.quadrature_jacobian(coords, cells, pts)  # (ch, 1 or nq, 3, 3)
         n_fact += J.n_factorizations
-        JtJ = np.matmul(np.swapaxes(J.J, -1, -2), J.J)
+        JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
         J4 = geometry.jacobian4(x4, cells, geometry.CENTROID)  # (ch, 1, 4, 3)
         pinv4, _ = geometry.pseudo_inverse_pseudo_det(J4)
+        pinv4T = np.swapaxes(pinv4[:, 0], 1, 2)                # (ch, 4, 3)
 
-        x4q = np.einsum("qv,evi->eqi", nbasis, x4[cells])    # (ch, nq, 4)
+        x4q = nbasis @ x4[cells]                             # (ch, nq, 4)
         gq = config.g(x4q)
 
         # K = J^T J / det + 2 [omega_hat]x with omega_hat = pinv4 omega4
         K = np.empty((ch, nq, 3, 3))
-        K[:] = JtJ / J.det[..., None, None]
+        np.divide(JtJ, J.det[..., None, None], out=K)
         if config.coriolis_enabled:
-            om = 2.0 * np.matmul(pinv4, config.omega4(x4q)[..., None])[..., 0]
+            om = 2.0 * (config.omega4(x4q) @ pinv4T)
             K[..., 0, 1] -= om[..., 2]
             K[..., 1, 0] += om[..., 2]
             K[..., 0, 2] += om[..., 1]
@@ -197,7 +198,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
             K[..., 1, 2] -= om[..., 0]
             K[..., 2, 1] += om[..., 0]
         A_uu = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
-        fhat = np.matmul(np.matmul(JtJ, pinv4), config.f4(x4q)[..., None])
+        fhat = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T)
         b_u = fhat.reshape(ch, 3 * nq) @ Tb
 
         wdet = w * J.det                                     # (ch, nq)

@@ -151,6 +151,19 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for integers >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
+
+
+def _rate(value) -> str:
+    """A final rate for the summary line; a single level has none."""
+    return "n/a" if value is None else f"{value:.3f}"
+
+
 def cmd_convergence(args) -> int:
     try:
         table = mms.convergence_study(
@@ -180,7 +193,7 @@ def cmd_convergence(args) -> int:
 
     rate_p, rate_u = table.final_rates
     worst_res = max(r.residual for r in table.rows)
-    print(f"final rates: p {rate_p:.3f}, u {rate_u:.3f}; max solve residual {worst_res:.2e}")
+    print(f"final rates: p {_rate(rate_p)}, u {_rate(rate_u)}; max solve residual {worst_res:.2e}")
     print(f"wrote {args.csv} and {report_path}")
 
     if args.check:
@@ -209,19 +222,19 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("export-mesh", help="write annulus + hedgehog mesh files")
     common(p)
-    p.add_argument("--refinement", type=int, default=0)
-    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--refinement", type=_nonnegative_int, default=0)
+    p.add_argument("--layers", type=_positive_int, default=1)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_export_mesh)
 
     p = sub.add_parser("verify-forcing", help="printed vs derived forcing report")
     common(p)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=mms.DEFAULT_SEED)
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_verify_forcing)
 
-    p = sub.add_parser("convergence", help="manufactured-solution convergence study")
+    p = conv = sub.add_parser("convergence", help="manufactured-solution convergence study")
     common(p)
     p.add_argument("--k", type=int, default=1, choices=(1, 2))
     p.add_argument("--levels", type=_parse_levels, default="1:2,2:4,3:8",
@@ -238,6 +251,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_convergence)
 
     args = parser.parse_args(argv)
+    if args.command == "convergence" and args.check and len(args.levels) < 2:
+        conv.error("--check needs at least two levels to compute a rate")
     return args.func(args)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "nodal_basis_gradients",
     "jacobian",
     "quadrature_jacobian",
+    "matvec3",
     "jacobian4",
     "pseudo_inverse_pseudo_det",
     "tangent_frame",
@@ -179,6 +180,41 @@ class JacobianSample:
         return int(self.det.size)
 
 
+def _nodal_gemm(nodal, points) -> np.ndarray:
+    """Jacobian of a nodal map at reference points as one GEMM.
+
+    ``nodal`` is (..., 6, dim).  The (cells * dim, 6) nodal block times the
+    (6, 3 * npts) reference gradients gives J[..., i, k, p]; the result is a
+    (..., npts, dim, 3) view of it, so each entry J[..., i, k] is a plane
+    that is contiguous over the points.
+    """
+    grads = nodal_basis_gradients(points)                # (npts, 6, 3)
+    npts = len(grads)
+    lead, dim = nodal.shape[:-2], nodal.shape[-1]
+    G = grads.transpose(1, 2, 0).reshape(6, 3 * npts)
+    R = np.swapaxes(nodal, -1, -2).reshape(-1, 6) @ G
+    return np.moveaxis(R.reshape(lead + (dim, 3, npts)), -1, -3)
+
+
+def _det3(J) -> np.ndarray:
+    """Determinants of 3x3 matrices over leading axes, by cofactors."""
+    return (J[..., 0, 0] * (J[..., 1, 1] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 1])
+            - J[..., 0, 1] * (J[..., 1, 0] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 0])
+            + J[..., 0, 2] * (J[..., 1, 0] * J[..., 2, 1] - J[..., 1, 1] * J[..., 2, 0]))
+
+
+def matvec3(A, v) -> np.ndarray:
+    """Products A v of 3x3 matrices and 3-vectors, entry by entry.
+
+    ``A`` is (..., 3, 3) and ``v`` is (..., 3); their leading axes
+    broadcast, so one matrix per cell (..., 1, 3, 3) serves every point.
+    """
+    out = np.empty(np.broadcast_shapes(A.shape[:-1], v.shape))
+    for i in range(3):
+        out[..., i] = A[..., i, 0] * v[..., 0] + A[..., i, 1] * v[..., 1] + A[..., i, 2] * v[..., 2]
+    return out
+
+
 def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
     """Jacobian samples for the given cells at the given reference points.
 
@@ -186,10 +222,8 @@ def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
     Result arrays are shaped (ncells, npts, 3, 3) (leading axis dropped for a
     scalar ``cells``).  Raises ValueError if any determinant is <= 0.
     """
-    grads = nodal_basis_gradients(points)                # (npts, 6, 3)
-    nodal = coords.cell_coords[cells]                    # (..., 6, 3)
-    J = np.einsum("...vi,pvk->...pik", nodal, grads)
-    det = np.linalg.det(J)
+    J = _nodal_gemm(coords.cell_coords[cells], points)
+    det = _det3(J)
     if np.any(det <= 0):
         raise ValueError(
             f"non-positive Jacobian determinant ({det.min():.3e}); cell is inverted"
@@ -215,9 +249,7 @@ def quadrature_jacobian(coords: CoordinateField, cells, points) -> JacobianSampl
 
 def jacobian4(cell_coords4, cells, points) -> np.ndarray:
     """4x3 Jacobian of the reference-to-manifold map, shape (..., npts, 4, 3)."""
-    grads = nodal_basis_gradients(points)
-    nodal = np.asarray(cell_coords4)[cells]
-    return np.einsum("...vi,pvk->...pik", nodal, grads)
+    return _nodal_gemm(np.asarray(cell_coords4)[cells], points)
 
 
 def pseudo_inverse_pseudo_det(J4):

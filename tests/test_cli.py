@@ -252,3 +252,41 @@ def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
                 "--forcing-report", str(tmp_path / "f.txt")])
     assert code == 1
     assert capsys.readouterr().err == "error: 4x3 Jacobian is rank deficient\n"
+
+
+def test_convergence_single_level_prints_na(tmp_path, capsys):
+    """One level has no rate: the summary says n/a and the run succeeds."""
+    code = run(["convergence", "--k", "1", "--levels", "0:1",
+                "--csv", str(tmp_path / "t.csv"),
+                "--forcing-report", str(tmp_path / "f.txt")])
+    assert code == 0
+    assert "final rates: p n/a, u n/a;" in capsys.readouterr().out
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 2
+
+
+def test_convergence_check_single_level_is_usage_error(tmp_path, capsys, monkeypatch):
+    """--check with one level fails at the parser, before any solve."""
+    def study(**kwargs):
+        raise AssertionError("the study must not run")
+
+    monkeypatch.setattr(cli.mms, "convergence_study", study)
+    with pytest.raises(SystemExit) as exc:
+        run(["convergence", "--levels", "0:1", "--check",
+             "--csv", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert "--check needs at least two levels" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-forcing", "--points", "0"], "--points"),
+    (["verify-forcing", "--points", "-3"], "--points"),
+    (["export-mesh", "--layers", "0"], "--layers"),
+    (["export-mesh", "--refinement", "-1"], "--refinement"),
+])
+def test_count_arguments_out_of_range_are_usage_errors(argv, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + (["--out-dir", str(tmp_path)] if argv[0] == "export-mesh" else []))
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

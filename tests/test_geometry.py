@@ -268,6 +268,64 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     assert deep.J.shape == (m.n_cells, 3, 3, 3) and deep.n_factorizations == 3 * m.n_cells
 
 
+def _einsum_jacobian(nodal, points):
+    """The per-point Jacobian as one einsum plus LAPACK det (the oracle)."""
+    grads = geometry.nodal_basis_gradients(points)
+    J = np.einsum("...vi,pvk->...pik", nodal, grads)
+    return J, np.linalg.det(J)
+
+
+@pytest.mark.parametrize("field", ["annulus", "hedgehog"])
+@pytest.mark.parametrize("cells", ["batched", "scalar"])
+def test_jacobian_matches_einsum_oracle(annulus_r1_l2, field, cells):
+    """GEMM J and cofactor det agree with einsum + np.linalg.det to 1e-14."""
+    m = annulus_r1_l2
+    coords = {"annulus": geometry.annulus_coordinates,
+              "hedgehog": geometry.hedgehog_coordinates}[field](m)
+    pts = np.random.default_rng(3).random((7, 3)) * [0.5, 0.5, 1.0]
+    sel = np.arange(m.n_cells) if cells == "batched" else 37
+    sample = geometry.jacobian(coords, sel, pts)
+    J_ref, det_ref = _einsum_jacobian(coords.cell_coords[sel], pts)
+    assert sample.J.shape == J_ref.shape and sample.det.shape == det_ref.shape
+    np.testing.assert_allclose(sample.J, J_ref, rtol=0, atol=1e-14 * np.abs(J_ref).max())
+    np.testing.assert_allclose(sample.det, det_ref, rtol=1e-14, atol=0)
+    assert sample.n_factorizations == det_ref.size
+
+
+def test_jacobian4_matches_einsum_oracle(annulus_r1_l2):
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
+    cells = np.arange(annulus_r1_l2.n_cells)
+    pts = np.random.default_rng(4).random((5, 3)) * [0.5, 0.5, 1.0]
+    J4 = geometry.jacobian4(x4, cells, pts)
+    ref = np.einsum("...vi,pvk->...pik", x4[cells], geometry.nodal_basis_gradients(pts))
+    assert J4.shape == (annulus_r1_l2.n_cells, 5, 4, 3)
+    np.testing.assert_allclose(J4, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+
+def test_jacobian_rejects_one_inverted_cell_in_a_batch(annulus_r1_l2):
+    """A single mirrored cell among valid ones still raises, batched or alone."""
+    nodal = geometry.annulus_coordinates(annulus_r1_l2).cell_coords.copy()
+    nodal[5] = nodal[5][[1, 0, 2, 4, 3, 5]]          # swap two vertices: det < 0
+    coords = geometry.CoordinateField(kind="continuous", cell_coords=nodal)
+    pts = np.array([[0.2, 0.2, 0.5]])
+    with pytest.raises(ValueError, match="inverted"):
+        geometry.jacobian(coords, np.arange(len(nodal)), pts)
+    with pytest.raises(ValueError, match="inverted"):
+        geometry.jacobian(coords, 5, pts)
+    assert geometry.jacobian(coords, 4, pts).det.shape == (1,)
+
+
+def test_matvec3_broadcasts_cell_matrices():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 1, 3, 3))
+    v = rng.standard_normal((4, 6, 3))
+    ref = np.einsum("eij,eqj->eqi", A[:, 0], v)
+    np.testing.assert_allclose(geometry.matvec3(A, v), ref, rtol=1e-14, atol=1e-14)
+    A = rng.standard_normal((4, 6, 3, 3))
+    np.testing.assert_allclose(geometry.matvec3(A, v),
+                               np.einsum("eqij,eqj->eqi", A, v), rtol=1e-14, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # pseudoinverse of the 4x3 manifold Jacobian
 # ---------------------------------------------------------------------------
