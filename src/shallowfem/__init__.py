@@ -9,7 +9,6 @@ discretisation against a manufactured solution.
 
 from .mesh import (
     InvalidTopologyError,
-    MeshConfig,
     BaseSphereMesh,
     ExtrudedMesh,
     FacetSet,
@@ -32,7 +31,6 @@ from .geometry import (
     jacobian4,
     pseudo_inverse_pseudo_det,
     tangent_frame,
-    pushforward_4to3,
 )
 from .fem import (
     QuadratureRule,
@@ -43,7 +41,6 @@ from .fem import (
     make_element,
     tabulate,
     build_dof_map,
-    piola_push,
     interpolate_hdiv,
 )
 from .assembly import (

@@ -31,8 +31,9 @@ serves both modes.  The reference tensors T[(q,c,d),(i,j)] = w_q phi_ic
 phi_jd and Tb[(q,c),i] = w_q phi_ic are tabulated once per call, and each
 chunk of cells is a GEMM: A_uu = K @ T and b_u = fhat @ Tb with
 fhat = J^T J pinv4 f4.  M_p and b_p are GEMMs of w det against the V2
-basis.  Shallow mode broadcasts J and det from the centroid, deep mode
-samples them per point (``geometry.quadrature_jacobian``).
+basis.  Each chunk of cells comes from ``geometry.quadrature_chunks``:
+shallow mode broadcasts J and det from the centroid, deep mode samples them
+per point.
 
 ``solve`` condenses statically: every V2 DOF and every V1 interior moment
 belongs to one cell, so the cell-local block of the matrix is block
@@ -48,7 +49,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import geometry
-from .fem import Field, FunctionSpace, quadrature_prism, tabulate
+from .fem import Field, FunctionSpace, default_quadrature_degree, quadrature_prism, tabulate
 from .geometry import annulus_coordinates, hedgehog_coordinates, manifold_coordinates
 
 __all__ = [
@@ -79,8 +80,8 @@ class ProblemConfig:
     """Coefficients and discretisation choices for one solve.
 
     ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors;
-    ``g`` maps them to scalars.  ``quadrature_degree`` defaults to 2k + 8,
-    generous enough that the manufactured forcing integrates exactly.
+    ``g`` maps them to scalars.  ``quadrature_degree`` defaults to
+    ``fem.default_quadrature_degree(k)``.
     """
 
     mode: str = "shallow"
@@ -104,7 +105,9 @@ class ProblemConfig:
 
     @property
     def degree(self) -> int:
-        return self.quadrature_degree if self.quadrature_degree is not None else 2 * self.k + 8
+        if self.quadrature_degree is None:
+            return default_quadrature_degree(self.k)
+        return self.quadrature_degree
 
 
 @dataclass
@@ -153,7 +156,6 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     tab1 = tabulate(u_space.element, pts)
     tab2 = tabulate(p_space.element, pts)
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
-    nbasis = geometry.nodal_basis(pts)                       # (nq, 6)
 
     nc = mesh.n_cells
     n_u, n_p = u_space.n_dofs, p_space.n_dofs
@@ -171,19 +173,10 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
 
-    chunk = max(1, int(3e6 / (nq * nd1)))
-    for start in range(0, nc, chunk):
-        cells = np.arange(start, min(start + chunk, nc))
+    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts, nd1):
         ch = len(cells)
-
-        J = geometry.quadrature_jacobian(coords, cells, pts)  # (ch, 1 or nq, 3, 3)
         n_fact += J.n_factorizations
         JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
-        J4 = geometry.jacobian4(x4, cells, geometry.CENTROID)  # (ch, 1, 4, 3)
-        pinv4, _ = geometry.pseudo_inverse_pseudo_det(J4)
-        pinv4T = np.swapaxes(pinv4[:, 0], 1, 2)                # (ch, 4, 3)
-
-        x4q = nbasis @ x4[cells]                             # (ch, nq, 4)
         gq = config.g(x4q)
 
         # K = J^T J / det + 2 [omega_hat]x with omega_hat = pinv4 omega4

@@ -17,6 +17,7 @@ byte-identical files.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import mms
 from .assembly import SolverError
-from .geometry import DegenerateMapError, annulus_coordinates, hedgehog_coordinates
-from .mesh import build_icosahedral_sphere, classify_facets, extrude_radial
+from .geometry import DegenerateMapError, hedgehog_coordinates
+from .mesh import build_icosahedral_sphere, extrude_radial
 
 __all__ = ["main"]
 
@@ -49,17 +50,6 @@ def _write_vtk(path: Path, points: np.ndarray, cells: np.ndarray, title: str):
     lines.append(f"CELL_TYPES {len(cells)}")
     lines.extend([str(VTK_WEDGE)] * len(cells))
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_vtk_points(path) -> np.ndarray:
-    """Parse the POINTS block back out of an exported file (round-trip checks)."""
-    lines = Path(path).read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("POINTS"):
-            n = int(line.split()[1])
-            vals = [list(map(float, lines[i + 1 + j].split())) for j in range(n)]
-            return np.array(vals)
-    raise ValueError(f"no POINTS block in {path}")
 
 
 def _build_mesh(args):
@@ -159,6 +149,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for finite numbers > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text!r}")
+    return value
+
+
 def _rate(value) -> str:
     """A final rate for the summary line; a single level has none."""
     return "n/a" if value is None else f"{value:.3f}"
@@ -217,8 +215,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--inner-radius", type=float, default=1.0)
-        p.add_argument("--thickness", type=float, default=1.0)
+        p.add_argument("--inner-radius", type=_positive_float, default=1.0)
+        p.add_argument("--thickness", type=_positive_float, default=1.0)
 
     p = sub.add_parser("export-mesh", help="write annulus + hedgehog mesh files")
     common(p)
@@ -230,7 +228,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-forcing", help="printed vs derived forcing report")
     common(p)
     p.add_argument("--points", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=mms.DEFAULT_SEED)
+    p.add_argument("--seed", type=_nonnegative_int, default=mms.DEFAULT_SEED)
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_verify_forcing)
 
@@ -240,9 +238,9 @@ def main(argv=None) -> int:
     p.add_argument("--levels", type=_parse_levels, default="1:2,2:4,3:8",
                    help="refinement:layers pairs")
     p.add_argument("--mode", default="shallow", choices=("shallow", "deep"))
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-10)
     p.add_argument("--quadrature-degree", type=_nonnegative_int, default=None)
-    p.add_argument("--seed", type=int, default=mms.DEFAULT_SEED)
+    p.add_argument("--seed", type=_nonnegative_int, default=mms.DEFAULT_SEED)
     p.add_argument("--csv", default="convergence.csv")
     p.add_argument("--forcing-report", default="forcing_report.txt")
     p.add_argument("--stats-json", default=None,

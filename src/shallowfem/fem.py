@@ -16,25 +16,25 @@ rule with vector weights, which makes DOF application to arbitrary fields
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .geometry import CENTROID, jacobian, matvec3, nodal_basis
 from .mesh import TRIANGLE_EDGE_VERTICES, ExtrudedMesh, FacetSet
 
 __all__ = [
-    "ReferencePrism",
     "QuadratureRule",
     "FiniteElement",
     "Tabulation",
     "FunctionSpace",
     "Field",
     "quadrature_prism",
+    "default_quadrature_degree",
     "make_element",
     "tabulate",
     "build_dof_map",
-    "piola_push",
     "interpolate_hdiv",
 ]
 
@@ -43,46 +43,38 @@ __all__ = [
 # Reference prism: triangle (0,0),(1,0),(0,1) times interval [0,1]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferencePrism:
-    """Numbering tables and embeddings for the reference prism."""
-
-    triangle: np.ndarray = field(
-        default_factory=lambda: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    )
-    volume: float = 0.5
-
-    def edge_endpoints(self, edge: int) -> np.ndarray:
-        """2x2 array of triangle coordinates, rows = edge endpoints."""
-        p, q = TRIANGLE_EDGE_VERTICES[edge]
-        return self.triangle[[p, q]]
-
-    def edge_scaled_normal(self, edge: int) -> np.ndarray:
-        """In-plane outward normal of the edge with length = edge length."""
-        a, b = self.edge_endpoints(edge)
-        e = b - a
-        n = np.array([e[1], -e[0]])
-        opposite = self.triangle[edge]
-        if np.dot(n, opposite - 0.5 * (a + b)) > 0:
-            n = -n
-        return n
-
-    def embed_quad(self, edge: int, t, z) -> np.ndarray:
-        """Map (t, z) in [0,1]^2 onto the vertical quad facet of an edge."""
-        a, b = self.edge_endpoints(edge)
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        xy = a[None, :] + t[:, None] * (b - a)[None, :]
-        return np.column_stack([xy, z])
-
-    def embed_tri(self, which: int, xy) -> np.ndarray:
-        """Map triangle points onto the bottom (0) or top (1) facet."""
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        z = np.full(len(xy), float(which))
-        return np.column_stack([xy, z])
+_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-PRISM = ReferencePrism()
+def edge_endpoints(edge: int) -> np.ndarray:
+    """2x2 array of triangle coordinates, rows = edge endpoints."""
+    p, q = TRIANGLE_EDGE_VERTICES[edge]
+    return _TRIANGLE[[p, q]]
+
+
+def edge_scaled_normal(edge: int) -> np.ndarray:
+    """In-plane outward normal of the edge with length = edge length."""
+    a, b = edge_endpoints(edge)
+    e = b - a
+    n = np.array([e[1], -e[0]])
+    if np.dot(n, _TRIANGLE[edge] - 0.5 * (a + b)) > 0:
+        n = -n
+    return n
+
+
+def embed_quad(edge: int, t, z) -> np.ndarray:
+    """Map (t, z) in [0,1]^2 onto the vertical quad facet of an edge."""
+    a, b = edge_endpoints(edge)
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=float)
+    xy = a[None, :] + t[:, None] * (b - a)[None, :]
+    return np.column_stack([xy, z])
+
+
+def embed_tri(which: int, xy) -> np.ndarray:
+    """Map triangle points onto the bottom (0) or top (1) facet."""
+    xy = np.atleast_2d(np.asarray(xy, dtype=float))
+    return np.column_stack([xy, np.full(len(xy), float(which))])
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +117,6 @@ def quadrature_triangle(degree: int) -> QuadratureRule:
 
 def quadrature_prism(degree: int) -> QuadratureRule:
     """Tensor product of the triangle rule with Gauss-Legendre in xi3."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree} (supported: 0..60)")
     tri = quadrature_triangle(degree)
     z, wz = _gauss01(max(1, math.ceil((degree + 1) / 2)))
     npts, nz = len(tri.weights), len(z)
@@ -135,6 +125,12 @@ def quadrature_prism(degree: int) -> QuadratureRule:
     pts[:, 2] = np.tile(z, npts)
     wts = (tri.weights[:, None] * wz[None, :]).ravel()
     return QuadratureRule(points=pts, weights=wts, degree=degree)
+
+
+def default_quadrature_degree(k: int) -> int:
+    """Degree 2k + 8 of assembly and error norms: generous enough that the
+    manufactured forcing integrates exactly."""
+    return 2 * k + 8
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +170,6 @@ class FiniteElement:
     def ndofs(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def value_shape(self) -> tuple:
-        return (3,) if self.family == "V1" else ()
-
 
 @dataclass(frozen=True)
 class Tabulation:
@@ -185,14 +177,13 @@ class Tabulation:
     divergences: np.ndarray     # V1: (npts, ndofs); V2: None
 
 
-# Monomials are centred at the prism centroid; this keeps the dual-basis
-# Vandermonde well conditioned (raw powers cost three extra digits at k = 2).
-_MONOMIAL_CENTRE = np.array([1.0 / 3.0, 1.0 / 3.0, 0.5])
-
-
 def _monomial_values(exps, points):
-    """Evaluate scalar monomials (xi - centre)^exps at points, (npts, nmono)."""
-    p = np.atleast_2d(points) - _MONOMIAL_CENTRE
+    """Evaluate scalar monomials (xi - centroid)^exps at points, (npts, nmono).
+
+    Centring keeps the dual-basis Vandermonde well conditioned (raw powers
+    cost three extra digits at k = 2).
+    """
+    p = np.atleast_2d(points) - CENTROID
     exps = np.asarray(exps)
     return np.prod(p[:, None, :] ** exps[None, :, :], axis=2)
 
@@ -229,9 +220,9 @@ def _edge_moment_dofs(k: int):
     )
     dofs = []
     for edge in range(3):
-        n_scaled = PRISM.edge_scaled_normal(edge)
+        n_scaled = edge_scaled_normal(edge)
         tt, zz = np.meshgrid(np.arange(len(t)), np.arange(len(z)), indexing="ij")
-        pts = PRISM.embed_quad(edge, t[tt.ravel()], z[zz.ravel()])
+        pts = embed_quad(edge, t[tt.ravel()], z[zz.ravel()])
         wq = np.outer(wt, wz).ravel()
         for j in range(k + 1):          # edge moment, parity j under s -> -s
             for m in range(k):          # interval moment in xi3
@@ -255,7 +246,7 @@ def _tri_moment_dofs(k: int):
     )
     dofs = []
     for which in (0, 1):
-        pts = PRISM.embed_tri(which, tri.points)
+        pts = embed_tri(which, tri.points)
         for j in range(nmom):
             w = np.zeros((len(pts), 3))
             w[:, 2] = tri.weights * psi[:, j]
@@ -500,39 +491,20 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# Piola transformation and interpolation
+# Evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-def piola_push(J, vhat, dhat=None):
-    """Contravariant Piola: v = J vhat / det J, div v = dhat / det J.
-
-    ``J`` is a JacobianSample (batched); ``vhat``/``dhat`` broadcast against
-    its leading axes.
-    """
-    v = np.einsum("...ik,...k->...i", J.J, np.asarray(vhat, dtype=float))
-    v = v / J.det[..., None]
-    if dhat is None:
-        return v
-    return v, np.asarray(dhat, dtype=float) / J.det
-
-
 def evaluate_velocity(u: Field, coords, cells, points) -> np.ndarray:
-    """Physical velocity values of a V1 field at reference points per cell."""
-    from .geometry import jacobian, matvec3
+    """Physical velocity values of a V1 field at reference points per cell.
 
+    Contravariant Piola: v = J vhat / det J.
+    """
     cells = np.atleast_1d(np.asarray(cells, dtype=int))
     tab = tabulate(u.space.element, points)
     J = jacobian(coords, cells, points)
     chat = u.coeffs[u.space.cell_dofs[cells]] * u.space.cell_signs[cells]
     vhat = np.einsum("ed,pdc->epc", chat, tab.values)
     return matvec3(J.J, vhat) / J.det[..., None]
-
-
-def evaluate_pressure(p: Field, cells, points) -> np.ndarray:
-    """Pressure values of a V2 field at reference points per cell."""
-    cells = np.atleast_1d(np.asarray(cells, dtype=int))
-    tab = tabulate(p.space.element, points)
-    return np.einsum("ed,pd->ep", p.coeffs[p.space.cell_dofs[cells]], tab.values)
 
 
 def interpolate_hdiv(space: FunctionSpace, coords, func) -> Field:
@@ -545,8 +517,6 @@ def interpolate_hdiv(space: FunctionSpace, coords, func) -> Field:
     the distinct points of every DOF it still has to write go through one
     Jacobian and one ``func`` call.
     """
-    from .geometry import jacobian, nodal_basis
-
     dofs = space.element.dofs
     nodal = coords.cell_coords
     coeffs = np.zeros(space.n_dofs)

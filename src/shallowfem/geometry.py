@@ -32,12 +32,12 @@ __all__ = [
     "nodal_basis",
     "nodal_basis_gradients",
     "jacobian",
-    "quadrature_jacobian",
     "matvec3",
     "jacobian4",
     "pseudo_inverse_pseudo_det",
+    "quadrature_chunks",
+    "longitude",
     "tangent_frame",
-    "pushforward_4to3",
     "cell_diameters",
 ]
 
@@ -234,19 +234,6 @@ def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
 CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0, 0.5]])
 
 
-def quadrature_jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
-    """Jacobian samples for a chunk of cells, as the quadrature loops use them.
-
-    A field with ``column_axes`` (the hedgehog field) extrudes each column
-    rigidly, so its map is affine per cell: J is factored once at the
-    centroid and returned with shape (ncells, 1, 3, 3), which broadcasts
-    against (ncells, npts).  Any other field is sampled at every point.
-    """
-    if coords.column_axes is not None:
-        return jacobian(coords, cells, CENTROID)
-    return jacobian(coords, cells, points)
-
-
 def jacobian4(cell_coords4, cells, points) -> np.ndarray:
     """4x3 Jacobian of the reference-to-manifold map, shape (..., npts, 4, 3)."""
     return _nodal_gemm(np.asarray(cell_coords4)[cells], points)
@@ -268,6 +255,34 @@ def pseudo_inverse_pseudo_det(J4):
     return pinv, pdet
 
 
+def quadrature_chunks(coords: CoordinateField, x4, points, width):
+    """The solver-point map of every cell, chunk by chunk.
+
+    Assembly and the error norms both loop over this.  A chunk holds
+    max(1, int(3e6 / (npts * width))) cells, so (chunk, npts, width) arrays
+    stay near 3e6 entries.  Yields ``(cells, J, pinv4T, x4q)``:
+
+      * ``J``: the JacobianSample of ``coords``.  A field with
+        ``column_axes`` (the hedgehog field) extrudes each column rigidly, so
+        its map is affine per cell and J is factored once at the centroid,
+        shape (ch, 1, 3, 3), which broadcasts against (ch, npts).  Any other
+        field is sampled at every point.
+      * ``pinv4T``: the transposed pseudoinverse of the manifold Jacobian at
+        the centroid, (ch, 4, 3); ``v4 @ pinv4T`` gives the reference
+        components of tangent 4-vectors.
+      * ``x4q``: the manifold points of the quadrature points, (ch, npts, 4).
+    """
+    npts = len(points)
+    nbasis = nodal_basis(points)
+    jac_points = CENTROID if coords.column_axes is not None else points
+    chunk = max(1, int(3e6 / (npts * width)))
+    for start in range(0, coords.n_cells, chunk):
+        cells = np.arange(start, min(start + chunk, coords.n_cells))
+        J = jacobian(coords, cells, jac_points)
+        pinv4, _ = pseudo_inverse_pseudo_det(jacobian4(x4, cells, CENTROID))
+        yield cells, J, np.swapaxes(pinv4[:, 0], 1, 2), nbasis @ x4[cells]
+
+
 # ---------------------------------------------------------------------------
 # Tangent frames on S^2(a) x [0, H]
 # ---------------------------------------------------------------------------
@@ -280,11 +295,22 @@ class TangentFrame:
     direction form a right-handed triple in R^3.  Batched over leading axes.
     """
 
-    point: np.ndarray      # (..., 4)
     e_lambda: np.ndarray   # (..., 4)
     e_phi: np.ndarray      # (..., 4)
     i4: np.ndarray         # (..., 4)
     normal: np.ndarray     # (..., 4)
+
+
+def longitude(x4, a: float = 1.0):
+    """(cos lambda, sin lambda) of manifold points.
+
+    Within 1e-8 a of the polar axis the longitude is undefined; there the
+    pair is (0, -1), which makes e_lambda = (1, 0, 0, 0).
+    """
+    rho = np.hypot(x4[..., 0], x4[..., 1])
+    polar = rho < 1e-8 * a
+    safe = np.where(polar, 1.0, rho)
+    return np.where(polar, 0.0, x4[..., 0] / safe), np.where(polar, -1.0, x4[..., 1] / safe)
 
 
 def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
@@ -293,12 +319,8 @@ def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
     scalar = x4.ndim == 1
     x4 = np.atleast_2d(x4)
 
+    cos_l, sin_l = longitude(x4, a)
     rho = np.hypot(x4[..., 0], x4[..., 1])
-    polar = rho < 1e-8 * a
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_l = np.where(polar, 1.0, x4[..., 0] / np.where(polar, 1.0, rho))
-        sin_l = np.where(polar, 0.0, x4[..., 1] / np.where(polar, 1.0, rho))
     sin_p = x4[..., 2] / a
     cos_p = rho / a
 
@@ -312,12 +334,10 @@ def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
 
     # At the poles any horizontal orthonormal pair will do; keep it
     # right-handed with the (+-z) radial.
+    polar = rho < 1e-8 * a
     if np.any(polar):
-        sgn = np.sign(x4[..., 2])
-        e_lam[polar] = 0.0
         e_phi[polar] = 0.0
-        e_lam[polar, 0] = 1.0
-        e_phi[polar, 1] = sgn[polar]
+        e_phi[polar, 1] = np.sign(x4[polar, 2])
 
     i4 = np.zeros(x4.shape)
     i4[..., 3] = 1.0
@@ -325,26 +345,8 @@ def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
     normal[..., :3] = x4[..., :3] / a
 
     if scalar:
-        return TangentFrame(x4[0], e_lam[0], e_phi[0], i4[0], normal[0])
-    return TangentFrame(x4, e_lam, e_phi, i4, normal)
-
-
-# ---------------------------------------------------------------------------
-# Pushforward between the 4D manifold mesh and the 3D coordinate field
-# ---------------------------------------------------------------------------
-
-def pushforward_4to3(coords: CoordinateField, cell_coords4, cells, points, v4):
-    """Push tangent 4-vectors through chi_e = g_e o (g~_e)^{-1}.
-
-    Computes ``J_{g_e} pinv(J_{g~_e}) v4`` at the given reference points.
-    Components of ``v4`` along the discrete element normal are annihilated by
-    the pseudoinverse.  Shapes: ``v4`` is (..., npts, 4) matching the cell
-    selection; result is (..., npts, 3).
-    """
-    J3 = jacobian(coords, cells, points).J
-    J4 = jacobian4(cell_coords4, cells, points)
-    pinv, _ = pseudo_inverse_pseudo_det(J4)
-    return np.einsum("...ik,...kj,...j->...i", J3, pinv, np.asarray(v4, dtype=float))
+        return TangentFrame(e_lam[0], e_phi[0], i4[0], normal[0])
+    return TangentFrame(e_lam, e_phi, i4, normal)
 
 
 def cell_diameters(coords: CoordinateField) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "MeshConfig",
     "BaseSphereMesh",
     "ExtrudedMesh",
     "FacetSet",
@@ -32,30 +31,6 @@ TRIANGLE_EDGE_VERTICES = ((1, 2), (0, 2), (0, 1))
 
 class InvalidTopologyError(Exception):
     """Mesh connectivity is internally inconsistent."""
-
-
-@dataclass(frozen=True)
-class MeshConfig:
-    """Parameters of the spherical annulus mesh."""
-
-    inner_radius: float = 1.0
-    thickness: float = 1.0
-    refinement_level: int = 0
-    n_layers: int = 1
-
-    def __post_init__(self):
-        if self.inner_radius <= 0:
-            raise ValueError(f"inner_radius must be positive, got {self.inner_radius}")
-        if self.thickness <= 0:
-            raise ValueError(f"thickness must be positive, got {self.thickness}")
-        if self.refinement_level < 0:
-            raise ValueError("refinement_level must be >= 0")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-
-    @property
-    def outer_radius(self) -> float:
-        return self.inner_radius + self.thickness
 
 
 @dataclass(frozen=True)
@@ -76,20 +51,12 @@ class BaseSphereMesh:
     edge_triangles: np.ndarray    # (ne, 2) int
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_triangles
 
     def unit_vertices(self) -> np.ndarray:
         """Vertex directions, i.e. vertices scaled back to the unit sphere."""
@@ -216,23 +183,6 @@ class ExtrudedMesh:
     def n_cells(self) -> int:
         return self.base.n_triangles * self.n_layers
 
-    @property
-    def inner_radius(self) -> float:
-        return float(self.layer_radii[0])
-
-    @property
-    def outer_radius(self) -> float:
-        return float(self.layer_radii[-1])
-
-    def cell_triangle(self, cells):
-        return np.asarray(cells) // self.n_layers
-
-    def cell_layer(self, cells):
-        return np.asarray(cells) % self.n_layers
-
-    def vertex_id(self, base_vertex, interface):
-        return np.asarray(base_vertex) * (self.n_layers + 1) + np.asarray(interface)
-
     def cell_node_coords(self) -> np.ndarray:
         """Nodal coordinates of every cell, shape (n_cells, 6, 3)."""
         return self.vertex_coords[self.cell_vertices]
@@ -288,14 +238,6 @@ class FacetSet:
     interior_horizontal: np.ndarray   # horizontal facet ids strictly inside
     interior_vertical: np.ndarray     # vertical facet ids with two cells
     boundary_vertical: np.ndarray     # vertical facet ids with one cell
-
-    @property
-    def n_horizontal(self) -> int:
-        return len(self.horizontal_cells)
-
-    @property
-    def n_vertical(self) -> int:
-        return len(self.vertical_cells)
 
 
 def classify_facets(mesh: ExtrudedMesh) -> FacetSet:

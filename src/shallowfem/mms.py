@@ -34,7 +34,7 @@ import numpy as np
 
 from . import assembly as _assembly
 from . import geometry
-from .fem import build_dof_map, make_element, quadrature_prism, tabulate
+from .fem import build_dof_map, default_quadrature_degree, make_element, quadrature_prism, tabulate
 from .mesh import build_icosahedral_sphere, classify_facets, extrude_radial
 
 __all__ = [
@@ -169,15 +169,15 @@ def _dot(v, w):
     return np.einsum("...i,...i->...", v, w)
 
 
-def _oracle_angles(x4, fr, a):
+def _oracle_angles(x4, a):
     """(cos lambda, sin lambda, sin phi, cos phi) of the oracles' point for x4.
 
     The finite-difference oracles evaluate at ``ops.point(*ops.angles(x4))``:
-    the longitude of x4 (here read off ``fr.e_lambda``, with the frame's polar
-    fallback) and the latitude arcsin(x3 / a).
+    the longitude of x4 (with the tangent frame's polar fallback, from
+    ``geometry.longitude``) and the latitude arcsin(x3 / a).
     """
     s_phi = np.clip(x4[..., 2] / a, -1.0, 1.0)
-    return fr.e_lambda[..., 1], -fr.e_lambda[..., 0], s_phi, np.sqrt(1.0 - s_phi * s_phi)
+    return (*geometry.longitude(x4, a), s_phi, np.sqrt(1.0 - s_phi * s_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ class ManufacturedCase:
             fr = geometry.tangent_frame(x4, ops.a)
             u = self.u_exact(x4)
             om = self.omega4(x4)
-            c_l, s_l, s_p, c_p = _oracle_angles(x4, fr, ops.a)
+            c_l, s_l, s_p, c_p = _oracle_angles(x4, ops.a)
             a, h, q = ops.a, x4[..., 3], self._q(x4)
             # frame components of u and Omega, as in tangent_cross
             u_l, u_p, u_4 = _dot(u, fr.e_lambda), _dot(u, fr.e_phi), u[..., 3]
@@ -288,8 +288,7 @@ class ManufacturedCase:
     def derived_g(self, ops: ShallowOperators):
         def g(x4):
             x4 = np.asarray(x4, dtype=float)
-            fr = geometry.tangent_frame(x4, ops.a)
-            c_l, s_l, s_p, c_p = _oracle_angles(x4, fr, ops.a)
+            c_l, s_l, s_p, c_p = _oracle_angles(x4, ops.a)
             a, h = ops.a, x4[..., 3]
             h2 = h * h
             # div u_exact(y) = 2 y1 y2 y3 (6a^2h^2 - 5a^2 - 6h^4 + 30h^2 - 24) / a^2
@@ -391,32 +390,22 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     discrete field at quadrature points.  Returns (err_u, err_p).
     """
     space_u, space_p = u_h.space, p_h.space
-    mesh = space_u.mesh
-    x4 = geometry.manifold_coordinates(mesh)
+    x4 = geometry.manifold_coordinates(space_u.mesh)
     k = space_u.element.k
-    rule = quadrature_prism(degree if degree is not None else 2 * k + 8)
+    rule = quadrature_prism(degree if degree is not None else default_quadrature_degree(k))
     pts, w = rule.points, rule.weights
     nq = len(w)
     tab1 = tabulate(space_u.element, pts)
     tab2 = tabulate(space_p.element, pts)
-    nbasis = geometry.nodal_basis(pts)
     nd1 = space_u.element.ndofs
     phi = tab1.values.transpose(1, 0, 2).reshape(nd1, nq * 3)   # (nd1, (q, c))
     psiT = tab2.values.T                                        # (nd2, nq)
 
     err_u2 = 0.0
     err_p2 = 0.0
-    chunk = max(1, int(3e6 / (nq * nd1)))
-    for start in range(0, mesh.n_cells, chunk):
-        cells = np.arange(start, min(start + chunk, mesh.n_cells))
+    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts, nd1):
         ch = len(cells)
-        J = geometry.quadrature_jacobian(coords, cells, pts)   # (ch, 1 or nq, 3, 3)
         det = np.broadcast_to(J.det, (ch, nq))
-        J4 = geometry.jacobian4(x4, cells, geometry.CENTROID)
-        pinv4, _ = geometry.pseudo_inverse_pseudo_det(J4)
-        pinv4T = np.swapaxes(pinv4[:, 0], 1, 2)                # (ch, 4, 3)
-
-        x4q = nbasis @ x4[cells]                               # (ch, nq, 4)
         p_ex = case.p_exact(x4q)
 
         # u_h - u_exact = J (vhat / det - pinv4 u_exact) at every point

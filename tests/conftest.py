@@ -51,6 +51,19 @@ def physical_points(coords, cells, ref_points):
     return np.einsum("pn,cnd->cpd", N, coords.cell_coords[np.asarray(cells)])
 
 
+def pushforward_4to3(coords, cell_coords4, cells, points, v4):
+    """Push tangent 4-vectors through chi_e = g_e o (g~_e)^{-1} (an oracle).
+
+    Computes ``J_{g_e} pinv(J_{g~_e}) v4`` with both Jacobians taken at every
+    given reference point.  Components of ``v4`` along the discrete element
+    normal are annihilated by the pseudoinverse.  Shapes: ``v4`` is
+    (..., npts, 4) matching the cell selection; result is (..., npts, 3).
+    """
+    J3 = geometry.jacobian(coords, cells, points).J
+    pinv, _ = geometry.pseudo_inverse_pseudo_det(geometry.jacobian4(cell_coords4, cells, points))
+    return np.einsum("...ik,...kj,...j->...i", J3, pinv, np.asarray(v4, dtype=float))
+
+
 def vertical_facet_normal_values(m, coords, u, vf, facets, s, z):
     """u . n from both sides of an interior vertical facet at matched points.
 
@@ -85,7 +98,7 @@ def vertical_facet_normal_values(m, coords, u, vf, facets, s, z):
         p, q = TRIANGLE_EDGE_VERTICES[le]
         ascending = base.triangles[tri, p] < base.triangles[tri, q]
         t = s if ascending else 1.0 - s
-        ref = fem.PRISM.embed_quad(le, t, z)
+        ref = fem.embed_quad(le, t, z)
         got = geometry.nodal_basis(ref) @ coords.cell_coords[c]
         np.testing.assert_allclose(got, X, atol=1e-12)
         v = fem.evaluate_velocity(u, coords, [c], ref)[0]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,16 @@ from shallowfem import cli, geometry, mesh
 
 def run(argv):
     return cli.main(argv)
+
+
+def read_vtk_points(path) -> np.ndarray:
+    """Parse the POINTS block back out of an exported file (round-trip checks)."""
+    lines = Path(path).read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("POINTS"):
+            n = int(line.split()[1])
+            return np.array([list(map(float, lines[i + 1 + j].split())) for j in range(n)])
+    raise ValueError(f"no POINTS block in {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +46,13 @@ def test_export_mesh_annulus_contents(exported):
     assert "CELLS 20 140" in text
     assert text.count("\n13") == 20
 
-    pts = cli.read_vtk_points(exported / "annulus.vtk")
+    pts = read_vtk_points(exported / "annulus.vtk")
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(0, 1.0), 1, 1.0)
     np.testing.assert_allclose(pts, m.vertex_coords, atol=1e-12)
 
 
 def test_export_mesh_hedgehog_contents(exported):
-    pts = cli.read_vtk_points(exported / "hedgehog.vtk")
+    pts = read_vtk_points(exported / "hedgehog.vtk")
     assert pts.shape == (120, 3)
     wedges = pts.reshape(20, 6, 3)
     # bottom triangles sit on the inner sphere; the spiky tops do not reach
@@ -54,7 +65,7 @@ def test_export_mesh_hedgehog_contents(exported):
 
 def test_export_mesh_hedgehog_duplicates_shared_vertices(exported):
     """Columns carry private copies of shared vertices, displaced apart."""
-    pts = cli.read_vtk_points(exported / "hedgehog.vtk")
+    pts = read_vtk_points(exported / "hedgehog.vtk")
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(0, 1.0), 1, 1.0)
     wedges = pts.reshape(20, 6, 3)
     tops = m.cell_vertices[:, 3:]
@@ -77,7 +88,7 @@ def test_read_vtk_points_rejects_other_files(tmp_path):
     bad = tmp_path / "not_a_grid.vtk"
     bad.write_text("hello\n")
     with pytest.raises(ValueError):
-        cli.read_vtk_points(bad)
+        read_vtk_points(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +294,16 @@ def test_convergence_check_single_level_is_usage_error(tmp_path, capsys, monkeyp
     (["verify-forcing", "--points", "-3"], "--points"),
     (["export-mesh", "--layers", "0"], "--layers"),
     (["export-mesh", "--refinement", "-1"], "--refinement"),
+    (["convergence", "--tolerance", "nan"], "--tolerance"),
+    (["convergence", "--tolerance", "0"], "--tolerance"),
+    (["convergence", "--inner-radius", "0"], "--inner-radius"),
+    (["export-mesh", "--inner-radius", "-2"], "--inner-radius"),
+    (["verify-forcing", "--inner-radius", "0"], "--inner-radius"),
+    (["verify-forcing", "--inner-radius", "inf"], "--inner-radius"),
+    (["export-mesh", "--thickness", "-1"], "--thickness"),
+    (["convergence", "--thickness", "-1"], "--thickness"),
+    (["verify-forcing", "--seed", "-1"], "--seed"),
+    (["convergence", "--seed", "-1"], "--seed"),
 ])
 def test_count_arguments_out_of_range_are_usage_errors(argv, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

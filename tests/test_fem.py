@@ -19,8 +19,8 @@ def tri_integral(a, b):
 def test_edge_scaled_normals():
     """Outward in-plane normals with length equal to the edge length."""
     for edge in range(3):
-        a, b = fem.PRISM.edge_endpoints(edge)
-        n = fem.PRISM.edge_scaled_normal(edge)
+        a, b = fem.edge_endpoints(edge)
+        n = fem.edge_scaled_normal(edge)
         assert abs(np.linalg.norm(n) - np.linalg.norm(b - a)) < 1e-14
         assert abs(np.dot(n, b - a)) < 1e-14
         centroid = np.array([1 / 3, 1 / 3])
@@ -29,16 +29,16 @@ def test_edge_scaled_normals():
 
 def test_embed_quad_endpoints():
     for edge in range(3):
-        a, b = fem.PRISM.edge_endpoints(edge)
-        pts = fem.PRISM.embed_quad(edge, np.array([0.0, 1.0]), np.array([0.3, 0.3]))
+        a, b = fem.edge_endpoints(edge)
+        pts = fem.embed_quad(edge, np.array([0.0, 1.0]), np.array([0.3, 0.3]))
         np.testing.assert_allclose(pts[0], [a[0], a[1], 0.3], atol=1e-15)
         np.testing.assert_allclose(pts[1], [b[0], b[1], 0.3], atol=1e-15)
 
 
 def test_embed_tri_levels():
     xy = np.array([[0.2, 0.3], [0.1, 0.1]])
-    np.testing.assert_array_equal(fem.PRISM.embed_tri(0, xy)[:, 2], 0.0)
-    np.testing.assert_array_equal(fem.PRISM.embed_tri(1, xy)[:, 2], 1.0)
+    np.testing.assert_array_equal(fem.embed_tri(0, xy)[:, 2], 0.0)
+    np.testing.assert_array_equal(fem.embed_tri(1, xy)[:, 2], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,8 @@ def test_quad_facet_dofs_vanish_on_other_facets():
         for edge in range(3):
             if kind == "quad" and dof.entity[1] == edge:
                 continue
-            n = fem.PRISM.edge_scaled_normal(edge)
-            pts = fem.PRISM.embed_quad(edge, t, np.full_like(t, 0.5))
+            n = fem.edge_scaled_normal(edge)
+            pts = fem.embed_quad(edge, t, np.full_like(t, 0.5))
             vals = fem.tabulate(elem, pts).values[:, j, :2]
             np.testing.assert_allclose(vals @ n, 0.0, atol=1e-12)
 
@@ -182,16 +182,26 @@ def test_quad_facet_dofs_vanish_on_other_facets():
 # Piola transform
 # ---------------------------------------------------------------------------
 
-def test_piola_push_scaling():
+def test_piola_push_scaling(single_prism):
     """J = 2I: velocities scale by 1/4, divergences by 1/8."""
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
     coords = geometry.CoordinateField(kind="continuous", cell_coords=2.0 * ref[None])
-    J = geometry.jacobian(coords, [0], [[0.2, 0.2, 0.5]])
-    v, d = fem.piola_push(J, np.array([1.0, 0.0, 0.0]), 1.0)
-    np.testing.assert_allclose(v[0, 0], [0.25, 0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(d[0, 0], 0.125, atol=1e-15)
+    V = fem.build_dof_map(single_prism, mesh.classify_facets(single_prism),
+                          fem.make_element("V1", 1))
+    u = fem.Field(V, np.random.default_rng(4).standard_normal(V.n_dofs))
+    xi = np.array([[0.2, 0.2, 0.5]])
+    tab = fem.tabulate(V.element, xi)
+    chat = u.coeffs[V.cell_dofs[0]] * V.cell_signs[0]
+    v = fem.evaluate_velocity(u, coords, [0], xi)[0, 0]
+    np.testing.assert_allclose(v, chat @ tab.values[0] / 4.0, atol=1e-14)
+    # physical divergence by central differences in x = 2 xi (the field is linear)
+    eps = 1e-3
+    vp = fem.evaluate_velocity(u, coords, [0], xi + eps * np.eye(3))[0]
+    vm = fem.evaluate_velocity(u, coords, [0], xi - eps * np.eye(3))[0]
+    div = np.trace(vp - vm) / (2.0 * eps * 2.0)
+    np.testing.assert_allclose(div, chat @ tab.divergences[0] / 8.0, atol=1e-12)
 
 
 def test_piola_preserves_normal_flux():
@@ -210,9 +220,9 @@ def test_piola_preserves_normal_flux():
     t, wt = np.polynomial.legendre.leggauss(4)
     t, wt = (t + 1) / 2, wt / 2
     for edge in range(3):
-        n_scaled = fem.PRISM.edge_scaled_normal(edge)
+        n_scaled = fem.edge_scaled_normal(edge)
         tt, zz = np.meshgrid(t, t, indexing="ij")
-        pts = fem.PRISM.embed_quad(edge, tt.ravel(), zz.ravel())
+        pts = fem.embed_quad(edge, tt.ravel(), zz.ravel())
         w2 = np.outer(wt, wt).ravel()
         tab = fem.tabulate(elem, pts)
         # reference flux of each basis function through this facet
@@ -221,7 +231,7 @@ def test_piola_preserves_normal_flux():
         # Piola factor 1/det cancels the cofactor scaling exactly
         J = geometry.jacobian(coords, [0], pts)
         v = np.einsum("pik,pdk->pdi", J.J[0], tab.values) / J.det[0][:, None, None]
-        a, b = fem.PRISM.edge_endpoints(edge)
+        a, b = fem.edge_endpoints(edge)
         tan_s = A @ np.array([b[0] - a[0], b[1] - a[1], 0.0])
         tan_z = A @ np.array([0.0, 0.0, 1.0])
         area_normal = np.cross(tan_s, tan_z)
@@ -344,7 +354,7 @@ def test_normal_continuity_horizontal_facets(annulus_r1_l2, facets_r1_l2, k):
         vals = []
         X_prev = None
         for c, which in ((below, 1), (above, 0)):
-            ref = fem.PRISM.embed_tri(which, xy)
+            ref = fem.embed_tri(which, xy)
             X = geometry.nodal_basis(ref) @ coords.cell_coords[c]
             if X_prev is not None:
                 np.testing.assert_allclose(X, X_prev, atol=1e-12)
@@ -399,7 +409,9 @@ def test_interpolation_reproduces_members(annulus_r1_l2, facets_r1_l2, k):
 
 
 def test_evaluate_pressure_constant(annulus_r0_l1, facets_r0_l1):
+    """A V2 field of ones is 1 everywhere, evaluated as the error norms do."""
     V = fem.build_dof_map(annulus_r0_l1, facets_r0_l1, fem.make_element("V2", 1))
     p = fem.Field(V, np.ones(V.n_dofs))
-    vals = fem.evaluate_pressure(p, np.arange(5), np.array([[0.2, 0.2, 0.4]]))
+    tab = fem.tabulate(V.element, np.array([[0.2, 0.2, 0.4]]))
+    vals = p.coeffs[V.cell_dofs[np.arange(5)]] @ tab.values.T
     np.testing.assert_allclose(vals, 1.0, atol=1e-14)

@@ -3,7 +3,7 @@ import pytest
 
 from shallowfem import geometry, mesh
 
-from conftest import physical_points
+from conftest import physical_points, pushforward_4to3
 
 
 def synthetic_polar_column():
@@ -255,17 +255,30 @@ def test_jacobian_factorization_count(annulus_r1_l2):
 
 
 def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
-    """Hedgehog: one centroid sample per cell; annulus: every point."""
+    """quadrature_chunks: hedgehog J once per cell at the centroid, annulus J
+    at every point; the chunks cover the cells in order."""
     m = annulus_r1_l2
-    cells = np.arange(m.n_cells)
+    x4 = geometry.manifold_coordinates(m)
     pts = np.array([[0.2, 0.3, 0.1], [0.5, 0.1, 0.9], [0.1, 0.1, 0.5]])
-    hh = geometry.quadrature_jacobian(geometry.hedgehog_coordinates(m), cells, pts)
-    assert hh.J.shape == (m.n_cells, 1, 3, 3) and hh.n_factorizations == m.n_cells
-    at_pts = geometry.jacobian(geometry.hedgehog_coordinates(m), cells, pts)
-    np.testing.assert_allclose(np.broadcast_to(hh.J, at_pts.J.shape), at_pts.J,
+    centroid = np.array([[1 / 3, 1 / 3, 0.5]])
+    hh = geometry.hedgehog_coordinates(m)
+    (cells, J, pinv4T, x4q), = geometry.quadrature_chunks(hh, x4, pts, 1)
+    np.testing.assert_array_equal(cells, np.arange(m.n_cells))
+    assert J.J.shape == (m.n_cells, 1, 3, 3) and J.n_factorizations == m.n_cells
+    at_pts = geometry.jacobian(hh, cells, pts)
+    np.testing.assert_allclose(np.broadcast_to(J.J, at_pts.J.shape), at_pts.J,
                                rtol=0, atol=1e-12)
-    deep = geometry.quadrature_jacobian(geometry.annulus_coordinates(m), cells, pts)
-    assert deep.J.shape == (m.n_cells, 3, 3, 3) and deep.n_factorizations == 3 * m.n_cells
+    pinv4, _ = geometry.pseudo_inverse_pseudo_det(geometry.jacobian4(x4, cells, centroid))
+    np.testing.assert_array_equal(pinv4T, np.swapaxes(pinv4[:, 0], 1, 2))
+    np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(pts), x4),
+                               rtol=0, atol=1e-14)
+
+    # 3e6 / (3 * 20000) = 50 cells per chunk
+    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, pts, 20000))
+    assert [len(c[0]) for c in chunks] == [50, 50, 50, 10]
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
+    assert all(c[1].J.shape == (len(c[0]), 3, 3, 3) for c in chunks)
+    assert sum(c[1].n_factorizations for c in chunks) == 3 * m.n_cells
 
 
 def _einsum_jacobian(nodal, points):
@@ -417,7 +430,7 @@ def test_pushforward_vertical_direction_to_column_axis(annulus_r1_l2):
     cells = np.arange(m.n_cells)
     pts = np.array([[0.25, 0.25, 0.4]])
     v4 = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (m.n_cells, 1, 4))
-    out = geometry.pushforward_4to3(coords, x4, cells, pts, v4)
+    out = pushforward_4to3(coords, x4, cells, pts, v4)
     np.testing.assert_allclose(out[:, 0], coords.column_axes, atol=1e-12)
 
 
@@ -431,7 +444,7 @@ def test_pushforward_columns_map_to_columns(annulus_r1_l2):
     J4 = geometry.jacobian4(x4, cells, pts)
     J3 = geometry.jacobian(coords, cells, pts).J
     for j in range(3):
-        out = geometry.pushforward_4to3(coords, x4, cells, pts, J4[..., j])
+        out = pushforward_4to3(coords, x4, cells, pts, J4[..., j])
         np.testing.assert_allclose(out, J3[..., j], atol=1e-12)
 
 
@@ -447,7 +460,7 @@ def test_pushforward_annihilates_discrete_normal(annulus_r1_l2):
     pinv, _ = geometry.pseudo_inverse_pseudo_det(J4)
     proj = np.einsum("...ik,...kj,...j->...i", J4, pinv, w)
     n_disc = w - proj
-    out = geometry.pushforward_4to3(coords, x4, cells, pts, n_disc)
+    out = pushforward_4to3(coords, x4, cells, pts, n_disc)
     assert np.abs(out).max() <= 1e-12 * max(1.0, np.abs(n_disc).max())
 
 

@@ -42,20 +42,22 @@ def test_triangle_edges_consistent(icosa_r0):
             assert set(icosa_r0.edges[e]) == {tris[t, p], tris[t, q]}
 
 
-def test_mesh_config_validation():
+def test_mesh_config_validation(icosa_r0):
+    """The mesh builders reject out-of-range parameters; the command line
+    rejects non-positive radii (see test_cli)."""
     with pytest.raises(ValueError):
-        mesh.MeshConfig(inner_radius=-1.0)
+        mesh.extrude_radial(icosa_r0, 1, 0.0)
     with pytest.raises(ValueError):
-        mesh.MeshConfig(thickness=0.0)
+        mesh.extrude_radial(icosa_r0, 1, -1.0)
     with pytest.raises(ValueError):
-        mesh.MeshConfig(refinement_level=-1)
+        mesh.build_icosahedral_sphere(-1)
     with pytest.raises(ValueError):
-        mesh.MeshConfig(n_layers=0)
+        mesh.extrude_radial(icosa_r0, 0, 1.0)
 
 
 def test_mesh_config_outer_radius():
-    cfg = mesh.MeshConfig(inner_radius=2.0, thickness=0.5)
-    assert cfg.outer_radius == 2.5
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(0, radius=2.0), 3, 0.5)
+    assert m.layer_radii[0] == 2.0 and m.layer_radii[-1] == 2.5
 
 
 def test_extrusion_counts(annulus_r1_l2):

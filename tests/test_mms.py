@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import pushforward_4to3
 from shallowfem import assembly, fem, geometry, mesh, mms
 
 
@@ -398,7 +399,7 @@ def test_interpolated_exact_error_is_comparable(case, coarse_solution):
     def exact_pushed(cell, xi, x):
         x4 = geometry.nodal_basis(xi) @ x4_cells[cell]
         u4 = case.u_exact(x4)
-        return geometry.pushforward_4to3(coords, x4_cells, cell, xi, u4)
+        return pushforward_4to3(coords, x4_cells, cell, xi, u4)
 
     u_int = fem.interpolate_hdiv(V1, coords, exact_pushed)
     err_int, _ = mms.l2_errors(u_int, result.p, case, coords)
