@@ -259,8 +259,8 @@ def quadrature_chunks(coords: CoordinateField, x4, points, width):
     """The solver-point map of every cell, chunk by chunk.
 
     Assembly and the error norms both loop over this.  A chunk holds
-    max(1, int(3e6 / (npts * width))) cells, so (chunk, npts, width) arrays
-    stay near 3e6 entries.  Yields ``(cells, J, pinv4T, x4q)``:
+    max(1, int(1e6 / (npts * width))) cells, so (chunk, npts, width) arrays
+    stay near 1e6 entries.  Yields ``(cells, J, pinv4T, x4q)``:
 
       * ``J``: the JacobianSample of ``coords``.  A field with
         ``column_axes`` (the hedgehog field) extrudes each column rigidly, so
@@ -275,7 +275,7 @@ def quadrature_chunks(coords: CoordinateField, x4, points, width):
     npts = len(points)
     nbasis = nodal_basis(points)
     jac_points = CENTROID if coords.column_axes is not None else points
-    chunk = max(1, int(3e6 / (npts * width)))
+    chunk = max(1, int(1e6 / (npts * width)))
     for start in range(0, coords.n_cells, chunk):
         cells = np.arange(start, min(start + chunk, coords.n_cells))
         J = jacobian(coords, cells, jac_points)

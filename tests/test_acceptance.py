@@ -25,7 +25,7 @@ def k1_study():
 @pytest.fixture(scope="module")
 def k2_study():
     """Quadratic study; one ladder step coarser than k=1 keeps the suite
-    fast (the (3,8) level alone takes minutes and several GiB)."""
+    fast (the (3,8) level alone takes about a minute and 3 GiB)."""
     return mms.convergence_study(k=2, levels=[(0, 1), (1, 2), (2, 4)])
 
 

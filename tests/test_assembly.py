@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from shallowfem import assembly, fem, geometry, mesh
 
@@ -235,6 +235,7 @@ def test_condensed_solve_matches_full_spsolve(annulus_r0_l1_module, k, mode):
     n = system.matrix.shape[0]
     assert stats["n_global"] == n - m.n_cells * stats["n_local_per_cell"]
     assert stats["lu_nnz"] > 0 and stats["refinement_steps"] in (0, 1)
+    assert stats["ordering"] == "nested-dissection"
 
 
 def test_solve_rejects_cross_cell_pressure_coupling(coarse_system):
@@ -251,12 +252,113 @@ def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
     system = assembly.apply_inner_bc(coarse_system)
     system.rhs[:] = 1.0
 
-    def no_memory(matrix):
+    def no_memory(matrix, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(assembly, "splu", no_memory)
     with pytest.raises(assembly.SolverError, match=r"n=\d+, nnz=\d+"):
         assembly.solve(system)
+
+
+@pytest.fixture(scope="module")
+def r1_system(annulus_r1_l2):
+    """k=1 on 160 cells: enough facet DOFs for three levels of dissection."""
+    V1, V2 = build_spaces(annulus_r1_l2, 1)
+    config = assembly.ProblemConfig(mode="shallow", k=1, g=lambda x4: x4[..., 0])
+    return assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
+
+
+def facet_inputs(system):
+    """(cell_dofs, cell centroids, sorted facet DOFs) as ``solve`` sees them."""
+    u = system.u_space
+    glob = np.setdiff1d(np.arange(system.matrix.shape[0]), assembly._cell_local_dofs(system))
+    return u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), glob
+
+
+def test_nested_dissection_is_a_deterministic_permutation(r1_system):
+    cell_dofs, centroids, glob = facet_inputs(r1_system)
+    order = assembly._nested_dissection(cell_dofs, centroids, glob)
+    np.testing.assert_array_equal(np.sort(order), glob)
+    np.testing.assert_array_equal(assembly._nested_dissection(cell_dofs, centroids, glob), order)
+
+
+def test_nested_dissection_separators_follow_their_halves(r1_system):
+    """Halves share no cell; each subtree is a contiguous block of the order
+    and ends with its separator."""
+    cell_dofs, centroids, glob = facet_inputs(r1_system)
+    ng, nc = len(glob), len(cell_dofs)
+    xyz, cell_ids = assembly._dof_positions(cell_dofs, centroids, glob)
+    rank = np.empty(ng, dtype=int)
+    rank[np.searchsorted(glob, assembly._nested_dissection(cell_dofs, centroids, glob))] = (
+        np.arange(ng)
+    )
+
+    (low, _), (high, _), sep = assembly._bisect(xyz, cell_ids, np.arange(ng), np.arange(nc))
+    assert len(low) and len(high) and len(sep)
+    side = np.full(ng + 1, -1)
+    side[low], side[high] = 0, 1
+    owned = side[cell_ids]
+    assert not ((owned == 0).any(axis=1) & (owned == 1).any(axis=1)).any()
+
+    splits = 0
+
+    def check(ids, cells):
+        nonlocal splits
+        r = rank[ids]
+        assert r.max() - r.min() + 1 == len(ids)
+        if len(ids) <= assembly.ND_LEAF:
+            return
+        (low, low_cells), (high, high_cells), sep = assembly._bisect(xyz, cell_ids, ids, cells)
+        assert 0 < len(high) < len(ids)
+        np.testing.assert_array_equal(np.sort(r)[len(r) - len(sep):], rank[sep])
+        splits += 1
+        check(low, low_cells)
+        check(high, high_cells)
+
+    check(np.arange(ng), np.arange(nc))
+    assert splits >= 3
+
+
+def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
+    """S couples two facet DOFs only if they share a cell, in the ordered
+    indexing that SuperLU is told to keep."""
+    captured = {}
+
+    def spy(matrix, **kwargs):
+        captured.update(kwargs, matrix=matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", spy)
+    assert assembly.solve(r1_system).residual <= 1e-10
+    assert captured["permc_spec"] == "NATURAL"
+
+    cell_dofs, centroids, glob = facet_inputs(r1_system)
+    order = assembly._nested_dissection(cell_dofs, centroids, glob)
+    _, cell_ids = assembly._dof_positions(cell_dofs, centroids, order)
+    owner, slot = np.nonzero(cell_ids >= 0)
+    E = sp.csr_matrix(
+        (np.ones(len(owner)), (cell_ids[owner, slot], owner)), shape=(len(glob), len(cell_dofs))
+    )
+    graph = (E @ E.T).tocsr()
+    S = captured["matrix"].tocoo()
+    nz = S.data != 0.0
+    assert nz.sum() > len(glob)
+    assert (np.asarray(graph[S.row[nz], S.col[nz]]).ravel() > 0).all()
+
+
+def test_near_singular_condensed_matrix_is_solver_error(r1_system):
+    """Facet row j becomes row i plus 1e-14 on its diagonal, with an
+    inconsistent right-hand side: threshold pivoting must not return a
+    number that misses the residual contract."""
+    _, _, glob = facet_inputs(r1_system)
+    i, j = np.setdiff1d(glob, r1_system.essential)[[0, -1]]
+    A = r1_system.matrix.tolil()
+    A[j, :] = A[i, :]
+    A[j, j] += 1e-14 * abs(A[i, i])
+    rhs = np.ones(A.shape[0])
+    rhs[j] = 2.0
+    with pytest.raises(assembly.SolverError):
+        assembly.solve(dataclasses.replace(r1_system, matrix=A.tocsr(), rhs=rhs))
 
 
 def test_weak_residual_of_solution(annulus_r0_l1_module):

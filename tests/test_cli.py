@@ -183,7 +183,7 @@ def test_convergence_stats_json(tiny_run, tmp_path):
     assert [r["level"] for r in records] == [1, 2]
     for r, row in zip(records, rows):
         assert set(r) == {"level", "n_global", "n_local_per_cell", "lu_nnz",
-                          "refinement_steps", "residual"}
+                          "refinement_steps", "residual", "ordering"}
         ncells, ndofs = int(row[3]), int(row[4])
         assert r["n_local_per_cell"] == 1 and r["n_global"] == ndofs - ncells
         assert r["lu_nnz"] > 0 and r["residual"] <= 1e-10

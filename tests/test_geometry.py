@@ -273,9 +273,9 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(pts), x4),
                                rtol=0, atol=1e-14)
 
-    # 3e6 / (3 * 20000) = 50 cells per chunk
-    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, pts, 20000))
-    assert [len(c[0]) for c in chunks] == [50, 50, 50, 10]
+    # 1e6 / (3 * 7000) = 47.6, so 47 cells per chunk
+    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, pts, 7000))
+    assert [len(c[0]) for c in chunks] == [47, 47, 47, 19]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
     assert all(c[1].J.shape == (len(c[0]), 3, 3, 3) for c in chunks)
     assert sum(c[1].n_factorizations for c in chunks) == 3 * m.n_cells
