@@ -2,7 +2,8 @@
 
 The manufactured pressure is p = x1 x2 x3 (x4^2 - 1)(x4^2 - 4) on the unit
 sphere shell of thickness 1.  The published velocity that goes with it is not
-tangent to the shell: its normal component is 2 x1 x2 x3 (x4^2-1)(x4^2-4)/a,
+tangent to the shell: its normal component is
+(3 - a^2) x1 x2 x3 (x4^2-1)(x4^2-4)/a, 2 x1 x2 x3 (x4^2-1)(x4^2-4) at a = 1,
 which this script evaluates two ways (numerically and from that closed form)
 before projecting it out.
 

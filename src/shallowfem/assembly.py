@@ -33,7 +33,12 @@ chunk of cells is a GEMM: A_uu = K @ T and b_u = fhat @ Tb with
 fhat = J^T J pinv4 f4.  M_p and b_p are GEMMs of w det against the V2
 basis.  Each chunk of cells comes from ``geometry.quadrature_chunks``:
 shallow mode broadcasts J and det from the centroid, deep mode samples them
-per point.
+per point.  The blocks of a chunk form one mixed cell matrix
+E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2] DOFs; the
+orientation signs s are applied once as E * s s^T, and E and [b_u | b_p] s
+are scattered through one global index table.  A facet DOF lies in at most
+two cells, so no global entry sums more than two contributions and the CSR
+does not depend on the scatter order.
 
 ``solve`` condenses statically: every V2 DOF and every V1 interior moment
 belongs to one cell, so the cell-local block of the matrix is block
@@ -76,8 +81,9 @@ class SolverError(Exception):
     """Linear solve failed to meet the residual contract."""
 
 
-def _default_omega(x4):
+def traditional_omega(x4):
     """Traditional-approximation rotation: (0, 0, 0, x3 / 2)."""
+    x4 = np.asarray(x4, dtype=float)
     out = np.zeros(x4.shape)
     out[..., 3] = 0.5 * x4[..., 2]
     return out
@@ -105,7 +111,7 @@ class ProblemConfig:
         if self.mode not in ("shallow", "deep"):
             raise ValueError(f"mode must be 'shallow' or 'deep', got {self.mode!r}")
         if self.omega4 is None:
-            self.omega4 = _default_omega
+            self.omega4 = traditional_omega
         if self.f4 is None:
             self.f4 = lambda x4: np.zeros(x4.shape)
         if self.g is None:
@@ -164,10 +170,14 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     tab1 = tabulate(u_space.element, pts)
     tab2 = tabulate(p_space.element, pts)
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
+    nd = nd1 + nd2
 
     nc = mesh.n_cells
     n_u, n_p = u_space.n_dofs, p_space.n_dofs
     n = n_u + n_p
+    # each cell's [V1 | V2] DOFs in the global [V1 | V2] numbering
+    dofs = np.hstack([u_space.cell_dofs, p_space.cell_dofs + n_u])
+    signs = np.hstack([u_space.cell_signs, p_space.cell_signs])
 
     # reference tensors, tabulated once; see the module docstring
     phi, psi = tab1.values, tab2.values                      # (nq, nd1, 3), (nq, nd2)
@@ -198,38 +208,21 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
             K[..., 2, 0] -= om[..., 1]
             K[..., 1, 2] -= om[..., 0]
             K[..., 2, 1] += om[..., 0]
-        A_uu = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
-        fhat = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T)
-        b_u = fhat.reshape(ch, 3 * nq) @ Tb
-
         wdet = w * J.det                                     # (ch, nq)
-        M_p = wdet @ Tp
-        b_p = (wdet * gq) @ psi
+        fhat = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T)
+        b = np.hstack([fhat.reshape(ch, 3 * nq) @ Tb, (wdet * gq) @ psi])
 
-        gd1 = u_space.cell_dofs[cells]
-        sg1 = u_space.cell_signs[cells]
-        gd2 = p_space.cell_dofs[cells] + n_u
-
-        A_uu *= sg1[:, :, None] * sg1[:, None, :]
-        rows.append(np.repeat(gd1, nd1, axis=1).ravel())
-        cols.append(np.tile(gd1, (1, nd1)).ravel())
-        data.append(A_uu.ravel())
-
-        Ds = sg1[:, None, :] * D_ref[None, :, :]             # (ch, nd2, nd1)
-        rows.append(np.repeat(gd2, nd1, axis=1).ravel())
-        cols.append(np.tile(gd1, (1, nd2)).ravel())
-        data.append(Ds.ravel())
-
-        rows.append(np.repeat(gd1, nd2, axis=1).ravel())
-        cols.append(np.tile(gd2, (1, nd1)).ravel())
-        data.append(-np.swapaxes(Ds, 1, 2).ravel())
-
-        rows.append(np.repeat(gd2, nd2, axis=1).ravel())
-        cols.append(np.tile(gd2, (1, nd2)).ravel())
-        data.append(-M_p.ravel())
-
-        np.add.at(rhs, gd1.ravel(), (b_u * sg1).ravel())
-        np.add.at(rhs, gd2.ravel(), b_p.ravel())
+        E = np.empty((ch, nd, nd))
+        E[:, :nd1, :nd1] = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
+        E[:, :nd1, nd1:] = -D_ref.T
+        E[:, nd1:, :nd1] = D_ref
+        E[:, nd1:, nd1:] = -(wdet @ Tp).reshape(ch, nd2, nd2)
+        sg, gd = signs[cells], dofs[cells]
+        E *= sg[:, :, None] * sg[:, None, :]
+        rows.append(np.repeat(gd, nd, axis=1).ravel())
+        cols.append(np.tile(gd, (1, nd)).ravel())
+        data.append(E.ravel())
+        np.add.at(rhs, gd.ravel(), (b * sg).ravel())
 
     A = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),

@@ -177,6 +177,9 @@ def cmd_convergence(args) -> int:
     except (SolverError, DegenerateMapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; try coarser --levels", file=sys.stderr)
+        return 1
 
     csv_text = "\n".join(_csv_lines(table)) + "\n"
     Path(args.csv).write_text(csv_text)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .geometry import CENTROID, jacobian, matvec3, nodal_basis
+from .geometry import CENTROID, barycentric, jacobian, matvec3, nodal_basis
 from .mesh import TRIANGLE_EDGE_VERTICES, ExtrudedMesh, FacetSet
 
 __all__ = [
@@ -188,14 +188,20 @@ def _monomial_values(exps, points):
     return np.prod(p[:, None, :] ** exps[None, :, :], axis=2)
 
 
-def _monomial_derivative(exp, axis):
-    """(coefficient, exponents) of d/dxi_axis of a monomial."""
-    a = list(exp)
-    if a[axis] == 0:
-        return 0.0, tuple(a)
-    c = float(a[axis])
-    a[axis] -= 1
-    return c, tuple(a)
+def _v1_monomial_values(monomials, points):
+    """Values (npts, nmono, 3) and divergences (npts, nmono) of the V1
+    monomials, each a ``(component, exponents)`` pair."""
+    comps = np.array([comp for comp, _ in monomials])
+    exps = np.array([exp for _, exp in monomials])
+    j = np.arange(len(monomials))
+    vals = np.zeros((len(points), len(monomials), 3))
+    vals[:, j, comps] = _monomial_values(exps, points)
+    c = exps[j, comps]
+    dexps = exps - np.eye(3, dtype=exps.dtype)[comps]
+    live = c > 0
+    divs = np.zeros(vals.shape[:2])
+    divs[:, live] = c[live] * _monomial_values(dexps[live], points)
+    return vals, divs
 
 
 def _orthonormal_moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -228,8 +234,7 @@ def _edge_moment_dofs(k: int):
             for m in range(k):          # interval moment in xi3
                 scal = wq * qpoly[tt.ravel(), j] * rpoly[zz.ravel(), m]
                 w = np.zeros((len(pts), 3))
-                w[:, 0] = scal * n_scaled[0]
-                w[:, 1] = scal * n_scaled[1]
+                w[:, :2] = scal[:, None] * n_scaled
                 dofs.append(DofFunctional(("quad", edge, j, m), pts, w))
     return dofs
 
@@ -260,8 +265,7 @@ def _interior_dofs(k: int):
         return []
     rule = quadrature_prism(2 * k + 2)
     pts, wq = rule.points, rule.weights
-    lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    lam, dlam = barycentric(pts)
     rpoly = _orthonormal_moments(
         np.column_stack([(pts[:, 2] - 0.5) ** m for m in range(k)]), wq * 2.0
     )
@@ -337,12 +341,10 @@ def make_element(family: str, k: int) -> FiniteElement:
 
     # Vandermonde of functionals against monomials, then invert for the
     # nodal (dual) basis.
-    A = np.empty((len(dofs), len(mono)))
-    for i, dof in enumerate(dofs):
-        vals = np.zeros((len(dof.points), len(mono), 3))
-        for j, (comp, exp) in enumerate(mono):
-            vals[:, j, comp] = _monomial_values([exp], dof.points)[:, 0]
-        A[i] = np.einsum("qc,qjc->j", dof.weights, vals)
+    A = np.array([
+        np.einsum("qc,qjc->j", dof.weights, _v1_monomial_values(mono, dof.points)[0])
+        for dof in dofs
+    ])
     cond = np.linalg.cond(A)
     if cond > 1e8:
         raise AssertionError(f"degenerate DOF set for V1({k}): cond = {cond:.2e}")
@@ -356,22 +358,14 @@ def make_element(family: str, k: int) -> FiniteElement:
 def tabulate(element: FiniteElement, points) -> Tabulation:
     """Basis values (and reference divergences for V1) at reference points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = len(pts)
     if element.family == "V2":
         vals = _monomial_values(element.monomials, pts) @ element.coeffs.T
         return Tabulation(values=vals, divergences=None)
 
-    nmono = len(element.monomials)
-    vals = np.zeros((npts, nmono, 3))
-    divs = np.zeros((npts, nmono))
-    for j, (comp, exp) in enumerate(element.monomials):
-        vals[:, j, comp] = _monomial_values([exp], pts)[:, 0]
-        c, dexp = _monomial_derivative(exp, comp)
-        if c:
-            divs[:, j] = c * _monomial_values([dexp], pts)[:, 0]
-    basis = np.einsum("dj,pjc->pdc", element.coeffs, vals)
-    bdivs = divs @ element.coeffs.T
-    return Tabulation(values=basis, divergences=bdivs)
+    vals, divs = _v1_monomial_values(element.monomials, pts)
+    return Tabulation(
+        values=np.einsum("dj,pjc->pdc", element.coeffs, vals), divergences=divs @ element.coeffs.T
+    )
 
 
 # ---------------------------------------------------------------------------

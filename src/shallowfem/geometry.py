@@ -29,6 +29,7 @@ __all__ = [
     "annulus_coordinates",
     "hedgehog_coordinates",
     "manifold_coordinates",
+    "barycentric",
     "nodal_basis",
     "nodal_basis_gradients",
     "jacobian",
@@ -77,13 +78,12 @@ def phi_inverse(x3, a: float = 1.0):
 class CoordinateField:
     """Per-cell nodal coordinates with a linear-triangle x linear-interval basis.
 
-    ``kind == "continuous"`` shares nodal values across cells touching the same
-    mesh vertex (the annulus mesh); ``kind == "discontinuous"`` need not (the
-    hedgehog field).  ``column_axes`` stores the extrusion direction ``k_e``
-    per cell when one exists.
+    ``column_axes`` stores the extrusion direction ``k_e`` per cell when each
+    column is extruded rigidly along one (the hedgehog field, whose nodal
+    values differ between cells sharing a mesh vertex); it is None for the
+    continuous annulus field, which shares them.
     """
 
-    kind: str
     cell_coords: np.ndarray           # (n_cells, 6, 3)
     column_axes: np.ndarray = None    # (n_cells, 3) or None
 
@@ -94,7 +94,7 @@ class CoordinateField:
 
 def annulus_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
     """Continuous coordinate field of the annulus mesh itself."""
-    return CoordinateField(kind="continuous", cell_coords=mesh.cell_node_coords())
+    return CoordinateField(cell_coords=mesh.cell_node_coords())
 
 
 def hedgehog_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
@@ -105,12 +105,7 @@ def hedgehog_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
     node ``v`` at ``a * unit(x_v) + (|x_v| - a) * k_e``.  For radially
     extruded columns the axis is shared by every cell of the column.
     """
-    a = mesh.base.radius
-    coords = mesh.cell_node_coords()                     # (nc, 6, 3)
-    radii = np.linalg.norm(coords, axis=2)               # (nc, 6)
-    units = coords / radii[:, :, None]
-
-    x4 = np.concatenate([a * units, (radii - a)[:, :, None]], axis=2)
+    x4 = manifold_coordinates(mesh)                      # (nc, 6, 4)
     mean_h = x4.mean(axis=1)[:, :3]                      # horizontal part of the average
     norms = np.linalg.norm(mean_h, axis=1)
     if np.any(norms < 1e-9):
@@ -120,8 +115,8 @@ def hedgehog_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
         )
     k = mean_h / norms[:, None]
 
-    hedgehog = a * units + (radii - a)[:, :, None] * k[:, None, :]
-    return CoordinateField(kind="discontinuous", cell_coords=hedgehog, column_axes=k)
+    hedgehog = x4[:, :, :3] + x4[:, :, 3:] * k[:, None, :]
+    return CoordinateField(cell_coords=hedgehog, column_axes=k)
 
 
 def manifold_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
@@ -134,10 +129,18 @@ def manifold_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
 # Reference prism nodal basis (triangle (0,0),(1,0),(0,1) x interval [0,1])
 # ---------------------------------------------------------------------------
 
+def barycentric(points):
+    """Reference-triangle barycentrics at the (xi1, xi2) of ``points``, (npts, 3),
+    and their constant gradients, (3, 2)."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    lam = np.stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]], axis=1)
+    return lam, np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 def nodal_basis(points) -> np.ndarray:
     """Values of the six prism nodal functions at reference points, (npts, 6)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = np.stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]], axis=1)
+    lam, _ = barycentric(p)
     c = np.stack([1.0 - p[:, 2], p[:, 2]], axis=1)
     return np.concatenate([lam * c[:, :1], lam * c[:, 1:]], axis=1)
 
@@ -145,19 +148,14 @@ def nodal_basis(points) -> np.ndarray:
 def nodal_basis_gradients(points) -> np.ndarray:
     """Reference gradients of the nodal functions, (npts, 6, 3)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(p)
-    lam = np.stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]], axis=1)
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    lam, dlam = barycentric(p)
     c = np.stack([1.0 - p[:, 2], p[:, 2]], axis=1)
     dc = np.array([-1.0, 1.0])
 
-    grads = np.empty((n, 6, 3))
-    for m in range(2):                       # interval end
-        for i in range(3):                   # triangle vertex
-            v = m * 3 + i
-            grads[:, v, :2] = dlam[i][None, :] * c[:, m, None]
-            grads[:, v, 2] = lam[:, i] * dc[m]
-    return grads
+    grads = np.empty((len(p), 2, 3, 3))     # node m * 3 + i: interval end m, vertex i
+    grads[..., :2] = dlam * c[:, :, None, None]
+    grads[..., 2] = lam[:, None, :] * dc[:, None]
+    return grads.reshape(len(p), 6, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -316,36 +314,20 @@ def longitude(x4, a: float = 1.0):
 def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
     """Tangent frame at manifold points; pole columns get a fixed fallback pair."""
     x4 = np.asarray(x4, dtype=float)
-    scalar = x4.ndim == 1
-    x4 = np.atleast_2d(x4)
-
     cos_l, sin_l = longitude(x4, a)
     rho = np.hypot(x4[..., 0], x4[..., 1])
     sin_p = x4[..., 2] / a
-    cos_p = rho / a
+    polar = rho < 1e-8 * a
+    zero = np.zeros(x4.shape[:-1])
 
-    e_lam = np.zeros(x4.shape)
-    e_phi = np.zeros(x4.shape)
-    e_lam[..., 0] = -sin_l
-    e_lam[..., 1] = cos_l
-    e_phi[..., 0] = -sin_p * cos_l
-    e_phi[..., 1] = -sin_p * sin_l
-    e_phi[..., 2] = cos_p
-
+    e_lam = np.stack([-sin_l, cos_l, zero, zero], axis=-1)
     # At the poles any horizontal orthonormal pair will do; keep it
     # right-handed with the (+-z) radial.
-    polar = rho < 1e-8 * a
-    if np.any(polar):
-        e_phi[polar] = 0.0
-        e_phi[polar, 1] = np.sign(x4[polar, 2])
-
-    i4 = np.zeros(x4.shape)
-    i4[..., 3] = 1.0
-    normal = np.zeros(x4.shape)
-    normal[..., :3] = x4[..., :3] / a
-
-    if scalar:
-        return TangentFrame(e_lam[0], e_phi[0], i4[0], normal[0])
+    e_phi = np.stack([np.where(polar, 0.0, -sin_p * cos_l),
+                      np.where(polar, np.sign(x4[..., 2]), -sin_p * sin_l),
+                      np.where(polar, 0.0, rho / a), zero], axis=-1)
+    i4 = np.stack([zero, zero, zero, np.ones_like(zero)], axis=-1)
+    normal = np.concatenate([x4[..., :3] / a, zero[..., None]], axis=-1)
     return TangentFrame(e_lam, e_phi, i4, normal)
 
 

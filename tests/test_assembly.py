@@ -51,8 +51,8 @@ def test_coordinate_field_dispatch(annulus_r0_l1_module):
     m = annulus_r0_l1_module
     shallow = assembly.coordinate_field(assembly.ProblemConfig(mode="shallow"), m)
     deep = assembly.coordinate_field(assembly.ProblemConfig(mode="deep"), m)
-    assert shallow.kind == "discontinuous"
-    assert deep.kind == "continuous"
+    assert shallow.column_axes is not None
+    assert deep.column_axes is None
 
 
 def test_one_cell_system_dimension(one_cell_mesh):
@@ -483,3 +483,90 @@ def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode,
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
     b = system.rhs[:nu]
     assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+
+
+def four_block_system(config, V1, V2):
+    """The block system with each block scattered on its own.
+
+    A_uu, D, -D^T and -M_p go through four index triplets, b_u and b_p
+    through two ``add.at`` calls; the per-chunk kernels are those of
+    ``assemble``.
+    """
+    coords = assembly.coordinate_field(config, V1.mesh)
+    x4 = geometry.manifold_coordinates(V1.mesh)
+    rule = fem.quadrature_prism(config.degree)
+    pts, w = rule.points, rule.weights
+    nq = len(w)
+    tab1, tab2 = fem.tabulate(V1.element, pts), fem.tabulate(V2.element, pts)
+    nd1, nd2 = V1.element.ndofs, V2.element.ndofs
+    n_u = V1.n_dofs
+    n = n_u + V2.n_dofs
+    phi, psi = tab1.values, tab2.values
+    T = np.einsum("q,qic,qjd->qcdij", w, phi, phi).reshape(9 * nq, nd1 * nd1)
+    Tb = (w[:, None, None] * phi).transpose(0, 2, 1).reshape(3 * nq, nd1)
+    Tp = np.einsum("qa,qb->qab", psi, psi).reshape(nq, nd2 * nd2)
+    D_ref = np.einsum("q,qa,qd->ad", w, psi, tab1.divergences)
+
+    rows, cols, data = [], [], []
+    rhs = np.zeros(n)
+    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts, nd1):
+        ch = len(cells)
+        JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
+        K = np.empty((ch, nq, 3, 3))
+        np.divide(JtJ, J.det[..., None, None], out=K)
+        if config.coriolis_enabled:
+            om = 2.0 * (config.omega4(x4q) @ pinv4T)
+            K[..., 0, 1] -= om[..., 2]
+            K[..., 1, 0] += om[..., 2]
+            K[..., 0, 2] += om[..., 1]
+            K[..., 2, 0] -= om[..., 1]
+            K[..., 1, 2] -= om[..., 0]
+            K[..., 2, 1] += om[..., 0]
+        A_uu = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
+        b_u = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T).reshape(ch, 3 * nq) @ Tb
+        wdet = w * J.det
+        M_p = wdet @ Tp
+        b_p = (wdet * config.g(x4q)) @ psi
+
+        gd1, sg1 = V1.cell_dofs[cells], V1.cell_signs[cells]
+        gd2 = V2.cell_dofs[cells] + n_u
+        A_uu *= sg1[:, :, None] * sg1[:, None, :]
+        rows.append(np.repeat(gd1, nd1, axis=1).ravel())
+        cols.append(np.tile(gd1, (1, nd1)).ravel())
+        data.append(A_uu.ravel())
+        Ds = sg1[:, None, :] * D_ref[None, :, :]
+        rows.append(np.repeat(gd2, nd1, axis=1).ravel())
+        cols.append(np.tile(gd1, (1, nd2)).ravel())
+        data.append(Ds.ravel())
+        rows.append(np.repeat(gd1, nd2, axis=1).ravel())
+        cols.append(np.tile(gd2, (1, nd1)).ravel())
+        data.append(-np.swapaxes(Ds, 1, 2).ravel())
+        rows.append(np.repeat(gd2, nd2, axis=1).ravel())
+        cols.append(np.tile(gd2, (1, nd2)).ravel())
+        data.append(-M_p.ravel())
+        np.add.at(rhs, gd1.ravel(), (b_u * sg1).ravel())
+        np.add.at(rhs, gd2.ravel(), b_p.ravel())
+
+    A = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    return A, rhs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+def test_mixed_cell_scatter_matches_four_blocks(annulus_r1_l2, k, mode):
+    """One mixed cell matrix per chunk gives bit for bit the four-block CSR."""
+    V1, V2 = build_spaces(annulus_r1_l2, k)
+    config = assembly.ProblemConfig(
+        mode=mode, k=k,
+        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
+        g=lambda x4: x4[..., 0] * x4[..., 3],
+    )
+    system = assembly.assemble(config, V1, V2)
+    A_ref, rhs_ref = four_block_system(config, V1, V2)
+    A = system.matrix
+    np.testing.assert_array_equal(A.indptr, A_ref.indptr)
+    np.testing.assert_array_equal(A.indices, A_ref.indices)
+    assert A.data.tobytes() == A_ref.data.tobytes()
+    assert system.rhs.tobytes() == rhs_ref.tobytes()

@@ -265,6 +265,21 @@ def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: 4x3 Jacobian is rank deficient\n"
 
 
+def test_convergence_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    """A MemoryError anywhere in the ladder (here: assembly) is one error line."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.mms._assembly, "assemble", no_memory)
+    code = run(["convergence", "--k", "1", "--levels", "0:1",
+                "--csv", str(tmp_path / "t.csv"),
+                "--forcing-report", str(tmp_path / "f.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_convergence_single_level_prints_na(tmp_path, capsys):
     """One level has no rate: the summary says n/a and the run succeeds."""
     code = run(["convergence", "--k", "1", "--levels", "0:1",

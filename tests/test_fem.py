@@ -142,6 +142,45 @@ def test_dof_kronecker_property(k):
     assert np.abs(K - np.eye(elem.ndofs)).max() <= 1e-12
 
 
+def _monomial_derivative(exp, axis):
+    """(coefficient, exponents) of d/dxi_axis of a monomial."""
+    a = list(exp)
+    if a[axis] == 0:
+        return 0.0, tuple(a)
+    c = float(a[axis])
+    a[axis] -= 1
+    return c, tuple(a)
+
+
+def per_monomial_values(monomials, pts):
+    """V1 monomial values and divergences, one monomial at a time."""
+    vals = np.zeros((len(pts), len(monomials), 3))
+    divs = np.zeros((len(pts), len(monomials)))
+    for j, (comp, exp) in enumerate(monomials):
+        vals[:, j, comp] = fem._monomial_values([exp], pts)[:, 0]
+        c, dexp = _monomial_derivative(exp, comp)
+        if c:
+            divs[:, j] = c * fem._monomial_values([dexp], pts)[:, 0]
+    return vals, divs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_monomial_evaluator_matches_per_monomial_loop(k):
+    """tabulate and make_element give exactly what the per-monomial loop gives."""
+    elem = fem.make_element("V1", k)
+    pts = np.random.default_rng(k).random((25, 3)) * [0.5, 0.5, 1.0]
+    vals, divs = per_monomial_values(elem.monomials, pts)
+    tab = fem.tabulate(elem, pts)
+    np.testing.assert_array_equal(tab.values, np.einsum("dj,pjc->pdc", elem.coeffs, vals))
+    np.testing.assert_array_equal(tab.divergences, divs @ elem.coeffs.T)
+
+    A = np.array([
+        np.einsum("qc,qjc->j", dof.weights, per_monomial_values(elem.monomials, dof.points)[0])
+        for dof in elem.dofs
+    ])
+    np.testing.assert_array_equal(elem.coeffs, np.linalg.solve(A, np.eye(len(A))).T)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_divergence_lands_in_pressure_space(k):
     """div V1(k) lies in V2(k): L2 projection reproduces it pointwise."""
@@ -187,7 +226,7 @@ def test_piola_push_scaling(single_prism):
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(kind="continuous", cell_coords=2.0 * ref[None])
+    coords = geometry.CoordinateField(cell_coords=2.0 * ref[None])
     V = fem.build_dof_map(single_prism, mesh.classify_facets(single_prism),
                           fem.make_element("V1", 1))
     u = fem.Field(V, np.random.default_rng(4).standard_normal(V.n_dofs))
@@ -213,9 +252,7 @@ def test_piola_preserves_normal_flux():
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(
-        kind="continuous", cell_coords=(ref @ A.T + shift)[None]
-    )
+    coords = geometry.CoordinateField(cell_coords=(ref @ A.T + shift)[None])
     elem = fem.make_element("V1", 1)
     t, wt = np.polynomial.legendre.leggauss(4)
     t, wt = (t + 1) / 2, wt / 2
@@ -251,7 +288,7 @@ def test_piola_divergence_identity():
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(kind="continuous", cell_coords=(ref @ A.T)[None])
+    coords = geometry.CoordinateField(cell_coords=(ref @ A.T)[None])
     elem = fem.make_element("V1", 1)
     Ainv = np.linalg.inv(A)
     x0 = A @ np.array([0.25, 0.25, 0.5])

@@ -91,7 +91,7 @@ def test_nodal_basis_kronecker_at_vertices():
 
 def test_annulus_coordinates_continuous(annulus_r1_l2):
     coords = geometry.annulus_coordinates(annulus_r1_l2)
-    assert coords.kind == "continuous"
+    assert coords.column_axes is None
     np.testing.assert_array_equal(
         coords.cell_coords, annulus_r1_l2.vertex_coords[annulus_r1_l2.cell_vertices]
     )
@@ -190,7 +190,7 @@ def test_unit_prism_jacobian_identity():
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(kind="continuous", cell_coords=ref[None])
+    coords = geometry.CoordinateField(cell_coords=ref[None])
     sample = geometry.jacobian(coords, [0], [[0.3, 0.3, 0.7]])
     np.testing.assert_allclose(sample.J[0, 0], np.eye(3), atol=1e-14)
     np.testing.assert_allclose(sample.det[0, 0], 1.0, atol=1e-14)
@@ -242,7 +242,7 @@ def test_jacobian_rejects_inverted_cell():
     )
     flipped = ref.copy()
     flipped[:, 2] *= -1.0
-    coords = geometry.CoordinateField(kind="continuous", cell_coords=flipped[None])
+    coords = geometry.CoordinateField(cell_coords=flipped[None])
     with pytest.raises(ValueError):
         geometry.jacobian(coords, [0], [[0.2, 0.2, 0.5]])
 
@@ -319,7 +319,7 @@ def test_jacobian_rejects_one_inverted_cell_in_a_batch(annulus_r1_l2):
     """A single mirrored cell among valid ones still raises, batched or alone."""
     nodal = geometry.annulus_coordinates(annulus_r1_l2).cell_coords.copy()
     nodal[5] = nodal[5][[1, 0, 2, 4, 3, 5]]          # swap two vertices: det < 0
-    coords = geometry.CoordinateField(kind="continuous", cell_coords=nodal)
+    coords = geometry.CoordinateField(cell_coords=nodal)
     pts = np.array([[0.2, 0.2, 0.5]])
     with pytest.raises(ValueError, match="inverted"):
         geometry.jacobian(coords, np.arange(len(nodal)), pts)

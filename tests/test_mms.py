@@ -157,7 +157,7 @@ def test_printed_velocity_first_component(case):
 
 
 def test_printed_velocity_not_tangent(case):
-    """u . l = 2 x1 x2 x3 (x4^2-1)(x4^2-4) / a, nonzero on the manifold."""
+    """u . l = (3 - a^2) x1 x2 x3 (x4^2-1)(x4^2-4) / a, nonzero on the manifold."""
     got = case.u_printed(CORNER) @ case.normal(CORNER)
     np.testing.assert_allclose(got, 1.5396007178390028, rtol=1e-14)
     np.testing.assert_allclose(got, case.u_dot_l_analytic(CORNER), rtol=1e-14)
@@ -168,6 +168,16 @@ def test_normal_component_formula_at_random_points(case, sample_points):
     l = case.normal(sample_points)
     got = np.einsum("nc,nc->n", u, l)
     np.testing.assert_allclose(got, case.u_dot_l_analytic(sample_points), atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_normal_component_formula_off_unit_radius(a):
+    """Off a = 1 the closed form keeps its (3 - a^2) factor: the gap is round-off."""
+    case_a = mms.ManufacturedCase(a=a, H=1.0)
+    pts = mms.sample_manifold_points(a, 1.0, 100, seed=7)
+    got = np.einsum("nc,nc->n", case_a.u_printed(pts), case_a.normal(pts))
+    np.testing.assert_allclose(got, case_a.u_dot_l_analytic(pts), rtol=0, atol=1e-12)
+    assert mms.derive_forcing(case_a, pts).max_u_normal_analytic_gap <= 1e-12
 
 
 def test_projected_velocity_is_tangent(case, sample_points):
@@ -188,6 +198,7 @@ def test_rotation_vector_is_traditional(case, sample_points):
     om = case.omega4(sample_points)
     np.testing.assert_allclose(om[:, :3], 0.0, atol=0)
     np.testing.assert_allclose(om[:, 3], 0.5 * sample_points[:, 2], atol=0)
+    assert mms.ManufacturedCase.omega4 is assembly.ProblemConfig().omega4
 
 
 # ---------------------------------------------------------------------------
