@@ -79,9 +79,8 @@ def cmd_export_mesh(args) -> int:
 
 def cmd_verify_forcing(args) -> int:
     case = mms.ManufacturedCase(a=args.inner_radius, H=args.thickness)
-    ops = mms.ShallowOperators(a=args.inner_radius, H=args.thickness)
     pts = mms.sample_manifold_points(args.inner_radius, args.thickness, args.points, args.seed)
-    report = mms.derive_forcing(case, pts, ops)
+    report = mms.derive_forcing(case, pts)
 
     text = "\n".join(report.summary_lines()) + "\n"
     sys.stdout.write(text)
@@ -163,23 +162,16 @@ def _rate(value) -> str:
 
 
 def cmd_convergence(args) -> int:
-    try:
-        table = mms.convergence_study(
-            k=args.k,
-            levels=args.levels,
-            mode=args.mode,
-            a=args.inner_radius,
-            thickness=args.thickness,
-            tolerance=args.tolerance,
-            quadrature_degree=args.quadrature_degree,
-            seed=args.seed,
-        )
-    except (SolverError, DegenerateMapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("error: out of memory; try coarser --levels", file=sys.stderr)
-        return 1
+    table = mms.convergence_study(
+        k=args.k,
+        levels=args.levels,
+        mode=args.mode,
+        a=args.inner_radius,
+        thickness=args.thickness,
+        tolerance=args.tolerance,
+        quadrature_degree=args.quadrature_degree,
+        seed=args.seed,
+    )
 
     csv_text = "\n".join(_csv_lines(table)) + "\n"
     Path(args.csv).write_text(csv_text)
@@ -254,7 +246,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "convergence" and args.check and len(args.levels) < 2:
         conv.error("--check needs at least two levels to compute a rate")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SolverError, DegenerateMapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory; try coarser --levels or fewer --points", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

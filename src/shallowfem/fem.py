@@ -214,16 +214,30 @@ def _orthonormal_moments(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return values @ np.linalg.inv(np.linalg.cholesky(G)).T
 
 
+def _interval_moments(z, weights, n: int) -> np.ndarray:
+    """The orthonormalised moments (z - 1/2)^m, m < n, at ``z``."""
+    return _orthonormal_moments(np.column_stack([(z - 0.5) ** m for m in range(n)]), weights)
+
+
+def _p1_moments(points, weights, n: int = 3) -> np.ndarray:
+    """The first n of the orthonormalised moments (1, xi1, xi2) at ``points``."""
+    ones = np.ones(len(weights))
+    return _orthonormal_moments(np.column_stack([ones, points[:, 0], points[:, 1]][:n]), weights)
+
+
+def _functional(entity, points, comps, scal) -> DofFunctional:
+    """DOF whose weights are ``scal`` in components ``comps`` and zero elsewhere."""
+    w = np.zeros((len(points), 3))
+    w[:, comps] = scal
+    return DofFunctional(entity, points, w)
+
+
 def _edge_moment_dofs(k: int):
     """Normal moments on the three vertical quad facets."""
     t, wt = _gauss01(k + 3)
     z, wz = _gauss01(k + 1)
-    qpoly = _orthonormal_moments(
-        np.column_stack([(t - 0.5) ** j for j in range(k + 1)]), wt
-    )
-    rpoly = _orthonormal_moments(
-        np.column_stack([(z - 0.5) ** m for m in range(k)]), wz
-    )
+    qpoly = _interval_moments(t, wt, k + 1)
+    rpoly = _interval_moments(z, wz, k)
     dofs = []
     for edge in range(3):
         n_scaled = edge_scaled_normal(edge)
@@ -232,10 +246,8 @@ def _edge_moment_dofs(k: int):
         wq = np.outer(wt, wz).ravel()
         for j in range(k + 1):          # edge moment, parity j under s -> -s
             for m in range(k):          # interval moment in xi3
-                scal = wq * qpoly[tt.ravel(), j] * rpoly[zz.ravel(), m]
-                w = np.zeros((len(pts), 3))
-                w[:, :2] = scal[:, None] * n_scaled
-                dofs.append(DofFunctional(("quad", edge, j, m), pts, w))
+                scal = (wq * qpoly[tt.ravel(), j] * rpoly[zz.ravel(), m])[:, None] * n_scaled
+                dofs.append(_functional(("quad", edge, j, m), pts, slice(2), scal))
     return dofs
 
 
@@ -243,20 +255,10 @@ def _tri_moment_dofs(k: int):
     """Vertical-component moments on the bottom and top triangle facets."""
     tri = quadrature_triangle(2 * k + 2)
     nmom = 3 if k == 2 else 1
-    psi = _orthonormal_moments(
-        np.column_stack(
-            [np.ones(len(tri.weights)), tri.points[:, 0], tri.points[:, 1]][:nmom]
-        ),
-        tri.weights,
-    )
-    dofs = []
-    for which in (0, 1):
-        pts = embed_tri(which, tri.points)
-        for j in range(nmom):
-            w = np.zeros((len(pts), 3))
-            w[:, 2] = tri.weights * psi[:, j]
-            dofs.append(DofFunctional(("tri", which, j), pts, w))
-    return dofs
+    psi = _p1_moments(tri.points, tri.weights, nmom)
+    pts = [embed_tri(which, tri.points) for which in (0, 1)]
+    return [_functional(("tri", which, j), pts[which], 2, tri.weights * psi[:, j])
+            for which in (0, 1) for j in range(nmom)]
 
 
 def _interior_dofs(k: int):
@@ -266,29 +268,15 @@ def _interior_dofs(k: int):
     rule = quadrature_prism(2 * k + 2)
     pts, wq = rule.points, rule.weights
     lam, dlam = barycentric(pts)
-    rpoly = _orthonormal_moments(
-        np.column_stack([(pts[:, 2] - 0.5) ** m for m in range(k)]), wq * 2.0
-    )
-    psi = _orthonormal_moments(
-        np.column_stack([np.ones(len(wq)), pts[:, 0], pts[:, 1]]), wq * 2.0
-    )
-    dofs = []
-    i = 0
+    rpoly = _interval_moments(pts[:, 2], wq * 2.0, k)
+    psi = _p1_moments(pts, wq * 2.0)
+    weights = []    # (components, weights) per DOF
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         whitney = lam[:, a, None] * dlam[b][None, :] - lam[:, b, None] * dlam[a][None, :]
         norm = math.sqrt(np.sum(wq * (whitney ** 2).sum(axis=1)))
-        for m in range(k):
-            scal = wq * rpoly[:, m] / norm
-            w = np.zeros((len(pts), 3))
-            w[:, :2] = whitney * scal[:, None]
-            dofs.append(DofFunctional(("interior", i), pts, w))
-            i += 1
-    for j in range(3):
-        w = np.zeros((len(pts), 3))
-        w[:, 2] = wq * psi[:, j]
-        dofs.append(DofFunctional(("interior", i), pts, w))
-        i += 1
-    return dofs
+        weights += [(slice(2), whitney * (wq * rpoly[:, m] / norm)[:, None]) for m in range(k)]
+    weights += [(2, wq * psi[:, j]) for j in range(3)]
+    return [_functional(("interior", i), pts, c, w) for i, (c, w) in enumerate(weights)]
 
 
 def _v1_monomials(k: int):

@@ -37,6 +37,8 @@ __all__ = [
     "jacobian4",
     "pseudo_inverse_pseudo_det",
     "quadrature_chunks",
+    "unit_normal",
+    "project_tangent",
     "longitude",
     "tangent_frame",
     "cell_diameters",
@@ -137,11 +139,16 @@ def barycentric(points):
     return lam, np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def _interval(points):
+    """Interval basis (1 - xi3, xi3) at ``points``, (npts, 2), and its derivatives, (2,)."""
+    return np.stack([1.0 - points[:, 2], points[:, 2]], axis=1), np.array([-1.0, 1.0])
+
+
 def nodal_basis(points) -> np.ndarray:
     """Values of the six prism nodal functions at reference points, (npts, 6)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     lam, _ = barycentric(p)
-    c = np.stack([1.0 - p[:, 2], p[:, 2]], axis=1)
+    c, _ = _interval(p)
     return np.concatenate([lam * c[:, :1], lam * c[:, 1:]], axis=1)
 
 
@@ -149,8 +156,7 @@ def nodal_basis_gradients(points) -> np.ndarray:
     """Reference gradients of the nodal functions, (npts, 6, 3)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     lam, dlam = barycentric(p)
-    c = np.stack([1.0 - p[:, 2], p[:, 2]], axis=1)
-    dc = np.array([-1.0, 1.0])
+    c, dc = _interval(p)
 
     grads = np.empty((len(p), 2, 3, 3))     # node m * 3 + i: interval end m, vertex i
     grads[..., :2] = dlam * c[:, :, None, None]
@@ -282,12 +288,27 @@ def quadrature_chunks(coords: CoordinateField, x4, points, width):
 
 
 # ---------------------------------------------------------------------------
-# Tangent frames on S^2(a) x [0, H]
+# The tangent space of S^2(a) x [0, H]
 # ---------------------------------------------------------------------------
+
+def unit_normal(x4) -> np.ndarray:
+    """Unit normal l = (x / |x|, 0), (..., 4); at a chordal point (|x| < a)
+    it is the normal of the manifold at the point's radial lift."""
+    x4 = np.asarray(x4, dtype=float)
+    l = np.zeros(x4.shape)
+    l[..., :3] = x4[..., :3] / np.linalg.norm(x4[..., :3], axis=-1, keepdims=True)
+    return l
+
+
+def project_tangent(v, x4) -> np.ndarray:
+    """Tangential projection P v = v - (v . l) l, with l = unit_normal(x4)."""
+    l = unit_normal(x4)
+    return v - np.sum(v * l, axis=-1, keepdims=True) * l
+
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Orthonormal tangent frame (e_lambda, e_phi, i4) and unit normal l.
+    """Orthonormal tangent frame (e_lambda, e_phi, i4), with i4 = (0, 0, 0, 1).
 
     The horizontal parts of (e_lambda, e_phi) together with the radial
     direction form a right-handed triple in R^3.  Batched over leading axes.
@@ -295,8 +316,21 @@ class TangentFrame:
 
     e_lambda: np.ndarray   # (..., 4)
     e_phi: np.ndarray      # (..., 4)
-    i4: np.ndarray         # (..., 4)
-    normal: np.ndarray     # (..., 4)
+
+    def components(self, v) -> np.ndarray:
+        """Frame components (v . e_lambda, v . e_phi, v_4) of 4-vectors, (..., 3)."""
+        # einsum's summation order is the one the providers' results were fixed with
+        return np.stack([np.einsum("...i,...i->...", v, self.e_lambda),
+                         np.einsum("...i,...i->...", v, self.e_phi), v[..., 3]], axis=-1)
+
+    def vector(self, c, out=None) -> np.ndarray:
+        """The 4-vector c0 e_lambda + c1 e_phi + c2 i4 of frame components c,
+        (..., 3); added in place onto ``out`` when it is given."""
+        out = np.zeros_like(self.e_lambda) if out is None else out
+        out += c[..., 0, None] * self.e_lambda
+        out += c[..., 1, None] * self.e_phi
+        out[..., 3] += c[..., 2]
+        return out
 
 
 def longitude(x4, a: float = 1.0):
@@ -326,9 +360,7 @@ def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
     e_phi = np.stack([np.where(polar, 0.0, -sin_p * cos_l),
                       np.where(polar, np.sign(x4[..., 2]), -sin_p * sin_l),
                       np.where(polar, 0.0, rho / a), zero], axis=-1)
-    i4 = np.stack([zero, zero, zero, np.ones_like(zero)], axis=-1)
-    normal = np.concatenate([x4[..., :3] / a, zero[..., None]], axis=-1)
-    return TangentFrame(e_lam, e_phi, i4, normal)
+    return TangentFrame(e_lam, e_phi)
 
 
 def cell_diameters(coords: CoordinateField) -> np.ndarray:

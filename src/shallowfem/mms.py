@@ -3,7 +3,7 @@
 The discretisation is verified against the exact solution of the mixed
 system on S^2(a) x [0, H].  The operators here are deliberately independent
 of the finite element code: derivatives come from central finite differences
-in the orthonormal frame (e_lambda, e_phi, i4),
+in the orthonormal frame (e_lambda, e_phi, i4) of ``geometry.tangent_frame``,
 
     grad f = (1/(a cos phi) d_lambda f) e_lambda + (1/a d_phi f) e_phi
              + (d_x4 f) i4,
@@ -11,13 +11,17 @@ in the orthonormal frame (e_lambda, e_phi, i4),
              + d_x4 u4,
 
 with a second gradient implementation (tangential projection of the
-Euclidean R^4 gradient) used for cross-validation.
+Euclidean R^4 gradient) used for cross-validation.  The frame components
+and their recombination (``TangentFrame.components`` / ``vector``), the unit
+normal l = (x / |x|, 0) and the projection P = I - l l^T (``unit_normal``,
+``project_tangent``) come from geometry's one tangent-space kernel.
 
 The printed exact velocity is not tangent to the manifold: its normal
 component is (3 - a^2) x1 x2 x3 (x4^2 - 1)(x4^2 - 4) / a.  The case therefore
 projects u onto the tangent space and re-derives the forcing (F, g) through
 the oracles; discrepancies against the printed forcing are reported, never
-patched silently.
+patched silently.  The providers and ``derive_forcing`` raise ValueError
+when the operators' radius is not the case's.
 
 The solver's providers (``ManufacturedCase.derived_f4`` / ``derived_g``)
 evaluate grad p and div u in closed form, at the same manifold points and in
@@ -90,35 +94,24 @@ class ShallowOperators:
     def oracle_grad(self, f, x4):
         """Tangential gradient by central differences in frame coordinates."""
         coords = self.angles(x4)
-        phi = coords[1]
-        dfl, dfp, df4 = (
-            self._central(lambda *c: f(self.point(*c)), coords, i) for i in range(3)
-        )
-        fr = geometry.tangent_frame(x4, self.a)
-        return (
-            (dfl / (self.a * np.cos(phi)))[..., None] * fr.e_lambda
-            + (dfp / self.a)[..., None] * fr.e_phi
-            + df4[..., None] * fr.i4
-        )
+        d = np.stack([self._central(lambda *c: f(self.point(*c)), coords, i) for i in range(3)], -1)
+        d[..., 0] /= self.a * np.cos(coords[1])
+        d[..., 1] /= self.a
+        return geometry.tangent_frame(x4, self.a).vector(d)
 
     def _frame_component(self, u, which, lam, phi, h):
         """u_lambda, cos(phi) u_phi, or u_4 at the given frame coordinates."""
         x = self.point(lam, phi, h)
-        if which == 2:
-            return u(x)[..., 3]
-        fr = geometry.tangent_frame(x, self.a)
-        if which == 0:
-            return np.sum(u(x) * fr.e_lambda, axis=-1)
-        return np.cos(phi) * np.sum(u(x) * fr.e_phi, axis=-1)
+        c = geometry.tangent_frame(x, self.a).components(u(x))
+        return np.cos(phi) * c[..., 1] if which == 1 else c[..., which]
 
     def oracle_div(self, u, x4):
         """Tangential divergence by central differences in frame coordinates."""
         coords = self.angles(x4)
-        phi = coords[1]
         dl, dp, d4 = (
             self._central(partial(self._frame_component, u, i), coords, i) for i in range(3)
         )
-        return (dl + dp) / (self.a * np.cos(phi)) + d4
+        return (dl + dp) / (self.a * np.cos(coords[1])) + d4
 
     def grad_projected(self, f, x4):
         """Independent gradient: project the Euclidean R^4 gradient tangentially."""
@@ -129,9 +122,7 @@ class ShallowOperators:
             e = np.zeros(4)
             e[i] = s
             g[..., i] = (f(x4 + e) - f(x4 - e)) / (2 * s)
-        l = np.zeros(x4.shape)
-        l[..., :3] = x4[..., :3] / np.linalg.norm(x4[..., :3], axis=-1, keepdims=True)
-        return g - np.sum(g * l, axis=-1, keepdims=True) * l
+        return geometry.project_tangent(g, x4)
 
     def tangent_cross(self, v, w, x4):
         """Cross product of tangent vectors via frame components.
@@ -141,29 +132,16 @@ class ShallowOperators:
         """
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
-        fr = geometry.tangent_frame(x4, self.a)
+        l = geometry.unit_normal(x4)
         for name, vec in (("first", v), ("second", w)):
-            nrm = np.abs(np.sum(vec * fr.normal, axis=-1))
+            nrm = np.abs(np.sum(vec * l, axis=-1))
             scale = np.maximum(1.0, np.linalg.norm(vec, axis=-1))
             if np.any(nrm > 1e-10 * scale):
                 raise ValueError(
                     f"{name} argument is not tangent: |v.l| up to {nrm.max():.3e}"
                 )
-        vc, wc = (
-            np.stack([np.sum(x * fr.e_lambda, -1), np.sum(x * fr.e_phi, -1), x[..., 3]], axis=-1)
-            for x in (v, w)
-        )
-        c = np.cross(vc, wc)
-        return (
-            c[..., 0, None] * fr.e_lambda
-            + c[..., 1, None] * fr.e_phi
-            + c[..., 2, None] * fr.i4
-        )
-
-
-def _dot(v, w):
-    """Dot product over the last axis."""
-    return np.einsum("...i,...i->...", v, w)
+        fr = geometry.tangent_frame(x4, self.a)
+        return fr.vector(np.cross(fr.components(v), fr.components(w)))
 
 
 def _oracle_angles(x4, a):
@@ -210,18 +188,9 @@ class ManufacturedCase:
             axis=-1,
         )
 
-    def normal(self, x4):
-        """Unit manifold normal l = (x_h / |x_h|, 0)."""
-        x4 = np.asarray(x4, dtype=float)
-        l = np.zeros(x4.shape)
-        l[..., :3] = x4[..., :3] / np.linalg.norm(x4[..., :3], axis=-1, keepdims=True)
-        return l
-
     def u_exact(self, x4):
         """Tangentially projected printed velocity (the solution actually used)."""
-        u = self.u_printed(x4)
-        l = self.normal(x4)
-        return u - np.sum(u * l, axis=-1, keepdims=True) * l
+        return geometry.project_tangent(self.u_printed(x4), x4)
 
     def u_dot_l_analytic(self, x4):
         """Closed form of the printed velocity's normal component on S^2(a)."""
@@ -253,6 +222,8 @@ class ManufacturedCase:
     # the oracles differentiate: p and u_exact at y = ops.point(*ops.angles(x4)),
     # with grad p recombined on the frame at x4 as in oracle_grad.
     def derived_f4(self, ops: ShallowOperators):
+        _check_radius(self, ops)
+
         def f4(x4):
             x4 = np.asarray(x4, dtype=float)
             fr = geometry.tangent_frame(x4, ops.a)
@@ -261,23 +232,22 @@ class ManufacturedCase:
             a, h, q = ops.a, x4[..., 3], self._q(x4)
             # frame components of u and Omega, as in tangent_cross; Omega is
             # along i4, so its e_lambda and e_phi components vanish
-            u_l, u_p = _dot(u, fr.e_lambda), _dot(u, fr.e_phi)
+            u_c = fr.components(u)
             o_4 = self.omega4(x4)[..., 3]
             # frame components of grad p at y, plus those of 2 Omega x u
             f_l = a * a * q * c_p * s_p * (c_l * c_l - s_l * s_l)
-            f_l -= 2.0 * (o_4 * u_p)
+            f_l -= 2.0 * (o_4 * u_c[..., 1])
             f_p = a * a * q * (1.0 - 3.0 * s_p * s_p) * s_l * c_l * c_p
-            f_p += 2.0 * (o_4 * u_l)
+            f_p += 2.0 * (o_4 * u_c[..., 0])
             f_4 = 2.0 * a ** 3 * h * (2.0 * h * h - 5.0) * s_l * c_l * s_p * c_p * c_p
             # u + 2 Omega x u + grad p, accumulated in place on u
-            u += f_l[..., None] * fr.e_lambda
-            u += f_p[..., None] * fr.e_phi
-            u[..., 3] += f_4   # i4 = (0, 0, 0, 1)
-            return u
+            return fr.vector(np.stack([f_l, f_p, f_4], axis=-1), out=u)
 
         return f4
 
     def derived_g(self, ops: ShallowOperators):
+        _check_radius(self, ops)
+
         def g(x4):
             x4 = np.asarray(x4, dtype=float)
             c_l, s_l, s_p, c_p = _oracle_angles(x4, ops.a)
@@ -291,6 +261,12 @@ class ManufacturedCase:
             return div - self.p_exact(x4)
 
         return g
+
+
+def _check_radius(case: ManufacturedCase, ops: ShallowOperators):
+    """Raise ValueError unless the operators and the case share one radius."""
+    if ops.a != case.a:
+        raise ValueError(f"operators use radius a = {ops.a}, the case a = {case.a}")
 
 
 DEFAULT_SEED = 20260817
@@ -338,10 +314,11 @@ def derive_forcing(case: ManufacturedCase, points, ops: ShallowOperators = None)
     """Derive (F, g) from the oracle and compare with the printed forcing."""
     if ops is None:
         ops = ShallowOperators(a=case.a, H=case.H)
+    _check_radius(case, ops)
     x4 = np.asarray(points, dtype=float)
 
     u_p = case.u_printed(x4)
-    l = case.normal(x4)
+    l = geometry.unit_normal(x4)
     u_dot_l = np.sum(u_p * l, axis=-1)
     gap = np.abs(u_dot_l - case.u_dot_l_analytic(x4)).max()
 

@@ -45,6 +45,13 @@ def single_prism():
     return mesh.extrude_radial(base, 1, 0.5)
 
 
+def frame_basis(frame):
+    """A tangent frame's (e_lambda, e_phi, i4), each built by ``frame.vector``
+    from unit components, stacked on a new leading axis, (3, ..., 4)."""
+    shape = frame.e_lambda.shape[:-1] + (3,)
+    return np.stack([frame.vector(np.broadcast_to(e, shape)) for e in np.eye(3)])
+
+
 def physical_points(coords, cells, ref_points):
     """Map reference points through a coordinate field, (ncell, npts, dim)."""
     N = geometry.nodal_basis(ref_points)

@@ -121,6 +121,22 @@ def test_verify_forcing_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_forcing_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    """A MemoryError while sampling is the one error line that convergence prints."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.mms, "sample_manifold_points", no_memory)
+    monkeypatch.setattr(cli.mms, "convergence_study", no_memory)
+    assert run(["verify-forcing", "--out", str(tmp_path / "r.json")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "r.json").exists()
+    assert run(["convergence", "--csv", str(tmp_path / "t.csv"),
+                "--forcing-report", str(tmp_path / "f.txt")]) == 1
+    assert capsys.readouterr().err == err
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------

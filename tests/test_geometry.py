@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from shallowfem import geometry, mesh
+from shallowfem import fem, geometry, mesh
 
-from conftest import physical_points, pushforward_4to3
+from conftest import frame_basis, physical_points, pushforward_4to3
 
 
 def synthetic_polar_column():
@@ -378,11 +378,12 @@ def test_pseudo_inverse_rank_deficiency_error():
 # ---------------------------------------------------------------------------
 
 def test_frame_at_equator():
-    f = geometry.tangent_frame(np.array([1.0, 0.0, 0.0, 0.5]))
+    x = np.array([1.0, 0.0, 0.0, 0.5])
+    f = geometry.tangent_frame(x)
     np.testing.assert_allclose(f.e_lambda, [0, 1, 0, 0], atol=1e-14)
     np.testing.assert_allclose(f.e_phi, [0, 0, 1, 0], atol=1e-14)
-    np.testing.assert_allclose(f.i4, [0, 0, 0, 1], atol=1e-14)
-    np.testing.assert_allclose(f.normal, [1, 0, 0, 0], atol=1e-14)
+    np.testing.assert_allclose(frame_basis(f)[2], [0, 0, 0, 1], atol=1e-14)
+    np.testing.assert_allclose(geometry.unit_normal(x), [1, 0, 0, 0], atol=1e-14)
 
 
 def test_frame_orthonormal_at_random_points():
@@ -391,11 +392,12 @@ def test_frame_orthonormal_at_random_points():
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     pts = np.column_stack([d, rng.uniform(0, 1, 100)])
     f = geometry.tangent_frame(pts)
-    basis = np.stack([f.e_lambda, f.e_phi, f.i4], axis=1)
+    basis = np.moveaxis(frame_basis(f), 0, 1)
     G = np.einsum("nic,njc->nij", basis, basis)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(3), G.shape), atol=1e-12)
-    for e in (f.e_lambda, f.e_phi, f.i4):
-        np.testing.assert_allclose(np.einsum("nc,nc->n", e, f.normal), 0.0, atol=1e-12)
+    normal = geometry.unit_normal(pts)
+    for e in frame_basis(f):
+        np.testing.assert_allclose(np.einsum("nc,nc->n", e, normal), 0.0, atol=1e-12)
 
 
 def test_frame_right_handed():
@@ -405,18 +407,68 @@ def test_frame_right_handed():
     pts = np.column_stack([d, np.zeros(50)])
     f = geometry.tangent_frame(pts)
     cross = np.cross(f.e_lambda[:, :3], f.e_phi[:, :3])
-    np.testing.assert_allclose(cross, f.normal[:, :3], atol=1e-12)
+    np.testing.assert_allclose(cross, geometry.unit_normal(pts)[:, :3], atol=1e-12)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_frame_pole_fallback(z):
-    f = geometry.tangent_frame(np.array([0.0, 0.0, z, 0.3]))
-    basis = np.stack([f.e_lambda, f.e_phi, f.i4])
+    pole = np.array([0.0, 0.0, z, 0.3])
+    f = geometry.tangent_frame(pole)
+    basis = frame_basis(f)
+    normal = geometry.unit_normal(pole)
     np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(basis @ f.normal, 0.0, atol=1e-12)
+    np.testing.assert_allclose(basis @ normal, 0.0, atol=1e-12)
     np.testing.assert_allclose(
-        np.cross(f.e_lambda[:3], f.e_phi[:3]), f.normal[:3], atol=1e-12
+        np.cross(f.e_lambda[:3], f.e_phi[:3]), normal[:3], atol=1e-12
     )
+
+
+def _sphere_points(n, seed, a=1.0):
+    """n random points of S^2(a) x [0, 1), with both poles appended."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((n, 3))
+    d = np.vstack([d / np.linalg.norm(d, axis=1, keepdims=True), [[0, 0, 1], [0, 0, -1]]])
+    return np.column_stack([a * d, rng.uniform(0, 1, n + 2)])
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_frame_vector_inverts_components_of_tangent_vectors(a):
+    """vector(components(v)) == v for tangent v, the pole fallback included."""
+    pts = _sphere_points(60, 21, a)
+    f = geometry.tangent_frame(pts, a)
+    v = geometry.project_tangent(np.random.default_rng(22).standard_normal(pts.shape), pts)
+    assert f.e_lambda[-2:, 0].tolist() == [1.0, 1.0]      # the poles' fallback frame
+    np.testing.assert_allclose(f.vector(f.components(v)), v, rtol=0, atol=1e-14)
+
+
+def test_frame_components_invert_vector():
+    """components(vector(c)) == c, and ``out=`` adds onto the given array."""
+    pts = _sphere_points(60, 23)
+    f = geometry.tangent_frame(pts)
+    c = np.random.default_rng(24).standard_normal((len(pts), 3))
+    np.testing.assert_allclose(f.components(f.vector(c)), c, rtol=0, atol=1e-14)
+    base = np.random.default_rng(25).standard_normal(pts.shape)
+    acc = base.copy()
+    assert f.vector(c, out=acc) is acc
+    np.testing.assert_allclose(acc, base + f.vector(c), rtol=0, atol=1e-14)
+
+
+def test_projection_at_chordal_points_leaves_no_normal_component(annulus_r1_l2):
+    """At the quadrature points x4q (|x| < a inside each chord) P v has no
+    component along unit_normal, which stays of unit length there."""
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
+    coords = geometry.hedgehog_coordinates(annulus_r1_l2)
+    x4q = np.concatenate([
+        q.reshape(-1, 4)
+        for *_, q in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4).points, 30)
+    ])
+    radius = np.linalg.norm(x4q[:, :3], axis=1)
+    assert radius.max() <= 1.0 + 1e-15 and radius.min() < 1.0 - 1e-3
+    l = geometry.unit_normal(x4q)
+    np.testing.assert_allclose(np.linalg.norm(l, axis=1), 1.0, rtol=0, atol=1e-15)
+    v = np.random.default_rng(26).standard_normal(x4q.shape)
+    pv = geometry.project_tangent(v, x4q)
+    assert np.abs(np.einsum("nc,nc->n", pv, l)).max() <= 1e-14 * np.abs(v).max()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pushforward_4to3
+from conftest import frame_basis, pushforward_4to3
 from shallowfem import assembly, fem, geometry, mesh, mms
 
 
@@ -110,21 +110,20 @@ def test_cross_right_handed_frame(ops):
 
 
 def test_cross_of_vector_with_itself(ops, sample_points):
-    frame = geometry.tangent_frame(sample_points, a=1.0)
-    v = 0.7 * frame.e_lambda - 1.3 * frame.e_phi + 0.4 * frame.i4
+    e_lambda, e_phi, i4 = frame_basis(geometry.tangent_frame(sample_points, a=1.0))
+    v = 0.7 * e_lambda - 1.3 * e_phi + 0.4 * i4
     out = ops.tangent_cross(v, v, sample_points)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_cross_orthogonal_to_inputs_and_normal(ops, sample_points):
     rng = np.random.default_rng(9)
-    frame = geometry.tangent_frame(sample_points, a=1.0)
     c = rng.standard_normal((2, len(sample_points), 3))
-    basis = np.stack([frame.e_lambda, frame.e_phi, frame.i4])
+    basis = frame_basis(geometry.tangent_frame(sample_points, a=1.0))
     v = np.einsum("nk,knc->nc", c[0], basis)
     w = np.einsum("nk,knc->nc", c[1], basis)
     out = ops.tangent_cross(v, w, sample_points)
-    for other in (v, w, frame.normal):
+    for other in (v, w, geometry.unit_normal(sample_points)):
         dots = np.abs(np.einsum("nc,nc->n", out, other))
         assert dots.max() <= 1e-10 * max(1.0, np.abs(out).max() * np.abs(other).max())
 
@@ -158,14 +157,14 @@ def test_printed_velocity_first_component(case):
 
 def test_printed_velocity_not_tangent(case):
     """u . l = (3 - a^2) x1 x2 x3 (x4^2-1)(x4^2-4) / a, nonzero on the manifold."""
-    got = case.u_printed(CORNER) @ case.normal(CORNER)
+    got = case.u_printed(CORNER) @ geometry.unit_normal(CORNER)
     np.testing.assert_allclose(got, 1.5396007178390028, rtol=1e-14)
     np.testing.assert_allclose(got, case.u_dot_l_analytic(CORNER), rtol=1e-14)
 
 
 def test_normal_component_formula_at_random_points(case, sample_points):
     u = case.u_printed(sample_points)
-    l = case.normal(sample_points)
+    l = geometry.unit_normal(sample_points)
     got = np.einsum("nc,nc->n", u, l)
     np.testing.assert_allclose(got, case.u_dot_l_analytic(sample_points), atol=1e-12)
 
@@ -175,14 +174,14 @@ def test_normal_component_formula_off_unit_radius(a):
     """Off a = 1 the closed form keeps its (3 - a^2) factor: the gap is round-off."""
     case_a = mms.ManufacturedCase(a=a, H=1.0)
     pts = mms.sample_manifold_points(a, 1.0, 100, seed=7)
-    got = np.einsum("nc,nc->n", case_a.u_printed(pts), case_a.normal(pts))
+    got = np.einsum("nc,nc->n", case_a.u_printed(pts), geometry.unit_normal(pts))
     np.testing.assert_allclose(got, case_a.u_dot_l_analytic(pts), rtol=0, atol=1e-12)
     assert mms.derive_forcing(case_a, pts).max_u_normal_analytic_gap <= 1e-12
 
 
 def test_projected_velocity_is_tangent(case, sample_points):
     u = case.u_exact(sample_points)
-    l = case.normal(sample_points)
+    l = geometry.unit_normal(sample_points)
     assert np.abs(np.einsum("nc,nc->n", u, l)).max() <= 1e-12
 
 
@@ -303,6 +302,19 @@ def test_closed_form_providers_finite_at_poles(a):
         f4_1 = case.derived_f4(ops)(pole)
         assert f4_1.shape == (4,) and np.isfinite(f4_1).all()
         assert np.isfinite(case.derived_g(ops)(pole))
+
+
+@pytest.mark.parametrize("call", [
+    lambda case, ops: mms.derive_forcing(case, mms.sample_manifold_points(2.0, 1.0, 10), ops),
+    lambda case, ops: case.derived_f4(ops),
+    lambda case, ops: case.derived_g(ops),
+], ids=["derive_forcing", "derived_f4", "derived_g"])
+def test_mismatched_radius_is_rejected(call):
+    """Operators of another radius than the case's are an error, not a silent
+    mix: at a = 2 against a = 1, 100 default sample points, the providers
+    were off by up to 10.4 (f4) and 28.4 (g)."""
+    with pytest.raises(ValueError, match="radius"):
+        call(mms.ManufacturedCase(a=2.0, H=1.0), mms.ShallowOperators(a=1.0, H=1.0))
 
 
 def test_sample_points_live_on_manifold(sample_points):
