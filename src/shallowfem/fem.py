@@ -144,7 +144,9 @@ class DofFunctional:
     ``l(v) = sum_q weights[q] . v(points[q])`` for vector-valued v (weights
     have a single nonzero component pattern for scalar moments).
     ``entity`` tags where the DOF lives: ("quad", edge, j, m),
-    ("tri", which, j) or ("interior", i).
+    ("tri", which, j) or ("interior", 0, i); ``entity[:2]`` names the
+    entity and ``entity[2]`` is a moment index, whose parity on a quad is
+    the moment's under a flip of the edge parameter.
     """
 
     entity: tuple
@@ -276,7 +278,7 @@ def _interior_dofs(k: int):
         norm = math.sqrt(np.sum(wq * (whitney ** 2).sum(axis=1)))
         weights += [(slice(2), whitney * (wq * rpoly[:, m] / norm)[:, None]) for m in range(k)]
     weights += [(2, wq * psi[:, j]) for j in range(3)]
-    return [_functional(("interior", i), pts, c, w) for i, (c, w) in enumerate(weights)]
+    return [_functional(("interior", 0, i), pts, c, w) for i, (c, w) in enumerate(weights)]
 
 
 def _v1_monomials(k: int):
@@ -385,15 +387,16 @@ def build_dof_map(mesh: ExtrudedMesh, facets: FacetSet, element: FiniteElement) 
 
     Horizontal velocity DOFs sit on vertical quad facets, vertical velocity
     DOFs on horizontal triangle facets, interior DOFs (and all V2 DOFs) are
-    cell-local.  The global normal points from the lower-indexed adjacent
-    cell to the higher (outward on the boundary); edge parameters ascend the
-    global base-vertex index.  Odd edge moments flip sign with the edge
-    parameter, all other moments only with the normal.
+    cell-local.  The V1 layout is read from the element's DOF entities: the
+    DOF count per entity, and each DOF's slot, its rank among the element's
+    DOFs on the same entity.  The global normal points from the lower-indexed
+    adjacent cell to the higher (outward on the boundary); edge parameters
+    ascend the global base-vertex index.  Odd edge moments flip sign with the
+    edge parameter, all other moments only with the normal.
     """
     nc = mesh.n_cells
     L = mesh.n_layers
     base = mesh.base
-    k = element.k
 
     if element.family == "V2":
         nd = element.ndofs
@@ -405,9 +408,8 @@ def build_dof_map(mesh: ExtrudedMesh, facets: FacetSet, element: FiniteElement) 
             hfacet_dofs=np.empty((len(facets.horizontal_cells), 0), dtype=np.int64),
         )
 
-    n_quad = (k + 1) * k            # DOFs per vertical facet
-    n_tri = 3 if k == 2 else 1      # DOFs per horizontal facet
-    n_int = 9 if k == 2 else 0
+    entities = [dof.entity[:2] for dof in element.dofs]
+    n_quad, n_tri, n_int = (entities.count((kind, 0)) for kind in ("quad", "tri", "interior"))
     nvf = len(facets.vertical_cells)
     nhf = len(facets.horizontal_cells)
     off_h = nvf * n_quad
@@ -417,38 +419,31 @@ def build_dof_map(mesh: ExtrudedMesh, facets: FacetSet, element: FiniteElement) 
     vfacet_dofs = np.arange(off_h, dtype=np.int64).reshape(nvf, n_quad)
     hfacet_dofs = (off_h + np.arange(nhf * n_tri, dtype=np.int64)).reshape(nhf, n_tri)
 
-    tris = np.arange(nc) // L
-    layers = np.arange(nc) % L
+    cells = np.arange(nc)
+    tris = cells // L
+    layers = cells % L
 
-    cell_dofs = np.empty((nc, element.ndofs), dtype=np.int64)
-    cell_signs = np.ones((nc, element.ndofs))
-
-    i = 0
-    for edge in range(3):
-        eids = base.triangle_edges[tris, edge]
-        vf = eids * L + layers
-        first = facets.vertical_cells[vf, 0] == np.arange(nc)
-        sig_n = np.where(first, 1.0, -1.0)
-        p, q = TRIANGLE_EDGE_VERTICES[edge]
+    # Per local entity: its first global DOF in each cell, the normal's sign
+    # and the edge parameter's sign.
+    entity_dofs = {("interior", 0): (off_i + cells * n_int, 1.0, 1.0)}
+    for edge, (p, q) in enumerate(TRIANGLE_EDGE_VERTICES):
+        vf = base.triangle_edges[tris, edge] * L + layers
+        sig_n = np.where(facets.vertical_cells[vf, 0] == cells, 1.0, -1.0)
         sig_s = np.where(base.triangles[tris, p] < base.triangles[tris, q], 1.0, -1.0)
-        for j in range(k + 1):
-            for m in range(k):
-                cell_dofs[:, i] = vfacet_dofs[vf, j * k + m]
-                cell_signs[:, i] = sig_n * sig_s ** j
-                i += 1
+        entity_dofs["quad", edge] = (vf * n_quad, sig_n, sig_s)
     for which in (0, 1):
         hf = tris * (L + 1) + layers + which
         # +xi3 pushes to the upward direction; only the inner boundary's
         # outward normal opposes it.
         sig = np.where((layers + which) == 0, -1.0, 1.0)
-        for j in range(n_tri):
-            cell_dofs[:, i] = hfacet_dofs[hf, j]
-            cell_signs[:, i] = sig
-            i += 1
-    for j in range(n_int):
-        cell_dofs[:, i] = off_i + np.arange(nc) * n_int + j
-        i += 1
-    assert i == element.ndofs
+        entity_dofs["tri", which] = (off_h + hf * n_tri, sig, 1.0)
+
+    cell_dofs = np.empty((nc, element.ndofs), dtype=np.int64)
+    cell_signs = np.empty((nc, element.ndofs))
+    for i, dof in enumerate(element.dofs):
+        first, sig_n, sig_s = entity_dofs[entities[i]]
+        cell_dofs[:, i] = first + entities[:i].count(entities[i])
+        cell_signs[:, i] = sig_n * sig_s ** dof.entity[2]
 
     return FunctionSpace(
         mesh=mesh, facets=facets, element=element, n_dofs=n_dofs,

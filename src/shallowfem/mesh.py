@@ -10,6 +10,7 @@ Cells are indexed column-major: all layers of one column are contiguous,
 ``vertex = base_vertex * (n_layers + 1) + interface``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,67 +83,73 @@ def _icosahedron():
     return verts, faces
 
 
+def _first_seen(pairs):
+    """Distinct unordered vertex pairs in order of first appearance.
+
+    Returns the ascending pairs, first-seen first, and the row of that table
+    each input pair maps to.
+    """
+    pairs = np.sort(pairs, axis=1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pairs[first[order]], rank[inverse.reshape(-1)]
+
+
 def _subdivide(verts, faces):
-    """Split each triangle into four, projecting midpoints to the unit sphere."""
-    verts = [v for v in verts]
-    midpoint = {}
+    """Split each triangle into four, projecting midpoints to the unit sphere.
 
-    def mid(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint:
-            m = verts[i] + verts[j]
-            verts.append(m / np.linalg.norm(m))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    return np.array(verts), np.array(new_faces, dtype=int)
+    Midpoints are numbered in first-seen order over the (ab, bc, ca) edges of
+    each triangle.  They are normalised by ``sqrt(m . m)`` as a matmul, the
+    arithmetic of ``np.linalg.norm`` on one vector; a batched
+    ``norm(axis=1)`` differs in the last bit.
+    """
+    edges, at = _first_seen(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+    m = verts[edges[:, 0]] + verts[edges[:, 1]]
+    m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    a, b, c = faces.T
+    ab, bc, ca = (len(verts) + at.reshape(-1, 3)).T
+    new_faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
 def base_mesh_from_triangles(vertices, triangles, radius=1.0) -> BaseSphereMesh:
     """Assemble a :class:`BaseSphereMesh` from raw vertex/triangle arrays.
 
     Derives the edge list and all incidence tables.  Raises
-    :class:`InvalidTopologyError` if an edge is shared by more than two
-    triangles.
+    :class:`InvalidTopologyError` if a vertex index lies outside
+    ``[0, n_vertices)``, a triangle repeats a vertex, or an edge is shared by
+    more than two triangles.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
+    if ((triangles < 0) | (triangles >= len(vertices))).any():
+        raise InvalidTopologyError(f"vertex index outside [0, {len(vertices)})")
+    if (np.diff(np.sort(triangles, axis=1), axis=1) == 0).any():
+        raise InvalidTopologyError("triangle with a repeated vertex")
 
-    edge_index = {}
-    triangle_edges = np.empty((len(triangles), 3), dtype=int)
-    for t, tri in enumerate(triangles):
-        for k, (i, j) in enumerate(TRIANGLE_EDGE_VERTICES):
-            a, b = int(tri[i]), int(tri[j])
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_index:
-                edge_index[key] = len(edge_index)
-            triangle_edges[t, k] = edge_index[key]
+    edges, triangle_edges = _first_seen(triangles[:, TRIANGLE_EDGE_VERTICES].reshape(-1, 2))
+    count = np.bincount(triangle_edges, minlength=len(edges))
+    if (count > 2).any():
+        e = np.argmax(count > 2)
+        raise InvalidTopologyError(
+            f"edge {e} {tuple(edges[e])} shared by more than two triangles"
+        )
 
-    edges = np.array(sorted(edge_index, key=lambda k: edge_index[k]), dtype=int)
-    edges = edges.reshape(-1, 2)
-
+    # Incident triangles in order of appearance; a lone one leaves -1 second.
+    order = np.argsort(triangle_edges, kind="stable")
+    ids = triangle_edges[order]
+    slot = np.arange(len(ids)) - np.searchsorted(ids, ids)
     edge_triangles = np.full((len(edges), 2), -1, dtype=int)
-    for t in range(len(triangles)):
-        for e in triangle_edges[t]:
-            if edge_triangles[e, 0] == -1:
-                edge_triangles[e, 0] = t
-            elif edge_triangles[e, 1] == -1:
-                edge_triangles[e, 1] = t
-            else:
-                raise InvalidTopologyError(
-                    f"edge {e} {tuple(edges[e])} shared by more than two triangles"
-                )
+    edge_triangles[ids, slot] = order // 3
 
     return BaseSphereMesh(
         radius=float(radius),
         vertices=vertices,
         triangles=triangles,
         edges=edges,
-        triangle_edges=triangle_edges,
+        triangle_edges=triangle_edges.reshape(-1, 3),
         edge_triangles=edge_triangles,
     )
 
@@ -155,6 +162,8 @@ def build_icosahedral_sphere(refinement_level: int, radius: float = 1.0) -> Base
     """
     if refinement_level < 0:
         raise ValueError("refinement_level must be >= 0")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     verts, faces = _icosahedron()
     for _ in range(refinement_level):
         verts, faces = _subdivide(verts, faces)
@@ -192,8 +201,8 @@ def extrude_radial(base: BaseSphereMesh, n_layers: int, thickness: float) -> Ext
     """Extrude a sphere triangulation radially into uniform prism layers."""
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    if thickness <= 0:
-        raise ValueError("thickness must be positive")
+    if not (math.isfinite(thickness) and thickness > 0):
+        raise ValueError(f"thickness must be finite and positive, got {thickness}")
 
     a = base.radius
     layer_radii = a + thickness * np.arange(n_layers + 1) / n_layers
@@ -234,10 +243,6 @@ class FacetSet:
     horizontal_cells: np.ndarray      # (nt*(L+1), 2) int
     vertical_cells: np.ndarray        # (ne*L, 2) int
     inner_boundary: np.ndarray        # horizontal facet ids at r0
-    outer_boundary: np.ndarray        # horizontal facet ids at rL
-    interior_horizontal: np.ndarray   # horizontal facet ids strictly inside
-    interior_vertical: np.ndarray     # vertical facet ids with two cells
-    boundary_vertical: np.ndarray     # vertical facet ids with one cell
 
 
 def classify_facets(mesh: ExtrudedMesh) -> FacetSet:
@@ -245,9 +250,8 @@ def classify_facets(mesh: ExtrudedMesh) -> FacetSet:
 
     Raises :class:`InvalidTopologyError` on inconsistent connectivity.
     """
-    base = mesh.base
     L = mesh.n_layers
-    nt, ne = base.n_triangles, base.n_edges
+    nt = mesh.base.n_triangles
 
     # Horizontal facets: one triangle per column per interface.
     horizontal_cells = np.full((nt * (L + 1), 2), -1, dtype=int)
@@ -258,32 +262,19 @@ def classify_facets(mesh: ExtrudedMesh) -> FacetSet:
     horizontal_cells[below, 0] = t[below] * L + l[below] - 1
     horizontal_cells[above, 1] = t[above] * L + l[above]
 
-    hid = np.arange(nt * (L + 1))
-    inner = hid[l == 0]
-    outer = hid[l == L]
-    interior_h = hid[(l > 0) & (l < L)]
-
     # Vertical facets: one quad per base edge per layer.
-    vertical_cells = np.full((ne * L, 2), -1, dtype=int)
-    for e in range(ne):
-        t0, t1 = base.edge_triangles[e]
-        if t0 == -1:
-            raise InvalidTopologyError(f"edge {e} has no incident triangle")
-        for lay in range(L):
-            f = e * L + lay
-            c0 = t0 * L + lay
-            if t1 == -1:
-                vertical_cells[f] = (c0, -1)
-            else:
-                c1 = t1 * L + lay
-                vertical_cells[f] = (min(c0, c1), max(c0, c1))
+    t0, t1 = mesh.base.edge_triangles.T
+    if (t0 < 0).any():
+        raise InvalidTopologyError(f"edge {np.argmax(t0 < 0)} has no incident triangle")
+    c0 = t0[:, None] * L + np.arange(L)
+    c1 = t1[:, None] * L + np.arange(L)
+    open_ = (t1 < 0)[:, None]
+    vertical_cells = np.stack(
+        [np.where(open_, c0, np.minimum(c0, c1)), np.where(open_, -1, np.maximum(c0, c1))],
+        axis=-1,
+    ).reshape(-1, 2)
 
-    vid = np.arange(ne * L)
-    has_two = vertical_cells[:, 1] >= 0
-    interior_v = vid[has_two]
-    boundary_v = vid[~has_two]
-
-    pairs = vertical_cells[has_two]
+    pairs = vertical_cells[vertical_cells[:, 1] >= 0]
     if len(np.unique(pairs, axis=0)) != len(pairs):
         raise InvalidTopologyError("duplicate interior vertical facet cell pair")
 
@@ -291,9 +282,5 @@ def classify_facets(mesh: ExtrudedMesh) -> FacetSet:
         mesh=mesh,
         horizontal_cells=horizontal_cells,
         vertical_cells=vertical_cells,
-        inner_boundary=inner,
-        outer_boundary=outer,
-        interior_horizontal=interior_h,
-        interior_vertical=interior_v,
-        boundary_vertical=boundary_v,
+        inner_boundary=np.flatnonzero(l == 0),
     )

@@ -59,13 +59,16 @@ __all__ = [
 # Frame-based differential operators
 # ---------------------------------------------------------------------------
 
+# Step of every central difference, in frame coordinates and in R^4.
+FD_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class ShallowOperators:
     """Finite-difference gradient/divergence/cross on S^2(a) x [0, H]."""
 
     a: float = 1.0
     H: float = 1.0
-    step: float = 1e-6
 
     def angles(self, x4):
         """(longitude, latitude, height) of manifold points."""
@@ -87,9 +90,9 @@ class ShallowOperators:
     def _central(self, f, coords, axis):
         """Central difference of f(lam, phi, h) along frame coordinate ``axis``."""
         up, down = list(coords), list(coords)
-        up[axis] = up[axis] + self.step
-        down[axis] = down[axis] - self.step
-        return (f(*up) - f(*down)) / (2 * self.step)
+        up[axis] = up[axis] + FD_STEP
+        down[axis] = down[axis] - FD_STEP
+        return (f(*up) - f(*down)) / (2 * FD_STEP)
 
     def oracle_grad(self, f, x4):
         """Tangential gradient by central differences in frame coordinates."""
@@ -116,12 +119,11 @@ class ShallowOperators:
     def grad_projected(self, f, x4):
         """Independent gradient: project the Euclidean R^4 gradient tangentially."""
         x4 = np.asarray(x4, dtype=float)
-        s = self.step
         g = np.empty(x4.shape)
         for i in range(4):
             e = np.zeros(4)
-            e[i] = s
-            g[..., i] = (f(x4 + e) - f(x4 - e)) / (2 * s)
+            e[i] = FD_STEP
+            g[..., i] = (f(x4 + e) - f(x4 - e)) / (2 * FD_STEP)
         return geometry.project_tangent(g, x4)
 
     def tangent_cross(self, v, w, x4):

@@ -335,10 +335,77 @@ def test_shared_facet_dofs_appear_in_both_cells(annulus_r1_l2, facets_r1_l2):
         c0, c1 = f.vertical_cells[vf]
         for g in V.vfacet_dofs[vf]:
             assert g in V.cell_dofs[c0] and g in V.cell_dofs[c1]
-    for hf in f.interior_horizontal[::7]:
+    interior_horizontal = np.flatnonzero((f.horizontal_cells >= 0).all(axis=1))
+    for hf in interior_horizontal[::7]:
         below, above = f.horizontal_cells[hf]
         for g in V.hfacet_dofs[hf]:
             assert g in V.cell_dofs[below] and g in V.cell_dofs[above]
+
+
+def loop_nest_dof_map(mesh_, facets, element):
+    """(n_dofs, cell_dofs, cell_signs, vfacet_dofs, hfacet_dofs) of V1(k) with
+    the DOF counts per facet written out for each k and one loop per local
+    edge, moment and interval moment."""
+    nc, L, base, k = mesh_.n_cells, mesh_.n_layers, mesh_.base, element.k
+    n_quad = (k + 1) * k
+    n_tri = 3 if k == 2 else 1
+    n_int = 9 if k == 2 else 0
+    nvf, nhf = len(facets.vertical_cells), len(facets.horizontal_cells)
+    off_h = nvf * n_quad
+    off_i = off_h + nhf * n_tri
+    vfacet_dofs = np.arange(off_h, dtype=np.int64).reshape(nvf, n_quad)
+    hfacet_dofs = (off_h + np.arange(nhf * n_tri, dtype=np.int64)).reshape(nhf, n_tri)
+    tris, layers = np.arange(nc) // L, np.arange(nc) % L
+    cell_dofs = np.empty((nc, element.ndofs), dtype=np.int64)
+    cell_signs = np.ones((nc, element.ndofs))
+    i = 0
+    for edge in range(3):
+        vf = base.triangle_edges[tris, edge] * L + layers
+        sig_n = np.where(facets.vertical_cells[vf, 0] == np.arange(nc), 1.0, -1.0)
+        p, q = mesh.TRIANGLE_EDGE_VERTICES[edge]
+        sig_s = np.where(base.triangles[tris, p] < base.triangles[tris, q], 1.0, -1.0)
+        for j in range(k + 1):
+            for m in range(k):
+                cell_dofs[:, i] = vfacet_dofs[vf, j * k + m]
+                cell_signs[:, i] = sig_n * sig_s ** j
+                i += 1
+    for which in (0, 1):
+        hf = tris * (L + 1) + layers + which
+        sig = np.where((layers + which) == 0, -1.0, 1.0)
+        for j in range(n_tri):
+            cell_dofs[:, i] = hfacet_dofs[hf, j]
+            cell_signs[:, i] = sig
+            i += 1
+    for j in range(n_int):
+        cell_dofs[:, i] = off_i + np.arange(nc) * n_int + j
+        i += 1
+    return off_i + nc * n_int, cell_dofs, cell_signs, vfacet_dofs, hfacet_dofs
+
+
+def assert_dof_map_matches_loop_nest(mesh_, facets, k):
+    V = fem.build_dof_map(mesh_, facets, fem.make_element("V1", k))
+    n_dofs, *arrays = loop_nest_dof_map(mesh_, facets, V.element)
+    assert V.n_dofs == n_dofs
+    for name, want in zip(("cell_dofs", "cell_signs", "vfacet_dofs", "hfacet_dofs"), arrays):
+        np.testing.assert_array_equal(getattr(V, name), want, strict=True)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_dof_map_matches_loop_nest(r):
+    """The DOF map read off the element's DOF entities is exactly the loop
+    nest's, at a in {1, 2}, L in {1, 2, 8} and k in {1, 2}."""
+    for a in (1.0, 2.0):
+        base = mesh.build_icosahedral_sphere(r, a)
+        for L in (1, 2, 8):
+            m = mesh.extrude_radial(base, L, 1.0)
+            facets = mesh.classify_facets(m)
+            for k in (1, 2):
+                assert_dof_map_matches_loop_nest(m, facets, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_open_mesh_dof_map_matches_loop_nest(single_prism, k):
+    assert_dof_map_matches_loop_nest(single_prism, mesh.classify_facets(single_prism), k)
 
 
 def test_signs_are_unit(annulus_r1_l2, facets_r1_l2):
@@ -386,7 +453,8 @@ def test_normal_continuity_horizontal_facets(annulus_r1_l2, facets_r1_l2, k):
     u = fem.Field(V, rng.standard_normal(V.n_dofs))
     xy = np.array([[0.2, 0.3], [0.5, 0.25], [0.15, 0.6], [1 / 3, 1 / 3]])
     worst = 0.0
-    for hf in facets_r1_l2.interior_horizontal[::3]:
+    interior_horizontal = np.flatnonzero((facets_r1_l2.horizontal_cells >= 0).all(axis=1))
+    for hf in interior_horizontal[::3]:
         below, above = facets_r1_l2.horizontal_cells[hf]
         vals = []
         X_prev = None

@@ -317,6 +317,12 @@ def test_mismatched_radius_is_rejected(call):
         call(mms.ManufacturedCase(a=2.0, H=1.0), mms.ShallowOperators(a=1.0, H=1.0))
 
 
+def test_convergence_study_rejects_a_negative_radius():
+    """A negative radius is a ValueError, raised before any geometry is built."""
+    with pytest.raises(ValueError, match="radius"):
+        mms.convergence_study(1, [(0, 1)], a=-1.0)
+
+
 def test_sample_points_live_on_manifold(sample_points):
     r = np.linalg.norm(sample_points[:, :3], axis=1)
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
