@@ -51,7 +51,6 @@ from .assembly import (
     assemble,
     apply_inner_bc,
     solve,
-    weak_residual,
 )
 from .mms import (
     ShallowOperators,

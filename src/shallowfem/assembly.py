@@ -43,10 +43,14 @@ does not depend on the scatter order.
 ``solve`` condenses statically: every V2 DOF and every V1 interior moment
 belongs to one cell, so the cell-local block of the matrix is block
 diagonal.  Its blocks are inverted in one batch, the Schur complement on
-the facet DOFs is factored with SuperLU, and the local DOFs are recovered
-cell by cell.  The facet DOFs are first put in a geometric nested-dissection
-order (George 1973) computed from the DOF map and the cell centroids, and
-SuperLU keeps that order.
+the facet DOFs is formed in float64 and factored with SuperLU in float32,
+and the local DOFs are recovered cell by cell.  The facet DOFs are first put
+in a geometric nested-dissection order (George 1973) computed from the DOF
+map and the cell centroids, and SuperLU keeps that order.  The single
+precision factor roughly halves the LU's time and memory; refinement in
+float64 against the full matrix (Buttari et al. 2007; Carson & Higham 2018)
+then brings the residual to the tolerance, and a step that fails to cut it
+tenfold is a SolverError, never a silent fallback to a float64 factor.
 """
 
 from dataclasses import dataclass, field
@@ -67,7 +71,6 @@ __all__ = [
     "assemble",
     "apply_inner_bc",
     "solve",
-    "weak_residual",
 ]
 
 
@@ -75,6 +78,11 @@ __all__ = [
 # (2,4), k=1 (3,8) and deep k=1 (4,2) is 9.9M, 23.3M and 16.7M with 64;
 # 128 gave 10.1M, 26.1M and 16.3M, and 32 gave 9.9M, 23.2M and 15.3M.
 ND_LEAF = 64
+
+# Most refinement steps after the first solve with the float32 factor.  Each
+# step scales the residual by about cond(S) 2^-24: 5e-5 at k=2 (2,4) and
+# 2e-3 at k=2 (3,8), where three steps reach 1e-10.
+MAX_REFINEMENT_STEPS = 10
 
 
 class SolverError(Exception):
@@ -269,8 +277,12 @@ class SolveResult:
 
     ``stats``: ``n_global`` (order of the condensed matrix),
     ``n_local_per_cell`` (DOFs eliminated per cell), ``lu_nnz`` (SuperLU fill
-    of the condensed matrix), ``refinement_steps`` and ``ordering`` (the
-    column order of the condensed matrix, always ``"nested-dissection"``).
+    of the condensed matrix), ``refinement_steps``, ``ordering`` (the
+    column order of the condensed matrix, always ``"nested-dissection"``),
+    ``factor_dtype`` (the precision of the LU, always ``"float32"``) and
+    ``residuals`` (the relative residual after the first solve and after
+    each refinement step; its last entry is ``residual``, and it is empty
+    when the right-hand side is zero and nothing is solved).
     """
 
     u: Field
@@ -364,14 +376,21 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     inverses of their per-cell blocks B; SuperLU factors the Schur complement
     S = A_gg - A_gl B^-1 A_lg on the remaining facet DOFs, which are put in
     nested-dissection order (``_nested_dissection``) before S is formed;
-    SuperLU keeps that column order and relaxes diagonal pivoting to a
-    threshold of 0.01 so that row swaps do not undo it.  The residual is
-    measured on the full ``system.matrix``.  One step of iterative
-    refinement is applied if the first residual misses the tolerance.
+    SuperLU factors S in float32, keeps that column order and relaxes
+    diagonal pivoting to a threshold of 0.01 so that row swaps do not undo
+    it.  S is formed in float64, and the cell-block inverses stay in
+    float64; only the facet right-hand side of each solve is cast to
+    float32, scaled to unit max, for the triangular solves.  The solution
+    is refined from z = 0 (relative residual 1): each step solves for the
+    float64 residual b - A z of the full ``system.matrix`` and adds the
+    correction, until the relative residual is at most ``tolerance``, for
+    at most ``MAX_REFINEMENT_STEPS`` steps after the first solve.
 
     Raises SolverError when the cell-local block couples two cells, when a
-    cell block is singular, when SuperLU fails or runs out of memory, and
-    when the residual misses the tolerance after refinement.
+    cell block is singular, when SuperLU fails or runs out of memory, when a
+    solve (the first one included) cuts the residual less than tenfold, and
+    when the residual misses the tolerance after ``MAX_REFINEMENT_STEPS``
+    steps; the last two name the residual history.
     """
     A, b = system.matrix, system.rhs
     n, n_u = A.shape[0], system.n_u
@@ -387,7 +406,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     ng = len(glob)
     stats = {
         "n_global": ng, "n_local_per_cell": nl, "lu_nnz": 0, "refinement_steps": 0,
-        "ordering": "nested-dissection",
+        "ordering": "nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
     def result(z, res):
@@ -420,7 +439,8 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     ).tocsr()
     A_gl = Ap[:ng, ng:]
     W = B_inv @ Ap[ng:, :ng]                                 # B^-1 A_lg
-    S = (Ap[:ng, :ng] - A_gl @ W).tocsc()
+    # float64 S is a temporary: only the float32 copy is kept for the LU
+    S = (Ap[:ng, :ng] - A_gl @ W).tocsc().astype(np.float32)
     del Ap, A_ll                     # free the permuted copy before the LU
     try:
         lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01)
@@ -434,27 +454,32 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
 
     def apply_inverse(rhs):
         y_l = B_inv @ rhs[local]
-        x_g = lu.solve(rhs[glob] - A_gl @ y_l)
+        f_g = rhs[glob] - A_gl @ y_l
+        # scaled to unit max so that a small correction stays in float32 range
+        scale = np.abs(f_g).max() or 1.0
+        x_g = lu.solve((f_g / scale).astype(np.float32)).astype(float) * scale
         z = np.empty(n)
         z[glob] = x_g
         z[local] = y_l - W @ x_g
         return z
 
-    z = apply_inverse(b)
-    res = np.linalg.norm(A @ z - b) / bnorm
-    if res > tolerance:
-        z = z + apply_inverse(b - A @ z)
-        res = np.linalg.norm(A @ z - b) / bnorm
-        stats["refinement_steps"] = 1
-    if not np.isfinite(res) or res > tolerance:
-        raise SolverError(f"solve residual {res:.3e} exceeds tolerance {tolerance:.1e}")
-    return result(z, res)
-
-
-def weak_residual(system: LinearSystem, result: SolveResult) -> float:
-    """Max weak-form defect |a(z; w) - L(w)| over non-essential test DOFs."""
-    z = np.concatenate([result.u.coeffs, result.p.coeffs])
-    r = system.matrix @ z - system.rhs
-    if len(system.essential):
-        r[system.essential] = 0.0
-    return float(np.abs(r).max())
+    # Refinement from z = 0, whose relative residual is 1: each solve with
+    # the float32 factor must cut the float64 residual of the full system
+    # at least tenfold.
+    residuals = stats["residuals"]
+    z, r, res = np.zeros(n), b, 1.0
+    for step in range(MAX_REFINEMENT_STEPS + 1):
+        z = z + apply_inverse(r)
+        r = b - A @ z
+        prev, res = res, float(np.linalg.norm(r) / bnorm)
+        residuals.append(res)
+        if res <= tolerance:
+            stats["refinement_steps"] = step
+            return result(z, res)
+        if not res <= 0.1 * prev:
+            break
+    history = ", ".join(f"{x:.3e}" for x in residuals)
+    raise SolverError(
+        f"solve residual {res:.3e} exceeds tolerance {tolerance:.1e} "
+        f"after {len(residuals) - 1} refinement steps (residuals {history})"
+    )

@@ -435,8 +435,15 @@ def convergence_study(
     ``levels`` is a list of (refinement, n_layers) pairs, each halving the
     mesh size of the previous one.  The forcing is the derived (F, g) in
     closed form; the oracle-built printed-vs-derived report is attached to
-    the table.
+    the table.  A radius ``a`` or ``thickness`` that is not a finite number
+    > 0, or ``forcing_points`` < 1, is a ValueError raised before any
+    sampling.
     """
+    for name, value in (("radius a", a), ("thickness", thickness)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    if forcing_points < 1:
+        raise ValueError(f"forcing_points must be at least 1, got {forcing_points!r}")
     ops = ShallowOperators(a=a, H=thickness)
     case = ManufacturedCase(a=a, H=thickness)
     report = derive_forcing(

@@ -8,6 +8,15 @@ from scipy.sparse.linalg import splu, spsolve
 from shallowfem import assembly, fem, geometry, mesh
 
 
+def weak_residual(system, result):
+    """Max weak-form defect |a(z; w) - L(w)| over non-essential test DOFs."""
+    z = np.concatenate([result.u.coeffs, result.p.coeffs])
+    r = system.matrix @ z - system.rhs
+    if len(system.essential):
+        r[system.essential] = 0.0
+    return float(np.abs(r).max())
+
+
 def build_spaces(m, k):
     facets = mesh.classify_facets(m)
     V1 = fem.build_dof_map(m, facets, fem.make_element("V1", k))
@@ -234,7 +243,7 @@ def test_condensed_solve_matches_full_spsolve(annulus_r0_l1_module, k, mode):
     assert stats["n_local_per_cell"] == {1: 1, 2: 15}[k]
     n = system.matrix.shape[0]
     assert stats["n_global"] == n - m.n_cells * stats["n_local_per_cell"]
-    assert stats["lu_nnz"] > 0 and stats["refinement_steps"] in (0, 1)
+    assert stats["lu_nnz"] > 0 and 0 <= stats["refinement_steps"] <= assembly.MAX_REFINEMENT_STEPS
     assert stats["ordering"] == "nested-dissection"
 
 
@@ -346,6 +355,56 @@ def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
     assert (np.asarray(graph[S.row[nz], S.col[nz]]).ravel() > 0).all()
 
 
+def test_refinement_residuals_fall_to_the_tolerance(r1_system):
+    """The float32 factor's residuals, measured in float64 on the full matrix,
+    fall strictly at every step and stop at the first one within tolerance."""
+    result = assembly.solve(r1_system)
+    stats = result.stats
+    res = stats["residuals"]
+    assert stats["factor_dtype"] == "float32"
+    assert len(res) == stats["refinement_steps"] + 1 >= 2
+    assert all(b < a for a, b in zip(res, res[1:]))
+    assert res[-1] == result.residual <= 1e-10 < res[-2]
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_refinement_at_any_right_hand_side_scale(r1_system, scale):
+    """The float32 solves see each correction scaled to unit max, so a
+    right-hand side far from 1 neither underflows nor overflows them."""
+    reference = assembly.solve(r1_system)
+    result = assembly.solve(dataclasses.replace(r1_system, rhs=scale * r1_system.rhs))
+    assert result.residual <= 1e-10
+    np.testing.assert_allclose(result.p.coeffs, scale * reference.p.coeffs, rtol=1e-8)
+
+
+def test_solve_is_deterministic(r1_system):
+    first, second = assembly.solve(r1_system), assembly.solve(r1_system)
+    for a, b in ((first.u, second.u), (first.p, second.p)):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert first.stats == second.stats
+
+
+def test_stalled_refinement_is_solver_error(r1_system, monkeypatch):
+    """A factor of a perturbed S cuts the residual threefold a step: the
+    loop raises with the residual history and never refactors in float64."""
+    dtypes = []
+
+    def perturbed(matrix, **kwargs):
+        dtypes.append(matrix.dtype)
+        return splu(1.5 * matrix, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", perturbed)
+    with pytest.raises(assembly.SolverError, match=r"residuals \d\.\d{3}e"):
+        assembly.solve(r1_system)
+    assert dtypes == [np.float32]
+
+
+def test_refinement_is_capped(r1_system, monkeypatch):
+    monkeypatch.setattr(assembly, "MAX_REFINEMENT_STEPS", 0)
+    with pytest.raises(assembly.SolverError, match="after 0 refinement steps"):
+        assembly.solve(r1_system)
+
+
 def test_near_singular_condensed_matrix_is_solver_error(r1_system):
     """Facet row j becomes row i plus 1e-14 on its diagonal, with an
     inconsistent right-hand side: threshold pivoting must not return a
@@ -371,7 +430,7 @@ def test_weak_residual_of_solution(annulus_r0_l1_module):
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
-    assert assembly.weak_residual(system, result) <= 1e-9
+    assert weak_residual(system, result) <= 1e-9
 
 
 def test_weak_residual_detects_perturbation(annulus_r0_l1_module):
@@ -384,7 +443,7 @@ def test_weak_residual_detects_perturbation(annulus_r0_l1_module):
     result = assembly.solve(system)
     free = np.setdiff1d(np.arange(system.n_u), system.essential)
     result.u.coeffs[free[0]] += 1.0
-    assert assembly.weak_residual(system, result) > 1e-3
+    assert weak_residual(system, result) > 1e-3
 
 
 def test_weak_residual_sign_flip_invariant(annulus_r0_l1_module):
@@ -395,7 +454,7 @@ def test_weak_residual_sign_flip_invariant(annulus_r0_l1_module):
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
     result.u.coeffs[-1] += 0.01
-    r0 = assembly.weak_residual(system, result)
+    r0 = weak_residual(system, result)
     signs = np.ones(system.matrix.shape[0])
     signs[::2] = -1.0
     flipped = assembly.LinearSystem(
@@ -406,7 +465,7 @@ def test_weak_residual_sign_flip_invariant(annulus_r0_l1_module):
         p_space=system.p_space,
         stats=system.stats,
     )
-    assert abs(assembly.weak_residual(flipped, result) - r0) <= 1e-14
+    assert abs(weak_residual(flipped, result) - r0) <= 1e-14
 
 
 def test_deep_mode_assembles_and_solves(annulus_r0_l1_module):

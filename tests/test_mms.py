@@ -323,6 +323,18 @@ def test_convergence_study_rejects_a_negative_radius():
         mms.convergence_study(1, [(0, 1)], a=-1.0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"thickness": float("nan")}, "thickness"),
+    ({"a": float("inf")}, "radius"),
+    ({"forcing_points": 0}, "forcing_points"),
+], ids=["nan-thickness", "inf-radius", "no-forcing-points"])
+def test_convergence_study_rejects_bad_inputs_before_sampling(kwargs, match):
+    """One clear ValueError, not an OverflowError from ``rng.uniform``,
+    RuntimeWarnings, or a reduction over an empty sample."""
+    with pytest.raises(ValueError, match=match):
+        mms.convergence_study(1, [(0, 1)], **kwargs)
+
+
 def test_sample_points_live_on_manifold(sample_points):
     r = np.linalg.norm(sample_points[:, :3], axis=1)
     np.testing.assert_allclose(r, 1.0, atol=1e-12)
