@@ -22,7 +22,6 @@ from .geometry import (
     CoordinateField,
     JacobianSample,
     TangentFrame,
-    phi,
     phi_inverse,
     annulus_coordinates,
     hedgehog_coordinates,
@@ -41,7 +40,6 @@ from .fem import (
     make_element,
     tabulate,
     build_dof_map,
-    interpolate_hdiv,
 )
 from .assembly import (
     ProblemConfig,

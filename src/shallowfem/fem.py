@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .geometry import CENTROID, barycentric, jacobian, matvec3, nodal_basis
+from .geometry import CENTROID, barycentric
 from .mesh import TRIANGLE_EDGE_VERTICES, ExtrudedMesh, FacetSet
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "make_element",
     "tabulate",
     "build_dof_map",
-    "interpolate_hdiv",
 ]
 
 
@@ -465,57 +464,3 @@ class Field:
             raise ValueError(
                 f"coefficient length {self.coeffs.shape} != n_dofs {self.space.n_dofs}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Evaluation and interpolation
-# ---------------------------------------------------------------------------
-
-def evaluate_velocity(u: Field, coords, cells, points) -> np.ndarray:
-    """Physical velocity values of a V1 field at reference points per cell.
-
-    Contravariant Piola: v = J vhat / det J.
-    """
-    cells = np.atleast_1d(np.asarray(cells, dtype=int))
-    tab = tabulate(u.space.element, points)
-    J = jacobian(coords, cells, points)
-    chat = u.coeffs[u.space.cell_dofs[cells]] * u.space.cell_signs[cells]
-    vhat = np.einsum("ed,pdc->epc", chat, tab.values)
-    return matvec3(J.J, vhat) / J.det[..., None]
-
-
-def interpolate_hdiv(space: FunctionSpace, coords, func) -> Field:
-    """Interpolate a physical vector field by applying the DOF functionals.
-
-    ``func(cell, xi, x)`` returns physical vector values at reference points
-    ``xi`` with physical locations ``x``.  Each global DOF is written by its
-    lowest-indexed adjacent cell; values are pulled back with the inverse
-    Piola transform before the reference functionals are applied.  Per cell,
-    the distinct points of every DOF it still has to write go through one
-    Jacobian and one ``func`` call.
-    """
-    dofs = space.element.dofs
-    nodal = coords.cell_coords
-    coeffs = np.zeros(space.n_dofs)
-    written = np.zeros(space.n_dofs, dtype=bool)
-    for cell in range(space.mesh.n_cells):
-        todo = np.flatnonzero(~written[space.cell_dofs[cell]])
-        if len(todo) == 0:
-            continue
-        # DOFs on one facet share their points; evaluate each point once
-        xi, at = np.unique(
-            np.concatenate([dofs[i].points for i in todo]), axis=0, return_inverse=True
-        )
-        J = jacobian(coords, cell, xi)
-        x = nodal_basis(xi) @ nodal[cell]
-        v = np.asarray(func(cell, xi, x), dtype=float)
-        vhat = np.einsum("pik,pk->pi", np.linalg.inv(J.J), v) * J.det[:, None]
-        vhat = vhat[at.reshape(-1)]
-        start = 0
-        for i in todo:
-            stop = start + len(dofs[i].points)
-            g = space.cell_dofs[cell, i]
-            coeffs[g] = space.cell_signs[cell, i] * dofs[i].apply(vhat[start:stop])
-            written[g] = True
-            start = stop
-    return Field(space=space, coeffs=coeffs)

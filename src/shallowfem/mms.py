@@ -29,6 +29,16 @@ the same frames as the finite-difference stencils, so they are finite at the
 poles and cost no perturbed evaluations.  ``derive_forcing`` and the tests
 keep building (F, g) from the finite-difference oracles as the independent
 check of those closed forms.
+
+The providers and the exact fields run once per quadrature point of every
+level, so they work on coordinate planes (see geometry's tangent-space
+section): one call copies the points (..., 4) into the contiguous planes
+x1, x2, x3, h, builds one tangent frame and one longitude, computes every
+intermediate as a (...)-shaped plane with the plane kernels
+(``TangentFrame.at`` / ``dot`` / ``combine``, ``tangent_planes``) and writes
+its (..., 4) result once.  On (..., 4) arrays the same formulas spent most
+of their time striding over the last axis and building np.stack,
+np.linalg.norm and einsum temporaries.
 """
 
 import math
@@ -146,15 +156,16 @@ class ShallowOperators:
         return fr.vector(np.cross(fr.components(v), fr.components(w)))
 
 
-def _oracle_angles(x4, a):
-    """(cos lambda, sin lambda, sin phi, cos phi) of the oracles' point for x4.
+def _oracle_angles(x, frame, a):
+    """(cos lambda, sin lambda, sin phi, cos phi) of the oracles' point, as planes.
 
     The finite-difference oracles evaluate at ``ops.point(*ops.angles(x4))``:
-    the longitude of x4 (with the tangent frame's polar fallback, from
-    ``geometry.longitude``) and the latitude arcsin(x3 / a).
+    the longitude of x4 (with the tangent frame's polar fallback, read off
+    ``frame``, the tangent frame at x4) and the latitude arcsin(x3 / a); x
+    holds the coordinate planes of x4.
     """
-    s_phi = np.clip(x4[..., 2] / a, -1.0, 1.0)
-    return (*geometry.longitude(x4, a), s_phi, np.sqrt(1.0 - s_phi * s_phi))
+    s_phi = np.clip(x[2] / a, -1.0, 1.0)
+    return frame.cos_l, frame.sin_l, s_phi, np.sqrt(1.0 - s_phi * s_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -168,36 +179,37 @@ class ManufacturedCase:
     a: float = 1.0
     H: float = 1.0
 
-    def _q(self, x4):
-        h = x4[..., 3]
+    def _q(self, h):
         return (h ** 2 - 1.0) * (h ** 2 - 4.0)
 
+    def _p(self, x):
+        return x[0] * x[1] * x[2] * self._q(x[3])
+
     def p_exact(self, x4):
-        x4 = np.asarray(x4, dtype=float)
-        return x4[..., 0] * x4[..., 1] * x4[..., 2] * self._q(x4)
+        return self._p(geometry.coordinate_planes(x4))
+
+    def _u_printed(self, x):
+        x1, x2, x3, h = x
+        q = self._q(h)
+        return (
+            x2 * x3 * (1.0 - x1 ** 2) * q,
+            x1 * x3 * (1.0 - x2 ** 2) * q,
+            x1 * x2 * (1.0 - x3 ** 2) * q,
+            2.0 * x1 * x2 * x3 * h * (2.0 * h ** 2 - 5.0),
+        )
 
     def u_printed(self, x4):
-        x4 = np.asarray(x4, dtype=float)
-        x1, x2, x3, h = (x4[..., i] for i in range(4))
-        q = self._q(x4)
-        return np.stack(
-            [
-                x2 * x3 * (1.0 - x1 ** 2) * q,
-                x1 * x3 * (1.0 - x2 ** 2) * q,
-                x1 * x2 * (1.0 - x3 ** 2) * q,
-                2.0 * x1 * x2 * x3 * h * (2.0 * h ** 2 - 5.0),
-            ],
-            axis=-1,
-        )
+        return geometry.stack_planes(self._u_printed(geometry.coordinate_planes(x4)))
 
     def u_exact(self, x4):
         """Tangentially projected printed velocity (the solution actually used)."""
-        return geometry.project_tangent(self.u_printed(x4), x4)
+        x = geometry.coordinate_planes(x4)
+        return geometry.stack_planes(geometry.tangent_planes(self._u_printed(x), x))
 
     def u_dot_l_analytic(self, x4):
         """Closed form of the printed velocity's normal component on S^2(a)."""
         x4, a = np.asarray(x4, dtype=float), self.a
-        return (3.0 - a * a) * x4[..., 0] * x4[..., 1] * x4[..., 2] * self._q(x4) / a
+        return (3.0 - a * a) * x4[..., 0] * x4[..., 1] * x4[..., 2] * self._q(x4[..., 3]) / a
 
     omega4 = staticmethod(_assembly.traditional_omega)
 
@@ -207,7 +219,7 @@ class ManufacturedCase:
     def F_printed(self, x4):
         x4 = np.asarray(x4, dtype=float)
         x1, x2, x3 = (x4[..., i] for i in range(3))
-        q = self._q(x4)
+        q = self._q(x4[..., 3])
         z = np.zeros(x4.shape[:-1])
         return x3[..., None] * np.stack(
             [
@@ -227,23 +239,23 @@ class ManufacturedCase:
         _check_radius(self, ops)
 
         def f4(x4):
-            x4 = np.asarray(x4, dtype=float)
-            fr = geometry.tangent_frame(x4, ops.a)
-            u = self.u_exact(x4)
-            c_l, s_l, s_p, c_p = _oracle_angles(x4, ops.a)
-            a, h, q = ops.a, x4[..., 3], self._q(x4)
+            x = geometry.coordinate_planes(x4)
+            fr = geometry.TangentFrame.at(x, ops.a)
+            u = geometry.tangent_planes(self._u_printed(x), x)
+            c_l, s_l, s_p, c_p = _oracle_angles(x, fr, ops.a)
+            a, h, q = ops.a, x[3], self._q(x[3])
             # frame components of u and Omega, as in tangent_cross; Omega is
             # along i4, so its e_lambda and e_phi components vanish
-            u_c = fr.components(u)
+            u_l, u_p = fr.dot(u)
             o_4 = self.omega4(x4)[..., 3]
             # frame components of grad p at y, plus those of 2 Omega x u
             f_l = a * a * q * c_p * s_p * (c_l * c_l - s_l * s_l)
-            f_l -= 2.0 * (o_4 * u_c[..., 1])
+            f_l -= 2.0 * (o_4 * u_p)
             f_p = a * a * q * (1.0 - 3.0 * s_p * s_p) * s_l * c_l * c_p
-            f_p += 2.0 * (o_4 * u_c[..., 0])
+            f_p += 2.0 * (o_4 * u_l)
             f_4 = 2.0 * a ** 3 * h * (2.0 * h * h - 5.0) * s_l * c_l * s_p * c_p * c_p
-            # u + 2 Omega x u + grad p, accumulated in place on u
-            return fr.vector(np.stack([f_l, f_p, f_4], axis=-1), out=u)
+            # u + 2 Omega x u + grad p, written once
+            return geometry.stack_planes(fr.combine((f_l, f_p, f_4), u))
 
         return f4
 
@@ -251,16 +263,16 @@ class ManufacturedCase:
         _check_radius(self, ops)
 
         def g(x4):
-            x4 = np.asarray(x4, dtype=float)
-            c_l, s_l, s_p, c_p = _oracle_angles(x4, ops.a)
-            a, h = ops.a, x4[..., 3]
+            x = geometry.coordinate_planes(x4)
+            c_l, s_l, s_p, c_p = _oracle_angles(x, geometry.TangentFrame.at(x, ops.a), ops.a)
+            a, h = ops.a, x[3]
             h2 = h * h
             # div u_exact(y) = 2 y1 y2 y3 (6a^2h^2 - 5a^2 - 6h^4 + 30h^2 - 24) / a^2
             div = (
                 2.0 * a * c_p * c_p * s_p * c_l * s_l
                 * (6.0 * a * a * h2 - 5.0 * a * a - 6.0 * h2 * h2 + 30.0 * h2 - 24.0)
             )
-            return div - self.p_exact(x4)
+            return div - self._p(x)
 
         return g
 
@@ -435,10 +447,13 @@ def convergence_study(
     ``levels`` is a list of (refinement, n_layers) pairs, each halving the
     mesh size of the previous one.  The forcing is the derived (F, g) in
     closed form; the oracle-built printed-vs-derived report is attached to
-    the table.  A radius ``a`` or ``thickness`` that is not a finite number
-    > 0, or ``forcing_points`` < 1, is a ValueError raised before any
-    sampling.
+    the table.  An empty ``levels``, a radius ``a`` or ``thickness`` that is
+    not a finite number > 0, or ``forcing_points`` < 1, is a ValueError
+    raised before any sampling.
     """
+    levels = list(levels)
+    if not levels:
+        raise ValueError("levels must hold at least one (refinement, n_layers) pair")
     for name, value in (("radius a", a), ("thickness", thickness)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shallowfem import geometry, mesh
+from shallowfem import fem, geometry, mesh
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +52,61 @@ def frame_basis(frame):
     return np.stack([frame.vector(np.broadcast_to(e, shape)) for e in np.eye(3)])
 
 
+def phi(x4, a: float = 1.0):
+    """Map points of S^2(a) x [0, H] in R^4 to the annulus in R^3 (an oracle):
+    phi(x1, x2, x3, x4) = (1 + x4 / a) * (x1, x2, x3)."""
+    x4 = np.asarray(x4, dtype=float)
+    return (1.0 + x4[..., 3:4] / a) * x4[..., :3]
+
+
+def evaluate_velocity(u, coords, cells, points) -> np.ndarray:
+    """Physical velocity values of a V1 field at reference points per cell,
+    by the contravariant Piola map v = J vhat / det J (an oracle)."""
+    cells = np.atleast_1d(np.asarray(cells, dtype=int))
+    tab = fem.tabulate(u.space.element, points)
+    J = geometry.jacobian(coords, cells, points)
+    chat = u.coeffs[u.space.cell_dofs[cells]] * u.space.cell_signs[cells]
+    vhat = np.einsum("ed,pdc->epc", chat, tab.values)
+    return geometry.matvec3(J.J, vhat) / J.det[..., None]
+
+
+def interpolate_hdiv(space, coords, func):
+    """Interpolate a physical vector field by applying the DOF functionals (an oracle).
+
+    ``func(cell, xi, x)`` returns physical vector values at reference points
+    ``xi`` with physical locations ``x``.  Each global DOF is written by its
+    lowest-indexed adjacent cell; values are pulled back with the inverse
+    Piola transform before the reference functionals are applied.  Per cell,
+    the distinct points of every DOF it still has to write go through one
+    Jacobian and one ``func`` call.
+    """
+    dofs = space.element.dofs
+    nodal = coords.cell_coords
+    coeffs = np.zeros(space.n_dofs)
+    written = np.zeros(space.n_dofs, dtype=bool)
+    for cell in range(space.mesh.n_cells):
+        todo = np.flatnonzero(~written[space.cell_dofs[cell]])
+        if len(todo) == 0:
+            continue
+        # DOFs on one facet share their points; evaluate each point once
+        xi, at = np.unique(
+            np.concatenate([dofs[i].points for i in todo]), axis=0, return_inverse=True
+        )
+        J = geometry.jacobian(coords, cell, xi)
+        x = geometry.nodal_basis(xi) @ nodal[cell]
+        v = np.asarray(func(cell, xi, x), dtype=float)
+        vhat = np.einsum("pik,pk->pi", np.linalg.inv(J.J), v) * J.det[:, None]
+        vhat = vhat[at.reshape(-1)]
+        start = 0
+        for i in todo:
+            stop = start + len(dofs[i].points)
+            g = space.cell_dofs[cell, i]
+            coeffs[g] = space.cell_signs[cell, i] * dofs[i].apply(vhat[start:stop])
+            written[g] = True
+            start = stop
+    return fem.Field(space=space, coeffs=coeffs)
+
+
 def physical_points(coords, cells, ref_points):
     """Map reference points through a coordinate field, (ncell, npts, dim)."""
     N = geometry.nodal_basis(ref_points)
@@ -78,7 +133,6 @@ def vertical_facet_normal_values(m, coords, u, vf, facets, s, z):
     both adjacent cells are sampled at identical physical points, then
     evaluates the Piola-mapped velocity against the patch normal.
     """
-    from shallowfem import fem
     from shallowfem.mesh import TRIANGLE_EDGE_VERTICES
 
     L = m.n_layers
@@ -108,6 +162,6 @@ def vertical_facet_normal_values(m, coords, u, vf, facets, s, z):
         ref = fem.embed_quad(le, t, z)
         got = geometry.nodal_basis(ref) @ coords.cell_coords[c]
         np.testing.assert_allclose(got, X, atol=1e-12)
-        v = fem.evaluate_velocity(u, coords, [c], ref)[0]
+        v = evaluate_velocity(u, coords, [c], ref)[0]
         out.append((v * n).sum(axis=1))
     return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import vertical_facet_normal_values
+from conftest import evaluate_velocity, interpolate_hdiv, vertical_facet_normal_values
 from shallowfem import fem, geometry, mesh
 
 
@@ -233,12 +233,12 @@ def test_piola_push_scaling(single_prism):
     xi = np.array([[0.2, 0.2, 0.5]])
     tab = fem.tabulate(V.element, xi)
     chat = u.coeffs[V.cell_dofs[0]] * V.cell_signs[0]
-    v = fem.evaluate_velocity(u, coords, [0], xi)[0, 0]
+    v = evaluate_velocity(u, coords, [0], xi)[0, 0]
     np.testing.assert_allclose(v, chat @ tab.values[0] / 4.0, atol=1e-14)
     # physical divergence by central differences in x = 2 xi (the field is linear)
     eps = 1e-3
-    vp = fem.evaluate_velocity(u, coords, [0], xi + eps * np.eye(3))[0]
-    vm = fem.evaluate_velocity(u, coords, [0], xi - eps * np.eye(3))[0]
+    vp = evaluate_velocity(u, coords, [0], xi + eps * np.eye(3))[0]
+    vm = evaluate_velocity(u, coords, [0], xi - eps * np.eye(3))[0]
     div = np.trace(vp - vm) / (2.0 * eps * 2.0)
     np.testing.assert_allclose(div, chat @ tab.divergences[0] / 8.0, atol=1e-12)
 
@@ -467,7 +467,7 @@ def test_normal_continuity_horizontal_facets(annulus_r1_l2, facets_r1_l2, k):
             corners = coords.cell_coords[c][(3, 4, 5), :] if which else coords.cell_coords[c][(0, 1, 2), :]
             n = np.cross(corners[1] - corners[0], corners[2] - corners[0])
             n /= np.linalg.norm(n)
-            v = fem.evaluate_velocity(u, coords, [c], ref)[0]
+            v = evaluate_velocity(u, coords, [c], ref)[0]
             vals.append(v @ n)
         worst = max(worst, np.abs(vals[0] - vals[1]).max())
     assert worst <= 1e-10 * np.abs(u.coeffs).max()
@@ -491,9 +491,9 @@ def test_interpolate_constant_field():
     coords = geometry.hedgehog_coordinates(m)
     V = fem.build_dof_map(m, facets, fem.make_element("V1", 1))
     const = np.array([0.3, -1.2, 0.8])
-    u = fem.interpolate_hdiv(V, coords, lambda cell, xi, x: np.broadcast_to(const, x.shape))
+    u = interpolate_hdiv(V, coords, lambda cell, xi, x: np.broadcast_to(const, x.shape))
     pts = np.random.default_rng(6).random((5, 3)) * [0.5, 0.5, 1.0]
-    vals = fem.evaluate_velocity(u, coords, np.arange(m.n_cells), pts)
+    vals = evaluate_velocity(u, coords, np.arange(m.n_cells), pts)
     np.testing.assert_allclose(vals, np.broadcast_to(const, vals.shape), atol=1e-12)
 
 
@@ -507,9 +507,9 @@ def test_interpolation_reproduces_members(annulus_r1_l2, facets_r1_l2, k):
     u0 = fem.Field(V, rng.standard_normal(V.n_dofs))
 
     def func(cell, xi, x):
-        return fem.evaluate_velocity(u0, coords, [cell], xi)[0]
+        return evaluate_velocity(u0, coords, [cell], xi)[0]
 
-    u1 = fem.interpolate_hdiv(V, coords, func)
+    u1 = interpolate_hdiv(V, coords, func)
     np.testing.assert_allclose(u1.coeffs, u0.coeffs, atol=1e-10)
 
 

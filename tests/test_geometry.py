@@ -3,7 +3,7 @@ import pytest
 
 from shallowfem import fem, geometry, mesh
 
-from conftest import frame_basis, physical_points, pushforward_4to3
+from conftest import frame_basis, phi, physical_points, pushforward_4to3
 
 
 def synthetic_polar_column():
@@ -27,7 +27,7 @@ def synthetic_polar_column():
     ],
 )
 def test_phi_values(x4, expected):
-    np.testing.assert_allclose(geometry.phi(np.array(x4), a=1.0), expected, atol=1e-15)
+    np.testing.assert_allclose(phi(np.array(x4), a=1.0), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -47,10 +47,10 @@ def test_phi_round_trip():
     d = rng.standard_normal((100, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     x = d * rng.uniform(1.0, 2.0, 100)[:, None]
-    np.testing.assert_allclose(geometry.phi(geometry.phi_inverse(x, 1.0), 1.0), x, atol=1e-12)
+    np.testing.assert_allclose(phi(geometry.phi_inverse(x, 1.0), 1.0), x, atol=1e-12)
     x4 = np.column_stack([d, rng.uniform(0.0, 1.0, 100)])
     np.testing.assert_allclose(
-        geometry.phi_inverse(geometry.phi(x4, 1.0), 1.0), x4, atol=1e-12
+        geometry.phi_inverse(phi(x4, 1.0), 1.0), x4, atol=1e-12
     )
 
 
@@ -62,7 +62,7 @@ def test_phi_inverse_domain_error():
 def test_phi_scales_with_planet_radius():
     a = 6371.2
     x4 = np.array([0.0, 0.0, a, 10.0])
-    np.testing.assert_allclose(geometry.phi(x4, a), [0.0, 0.0, a + 10.0], rtol=1e-14)
+    np.testing.assert_allclose(phi(x4, a), [0.0, 0.0, a + 10.0], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import frame_basis, pushforward_4to3
+from conftest import frame_basis, interpolate_hdiv, pushforward_4to3
 from shallowfem import assembly, fem, geometry, mesh, mms
 
 
@@ -327,12 +327,14 @@ def test_convergence_study_rejects_a_negative_radius():
     ({"thickness": float("nan")}, "thickness"),
     ({"a": float("inf")}, "radius"),
     ({"forcing_points": 0}, "forcing_points"),
-], ids=["nan-thickness", "inf-radius", "no-forcing-points"])
+    ({"levels": []}, "levels"),
+], ids=["nan-thickness", "inf-radius", "no-forcing-points", "empty-ladder"])
 def test_convergence_study_rejects_bad_inputs_before_sampling(kwargs, match):
     """One clear ValueError, not an OverflowError from ``rng.uniform``,
-    RuntimeWarnings, or a reduction over an empty sample."""
+    RuntimeWarnings, a reduction over an empty sample, or a table without
+    rows whose ``final_rates`` raises IndexError."""
     with pytest.raises(ValueError, match=match):
-        mms.convergence_study(1, [(0, 1)], **kwargs)
+        mms.convergence_study(1, **{"levels": [(0, 1)], **kwargs})
 
 
 def test_sample_points_live_on_manifold(sample_points):
@@ -442,7 +444,7 @@ def test_interpolated_exact_error_is_comparable(case, coarse_solution):
         u4 = case.u_exact(x4)
         return pushforward_4to3(coords, x4_cells, cell, xi, u4)
 
-    u_int = fem.interpolate_hdiv(V1, coords, exact_pushed)
+    u_int = interpolate_hdiv(V1, coords, exact_pushed)
     err_int, _ = mms.l2_errors(u_int, result.p, case, coords)
     err_sol, _ = mms.l2_errors(result.u, result.p, case, coords)
     err_zero, _ = mms.l2_errors(
