@@ -45,12 +45,13 @@ belongs to one cell, so the cell-local block of the matrix is block
 diagonal.  Its blocks are inverted in one batch, the Schur complement on
 the facet DOFs is formed in float64 and factored with SuperLU in float32,
 and the local DOFs are recovered cell by cell.  The facet DOFs are first put
-in a geometric nested-dissection order (George 1973) computed from the DOF
-map and the cell centroids, and SuperLU keeps that order.  The single
-precision factor roughly halves the LU's time and memory; refinement in
-float64 against the full matrix (Buttari et al. 2007; Carson & Higham 2018)
-then brings the residual to the tolerance, and a step that fails to cut it
-tenfold is a SolverError, never a silent fallback to a float64 factor.
+in nested-dissection order over the cells (George 1973): the cells are
+bisected by their centroids, each separator is the facet DOFs that both
+halves own, and SuperLU keeps that order.  The single precision factor
+roughly halves the LU's time and memory; refinement in float64 against the
+full matrix (Buttari et al. 2007; Carson & Higham 2018) then brings the
+residual to the tolerance, and a step that fails to cut it tenfold is a
+SolverError, never a silent fallback to a float64 factor.
 """
 
 from dataclasses import dataclass, field
@@ -74,10 +75,11 @@ __all__ = [
 ]
 
 
-# Largest DOF set that nested dissection leaves unsplit.  LU fill at k=2
-# (2,4), k=1 (3,8) and deep k=1 (4,2) is 9.9M, 23.3M and 16.7M with 64;
-# 128 gave 10.1M, 26.1M and 16.3M, and 32 gave 9.9M, 23.2M and 15.3M.
-ND_LEAF = 64
+# Most unordered facet DOFs that nested dissection leaves unsplit.  LU fill
+# at k=2 (2,4), k=1 (3,8) and deep k=1 (4,2) is 7.41M, 16.06M and 8.67M
+# with 32; 64 gave 7.47M, 16.23M and 8.91M, and 128 gave 7.54M, 20.56M and
+# 9.27M.  The solve times of 32 and 64 agree within run-to-run noise.
+ND_LEAF = 32
 
 # Most refinement steps after the first solve with the float32 factor.  Each
 # step scales the residual by about cond(S) 2^-24: 5e-5 at k=2 (2,4) and
@@ -298,74 +300,43 @@ def _cell_local_dofs(system: LinearSystem) -> np.ndarray:
     return np.hstack([u.cell_dofs[:, interior], p.cell_dofs + system.n_u])
 
 
-def _bisect(xyz, cell_ids, ids, cells):
-    """Split the facet DOFs ``ids`` at the median of their widest axis.
+def _nested_dissection(cell_dofs, centroids, glob):
+    """``glob`` (the facet DOFs) in nested-dissection order over the cells.
 
-    ``xyz`` holds each facet DOF's position and ``cell_ids`` each cell's
-    facet DOFs as indices into ``xyz`` (-1 for its other DOFs); ``cells``
-    are the cells that own a DOF of ``ids``.  The separator is the low-side
-    DOFs of the cells that also own a high-side DOF, so the two halves share
-    no cell.  Returns ``(low, low_cells), (high, high_cells), sep``.
-    """
-    x = xyz[ids]
-    t = x[:, np.ptp(x, axis=0).argmax()]
-    # -1 marks DOFs outside ids; the extra last entry is read by cell_ids == -1
-    side = np.full(len(xyz) + 1, -1, dtype=np.int8)
-    side[ids] = t >= np.median(t)
-    owned = side[cell_ids[cells]]
-    straddle = (owned == 0).any(axis=1) & (owned == 1).any(axis=1)
-    sep = np.unique(cell_ids[cells[straddle]][owned[straddle] == 0])
-    side[sep] = -1
-    owned = side[cell_ids[cells]]
-    low, high = (
-        (ids[side[ids] == s], cells[(owned == s).any(axis=1)]) for s in (0, 1)
-    )
-    return low, high, sep
-
-
-def _dof_positions(cell_dofs, centroids, glob):
-    """Positions of the facet DOFs ``glob`` and each cell's facet DOFs.
-
-    Returns ``(xyz, cell_ids)``: ``xyz[i]`` is the mean centroid of the cells
-    that own ``glob[i]``, and ``cell_ids`` is ``cell_dofs`` with each facet
-    DOF replaced by its index into ``glob`` and every other DOF by -1.
+    Two facet DOFs couple in the Schur complement only through a shared
+    cell, so the order is built from ``cell_dofs`` and the cell centroids
+    before the matrix exists (George 1973).  A set of cells is split into two
+    halves by rank along the widest axis of its centroids, and the separator
+    is the unordered facet DOFs that cells of both halves own; it is ordered
+    after the two halves.  A set with at most ``ND_LEAF`` unordered DOFs is
+    not split.
     """
     ng = len(glob)
-    index = np.full(cell_dofs.max() + 1, -1)
+    index = np.full(cell_dofs.max() + 1, ng)
     index[glob] = np.arange(ng)
-    cell_ids = index[cell_dofs]
-    owner, slot = np.nonzero(cell_ids >= 0)
-    dof = cell_ids[owner, slot]
-    count = np.bincount(dof, minlength=ng)
-    xyz = np.stack(
-        [np.bincount(dof, centroids[owner, a], ng) / count for a in range(3)], axis=1
-    )
-    return xyz, cell_ids
-
-
-def _nested_dissection(cell_dofs, centroids, glob):
-    """``glob`` (the facet DOFs) in geometric nested-dissection order.
-
-    Two facet DOFs couple in the Schur complement only if they share a cell,
-    so the order is built from ``cell_dofs`` and the cell centroids before
-    the matrix exists (see ``_dof_positions``).  Sets are split by
-    ``_bisect`` until they hold at most ``ND_LEAF`` DOFs, and each separator
-    is ordered after its two halves.
-    """
-    xyz, cell_ids = _dof_positions(cell_dofs, centroids, glob)
+    cell_ids = index[cell_dofs]          # each cell's facet DOFs, ng elsewhere
+    side = np.zeros(ng + 1, dtype=np.int8)   # 1: a low cell owns it, 2: separator
     order = []
 
-    def dissect(ids, cells):
-        if len(ids) > ND_LEAF:
-            (low, low_cells), (high, high_cells), sep = _bisect(xyz, cell_ids, ids, cells)
-            if 0 < len(high) < len(ids):
-                dissect(low, low_cells)
-                dissect(high, high_cells)
-                order.append(sep)
-                return
+    def dissect(cells, ids):
+        # ids: the unordered facet DOFs of cells, which no other cell owns
+        if len(ids) > ND_LEAF and len(cells) > 1:
+            x = centroids[cells]
+            rank = np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")
+            low, high = np.split(cells[rank], [len(cells) // 2])
+            side[cell_ids[low]] = 1
+            sep = cell_ids[high]
+            sep = np.unique(sep[side[sep] == 1])
+            sep = sep[sep < ng]
+            side[sep] = 2
+            half = side[ids]
+            side[cell_ids[low]] = 0
+            dissect(low, ids[half == 1])
+            dissect(high, ids[half == 0])
+            ids = sep
         order.append(ids)
 
-    dissect(np.arange(len(glob)), np.arange(len(cell_dofs)))
+    dissect(np.arange(len(cell_dofs)), np.arange(ng))
     return glob[np.concatenate(order)]
 
 
@@ -375,16 +346,17 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     The cell-local DOFs (see ``_cell_local_dofs``) are eliminated through the
     inverses of their per-cell blocks B; SuperLU factors the Schur complement
     S = A_gg - A_gl B^-1 A_lg on the remaining facet DOFs, which are put in
-    nested-dissection order (``_nested_dissection``) before S is formed;
-    SuperLU factors S in float32, keeps that column order and relaxes
-    diagonal pivoting to a threshold of 0.01 so that row swaps do not undo
-    it.  S is formed in float64, and the cell-block inverses stay in
-    float64; only the facet right-hand side of each solve is cast to
-    float32, scaled to unit max, for the triangular solves.  The solution
-    is refined from z = 0 (relative residual 1): each step solves for the
-    float64 residual b - A z of the full ``system.matrix`` and adds the
-    correction, until the relative residual is at most ``tolerance``, for
-    at most ``MAX_REFINEMENT_STEPS`` steps after the first solve.
+    nested-dissection order over the cells (``_nested_dissection``: each
+    separator is the facet DOFs that both halves of a cell bisection own)
+    before S is formed; SuperLU factors S in float32, keeps that column
+    order and relaxes diagonal pivoting to a threshold of 0.01 so that row
+    swaps do not undo it.  S is formed in float64, and the cell-block
+    inverses stay in float64; only the facet right-hand side of each solve
+    is cast to float32, scaled to unit max, for the triangular solves.  The
+    solution is refined from z = 0 (relative residual 1): each step solves
+    for the float64 residual b - A z of the full ``system.matrix`` and adds
+    the correction, until the relative residual is at most ``tolerance``,
+    for at most ``MAX_REFINEMENT_STEPS`` steps after the first solve.
 
     Raises SolverError when the cell-local block couples two cells, when a
     cell block is singular, when SuperLU fails or runs out of memory, when a

@@ -41,24 +41,27 @@ __all__ = [
     "unit_normal",
     "tangent_planes",
     "project_tangent",
+    "longitude",
     "tangent_frame",
     "cell_diameters",
 ]
 
 
-class DegenerateMapError(Exception):
-    """A coordinate map lost rank (degenerate element or projection)."""
+class DegenerateMapError(ValueError):
+    """A coordinate map lost rank (degenerate element or projection), or a
+    point left its domain or the float64 range."""
 
 
 def phi_inverse(x3, a: float = 1.0):
     """Inverse map: annulus point -> (a * x/|x|, |x| - a).
 
-    Raises ValueError for points more than 1e-9 inside the inner sphere.
+    Raises DegenerateMapError (a ValueError) for points more than 1e-9 inside
+    the inner sphere.
     """
     x3 = np.asarray(x3, dtype=float)
     r = np.linalg.norm(x3, axis=-1)
     if np.any(r < a - 1e-9):
-        raise ValueError(
+        raise DegenerateMapError(
             f"point with radius {r.min():.3e} lies inside the sphere of radius {a}"
         )
     out = np.empty(x3.shape[:-1] + (4,))
@@ -219,12 +222,13 @@ def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
 
     ``cells`` may be an int or index array; ``points`` has shape (npts, 3).
     Result arrays are shaped (ncells, npts, 3, 3) (leading axis dropped for a
-    scalar ``cells``).  Raises ValueError if any determinant is <= 0.
+    scalar ``cells``).  Raises DegenerateMapError (a ValueError) if any
+    determinant is <= 0.
     """
     J = _nodal_gemm(coords.cell_coords[cells], points)
     det = _det3(J)
     if np.any(det <= 0):
-        raise ValueError(
+        raise DegenerateMapError(
             f"non-positive Jacobian determinant ({det.min():.3e}); cell is inverted"
         )
     return JacobianSample(J=J, det=det)
@@ -243,10 +247,14 @@ def pseudo_inverse_pseudo_det(J4):
 
     The pseudodeterminant is the product of the three nonzero singular values.
     Raises DegenerateMapError when the smallest singular value drops below
-    1e-12 times the largest.  Batched over leading axes.
+    1e-12 times the largest, or when the SVD fails (a non-finite Jacobian).
+    Batched over leading axes.
     """
     J4 = np.asarray(J4, dtype=float)
-    U, s, Vt = np.linalg.svd(J4, full_matrices=False)    # (..., 4, 3), (..., 3), (..., 3, 3)
+    try:
+        U, s, Vt = np.linalg.svd(J4, full_matrices=False)  # (..., 4, 3), (..., 3), (..., 3, 3)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMapError(f"4x3 Jacobian: {exc}") from exc
     if np.any(s[..., -1] < 1e-12 * s[..., 0]):
         raise DegenerateMapError("4x3 Jacobian is rank deficient")
     pinv = np.einsum("...ji,...j,...kj->...ik", Vt, 1.0 / s, U)
@@ -292,9 +300,10 @@ def quadrature_chunks(coords: CoordinateField, x4, points, width):
 # chunks of quadrature points this roughly halves the time of computing on
 # (..., 4) arrays, where every step strides over the last axis and builds
 # np.stack, np.linalg.norm and einsum temporaries.  The providers in ``mms``
-# call the plane kernels (``tangent_planes``, ``TangentFrame.at`` / ``dot`` /
-# ``combine``) directly; the (..., 4) functions wrap the same kernels for
-# the finite-difference oracles and the tests.
+# call the plane kernels (``tangent_planes``, ``longitude``,
+# ``TangentFrame.at`` / ``dot`` / ``combine``) directly; the (..., 4)
+# functions wrap the same kernels for the finite-difference oracles and the
+# tests.
 
 def coordinate_planes(v) -> np.ndarray:
     """The coordinate planes of vectors (..., n) as one contiguous copy, (n, ...).
@@ -339,7 +348,7 @@ def project_tangent(v, x4) -> np.ndarray:
     return stack_planes(tangent_planes(coordinate_planes(v), coordinate_planes(x4)))
 
 
-def _longitude(x1, x2, a):
+def longitude(x1, x2, a):
     """rho = |(x1, x2)|, the polar mask and (cos lambda, sin lambda) of the
     points with planes x1, x2.
 
@@ -371,7 +380,7 @@ class TangentFrame:
     def at(cls, x, a: float = 1.0) -> "TangentFrame":
         """The frame at the points with coordinate planes x; pole columns get a
         fixed fallback pair."""
-        rho, polar, cos_l, sin_l = _longitude(x[0], x[1], a)
+        rho, polar, cos_l, sin_l = longitude(x[0], x[1], a)
         sin_p = x[2] / a
         # At the poles any horizontal orthonormal pair will do; keep it
         # right-handed with the (+-z) radial.
@@ -407,13 +416,10 @@ class TangentFrame:
         v = coordinate_planes(v)
         return stack_planes((*self.dot(v), v[3]))
 
-    def vector(self, c, out=None) -> np.ndarray:
+    def vector(self, c) -> np.ndarray:
         """The 4-vector c0 e_lambda + c1 e_phi + c2 i4 of frame components c,
-        (..., 3); added in place onto ``out`` when it is given."""
-        if out is None:
-            return stack_planes(self.combine(coordinate_planes(c)))
-        out[...] = stack_planes(self.combine(coordinate_planes(c), coordinate_planes(out)))
-        return out
+        (..., 3)."""
+        return stack_planes(self.combine(coordinate_planes(c)))
 
 
 def tangent_frame(x4, a: float = 1.0) -> TangentFrame:

@@ -55,10 +55,6 @@ class BaseSphereMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def unit_vertices(self) -> np.ndarray:
         """Vertex directions, i.e. vertices scaled back to the unit sphere."""
         return self.vertices / np.linalg.norm(self.vertices, axis=1)[:, None]

@@ -156,16 +156,16 @@ class ShallowOperators:
         return fr.vector(np.cross(fr.components(v), fr.components(w)))
 
 
-def _oracle_angles(x, frame, a):
-    """(cos lambda, sin lambda, sin phi, cos phi) of the oracles' point, as planes.
+def _oracle_latitude(x, a):
+    """(sin phi, cos phi) of the oracles' point, as planes.
 
     The finite-difference oracles evaluate at ``ops.point(*ops.angles(x4))``:
-    the longitude of x4 (with the tangent frame's polar fallback, read off
-    ``frame``, the tangent frame at x4) and the latitude arcsin(x3 / a); x
-    holds the coordinate planes of x4.
+    the longitude of x4 (``geometry.longitude``, with the tangent frame's
+    polar fallback) and the latitude arcsin(x3 / a); x holds the coordinate
+    planes of x4.
     """
     s_phi = np.clip(x[2] / a, -1.0, 1.0)
-    return frame.cos_l, frame.sin_l, s_phi, np.sqrt(1.0 - s_phi * s_phi)
+    return s_phi, np.sqrt(1.0 - s_phi * s_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,8 @@ class ManufacturedCase:
             x = geometry.coordinate_planes(x4)
             fr = geometry.TangentFrame.at(x, ops.a)
             u = geometry.tangent_planes(self._u_printed(x), x)
-            c_l, s_l, s_p, c_p = _oracle_angles(x, fr, ops.a)
+            c_l, s_l = fr.cos_l, fr.sin_l
+            s_p, c_p = _oracle_latitude(x, ops.a)
             a, h, q = ops.a, x[3], self._q(x[3])
             # frame components of u and Omega, as in tangent_cross; Omega is
             # along i4, so its e_lambda and e_phi components vanish
@@ -264,7 +265,8 @@ class ManufacturedCase:
 
         def g(x4):
             x = geometry.coordinate_planes(x4)
-            c_l, s_l, s_p, c_p = _oracle_angles(x, geometry.TangentFrame.at(x, ops.a), ops.a)
+            _, _, c_l, s_l = geometry.longitude(x[0], x[1], ops.a)
+            s_p, c_p = _oracle_latitude(x, ops.a)
             a, h = ops.a, x[3]
             h2 = h * h
             # div u_exact(y) = 2 y1 y2 y3 (6a^2h^2 - 5a^2 - 6h^4 + 30h^2 - 24) / a^2
@@ -449,7 +451,8 @@ def convergence_study(
     closed form; the oracle-built printed-vs-derived report is attached to
     the table.  An empty ``levels``, a radius ``a`` or ``thickness`` that is
     not a finite number > 0, or ``forcing_points`` < 1, is a ValueError
-    raised before any sampling.
+    raised before any sampling; so is a DegenerateMapError for an annulus on
+    which |x|^2 under- or overflows float64.
     """
     levels = list(levels)
     if not levels:
@@ -457,6 +460,11 @@ def convergence_study(
     for name, value in (("radius a", a), ("thickness", thickness)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    outer = a + thickness
+    if not (a * a >= np.finfo(float).tiny and outer * outer < math.inf):
+        raise geometry.DegenerateMapError(
+            f"|x|^2 leaves the float64 range on the annulus of radii {a!r} to {outer!r}"
+        )
     if forcing_points < 1:
         raise ValueError(f"forcing_points must be at least 1, got {forcing_points!r}")
     ops = ShallowOperators(a=a, H=thickness)

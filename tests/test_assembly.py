@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
-from shallowfem import assembly, fem, geometry, mesh
+from shallowfem import assembly, fem, geometry, mesh, mms
 
 
 def weak_residual(system, result):
@@ -291,41 +291,38 @@ def test_nested_dissection_is_a_deterministic_permutation(r1_system):
     np.testing.assert_array_equal(assembly._nested_dissection(cell_dofs, centroids, glob), order)
 
 
-def test_nested_dissection_separators_follow_their_halves(r1_system):
-    """Halves share no cell; each subtree is a contiguous block of the order
-    and ends with its separator."""
+def test_nested_dissection_orders_the_top_separator_last(r1_system):
+    """The top split of the cells, recomputed: the order is the low block, the
+    high block and then exactly the facet DOFs that cells of both halves own,
+    and no cell owns a DOF of the low block and one of the high block."""
     cell_dofs, centroids, glob = facet_inputs(r1_system)
-    ng, nc = len(glob), len(cell_dofs)
-    xyz, cell_ids = assembly._dof_positions(cell_dofs, centroids, glob)
-    rank = np.empty(ng, dtype=int)
-    rank[np.searchsorted(glob, assembly._nested_dissection(cell_dofs, centroids, glob))] = (
-        np.arange(ng)
-    )
+    order = assembly._nested_dissection(cell_dofs, centroids, glob)
+    axis = np.ptp(centroids, axis=0).argmax()
+    low, high = np.split(np.argsort(centroids[:, axis], kind="stable"), [len(centroids) // 2])
+    facet = np.isin(cell_dofs, glob)
+    low_ids, high_ids = (np.unique(cell_dofs[c][facet[c]]) for c in (low, high))
+    sep = np.intersect1d(low_ids, high_ids)
+    assert len(sep)
+    np.testing.assert_array_equal(np.sort(order[len(glob) - len(sep):]), sep)
 
-    (low, _), (high, _), sep = assembly._bisect(xyz, cell_ids, np.arange(ng), np.arange(nc))
-    assert len(low) and len(high) and len(sep)
-    side = np.full(ng + 1, -1)
-    side[low], side[high] = 0, 1
-    owned = side[cell_ids]
+    n_low = len(low_ids) - len(sep)
+    np.testing.assert_array_equal(np.sort(order[:n_low]), np.setdiff1d(low_ids, sep))
+    block = np.full(cell_dofs.max() + 1, -1)
+    block[order] = np.repeat([0, 1, 2], [n_low, len(glob) - n_low - len(sep), len(sep)])
+    owned = block[cell_dofs]
     assert not ((owned == 0).any(axis=1) & (owned == 1).any(axis=1)).any()
 
-    splits = 0
 
-    def check(ids, cells):
-        nonlocal splits
-        r = rank[ids]
-        assert r.max() - r.min() + 1 == len(ids)
-        if len(ids) <= assembly.ND_LEAF:
-            return
-        (low, low_cells), (high, high_cells), sep = assembly._bisect(xyz, cell_ids, ids, cells)
-        assert 0 < len(high) < len(ids)
-        np.testing.assert_array_equal(np.sort(r)[len(r) - len(sep):], rank[sep])
-        splits += 1
-        check(low, low_cells)
-        check(high, high_cells)
-
-    check(np.arange(ng), np.arange(nc))
-    assert splits >= 3
+@pytest.mark.parametrize("k, mode, level, parent_fill", [
+    (2, "shallow", (1, 2), 463_527),
+    (1, "deep", (3, 1), 459_820),
+], ids=["k2-shallow-1:2", "k1-deep-3:1"])
+def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, parent_fill):
+    """SuperLU fill of the manufactured ladder's condensed matrix stays below
+    that of the earlier order, which split the facet DOFs at the median of
+    their mean cell centroids."""
+    (row,) = mms.convergence_study(k, [level], mode=mode).rows
+    assert 0 < row.solve_stats["lu_nnz"] < parent_fill
 
 
 def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
@@ -343,7 +340,9 @@ def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
 
     cell_dofs, centroids, glob = facet_inputs(r1_system)
     order = assembly._nested_dissection(cell_dofs, centroids, glob)
-    _, cell_ids = assembly._dof_positions(cell_dofs, centroids, order)
+    index = np.full(cell_dofs.max() + 1, -1)
+    index[order] = np.arange(len(order))
+    cell_ids = index[cell_dofs]
     owner, slot = np.nonzero(cell_ids >= 0)
     E = sp.csr_matrix(
         (np.ones(len(owner)), (cell_ids[owner, slot], owner)), shape=(len(glob), len(cell_dofs))

@@ -283,6 +283,25 @@ def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: 4x3 Jacobian is rank deficient\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--inner-radius", "1e-200"], "float64 range"),
+    (["--inner-radius", "1e200"], "float64 range"),
+    (["--thickness", "1e200"], "float64 range"),
+    (["--thickness", "1e-300"], "inverted"),
+], ids=["tiny-radius", "huge-radius", "huge-thickness", "tiny-thickness"])
+def test_convergence_degenerate_geometry_is_one_line(tmp_path, capsys, flags, message):
+    """Extreme but parser-valid sizes exit 1 with one error line: no traceback
+    (an SVD or phi_inverse failure) and no RuntimeWarning, which the suite
+    turns into an error."""
+    code = run(["convergence", "--levels", "0:1,1:1", *flags,
+                "--csv", str(tmp_path / "t.csv"),
+                "--forcing-report", str(tmp_path / "f.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_convergence_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     """A MemoryError anywhere in the ladder (here: assembly) is one error line."""
     def no_memory(*args, **kwargs):

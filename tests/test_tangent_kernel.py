@@ -206,9 +206,6 @@ def test_frame_matches_stacked(points):
     c = read_only(rng.standard_normal(x4.shape[:-1] + (3,)))
     assert_matches(frame.components(v), components_stacked((e_lam, e_phi), v))
     assert_matches(frame.vector(c), vector_stacked((e_lam, e_phi), c))
-    acc = np.array(v)
-    assert frame.vector(c, out=acc) is acc
-    assert_matches(acc, vector_stacked((e_lam, e_phi), c, out=np.array(v)))
 
 
 def test_case_fields_match_stacked(points):
