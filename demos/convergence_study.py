@@ -10,8 +10,8 @@ the annulus piecewise linearly.
     python3 demos/convergence_study.py          # quick k=1 ladder, 1.3 s on 2 vCPUs
     python3 demos/convergence_study.py full     # the production ladders
 
-The CSV written next to this script matches the `shallowfem convergence`
-command's output format.
+The CSV written to the working directory, convergence_k{k}.csv, matches the
+`shallowfem convergence` command's output format.
 """
 
 import sys
@@ -37,7 +37,7 @@ for k, levels in ladders.items():
     print(f"final rates: p {rate_p:.3f}, u {rate_u:.3f}")
     worst = max(row.residual for row in table.rows)
     print(f"worst solve residual: {worst:.2e}")
-    out = Path(__file__).with_name(f"convergence_k{k}.csv")
+    out = Path(f"convergence_k{k}.csv")
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     print()

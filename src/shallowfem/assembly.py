@@ -40,6 +40,17 @@ are scattered through one global index table.  A facet DOF lies in at most
 two cells, so no global entry sums more than two contributions and the CSR
 does not depend on the scatter order.
 
+Two quadrature rules serve a shallow chunk.  The right-hand sides b_u and b_p
+use ``config.degree`` (``--quadrature-degree``, 2k + 8 by default), which the
+manufactured forcing needs.  The matrix E uses ``fem.exact_matrix_degree(k)``
+= 2k + 1, (k + 1)^3 points: J^T J / det is constant per cell and
+omega_hat is affine, so its integrand is a polynomial of that degree.  Both
+point sets are mapped in one pass of ``quadrature_chunks``.  An omega4 that
+is not affine on the cells would be under-integrated, so shallow assembly
+with rotation compares omega4 at the matrix points with its nodal
+interpolant and raises ValueError when they differ.  Deep mode integrates E
+and the right-hand sides with ``config.degree`` and accepts any omega4.
+
 ``solve`` condenses statically: every V2 DOF and every V1 interior moment
 belongs to one cell, so the cell-local block of the matrix is block
 diagonal.  Its blocks are inverted in one batch, the Schur complement on
@@ -61,7 +72,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import geometry
-from .fem import Field, FunctionSpace, default_quadrature_degree, quadrature_prism, tabulate
+from .fem import (
+    Field, FunctionSpace, default_quadrature_degree, exact_matrix_degree, quadrature_prism,
+    tabulate,
+)
 from .geometry import annulus_coordinates, hedgehog_coordinates, manifold_coordinates
 
 __all__ = [
@@ -105,7 +119,11 @@ class ProblemConfig:
 
     ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors;
     ``g`` maps them to scalars.  ``quadrature_degree`` defaults to
-    ``fem.default_quadrature_degree(k)``.
+    ``fem.default_quadrature_degree(k)``; it governs f4, g and, in deep
+    mode, the matrix.  The shallow matrix uses the exact rule
+    ``fem.exact_matrix_degree(k)``, so there ``omega4`` must be affine on each
+    cell (``traditional_omega`` is); ``assemble`` raises ValueError for one
+    that differs from its nodal interpolant.
     """
 
     mode: str = "shallow"
@@ -161,6 +179,22 @@ def coordinate_field(config: ProblemConfig, mesh):
     return annulus_coordinates(mesh)
 
 
+def _check_interpolant(omega, nodal):
+    """Reject a rotation that differs from its nodal interpolant.
+
+    The shallow matrix rule is exact only for an omega4 that is affine on
+    each cell, as is the prism nodal interpolant; a relative gap above 1e-12
+    at the matrix points would be under-integrated.
+    """
+    gap = np.abs(omega - nodal).max()
+    if gap > 1e-12 * np.abs(omega).max():
+        raise ValueError(
+            f"omega4 differs from its nodal interpolant by {gap:.3e} at the matrix "
+            f"quadrature points; the shallow matrix integrates only an omega4 that is "
+            f"affine on each cell exactly (mode='deep' accepts any omega4)"
+        )
+
+
 def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpace) -> LinearSystem:
     """Assemble the block system; see the module docstring for the layout."""
     if u_space.mesh is not p_space.mesh:
@@ -174,9 +208,16 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     coords = coordinate_field(config, mesh)
     x4 = manifold_coordinates(mesh)
 
+    # Shallow chunks map the right-hand-side and the matrix points in one
+    # pass, so each cell's Jacobian is factored once.
     rule = quadrature_prism(config.degree)
-    pts, w = rule.points, rule.weights
-    nq = len(w)
+    affine = coords.column_axes is not None
+    mrule = quadrature_prism(exact_matrix_degree(config.k)) if affine else rule
+    w, wm = rule.weights, mrule.weights
+    nq, nm = len(w), len(wm)
+    pts = np.vstack([rule.points, mrule.points]) if affine else rule.points
+    mq = slice(nq, None) if affine else slice(None)      # the matrix points of pts
+    omega_basis = geometry.nodal_basis(mrule.points)
     tab1 = tabulate(u_space.element, pts)
     tab2 = tabulate(p_space.element, pts)
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
@@ -190,12 +231,13 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     signs = np.hstack([u_space.cell_signs, p_space.cell_signs])
 
     # reference tensors, tabulated once; see the module docstring
-    phi, psi = tab1.values, tab2.values                      # (nq, nd1, 3), (nq, nd2)
-    T = np.einsum("q,qic,qjd->qcdij", w, phi, phi).reshape(9 * nq, nd1 * nd1)
+    phi, psi = tab1.values[:nq], tab2.values[:nq]            # (nq, nd1, 3), (nq, nd2)
+    phim, psim = tab1.values[mq], tab2.values[mq]
+    T = np.einsum("q,qic,qjd->qcdij", wm, phim, phim).reshape(9 * nm, nd1 * nd1)
     Tb = (w[:, None, None] * phi).transpose(0, 2, 1).reshape(3 * nq, nd1)
-    Tp = np.einsum("qa,qb->qab", psi, psi).reshape(nq, nd2 * nd2)
+    Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
     # det-free divergence coupling: identical on every cell
-    D_ref = np.einsum("q,qa,qd->ad", w, psi, tab1.divergences)
+    D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1.divergences[mq])
 
     n_fact = 0
     rows, cols, data = [], [], []
@@ -204,14 +246,18 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts, nd1):
         ch = len(cells)
         n_fact += J.n_factorizations
+        x4m, x4q = x4q[:, mq], x4q[:, :nq]
         JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
         gq = config.g(x4q)
 
         # K = J^T J / det + 2 [omega_hat]x with omega_hat = pinv4 omega4
-        K = np.empty((ch, nq, 3, 3))
+        K = np.empty((ch, nm, 3, 3))
         np.divide(JtJ, J.det[..., None, None], out=K)
         if config.coriolis_enabled:
-            om = 2.0 * (config.omega4(x4q) @ pinv4T)
+            om4 = config.omega4(x4m)
+            if affine:
+                _check_interpolant(om4, omega_basis @ config.omega4(x4[cells]))
+            om = 2.0 * (om4 @ pinv4T)
             K[..., 0, 1] -= om[..., 2]
             K[..., 1, 0] += om[..., 2]
             K[..., 0, 2] += om[..., 1]
@@ -223,10 +269,10 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         b = np.hstack([fhat.reshape(ch, 3 * nq) @ Tb, (wdet * gq) @ psi])
 
         E = np.empty((ch, nd, nd))
-        E[:, :nd1, :nd1] = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
+        E[:, :nd1, :nd1] = (K.reshape(ch, 9 * nm) @ T).reshape(ch, nd1, nd1)
         E[:, :nd1, nd1:] = -D_ref.T
         E[:, nd1:, :nd1] = D_ref
-        E[:, nd1:, nd1:] = -(wdet @ Tp).reshape(ch, nd2, nd2)
+        E[:, nd1:, nd1:] = -((wm * J.det) @ Tp).reshape(ch, nd2, nd2)
         sg, gd = signs[cells], dofs[cells]
         E *= sg[:, :, None] * sg[:, None, :]
         rows.append(np.repeat(gd, nd, axis=1).ravel())
@@ -244,6 +290,8 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         "n_quadrature_points": nq,
         "n_cells": nc,
         "quadrature_degree": config.degree,
+        "matrix_quadrature_degree": mrule.degree,
+        "n_matrix_quadrature_points": nm,
     }
     return LinearSystem(
         matrix=A, rhs=rhs, essential=np.empty(0, dtype=np.int64),

@@ -234,7 +234,10 @@ def main(argv=None) -> int:
                    help="refinement:layers pairs")
     p.add_argument("--mode", default="shallow", choices=("shallow", "deep"))
     p.add_argument("--tolerance", type=_positive_float, default=1e-10)
-    p.add_argument("--quadrature-degree", type=_nonnegative_int, default=None)
+    p.add_argument("--quadrature-degree", type=_nonnegative_int, default=None,
+                   help="degree of the rule for F, g, the error norms and the deep-mode "
+                        "matrix (default 2k+8); the shallow matrix is integrated exactly "
+                        "at degree 2k+1")
     p.add_argument("--seed", type=_nonnegative_int, default=mms.DEFAULT_SEED)
     p.add_argument("--csv", default="convergence.csv")
     p.add_argument("--forcing-report", default="forcing_report.txt")

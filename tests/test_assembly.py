@@ -124,7 +124,11 @@ def test_pressure_block_negative_definite(coarse_system):
 
 
 def test_factorization_counts(annulus_r0_l1_module):
-    """Shallow mode factors one Jacobian per cell, deep one per point."""
+    """Shallow mode factors one Jacobian per cell, deep one per point.
+
+    The shallow matrix uses the exact rule of degree 2k + 1, with (k + 1)^3
+    points; the deep matrix uses the right-hand-side rule.
+    """
     m = annulus_r0_l1_module
     V1, V2 = build_spaces(m, 1)
     shallow = assembly.assemble(assembly.ProblemConfig(mode="shallow", k=1), V1, V2)
@@ -132,6 +136,19 @@ def test_factorization_counts(annulus_r0_l1_module):
     nq = shallow.stats["n_quadrature_points"]
     assert shallow.stats["n_jacobian_factorizations"] == m.n_cells
     assert deep.stats["n_jacobian_factorizations"] == m.n_cells * nq
+
+    def rules(stats):
+        return (
+            stats["quadrature_degree"], stats["n_quadrature_points"],
+            stats["matrix_quadrature_degree"], stats["n_matrix_quadrature_points"],
+        )
+
+    assert rules(shallow.stats) == (10, 216, 3, 8)
+    assert rules(deep.stats) == (10, 216, 10, 216)
+    V1, V2 = build_spaces(m, 2)
+    for mode, expected in [("shallow", (12, 343, 5, 27)), ("deep", (12, 343, 12, 343))]:
+        stats = assembly.assemble(assembly.ProblemConfig(mode=mode, k=2), V1, V2).stats
+        assert rules(stats) == expected
 
 
 def test_assembly_deterministic(annulus_r0_l1_module):
@@ -481,6 +498,50 @@ def test_deep_mode_assembles_and_solves(annulus_r0_l1_module):
     assert np.isfinite(result.u.coeffs).all()
 
 
+def cell_local_blocks(system):
+    """(n_cells, n_local, n_local) blocks of the cell-local DOFs of the matrix."""
+    local = assembly._cell_local_dofs(system)
+    nc, nl = local.shape
+    rows = np.repeat(local, nl, axis=1).ravel()
+    cols = np.tile(local, (1, nl)).ravel()
+    return np.asarray(system.matrix[rows, cols]).reshape(nc, nl, nl)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_shallow_cell_matrix_does_not_depend_on_the_layer(icosa_r1, k):
+    """The shallow metric does not depend on height, on the discrete operator.
+
+    The cell-local blocks (V1 interior moments and V2 DOFs, all of sign +1)
+    of a column's four layers agree in shallow mode and differ in deep mode.
+    """
+    m = mesh.extrude_radial(icosa_r1, 4, 1.0)
+    V1, V2 = build_spaces(m, k)
+    interior = [i for i, d in enumerate(V1.element.dofs) if d.entity[0] == "interior"]
+    assert (V1.cell_signs[:, interior] == 1).all() and (V2.cell_signs == 1).all()
+    spread = {}
+    for mode in ("shallow", "deep"):
+        system = assembly.assemble(assembly.ProblemConfig(mode=mode, k=k), V1, V2)
+        blocks = cell_local_blocks(system).reshape(m.base.n_triangles, m.n_layers, -1)
+        spread[mode] = np.abs(blocks - blocks[:, :1]).max() / np.abs(blocks).max()
+    assert spread["shallow"] <= 1e-14
+    assert spread["deep"] > 1e-2
+
+
+def test_shallow_mode_rejects_a_rotation_that_is_not_affine(annulus_r0_l1_module):
+    """The exact shallow matrix rule needs an affine omega4; deep mode takes any."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, 1)
+
+    def omega4(x4):
+        out = np.zeros(x4.shape)
+        out[..., 3] = x4[..., 2] ** 2
+        return out
+
+    with pytest.raises(ValueError, match="nodal interpolant"):
+        assembly.assemble(assembly.ProblemConfig(mode="shallow", k=1, omega4=omega4), V1, V2)
+    deep = assembly.assemble(assembly.ProblemConfig(mode="deep", k=1, omega4=omega4), V1, V2)
+    assert np.isfinite(deep.matrix.data).all()
+
+
 def per_point_velocity_block(config, V1):
     """A_uu and b_u by the per-point physical-basis formula.
 
@@ -548,43 +609,50 @@ def four_block_system(config, V1, V2):
 
     A_uu, D, -D^T and -M_p go through four index triplets, b_u and b_p
     through two ``add.at`` calls; the per-chunk kernels are those of
-    ``assemble``.
+    ``assemble``.  The matrix blocks use the exact rule of degree 2k + 1 in
+    shallow mode and ``config.degree`` in deep mode; the right-hand sides
+    use ``config.degree``.  Both point sets are mapped in one pass.
     """
     coords = assembly.coordinate_field(config, V1.mesh)
     x4 = geometry.manifold_coordinates(V1.mesh)
     rule = fem.quadrature_prism(config.degree)
-    pts, w = rule.points, rule.weights
-    nq = len(w)
+    shallow = config.mode == "shallow"
+    mrule = fem.quadrature_prism(2 * config.k + 1) if shallow else rule
+    w, wm = rule.weights, mrule.weights
+    nq, nm = len(w), len(wm)
+    pts = np.vstack([rule.points, mrule.points]) if shallow else rule.points
+    mq = slice(nq, None) if shallow else slice(None)
     tab1, tab2 = fem.tabulate(V1.element, pts), fem.tabulate(V2.element, pts)
     nd1, nd2 = V1.element.ndofs, V2.element.ndofs
     n_u = V1.n_dofs
     n = n_u + V2.n_dofs
-    phi, psi = tab1.values, tab2.values
-    T = np.einsum("q,qic,qjd->qcdij", w, phi, phi).reshape(9 * nq, nd1 * nd1)
+    phi, psi = tab1.values[:nq], tab2.values[:nq]
+    phim, psim = tab1.values[mq], tab2.values[mq]
+    T = np.einsum("q,qic,qjd->qcdij", wm, phim, phim).reshape(9 * nm, nd1 * nd1)
     Tb = (w[:, None, None] * phi).transpose(0, 2, 1).reshape(3 * nq, nd1)
-    Tp = np.einsum("qa,qb->qab", psi, psi).reshape(nq, nd2 * nd2)
-    D_ref = np.einsum("q,qa,qd->ad", w, psi, tab1.divergences)
+    Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
+    D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1.divergences[mq])
 
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
-    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts, nd1):
+    for cells, J, pinv4T, x4all in geometry.quadrature_chunks(coords, x4, pts, nd1):
         ch = len(cells)
+        x4q, x4m = x4all[:, :nq], x4all[:, mq]
         JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
-        K = np.empty((ch, nq, 3, 3))
+        K = np.empty((ch, nm, 3, 3))
         np.divide(JtJ, J.det[..., None, None], out=K)
         if config.coriolis_enabled:
-            om = 2.0 * (config.omega4(x4q) @ pinv4T)
+            om = 2.0 * (config.omega4(x4m) @ pinv4T)
             K[..., 0, 1] -= om[..., 2]
             K[..., 1, 0] += om[..., 2]
             K[..., 0, 2] += om[..., 1]
             K[..., 2, 0] -= om[..., 1]
             K[..., 1, 2] -= om[..., 0]
             K[..., 2, 1] += om[..., 0]
-        A_uu = (K.reshape(ch, 9 * nq) @ T).reshape(ch, nd1, nd1)
+        A_uu = (K.reshape(ch, 9 * nm) @ T).reshape(ch, nd1, nd1)
         b_u = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T).reshape(ch, 3 * nq) @ Tb
-        wdet = w * J.det
-        M_p = wdet @ Tp
-        b_p = (wdet * config.g(x4q)) @ psi
+        M_p = (wm * J.det) @ Tp
+        b_p = (w * J.det * config.g(x4q)) @ psi
 
         gd1, sg1 = V1.cell_dofs[cells], V1.cell_signs[cells]
         gd2 = V2.cell_dofs[cells] + n_u
