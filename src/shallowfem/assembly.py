@@ -40,16 +40,16 @@ are scattered through one global index table.  A facet DOF lies in at most
 two cells, so no global entry sums more than two contributions and the CSR
 does not depend on the scatter order.
 
-Two quadrature rules serve a shallow chunk.  The right-hand sides b_u and b_p
-use ``config.degree`` (``--quadrature-degree``, 2k + 8 by default), which the
-manufactured forcing needs.  The matrix E uses ``fem.exact_matrix_degree(k)``
-= 2k + 1, (k + 1)^3 points: J^T J / det is constant per cell and
-omega_hat is affine, so its integrand is a polynomial of that degree.  Both
-point sets are mapped in one pass of ``quadrature_chunks``.  An omega4 that
-is not affine on the cells would be under-integrated, so shallow assembly
-with rotation compares omega4 at the matrix points with its nodal
-interpolant and raises ValueError when they differ.  Deep mode integrates E
-and the right-hand sides with ``config.degree`` and accepts any omega4.
+The kind of form fixes the quadrature rule.  The right-hand sides b_u and
+b_p use ``fem.default_quadrature_degree(k)`` = 2k + 8, which the
+manufactured forcing needs.  The shallow matrix E uses
+``fem.exact_matrix_degree(k)`` = 2k + 1, (k + 1)^3 points: J^T J / det is
+constant per cell and omega_hat is affine, so its integrand is a polynomial
+of that degree.  Both point sets are mapped in one pass of
+``quadrature_chunks``.  An omega4 that is not affine on the cells would be
+under-integrated, so shallow assembly with rotation compares omega4 at the
+matrix points with its nodal interpolant and raises ValueError when they
+differ.  Deep mode integrates E with 2k + 8 and accepts any omega4.
 
 ``solve`` condenses statically: every V2 DOF and every V1 interior moment
 belongs to one cell, so the cell-local block of the matrix is block
@@ -118,12 +118,13 @@ class ProblemConfig:
     """Coefficients and discretisation choices for one solve.
 
     ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors;
-    ``g`` maps them to scalars.  ``quadrature_degree`` defaults to
-    ``fem.default_quadrature_degree(k)``; it governs f4, g and, in deep
-    mode, the matrix.  The shallow matrix uses the exact rule
-    ``fem.exact_matrix_degree(k)``, so there ``omega4`` must be affine on each
-    cell (``traditional_omega`` is); ``assemble`` raises ValueError for one
-    that differs from its nodal interpolant.
+    ``g`` maps them to scalars.  The right-hand sides and the deep matrix
+    use ``fem.default_quadrature_degree(k)``; the shallow matrix uses the
+    exact rule ``fem.exact_matrix_degree(k)``, so there ``omega4`` must be
+    affine on each cell (``traditional_omega`` is); ``assemble`` raises
+    ValueError for one that differs from its nodal interpolant.
+    ``quadrature_degree`` stays only for the benchmark's traced walk, which
+    passes None (that default).
     """
 
     mode: str = "shallow"
@@ -243,7 +244,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
 
-    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts, nd1):
+    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts):
         ch = len(cells)
         n_fact += J.n_factorizations
         x4m, x4q = x4q[:, mq], x4q[:, :nq]
@@ -412,16 +413,14 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     when the residual misses the tolerance after ``MAX_REFINEMENT_STEPS``
     steps; the last two name the residual history.
     """
-    A, b = system.matrix, system.rhs
+    A, b = system.matrix.tocsr(), system.rhs
     n, n_u = A.shape[0], system.n_u
     local = _cell_local_dofs(system)
     nc, nl = local.shape
     local = local.ravel()
-    is_local = np.zeros(n, dtype=bool)
-    is_local[local] = True
     u = system.u_space
     glob = _nested_dissection(
-        u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), np.flatnonzero(~is_local)
+        u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), np.setdiff1d(np.arange(n), local)
     )
     ng = len(glob)
     stats = {
@@ -439,29 +438,23 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     if bnorm == 0.0:
         return result(np.zeros_like(b), 0.0)
 
-    # [global | local] ordering, local DOFs grouped by cell
-    perm = np.concatenate([glob, local])
-    Ap = A.tocsr()[perm][:, perm]
-    A_ll = Ap[ng:, ng:].tocoo()
-    A_ll.sum_duplicates()
-    nz = A_ll.data != 0.0
-    r, c, v = A_ll.row[nz], A_ll.col[nz], A_ll.data[nz]
-    if (r // nl != c // nl).any():
+    # the cell-local rows, grouped by cell, and the facet rows
+    A_l, A_g = A[local], A[glob]
+    # B = A_ll as one (nl, nl) block per cell, inverted in place below
+    B_inv = A_l[:, local].tobsr(blocksize=(nl, nl))
+    B_inv.eliminate_zeros()
+    if not (np.array_equal(B_inv.indptr, np.arange(nc + 1))
+            and np.array_equal(B_inv.indices, np.arange(nc))):
         raise SolverError("cell-local block couples DOFs of different cells")
-    B = np.zeros((nc, nl, nl))
-    B[r // nl, r % nl, c % nl] = v
     try:
-        B_inv = np.linalg.inv(B)
+        B_inv.data[:] = np.linalg.inv(B_inv.data)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"cell-local block inversion failed: {exc}") from exc
-    B_inv = sp.bsr_matrix(
-        (B_inv, np.arange(nc), np.arange(nc + 1)), shape=(nc * nl, nc * nl)
-    ).tocsr()
-    A_gl = Ap[:ng, ng:]
-    W = B_inv @ Ap[ng:, :ng]                                 # B^-1 A_lg
+    A_gl = A_g[:, local]
+    W = B_inv @ A_l[:, glob]                                 # B^-1 A_lg
     # float64 S is a temporary: only the float32 copy is kept for the LU
-    S = (Ap[:ng, :ng] - A_gl @ W).tocsc().astype(np.float32)
-    del Ap, A_ll                     # free the permuted copy before the LU
+    S = (A_g[:, glob] - A_gl @ W).tocsc().astype(np.float32)
+    del A_l, A_g                     # free the row copies before the LU
     try:
         lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01)
     except MemoryError as exc:

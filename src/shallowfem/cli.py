@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mms
 from .assembly import SolverError
-from .geometry import DegenerateMapError, hedgehog_coordinates
+from .geometry import hedgehog_coordinates
 from .mesh import build_icosahedral_sphere, extrude_radial
 
 __all__ = ["main"]
@@ -169,7 +169,6 @@ def cmd_convergence(args) -> int:
         a=args.inner_radius,
         thickness=args.thickness,
         tolerance=args.tolerance,
-        quadrature_degree=args.quadrature_degree,
         seed=args.seed,
     )
 
@@ -234,10 +233,6 @@ def main(argv=None) -> int:
                    help="refinement:layers pairs")
     p.add_argument("--mode", default="shallow", choices=("shallow", "deep"))
     p.add_argument("--tolerance", type=_positive_float, default=1e-10)
-    p.add_argument("--quadrature-degree", type=_nonnegative_int, default=None,
-                   help="degree of the rule for F, g, the error norms and the deep-mode "
-                        "matrix (default 2k+8); the shallow matrix is integrated exactly "
-                        "at degree 2k+1")
     p.add_argument("--seed", type=_nonnegative_int, default=mms.DEFAULT_SEED)
     p.add_argument("--csv", default="convergence.csv")
     p.add_argument("--forcing-report", default="forcing_report.txt")
@@ -251,7 +246,7 @@ def main(argv=None) -> int:
         conv.error("--check needs at least two levels to compute a rate")
     try:
         return args.func(args)
-    except (SolverError, DegenerateMapError) as exc:
+    except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
         print("error: out of memory; try coarser --levels or fewer --points", file=sys.stderr)

@@ -131,9 +131,9 @@ def default_quadrature_degree(k: int) -> int:
     """Degree 2k + 8, generous enough that the manufactured forcing
     integrates exactly.
 
-    It is the default of ``--quadrature-degree``, which governs the
-    right-hand sides F and g, the error norms and the deep-mode matrix.  The
-    shallow-mode matrix is integrated exactly at ``exact_matrix_degree(k)``.
+    It is the rule of the right-hand sides F and g, the error norms and the
+    deep-mode matrix; no setting changes it.  The shallow-mode matrix is
+    integrated exactly at ``exact_matrix_degree(k)``.
     """
     return 2 * k + 8
 

@@ -274,6 +274,20 @@ def test_solve_rejects_cross_cell_pressure_coupling(coarse_system):
         assembly.solve(dataclasses.replace(system, matrix=A.tocsr()))
 
 
+def test_solve_rejects_a_singular_cell_block(annulus_r0_l1_module):
+    """Two equal rows in one cell's local block (15 x 15 at k=2): the
+    in-place block inversion fails, and that is a SolverError."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, 2)
+    system = assembly.apply_inner_bc(
+        assembly.assemble(assembly.ProblemConfig(mode="shallow", k=2), V1, V2))
+    system.rhs[:] = 1.0
+    r0, r1 = assembly._cell_local_dofs(system)[0, :2]
+    A = system.matrix.tolil()
+    A[r1, :] = A[r0, :]
+    with pytest.raises(assembly.SolverError, match="inversion failed"):
+        assembly.solve(dataclasses.replace(system, matrix=A.tocsr()))
+
+
 def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
     system = assembly.apply_inner_bc(coarse_system)
     system.rhs[:] = 1.0
@@ -635,7 +649,7 @@ def four_block_system(config, V1, V2):
 
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
-    for cells, J, pinv4T, x4all in geometry.quadrature_chunks(coords, x4, pts, nd1):
+    for cells, J, pinv4T, x4all in geometry.quadrature_chunks(coords, x4, pts):
         ch = len(cells)
         x4q, x4m = x4all[:, :nq], x4all[:, mq]
         JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)

@@ -84,6 +84,15 @@ def test_export_mesh_rerun_byte_identical(exported, tmp_path):
     assert (out2 / "hedgehog.vtk").read_bytes() == first[1]
 
 
+def test_export_mesh_at_a_large_radius(tmp_path):
+    """Vertex radii carry rounding of about 1e-16 a, which phi_inverse's
+    relative tolerance accepts; an absolute 1e-9 rejected a = 1e8."""
+    code = run(["export-mesh", "--inner-radius", "1e8", "--thickness", "1e4",
+                "--refinement", "2", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "annulus.vtk").exists() and (tmp_path / "hedgehog.vtk").exists()
+
+
 def test_read_vtk_points_rejects_other_files(tmp_path):
     bad = tmp_path / "not_a_grid.vtk"
     bad.write_text("hello\n")
@@ -254,13 +263,6 @@ def test_k_choices_enforced():
         run(["convergence", "--k", "3"])
 
 
-def test_quadrature_degree_negative_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["convergence", "--quadrature-degree", "-1"])
-    assert exc.value.code == 2
-    assert "--quadrature-degree" in capsys.readouterr().err
-
-
 def test_convergence_solver_error_is_one_line(tmp_path, capsys):
     """An unmet tolerance exits 1 with an error line, not a traceback."""
     code = run(["convergence", "--k", "1", "--levels", "0:1", "--tolerance", "1e-30",
@@ -300,6 +302,28 @@ def test_convergence_degenerate_geometry_is_one_line(tmp_path, capsys, flags, me
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e5"],
+    ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e8"],
+    ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e100"],
+    ["convergence", "--levels", "0:1,1:1", "--thickness", "1e100"],
+    ["verify-forcing", "--inner-radius", "1e5"],
+    ["verify-forcing", "--inner-radius", "1e100"],
+], ids=["convergence-1e5", "convergence-1e8", "convergence-1e100",
+        "convergence-thick-1e100", "verify-1e5", "verify-1e100"])
+def test_large_sizes_are_one_line(argv, tmp_path, capsys):
+    """A radius from 1e5 up fails the manufactured velocity's tangency
+    check, and one of 1e100 leaves the float64 range; either is one error
+    line, with no traceback and no RuntimeWarning (the suite makes warnings
+    errors)."""
+    outputs = (["--csv", str(tmp_path / "t.csv"), "--forcing-report", str(tmp_path / "f.txt")]
+               if argv[0] == "convergence" else ["--out", str(tmp_path / "r.json")])
+    assert run(argv + outputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_convergence_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):

@@ -59,6 +59,23 @@ def test_phi_inverse_domain_error():
         geometry.phi_inverse(np.array([0.5, 0.0, 0.0]), a=1.0)
 
 
+@pytest.mark.parametrize("a", [1.0, 1e8])
+def test_phi_inverse_tolerance_is_relative(a):
+    """A point 1e-6 a inside the sphere raises at every radius."""
+    with pytest.raises(geometry.DegenerateMapError, match="inside the sphere"):
+        geometry.phi_inverse(np.array([0.0, (1.0 - 1e-6) * a, 0.0]), a=a)
+
+
+@pytest.mark.parametrize("radius", [3e7, 5e7, 1e8, 2e8, 1e9])
+def test_manifold_coordinates_at_large_radii(radius):
+    """Inner-sphere vertices, whose radii carry rounding of about 1e-16 a,
+    map to height 0 within that rounding; an absolute tolerance of 1e-9
+    rejected them at these radii."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(2, radius=radius), 1, 1e4)
+    x4 = geometry.manifold_coordinates(m)
+    assert np.abs(x4[..., 3].min()) <= 1e-15 * radius
+
+
 def test_phi_scales_with_planet_radius():
     a = 6371.2
     x4 = np.array([0.0, 0.0, a, 10.0])
@@ -135,6 +152,26 @@ def test_hedgehog_axis_is_normalized_vertex_mean(annulus_r1_l2):
     mean_h = x4[:, :, :3].mean(axis=1)
     k = mean_h / np.linalg.norm(mean_h, axis=1, keepdims=True)
     np.testing.assert_allclose(coords.column_axes, k, atol=1e-14)
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2, 3, 4])
+def test_hedgehog_metric_equals_the_chart_only_to_second_order(refinement):
+    """The hedgehog's J^T J equals the 4D chart's J4^T J4 (``jacobian4`` of
+    ``manifold_coordinates``) at the centroid only on the raw icosahedron.
+    The column axis is the normalised vertex mean, not the normal of the
+    chordal base triangle, so on refined meshes the metrics differ by
+    O(h^2): measured 0.098, 0.147, 0.154 and 0.155 times 4^-r, largest
+    entry gap over largest entry per cell, at r = 1..4."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(refinement, 1.0), 2, 1.0)
+    cells, centroid = np.arange(m.n_cells), np.array([[1 / 3, 1 / 3, 0.5]])
+    J = geometry.jacobian(geometry.hedgehog_coordinates(m), cells, centroid).J[:, 0]
+    J4 = geometry.jacobian4(geometry.manifold_coordinates(m), cells, centroid)[:, 0]
+    G, G4 = (np.einsum("cia,cib->cab", X, X) for X in (J, J4))
+    gap = (np.abs(G - G4).max(axis=(1, 2)) / np.abs(G4).max(axis=(1, 2))).max()
+    if refinement == 0:
+        assert gap <= 1e-14
+    else:
+        assert gap < 0.2 * 4.0 ** -refinement
 
 
 def test_hedgehog_axis_shared_along_column(annulus_r1_l2):
@@ -262,7 +299,7 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     pts = np.array([[0.2, 0.3, 0.1], [0.5, 0.1, 0.9], [0.1, 0.1, 0.5]])
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
     hh = geometry.hedgehog_coordinates(m)
-    (cells, J, pinv4T, x4q), = geometry.quadrature_chunks(hh, x4, pts, 1)
+    (cells, J, pinv4T, x4q), = geometry.quadrature_chunks(hh, x4, pts)
     np.testing.assert_array_equal(cells, np.arange(m.n_cells))
     assert J.J.shape == (m.n_cells, 1, 3, 3) and J.n_factorizations == m.n_cells
     at_pts = geometry.jacobian(hh, cells, pts)
@@ -273,12 +310,34 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(pts), x4),
                                rtol=0, atol=1e-14)
 
-    # 1e6 / (3 * 7000) = 47.6, so 47 cells per chunk
-    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, pts, 7000))
-    assert [len(c[0]) for c in chunks] == [47, 47, 47, 19]
+    # the 216 points of the k=1 default rule: 2**15 // 216 = 151 cells per chunk
+    pts = fem.quadrature_prism(fem.default_quadrature_degree(1)).points
+    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, pts))
+    assert [len(c[0]) for c in chunks] == [151, 9]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
-    assert all(c[1].J.shape == (len(c[0]), 3, 3, 3) for c in chunks)
-    assert sum(c[1].n_factorizations for c in chunks) == 3 * m.n_cells
+    assert all(c[1].J.shape == (len(c[0]), 216, 3, 3) for c in chunks)
+    assert sum(c[1].n_factorizations for c in chunks) == 216 * m.n_cells
+
+
+@pytest.mark.parametrize("npts, budget, first", [
+    (216, None, 151), (224, None, 146), (370, None, 88), (343, None, 95),
+    (7, 20, 2), (20, 20, 1), (21, 20, 1), (50, 20, 1),
+], ids=["deep-k1", "shallow-k1", "k2-assembly", "k2-norms",
+        "two-cells", "exact-budget", "over-budget", "far-over-budget"])
+def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, monkeypatch,
+                                                               npts, budget, first):
+    """The chunks hold every cell once, in order, and at most POINTS_PER_CHUNK
+    points unless a chunk is a single cell; the real budget gives the cells
+    per chunk of the deep and shallow k=1 and the k=2 rules."""
+    if budget is not None:
+        monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", budget)
+    m = annulus_r1_l2
+    pts = np.random.default_rng(npts).uniform(0.0, 0.5, (npts, 3))
+    chunks = [c[0] for c in geometry.quadrature_chunks(
+        geometry.hedgehog_coordinates(m), geometry.manifold_coordinates(m), pts)]
+    np.testing.assert_array_equal(np.concatenate(chunks), np.arange(m.n_cells))
+    assert len(chunks[0]) == first
+    assert all(len(c) * npts <= geometry.POINTS_PER_CHUNK or len(c) == 1 for c in chunks)
 
 
 def _einsum_jacobian(nodal, points):
@@ -456,7 +515,7 @@ def test_projection_at_chordal_points_leaves_no_normal_component(annulus_r1_l2):
     coords = geometry.hedgehog_coordinates(annulus_r1_l2)
     x4q = np.concatenate([
         q.reshape(-1, 4)
-        for *_, q in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4).points, 30)
+        for *_, q in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4).points)
     ])
     radius = np.linalg.norm(x4q[:, :3], axis=1)
     assert radius.max() <= 1.0 + 1e-15 and radius.min() < 1.0 - 1e-3

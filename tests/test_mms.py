@@ -326,9 +326,8 @@ def test_convergence_study_rejects_a_negative_radius():
 @pytest.mark.parametrize("kwargs, match", [
     ({"thickness": float("nan")}, "thickness"),
     ({"a": float("inf")}, "radius"),
-    ({"forcing_points": 0}, "forcing_points"),
     ({"levels": []}, "levels"),
-], ids=["nan-thickness", "inf-radius", "no-forcing-points", "empty-ladder"])
+], ids=["nan-thickness", "inf-radius", "empty-ladder"])
 def test_convergence_study_rejects_bad_inputs_before_sampling(kwargs, match):
     """One clear ValueError, not an OverflowError from ``rng.uniform``,
     RuntimeWarnings, a reduction over an empty sample, or a table without

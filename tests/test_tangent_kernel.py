@@ -125,8 +125,7 @@ def solver_points(k, mode):
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
     coords = (geometry.hedgehog_coordinates if mode == "shallow" else geometry.annulus_coordinates)(m)
     points = fem.quadrature_prism(fem.default_quadrature_degree(k)).points
-    width = fem.make_element("V1", k).ndofs
-    *_, x4q = next(geometry.quadrature_chunks(coords, geometry.manifold_coordinates(m), points, width))
+    *_, x4q = next(geometry.quadrature_chunks(coords, geometry.manifold_coordinates(m), points))
     return x4q
 
 
