@@ -3,10 +3,11 @@
 The annulus mesh is the usual extruded icosahedral grid: every vertex of the
 base sphere is pushed out along its own radial direction, so neighbouring
 prisms share facets exactly.  The hedgehog mesh re-extrudes each column of
-prisms rigidly along the column's single radial axis instead.  Columns then
-carry private copies of the shared vertices, and the copies split apart with
-height; the solver works on this gapped geometry because the per-cell maps
-become affine there.
+prisms rigidly along one axis instead, the outward normal of the column's
+chordal base triangle.  Columns then carry private copies of the shared
+vertices, and the copies split apart with height.  The per-cell maps of this
+gapped geometry are affine, and their metric equals that of the 4D chart
+S^2(a) x [0, H] on which the shallow solver assembles.
 
 Run from the repository root:
 

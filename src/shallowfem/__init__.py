@@ -1,10 +1,11 @@
 """Mixed finite elements for the shallow atmosphere approximation.
 
 The package builds extruded icosahedral meshes of a spherical annulus,
-equips them with either the true (deep) coordinate field or the discontinuous
-"hedgehog" field that encodes the shallow-atmosphere metric, assembles a mixed
-H(div) x L^2 linear system with Coriolis coupling, and verifies the
-discretisation against a manufactured solution.
+assembles a mixed H(div) x L^2 linear system with Coriolis coupling either on
+the true (deep) annulus or, for the shallow-atmosphere metric, on the chart
+S^2(a) x [0, H] in R^4, and verifies the discretisation against a
+manufactured solution.  The discontinuous "hedgehog" mesh in R^3, which has
+the chart's metric exactly, is exported and is the tests' oracle.
 """
 
 from .mesh import (

@@ -7,11 +7,13 @@ Discretises
 on the spherical annulus with V1 x V2 prism elements.  The weak form gives
 the block system [[M + C, -D^T], [D, -M_p]].  Coefficient providers are
 functions of the 4D manifold coordinate; vector data (Omega, F) is pushed
-into the active 3D frame through the per-cell map chi_e, so the same
+into the active frame through the per-cell map chi_e, so the same
 providers serve both modes:
 
-  * shallow: hedgehog coordinates, one Jacobian factorization per cell
-    (the map is affine);
+  * shallow: the chart ``manifold_coordinates`` in R^4, as the paper writes
+    the equations; its map is affine, so J = J4 is factored once per cell
+    and det is the pseudodeterminant (the hedgehog mesh, the tests' oracle,
+    has the same J^T J and det);
   * deep: continuous annulus coordinates, one factorization per
     quadrature point.
 
@@ -31,12 +33,10 @@ serves both modes.  The reference tensors T[(q,c,d),(i,j)] = w_q phi_ic
 phi_jd and Tb[(q,c),i] = w_q phi_ic are tabulated once per call, and each
 chunk of cells is a GEMM: A_uu = K @ T and b_u = fhat @ Tb with
 fhat = J^T J pinv4 f4.  M_p and b_p are GEMMs of w det against the V2
-basis.  Each chunk of cells comes from ``geometry.quadrature_chunks``:
-shallow mode broadcasts J and det from the centroid, deep mode samples them
-per point.  The blocks of a chunk form one mixed cell matrix
-E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2] DOFs; the
-orientation signs s are applied once as E * s s^T, and E and [b_u | b_p] s
-are scattered through one global index table.  A facet DOF lies in at most
+basis.  The blocks of a chunk of ``geometry.quadrature_chunks`` form one
+mixed cell matrix E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2]
+DOFs; the orientation signs s are applied once as E * s s^T, and E and
+[b_u | b_p] s are scattered through one global index table.  A facet DOF lies in at most
 two cells, so no global entry sums more than two contributions and the CSR
 does not depend on the scatter order.
 
@@ -76,7 +76,7 @@ from .fem import (
     Field, FunctionSpace, default_quadrature_degree, exact_matrix_degree, quadrature_prism,
     tabulate,
 )
-from .geometry import annulus_coordinates, hedgehog_coordinates, manifold_coordinates
+from .geometry import CoordinateField, annulus_coordinates, manifold_coordinates
 
 __all__ = [
     "ProblemConfig",
@@ -118,11 +118,8 @@ class ProblemConfig:
     """Coefficients and discretisation choices for one solve.
 
     ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors;
-    ``g`` maps them to scalars.  The right-hand sides and the deep matrix
-    use ``fem.default_quadrature_degree(k)``; the shallow matrix uses the
-    exact rule ``fem.exact_matrix_degree(k)``, so there ``omega4`` must be
-    affine on each cell (``traditional_omega`` is); ``assemble`` raises
-    ValueError for one that differs from its nodal interpolant.
+    ``g`` maps them to scalars.  In shallow mode ``omega4`` must be affine
+    on each cell (``traditional_omega`` is; see the module docstring).
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
     """
@@ -174,19 +171,15 @@ class LinearSystem:
 
 
 def coordinate_field(config: ProblemConfig, mesh):
-    """The coordinate field the mode dictates."""
+    """The chart in R^4 for shallow mode, the annulus in R^3 for deep mode."""
     if config.mode == "shallow":
-        return hedgehog_coordinates(mesh)
+        return CoordinateField(cell_coords=manifold_coordinates(mesh))
     return annulus_coordinates(mesh)
 
 
 def _check_interpolant(omega, nodal):
-    """Reject a rotation that differs from its nodal interpolant.
-
-    The shallow matrix rule is exact only for an omega4 that is affine on
-    each cell, as is the prism nodal interpolant; a relative gap above 1e-12
-    at the matrix points would be under-integrated.
-    """
+    """Reject a rotation that differs from its nodal interpolant by more
+    than 1e-12 relative: the shallow matrix rule would under-integrate it."""
     gap = np.abs(omega - nodal).max()
     if gap > 1e-12 * np.abs(omega).max():
         raise ValueError(
@@ -207,17 +200,16 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         )
     mesh = u_space.mesh
     coords = coordinate_field(config, mesh)
-    x4 = manifold_coordinates(mesh)
+    shallow = config.mode == "shallow"
+    x4 = coords.cell_coords if shallow else manifold_coordinates(mesh)
 
-    # Shallow chunks map the right-hand-side and the matrix points in one
-    # pass, so each cell's Jacobian is factored once.
+    # Shallow chunks map the right-hand-side and the matrix points in one pass.
     rule = quadrature_prism(config.degree)
-    affine = coords.column_axes is not None
-    mrule = quadrature_prism(exact_matrix_degree(config.k)) if affine else rule
+    mrule = quadrature_prism(exact_matrix_degree(config.k)) if shallow else rule
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
-    pts = np.vstack([rule.points, mrule.points]) if affine else rule.points
-    mq = slice(nq, None) if affine else slice(None)      # the matrix points of pts
+    pts = np.vstack([rule.points, mrule.points]) if shallow else rule.points
+    mq = slice(nq, None) if shallow else slice(None)      # the matrix points of pts
     omega_basis = geometry.nodal_basis(mrule.points)
     tab1 = tabulate(u_space.element, pts)
     tab2 = tabulate(p_space.element, pts)
@@ -256,7 +248,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         np.divide(JtJ, J.det[..., None, None], out=K)
         if config.coriolis_enabled:
             om4 = config.omega4(x4m)
-            if affine:
+            if shallow:
                 _check_interpolant(om4, omega_basis @ config.omega4(x4[cells]))
             om = 2.0 * (om4 @ pinv4T)
             K[..., 0, 1] -= om[..., 2]

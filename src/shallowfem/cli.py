@@ -65,15 +65,13 @@ def cmd_export_mesh(args) -> int:
     annulus_path = out / "annulus.vtk"
     _write_vtk(annulus_path, mesh.vertex_coords, mesh.cell_vertices, "spherical annulus mesh")
 
-    hh = hedgehog_coordinates(mesh)
-    n_cells = mesh.n_cells
-    points = hh.cell_coords.reshape(n_cells * 6, 3)
-    cells = np.arange(n_cells * 6).reshape(n_cells, 6)
+    points = hedgehog_coordinates(mesh).cell_coords.reshape(-1, 3)
+    cells = np.arange(len(points)).reshape(-1, 6)
     hedgehog_path = out / "hedgehog.vtk"
     _write_vtk(hedgehog_path, points, cells, "hedgehog mesh (per-column extrusion)")
 
-    print(f"wrote {annulus_path} ({len(mesh.vertex_coords)} points, {n_cells} cells)")
-    print(f"wrote {hedgehog_path} ({n_cells * 6} points, {n_cells} cells)")
+    print(f"wrote {annulus_path} ({len(mesh.vertex_coords)} points, {mesh.n_cells} cells)")
+    print(f"wrote {hedgehog_path} ({len(points)} points, {mesh.n_cells} cells)")
     return 0
 
 

@@ -141,7 +141,7 @@ def default_quadrature_degree(k: int) -> int:
 def exact_matrix_degree(k: int) -> int:
     """Degree 2k + 1, the lowest that integrates the shallow matrix exactly.
 
-    On the hedgehog mesh each cell's map is affine, so J^T J / det is
+    On the chart in R^4 each cell's map is affine, so J4^T J4 / pdet is
     constant per cell, and omega_hat = pinv4 omega4 is affine when omega4
     is.  The V1 basis is BDM_k x P_{k-1} horizontally and P_{k-1} x P_k
     vertically, so phi_i . K phi_j has degree at most 2k + 1 in the triangle

@@ -5,14 +5,14 @@ manifold ``S^2(a) x [0, H]`` in R^4 under
 
     phi(x1, x2, x3, x4) = (1 + x4 / a) * (x1, x2, x3).
 
-The shallow metric comes from a modified, discontinuous coordinate field in
-R^3: each prism column is rigidly extruded along its own radial unit vector
-``k_e``, so columns keep a constant cross-section and open gaps between each
-other (the "hedgehog" mesh).  The per-element map from the reference prism
-then becomes affine.  Its J^T J equals that of the 4D chart (``jacobian4``)
-only to second order: ``k_e`` is the normalised vertex mean, not the normal
-of the chordal base triangle, so the two differ by up to 0.15 * 4^-r
-relative at refinement r (exactly equal at r = 0).
+The shallow solver assembles on the chart: the nodes pulled back to R^4
+(``manifold_coordinates``) make every cell map affine, with metric J4^T J4
+and volume factor pdet J4 (the product of J4's singular values).  As the
+paper shows, this equals assembling on a discontinuous 3D mesh whose columns
+are rigidly extruded along the outward normals of their chordal base
+triangles (the "hedgehog" mesh, ``hedgehog_coordinates``): the base edges
+are orthogonal to the axis, so J^T J = J4^T J4 and det J = pdet J4 exactly.
+The hedgehog mesh is the tests' oracle and what ``export-mesh`` writes.
 """
 
 from dataclasses import dataclass
@@ -79,16 +79,10 @@ def phi_inverse(x3, a: float = 1.0):
 
 @dataclass(frozen=True)
 class CoordinateField:
-    """Per-cell nodal coordinates with a linear-triangle x linear-interval basis.
+    """Per-cell nodal coordinates with a linear-triangle x linear-interval basis:
+    three columns for a field in R^3, four for the chart in R^4."""
 
-    ``column_axes`` stores the extrusion direction ``k_e`` per cell when each
-    column is extruded rigidly along one (the hedgehog field, whose nodal
-    values differ between cells sharing a mesh vertex); it is None for the
-    continuous annulus field, which shares them.
-    """
-
-    cell_coords: np.ndarray           # (n_cells, 6, 3)
-    column_axes: np.ndarray = None    # (n_cells, 3) or None
+    cell_coords: np.ndarray           # (n_cells, 6, 3 or 4)
 
     @property
     def n_cells(self) -> int:
@@ -101,25 +95,23 @@ def annulus_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
 
 
 def hedgehog_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
-    """Discontinuous coordinate field that encodes the shallow metric.
+    """Discontinuous 3D field whose metric equals the chart's exactly.
 
-    Per cell: pull the six nodes back to R^4, average them, normalise the
-    horizontal part of the average to get the column axis ``k_e``, then place
-    node ``v`` at ``a * unit(x_v) + (|x_v| - a) * k_e``.  For radially
-    extruded columns the axis is shared by every cell of the column.
+    Per cell: pull the six nodes back to R^4, take the outward unit normal
+    ``k_e`` of the chordal base triangle (the horizontal parts of the bottom
+    nodes), then place node ``v`` at ``a * unit(x_v) + (|x_v| - a) * k_e``.
+    Raises DegenerateMapError for a base plane within 1e-9 a of the centre.
     """
     x4 = manifold_coordinates(mesh)                      # (nc, 6, 4)
-    mean_h = x4.mean(axis=1)[:, :3]                      # horizontal part of the average
-    norms = np.linalg.norm(mean_h, axis=1)
-    if np.any(norms < 1e-9):
-        bad = int(np.argmin(norms))
-        raise DegenerateMapError(
-            f"cell {bad}: element average has no radial direction (|mean| = {norms[bad]:.3e})"
-        )
-    k = mean_h / norms[:, None]
-
-    hedgehog = x4[:, :, :3] + x4[:, :, 3:] * k[:, None, :]
-    return CoordinateField(cell_coords=hedgehog, column_axes=k)
+    X = x4[:, :3, :3]                                    # chordal base triangles
+    n = np.cross(X[:, 1] - X[:, 0], X[:, 2] - X[:, 0])
+    norm = np.linalg.norm(n, axis=1)
+    outward = (n * X[:, 0]).sum(axis=1) > 1e-9 * mesh.base.radius * norm
+    if not outward.all():
+        raise DegenerateMapError(f"cell {np.argmin(outward)}: chordal base triangle "
+                                 f"has no outward normal")
+    k = n / norm[:, None]
+    return CoordinateField(cell_coords=x4[:, :, :3] + x4[:, :, 3:] * k[:, None, :])
 
 
 def manifold_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
@@ -171,12 +163,10 @@ def nodal_basis_gradients(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JacobianSample:
-    """Jacobian dx/dxi of the reference-to-physical map at reference points.
+    """Jacobians dx/dxi at reference points, batched over (cells, points); on
+    the chart J is 4x3 and det its signed pseudodeterminant (``jacobian``)."""
 
-    All fields are batched over leading axes (cells, points).
-    """
-
-    J: np.ndarray          # (..., 3, 3)
+    J: np.ndarray          # (..., 3 or 4, 3)
     det: np.ndarray        # (...)
 
     @property
@@ -209,13 +199,13 @@ def _det3(J) -> np.ndarray:
 
 
 def matvec3(A, v) -> np.ndarray:
-    """Products A v of 3x3 matrices and 3-vectors, entry by entry.
+    """Products A v of n x 3 matrices and 3-vectors, entry by entry.
 
-    ``A`` is (..., 3, 3) and ``v`` is (..., 3); their leading axes
-    broadcast, so one matrix per cell (..., 1, 3, 3) serves every point.
+    ``A`` is (..., n, 3) and ``v`` is (..., 3); their leading axes
+    broadcast, so one matrix per cell (..., 1, n, 3) serves every point.
     """
-    out = np.empty(np.broadcast_shapes(A.shape[:-1], v.shape))
-    for i in range(3):
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], v.shape[:-1]) + A.shape[-2:-1])
+    for i in range(A.shape[-2]):
         out[..., i] = A[..., i, 0] * v[..., 0] + A[..., i, 1] * v[..., 1] + A[..., i, 2] * v[..., 2]
     return out
 
@@ -224,17 +214,34 @@ def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
     """Jacobian samples for the given cells at the given reference points.
 
     ``cells`` may be an int or index array; ``points`` has shape (npts, 3).
-    Result arrays are shaped (ncells, npts, 3, 3) (leading axis dropped for a
-    scalar ``cells``).  Raises DegenerateMapError (a ValueError) if any
-    determinant is <= 0.
+    Result arrays are shaped (ncells, npts, dim, 3) (leading axis dropped for
+    a scalar ``cells``).  On the chart (dim 4) det is pdet J signed by
+    det [l | J], l = (x1, x2, x3, 0), which a base wound inward or descending
+    layers make negative.  Raises DegenerateMapError if any det is <= 0.
     """
-    J = _nodal_gemm(coords.cell_coords[cells], points)
-    det = _det3(J)
+    nodal = coords.cell_coords[cells]
+    if nodal.shape[-1] == 4:
+        return _chart_sample(nodal, points)[0]
+    J = _nodal_gemm(nodal, points)
+    return JacobianSample(J=J, det=_positive(_det3(J)))
+
+
+def _positive(det):
+    """``det``; raises DegenerateMapError if any entry is <= 0."""
     if np.any(det <= 0):
-        raise DegenerateMapError(
-            f"non-positive Jacobian determinant ({det.min():.3e}); cell is inverted"
-        )
-    return JacobianSample(J=J, det=det)
+        raise DegenerateMapError(f"non-positive Jacobian determinant ({det.min():.3e}); "
+                                 "cell is inverted")
+    return det
+
+
+def _chart_sample(x4, points):
+    """The chart's JacobianSample (see ``jacobian``) of cells ``x4``
+    (..., 6, 4) and its pseudoinverse, from one SVD."""
+    J = _nodal_gemm(x4, points)
+    pinv, pdet = pseudo_inverse_pseudo_det(J)
+    l = (nodal_basis(points) @ x4) * [1.0, 1.0, 1.0, 0.0]
+    orientation = np.linalg.det(np.concatenate([l[..., None], J], axis=-1))
+    return JacobianSample(J=J, det=_positive(pdet * np.sign(orientation))), pinv
 
 
 CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0, 0.5]])
@@ -249,8 +256,9 @@ def pseudo_inverse_pseudo_det(J4):
     """Moore-Penrose pseudoinverse and pseudodeterminant of 4x3 Jacobians.
 
     The pseudodeterminant is the product of the three nonzero singular values.
-    Raises DegenerateMapError when the smallest singular value drops below
-    1e-12 times the largest, or when the SVD fails (a non-finite Jacobian).
+    Raises DegenerateMapError when the SVD fails (a non-finite Jacobian) or
+    s_min <= 1e-12 s_max, naming s_min / s_max, a chart cell's aspect ratio,
+    and for a (cells, points, 4, 3) batch the first such cell's position.
     Batched over leading axes.
     """
     J4 = np.asarray(J4, dtype=float)
@@ -258,8 +266,12 @@ def pseudo_inverse_pseudo_det(J4):
         U, s, Vt = np.linalg.svd(J4, full_matrices=False)  # (..., 4, 3), (..., 3), (..., 3, 3)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMapError(f"4x3 Jacobian: {exc}") from exc
-    if np.any(s[..., -1] < 1e-12 * s[..., 0]):
-        raise DegenerateMapError("4x3 Jacobian is rank deficient")
+    low = ~(s[..., -1] > 1e-12 * s[..., 0])
+    if low.any():
+        bad = np.unravel_index(np.argmax(low), low.shape)
+        where = f" at cell {bad[0]}" if J4.ndim == 4 else ""
+        raise DegenerateMapError(f"4x3 Jacobian is rank deficient{where}: s_min/s_max = "
+                                 f"{s[bad][-1] / max(s[bad][0], 1e-300):.3e} <= 1e-12")
     pinv = np.einsum("...ji,...j,...kj->...ik", Vt, 1.0 / s, U)
     pdet = np.prod(s, axis=-1)
     return pinv, pdet
@@ -272,30 +284,31 @@ def quadrature_chunks(coords: CoordinateField, x4, points):
     """The solver-point map of every cell, chunk by chunk.
 
     Assembly and the error norms both loop over this.  A chunk holds
-    max(1, POINTS_PER_CHUNK // npts) cells, in order: 151 at deep k=1 and 88
-    at k=2.  A budget of 2**14 doubles the chunks and their fixed Python
-    cost, which slowed k=2 ladders by 3-4%; one four times larger puts the
-    providers' planes of deep k=1 on fresh pages.  Yields
-    ``(cells, J, pinv4T, x4q)``:
+    max(1, POINTS_PER_CHUNK // npts) cells, in order (2**14 slowed k=2
+    ladders by 3-4%).  Yields ``(cells, J, pinv4T, x4q)``:
 
-      * ``J``: the JacobianSample of ``coords``.  A field with
-        ``column_axes`` (the hedgehog field) extrudes each column rigidly, so
-        its map is affine per cell and J is factored once at the centroid,
-        shape (ch, 1, 3, 3), which broadcasts against (ch, npts).  Any other
-        field is sampled at every point.
-      * ``pinv4T``: the transposed pseudoinverse of the manifold Jacobian at
-        the centroid, (ch, 4, 3); ``v4 @ pinv4T`` gives the reference
-        components of tangent 4-vectors.
+      * ``J``: the JacobianSample of ``coords``.  If ``coords`` holds ``x4``
+        itself (the chart), each map is affine: J4 and its signed pdet come
+        once per cell, at the centroid, from the SVD that gives pinv4T,
+        (ch, 1, 4, 3).  Any other field is sampled at every point, after the
+        centroid det of every cell (an inverted cell is named first).
+      * ``pinv4T``: the transposed pseudoinverse of J4 at the centroid,
+        (ch, 4, 3); ``v4 @ pinv4T`` gives tangent 4-vectors' reference
+        components.
       * ``x4q``: the manifold points of the quadrature points, (ch, npts, 4).
     """
     nbasis = nodal_basis(points)
-    jac_points = CENTROID if coords.column_axes is not None else points
+    chart = coords.cell_coords is x4
+    if chart:
+        centre, pinv4 = _chart_sample(x4, CENTROID)
+    else:
+        jacobian(coords, slice(None), CENTROID)
+        pinv4, _ = pseudo_inverse_pseudo_det(jacobian4(x4, slice(None), CENTROID))
     chunk = max(1, POINTS_PER_CHUNK // len(points))
     for start in range(0, coords.n_cells, chunk):
         cells = np.arange(start, min(start + chunk, coords.n_cells))
-        J = jacobian(coords, cells, jac_points)
-        pinv4, _ = pseudo_inverse_pseudo_det(jacobian4(x4, cells, CENTROID))
-        yield cells, J, np.swapaxes(pinv4[:, 0], 1, 2), nbasis @ x4[cells]
+        J = JacobianSample(centre.J[cells], centre.det[cells]) if chart else jacobian(coords, cells, points)
+        yield cells, J, np.swapaxes(pinv4[cells, 0], 1, 2), nbasis @ x4[cells]
 
 
 # ---------------------------------------------------------------------------

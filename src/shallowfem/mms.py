@@ -32,13 +32,8 @@ check of those closed forms.
 
 The providers and the exact fields run once per quadrature point of every
 level, so they work on coordinate planes (see geometry's tangent-space
-section): one call copies the points (..., 4) into the contiguous planes
-x1, x2, x3, h, builds one tangent frame and one longitude, computes every
-intermediate as a (...)-shaped plane with the plane kernels
-(``TangentFrame.at`` / ``dot`` / ``combine``, ``tangent_planes``) and writes
-its (..., 4) result once.  On (..., 4) arrays the same formulas spent most
-of their time striding over the last axis and building np.stack,
-np.linalg.norm and einsum temporaries.
+section): one call builds one tangent frame and one longitude, computes
+with the plane kernels and writes its (..., 4) result once.
 """
 
 import math
@@ -390,7 +385,8 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     stays only for the benchmark's traced walk, which passes None.
     """
     space_u, space_p = u_h.space, p_h.space
-    x4 = geometry.manifold_coordinates(space_u.mesh)
+    chart = coords.cell_coords.shape[-1] == 4
+    x4 = coords.cell_coords if chart else geometry.manifold_coordinates(space_u.mesh)
     k = space_u.element.k
     rule = quadrature_prism(degree if degree is not None else default_quadrature_degree(k))
     pts, w = rule.points, rule.weights

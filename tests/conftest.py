@@ -59,6 +59,13 @@ def phi(x4, a: float = 1.0):
     return (1.0 + x4[..., 3:4] / a) * x4[..., :3]
 
 
+def hedgehog_axes(coords) -> np.ndarray:
+    """The column axis of each hedgehog cell, recovered from its nodes: the
+    top node over base vertex 0 minus the bottom one, normalised, (n_cells, 3)."""
+    d = coords.cell_coords[:, 3] - coords.cell_coords[:, 0]
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
 def evaluate_velocity(u, coords, cells, points) -> np.ndarray:
     """Physical velocity values of a V1 field at reference points per cell,
     by the contravariant Piola map v = J vhat / det J (an oracle)."""
@@ -73,6 +80,7 @@ def evaluate_velocity(u, coords, cells, points) -> np.ndarray:
 def interpolate_hdiv(space, coords, func):
     """Interpolate a physical vector field by applying the DOF functionals (an oracle).
 
+    ``coords`` is a field in R^3 (the annulus or the hedgehog mesh).
     ``func(cell, xi, x)`` returns physical vector values at reference points
     ``xi`` with physical locations ``x``.  Each global DOF is written by its
     lowest-indexed adjacent cell; values are pulled back with the inverse

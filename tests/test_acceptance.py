@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import phi, vertical_facet_normal_values
+from conftest import hedgehog_axes, phi, vertical_facet_normal_values
 from shallowfem import assembly, cli, fem, geometry, mesh, mms
 
 
@@ -61,20 +61,20 @@ def test_quadratic_element_convergence(k2_study):
 def test_jacobian_structure_by_mode():
     """Shallow cells are affine everywhere; deep cells scale as (r_t/r_b)^2.
 
-    The shallow Jacobian is checked at the solver's own quadrature points on
-    every cell of every study mesh; the deep determinant ratio is measured by
-    direct numeric Jacobian evaluation at the cell top and bottom.
+    The shallow (chart) Jacobian J4 is checked at the solver's own quadrature
+    points on every cell of every study mesh; the deep determinant ratio is
+    measured by direct numeric Jacobian evaluation at the cell top and bottom.
     """
     rule = fem.quadrature_prism(10)
     for refinement, layers in [(1, 2), (2, 4), (3, 8)]:
         m = mesh.extrude_radial(
             mesh.build_icosahedral_sphere(refinement, 1.0), layers, 1.0
         )
-        coords = geometry.hedgehog_coordinates(m)
+        x4 = geometry.manifold_coordinates(m)
         worst = 0.0
         for start in range(0, m.n_cells, 4096):
             cells = np.arange(start, min(start + 4096, m.n_cells))
-            J = geometry.jacobian(coords, cells, rule.points).J
+            J = geometry.jacobian4(x4, cells, rule.points)
             scale = np.abs(J).max(axis=(1, 2, 3))
             var = np.abs(J - J[:, :1]).max(axis=(1, 2, 3))
             worst = max(worst, (var / scale).max())
@@ -235,7 +235,7 @@ def test_mesh_and_embedding_exactness():
     coords = geometry.hedgehog_coordinates(m)
     orig = m.cell_node_coords()
     height = geometry.manifold_coordinates(m)[:, :, 3]
-    axes = coords.column_axes
+    axes = hedgehog_axes(coords)
     checked = 0
     for c1 in range(0, m.n_cells, 7):
         for c2 in range(c1 + 1, m.n_cells):
@@ -250,13 +250,11 @@ def test_mesh_and_embedding_exactness():
                 checked += 1
     assert checked > 100
 
-    # volume identity: hedgehog measure is chordal area x H, weighted by the
-    # face-normal / column-axis alignment cosine.  On the raw icosahedron the
-    # cosine is exactly 1 and the plain product holds to 1e-10; on refined
-    # bases the cosine dips below 1 (worst about 5e-4 at refinement 1), which
-    # the weighted identity accounts for exactly.
+    # volume identity: the hedgehog measure is chordal area x H, since each
+    # column axis is the normal of its chordal base triangle; the plain
+    # product holds on the raw icosahedron and on refined bases alike.
     rule = fem.quadrature_prism(4)
-    for r, exact_plain in ((0, True), (1, False)):
+    for r in (0, 1):
         base = mesh.build_icosahedral_sphere(r, 1.0)
         H = 1.0
         m = mesh.extrude_radial(base, 2, H)
@@ -268,16 +266,8 @@ def test_mesh_and_embedding_exactness():
         cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
         areas = 0.5 * np.linalg.norm(cross, axis=1)
         normals = cross / np.linalg.norm(cross, axis=1, keepdims=True)
-        k_face = coords.column_axes[::m.n_layers]
-        cosines = np.einsum("fc,fc->f", normals, k_face)
-
-        assert abs(total - (areas * cosines).sum() * H) <= 1e-10
-        plain_gap = abs(total - areas.sum() * H)
-        if exact_plain:
-            assert plain_gap <= 1e-10
-        else:
-            assert plain_gap > 1e-5
-            assert cosines.min() > 0.999
+        np.testing.assert_allclose(hedgehog_axes(coords)[::m.n_layers], normals, atol=1e-14)
+        assert abs(total - areas.sum() * H) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,12 @@ def test_config_default_quadrature_degree():
 
 
 def test_coordinate_field_dispatch(annulus_r0_l1_module):
+    """Shallow mode assembles on the chart in R^4, deep mode on the annulus."""
     m = annulus_r0_l1_module
     shallow = assembly.coordinate_field(assembly.ProblemConfig(mode="shallow"), m)
     deep = assembly.coordinate_field(assembly.ProblemConfig(mode="deep"), m)
-    assert shallow.column_axes is not None
-    assert deep.column_axes is None
+    np.testing.assert_array_equal(shallow.cell_coords, geometry.manifold_coordinates(m))
+    np.testing.assert_array_equal(deep.cell_coords, m.cell_node_coords())
 
 
 def test_one_cell_system_dimension(one_cell_mesh):
@@ -556,15 +557,33 @@ def test_shallow_mode_rejects_a_rotation_that_is_not_affine(annulus_r0_l1_module
     assert np.isfinite(deep.matrix.data).all()
 
 
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+def test_a_base_triangle_wound_inward_is_rejected(icosa_r0, mode):
+    """``base_mesh_from_triangles`` does not check winding; a cell on a base
+    triangle wound inward is inverted on the chart as in the annulus, and
+    assembly names it instead of assembling it with the wrong flux sign."""
+    triangles = icosa_r0.triangles.copy()
+    triangles[3] = triangles[3][::-1]
+    base = mesh.base_mesh_from_triangles(icosa_r0.vertices, triangles)
+    V1, V2 = build_spaces(mesh.extrude_radial(base, 1, 1.0), 1)
+    with pytest.raises(geometry.DegenerateMapError, match="cell is inverted"):
+        assembly.assemble(assembly.ProblemConfig(mode=mode, k=1), V1, V2)
+
+
 def per_point_velocity_block(config, V1):
-    """A_uu and b_u by the per-point physical-basis formula.
+    """A_uu and b_u by the per-point physical-basis formula in R^3.
 
     With L = J phi at every quadrature point, Om3 = J pinv4 omega4 and
     F3 = J pinv4 f4: A_uu = sum_q w/det L.(L + 2 Om3 x L) and
-    b_u = sum_q w L.F3, scattered with the DOF signs.
+    b_u = sum_q w L.F3, scattered with the DOF signs.  Shallow mode uses
+    the hedgehog mesh, so its match with ``assemble`` on the chart is the
+    paper's equivalence.
     """
     m = V1.mesh
-    coords = assembly.coordinate_field(config, m)
+    if config.mode == "shallow":
+        coords = geometry.hedgehog_coordinates(m)
+    else:
+        coords = assembly.coordinate_field(config, m)
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(config.degree)
     pts, w = rule.points, rule.weights
@@ -600,7 +619,8 @@ def per_point_velocity_block(config, V1):
 @pytest.mark.parametrize("mode", ["shallow", "deep"])
 @pytest.mark.parametrize("coriolis", [True, False])
 def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode, coriolis):
-    """The reference-tensor contraction equals the per-point formula."""
+    """The reference-tensor contraction equals the per-point formula; in
+    shallow mode the chart's GEMM equals the hedgehog's per-point formula."""
     V1, V2 = build_spaces(annulus_r0_l1_module, k)
     config = assembly.ProblemConfig(
         mode=mode, k=k, coriolis_enabled=coriolis,
@@ -628,9 +648,9 @@ def four_block_system(config, V1, V2):
     use ``config.degree``.  Both point sets are mapped in one pass.
     """
     coords = assembly.coordinate_field(config, V1.mesh)
-    x4 = geometry.manifold_coordinates(V1.mesh)
-    rule = fem.quadrature_prism(config.degree)
     shallow = config.mode == "shallow"
+    x4 = coords.cell_coords if shallow else geometry.manifold_coordinates(V1.mesh)
+    rule = fem.quadrature_prism(config.degree)
     mrule = fem.quadrature_prism(2 * config.k + 1) if shallow else rule
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)

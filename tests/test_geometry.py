@@ -3,12 +3,15 @@ import pytest
 
 from shallowfem import fem, geometry, mesh
 
-from conftest import frame_basis, phi, physical_points, pushforward_4to3
+from conftest import frame_basis, hedgehog_axes, phi, physical_points, pushforward_4to3
 
 
 def synthetic_polar_column():
-    """One column whose extrusion axis is exactly (0, 0, 1)."""
-    verts = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.0, -0.6, 0.8]])
+    """One column over a triangle around the pole, all three vertices at
+    x3 = 0.8: the normal of its chordal base, and so its extrusion axis, is
+    exactly (0, 0, 1)."""
+    s = 0.3 * np.sqrt(3.0)
+    verts = np.array([[0.0, 0.6, 0.8], [-s, -0.3, 0.8], [s, -0.3, 0.8]])
     base = mesh.base_mesh_from_triangles(verts, np.array([[0, 1, 2]]), radius=1.0)
     return mesh.extrude_radial(base, 1, 1.0)
 
@@ -108,21 +111,20 @@ def test_nodal_basis_kronecker_at_vertices():
 
 def test_annulus_coordinates_continuous(annulus_r1_l2):
     coords = geometry.annulus_coordinates(annulus_r1_l2)
-    assert coords.column_axes is None
     np.testing.assert_array_equal(
         coords.cell_coords, annulus_r1_l2.vertex_coords[annulus_r1_l2.cell_vertices]
     )
 
 
 def test_hedgehog_polar_column_fixed_point():
-    """A column extruded along (0,0,1) keeps its polar node in place."""
+    """A column extruded along (0,0,1) keeps the polar axis in place: the
+    line over its base centroid (0, 0, 0.8) rises along it by x4."""
     m = synthetic_polar_column()
     coords = geometry.hedgehog_coordinates(m)
-    np.testing.assert_allclose(coords.column_axes[0], [0.0, 0.0, 1.0], atol=1e-14)
-    prime = coords.cell_coords[0]
-    orig = m.cell_node_coords()[0]
-    i_pole_top = [tuple(np.round(p, 12)) for p in orig].index((0.0, 0.0, 2.0))
-    np.testing.assert_allclose(prime[i_pole_top], [0.0, 0.0, 2.0], atol=1e-13)
+    np.testing.assert_allclose(hedgehog_axes(coords)[0], [0.0, 0.0, 1.0], atol=1e-14)
+    axis = np.array([[1 / 3, 1 / 3, z] for z in (0.0, 0.5, 1.0)])
+    np.testing.assert_allclose(physical_points(coords, [0], axis)[0],
+                               [[0.0, 0.0, 0.8], [0.0, 0.0, 1.3], [0.0, 0.0, 1.8]], atol=1e-14)
 
 
 def test_hedgehog_node_formula_by_hand():
@@ -145,38 +147,38 @@ def test_hedgehog_base_layer_nodes_fixed(annulus_r1_l2):
     )
 
 
-def test_hedgehog_axis_is_normalized_vertex_mean(annulus_r1_l2):
+def test_hedgehog_axis_is_the_chordal_normal(annulus_r1_l2):
+    """Every column axis is the outward unit normal of its chordal base
+    triangle."""
     m = annulus_r1_l2
-    coords = geometry.hedgehog_coordinates(m)
-    x4 = geometry.manifold_coordinates(m)
-    mean_h = x4[:, :, :3].mean(axis=1)
-    k = mean_h / np.linalg.norm(mean_h, axis=1, keepdims=True)
-    np.testing.assert_allclose(coords.column_axes, k, atol=1e-14)
+    v = m.base.vertices[m.base.triangles]
+    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    assert (np.einsum("tc,tc->t", n, v[:, 0]) > 0).all()
+    axes = hedgehog_axes(geometry.hedgehog_coordinates(m))
+    np.testing.assert_allclose(axes, np.repeat(n, m.n_layers, axis=0), atol=1e-14)
 
 
 @pytest.mark.parametrize("refinement", [0, 1, 2, 3, 4])
-def test_hedgehog_metric_equals_the_chart_only_to_second_order(refinement):
-    """The hedgehog's J^T J equals the 4D chart's J4^T J4 (``jacobian4`` of
-    ``manifold_coordinates``) at the centroid only on the raw icosahedron.
-    The column axis is the normalised vertex mean, not the normal of the
-    chordal base triangle, so on refined meshes the metrics differ by
-    O(h^2): measured 0.098, 0.147, 0.154 and 0.155 times 4^-r, largest
-    entry gap over largest entry per cell, at r = 1..4."""
+def test_hedgehog_metric_equals_the_chart(refinement):
+    """The paper's equivalence: the hedgehog's J^T J equals the 4D chart's
+    J4^T J4 (``jacobian4`` of ``manifold_coordinates``), and det J equals
+    pdet J4, at every refinement, since the column axis is orthogonal to the
+    chordal base triangle."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(refinement, 1.0), 2, 1.0)
     cells, centroid = np.arange(m.n_cells), np.array([[1 / 3, 1 / 3, 0.5]])
-    J = geometry.jacobian(geometry.hedgehog_coordinates(m), cells, centroid).J[:, 0]
-    J4 = geometry.jacobian4(geometry.manifold_coordinates(m), cells, centroid)[:, 0]
-    G, G4 = (np.einsum("cia,cib->cab", X, X) for X in (J, J4))
+    J = geometry.jacobian(geometry.hedgehog_coordinates(m), cells, centroid)
+    J4 = geometry.jacobian4(geometry.manifold_coordinates(m), cells, centroid)
+    G, G4 = (np.einsum("cia,cib->cab", X, X) for X in (J.J[:, 0], J4[:, 0]))
     gap = (np.abs(G - G4).max(axis=(1, 2)) / np.abs(G4).max(axis=(1, 2))).max()
-    if refinement == 0:
-        assert gap <= 1e-14
-    else:
-        assert gap < 0.2 * 4.0 ** -refinement
+    assert gap <= 1e-14
+    np.testing.assert_allclose(J.det, geometry.pseudo_inverse_pseudo_det(J4)[1],
+                               rtol=1e-14, atol=0)
 
 
 def test_hedgehog_axis_shared_along_column(annulus_r1_l2):
     m = annulus_r1_l2
-    axes = geometry.hedgehog_coordinates(m).column_axes
+    axes = hedgehog_axes(geometry.hedgehog_coordinates(m))
     per_col = axes.reshape(-1, m.n_layers, 3)
     assert np.abs(per_col - per_col[:, :1, :]).max() <= 1e-14
 
@@ -187,7 +189,7 @@ def test_hedgehog_gap_law(annulus_r1_l2):
     coords = geometry.hedgehog_coordinates(m)
     orig = m.cell_node_coords()
     x4 = geometry.manifold_coordinates(m)[:, :, 3]
-    axes = coords.column_axes
+    axes = hedgehog_axes(coords)
     checked = 0
     for c1 in range(0, m.n_cells, 7):
         for c2 in range(c1 + 1, m.n_cells):
@@ -204,8 +206,9 @@ def test_hedgehog_gap_law(annulus_r1_l2):
 
 
 def test_hedgehog_degenerate_column_rejected():
-    """A column whose mean radial direction vanishes is refused."""
-    # three equally spaced equatorial vertices: unit vectors sum to zero
+    """A column whose chordal base plane passes through the centre has no
+    outward normal and is refused."""
+    # three equally spaced equatorial vertices: the plane x3 = 0
     verts = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -215,7 +218,7 @@ def test_hedgehog_degenerate_column_rejected():
     )
     base = mesh.base_mesh_from_triangles(verts, np.array([[0, 1, 2]]), radius=1.0)
     m = mesh.extrude_radial(base, 1, 1.0)
-    with pytest.raises(geometry.DegenerateMapError):
+    with pytest.raises(geometry.DegenerateMapError, match="cell 0: chordal base"):
         geometry.hedgehog_coordinates(m)
 
 
@@ -292,20 +295,26 @@ def test_jacobian_factorization_count(annulus_r1_l2):
 
 
 def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
-    """quadrature_chunks: hedgehog J once per cell at the centroid, annulus J
-    at every point; the chunks cover the cells in order."""
+    """quadrature_chunks: the chart's J4 and pdet once per cell at the
+    centroid, from the one SVD that also gives pinv4; annulus J at every
+    point; the chunks cover the cells in order."""
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     pts = np.array([[0.2, 0.3, 0.1], [0.5, 0.1, 0.9], [0.1, 0.1, 0.5]])
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
-    hh = geometry.hedgehog_coordinates(m)
-    (cells, J, pinv4T, x4q), = geometry.quadrature_chunks(hh, x4, pts)
+    chart = geometry.CoordinateField(cell_coords=x4)
+    (cells, J, pinv4T, x4q), = geometry.quadrature_chunks(chart, x4, pts)
     np.testing.assert_array_equal(cells, np.arange(m.n_cells))
-    assert J.J.shape == (m.n_cells, 1, 3, 3) and J.n_factorizations == m.n_cells
-    at_pts = geometry.jacobian(hh, cells, pts)
+    assert J.J.shape == (m.n_cells, 1, 4, 3) and J.n_factorizations == m.n_cells
+    at_pts = geometry.jacobian(chart, cells, pts)
     np.testing.assert_allclose(np.broadcast_to(J.J, at_pts.J.shape), at_pts.J,
                                rtol=0, atol=1e-12)
-    pinv4, _ = geometry.pseudo_inverse_pseudo_det(geometry.jacobian4(x4, cells, centroid))
+    np.testing.assert_allclose(np.broadcast_to(J.det, at_pts.det.shape), at_pts.det,
+                               rtol=1e-12, atol=0)
+    J4 = geometry.jacobian4(x4, cells, centroid)
+    pinv4, pdet = geometry.pseudo_inverse_pseudo_det(J4)
+    np.testing.assert_array_equal(J.J, J4)
+    np.testing.assert_array_equal(J.det, pdet)
     np.testing.assert_array_equal(pinv4T, np.swapaxes(pinv4[:, 0], 1, 2))
     np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(pts), x4),
                                rtol=0, atol=1e-14)
@@ -333,8 +342,8 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
         monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", budget)
     m = annulus_r1_l2
     pts = np.random.default_rng(npts).uniform(0.0, 0.5, (npts, 3))
-    chunks = [c[0] for c in geometry.quadrature_chunks(
-        geometry.hedgehog_coordinates(m), geometry.manifold_coordinates(m), pts)]
+    x4 = geometry.manifold_coordinates(m)
+    chunks = [c[0] for c in geometry.quadrature_chunks(geometry.CoordinateField(x4), x4, pts)]
     np.testing.assert_array_equal(np.concatenate(chunks), np.arange(m.n_cells))
     assert len(chunks[0]) == first
     assert all(len(c) * npts <= geometry.POINTS_PER_CHUNK or len(c) == 1 for c in chunks)
@@ -387,6 +396,24 @@ def test_jacobian_rejects_one_inverted_cell_in_a_batch(annulus_r1_l2):
     assert geometry.jacobian(coords, 4, pts).det.shape == (1,)
 
 
+@pytest.mark.parametrize("order", [[1, 0, 2, 4, 3, 5], [3, 4, 5, 0, 1, 2]],
+                         ids=["base-wound-inward", "layers-descend"])
+def test_chart_rejects_one_inverted_cell(annulus_r1_l2, order):
+    """On the chart det is pdet signed by det [l | J4]: one cell with two base
+    vertices swapped, or with its layers swapped, raises in ``jacobian``,
+    batched or alone, and in ``quadrature_chunks``; its neighbours do not."""
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
+    x4[5] = x4[5][order]
+    chart = geometry.CoordinateField(cell_coords=x4)
+    pts = np.array([[0.2, 0.2, 0.5]])
+    for cells in (np.arange(len(x4)), 5):
+        with pytest.raises(ValueError, match="inverted"):
+            geometry.jacobian(chart, cells, pts)
+    with pytest.raises(ValueError, match="inverted"):
+        next(geometry.quadrature_chunks(chart, x4, pts))
+    assert geometry.jacobian(chart, 4, pts).det > 0
+
+
 def test_matvec3_broadcasts_cell_matrices():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 1, 3, 3))
@@ -396,6 +423,9 @@ def test_matvec3_broadcasts_cell_matrices():
     A = rng.standard_normal((4, 6, 3, 3))
     np.testing.assert_allclose(geometry.matvec3(A, v),
                                np.einsum("eqij,eqj->eqi", A, v), rtol=1e-14, atol=1e-14)
+    A = rng.standard_normal((4, 1, 4, 3))                # chart Jacobians: 4-vectors
+    np.testing.assert_allclose(geometry.matvec3(A, v),
+                               np.einsum("eij,eqj->eqi", A[:, 0], v), rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +458,12 @@ def test_pseudo_inverse_left_inverse_property():
 def test_pseudo_inverse_rank_deficiency_error():
     J4 = np.zeros((4, 3))
     J4[0, 0], J4[1, 1] = 1.0, 1.0       # rank 2
-    with pytest.raises(geometry.DegenerateMapError):
+    with pytest.raises(geometry.DegenerateMapError, match="deficient: s_min/s_max = 0.000e"):
         geometry.pseudo_inverse_pseudo_det(J4)
+    # a (cells, points, 4, 3) batch also names its first bad cell
+    batch = np.stack([np.eye(4)[:, :3], np.diag([2.0, 1.0, 1e-13, 0.0])[:, :3], J4])
+    with pytest.raises(geometry.DegenerateMapError, match="at cell 1: s_min/s_max = 5.000e-14"):
+        geometry.pseudo_inverse_pseudo_det(batch[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +546,7 @@ def test_projection_at_chordal_points_leaves_no_normal_component(annulus_r1_l2):
     """At the quadrature points x4q (|x| < a inside each chord) P v has no
     component along unit_normal, which stays of unit length there."""
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
-    coords = geometry.hedgehog_coordinates(annulus_r1_l2)
+    coords = geometry.CoordinateField(cell_coords=x4)
     x4q = np.concatenate([
         q.reshape(-1, 4)
         for *_, q in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4).points)
@@ -538,7 +572,7 @@ def test_pushforward_vertical_direction_to_column_axis(annulus_r1_l2):
     pts = np.array([[0.25, 0.25, 0.4]])
     v4 = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (m.n_cells, 1, 4))
     out = pushforward_4to3(coords, x4, cells, pts, v4)
-    np.testing.assert_allclose(out[:, 0], coords.column_axes, atol=1e-12)
+    np.testing.assert_allclose(out[:, 0], hedgehog_axes(coords), atol=1e-12)
 
 
 def test_pushforward_columns_map_to_columns(annulus_r1_l2):
