@@ -35,10 +35,10 @@ chunk of cells is a GEMM: A_uu = K @ T and b_u = fhat @ Tb with
 fhat = J^T J pinv4 f4.  M_p and b_p are GEMMs of w det against the V2
 basis.  The blocks of a chunk of ``geometry.quadrature_chunks`` form one
 mixed cell matrix E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2]
-DOFs; the orientation signs s are applied once as E * s s^T, and E and
-[b_u | b_p] s are scattered through one global index table.  A facet DOF lies in at most
-two cells, so no global entry sums more than two contributions and the CSR
-does not depend on the scatter order.
+DOFs; the orientation signs s are applied once as E * s s^T, the signed E
+of all cells are kept as one (n_cells, nd, nd) array, and [b_u | b_p] s is
+scattered into the right-hand side.  No global matrix is built on the solve
+path; ``LinearSystem.matrix`` is the tests' oracle.
 
 The kind of form fixes the quadrature rule.  The right-hand sides b_u and
 b_p use ``fem.default_quadrature_degree(k)`` = 2k + 8, which the
@@ -51,21 +51,18 @@ under-integrated, so shallow assembly with rotation compares omega4 at the
 matrix points with its nodal interpolant and raises ValueError when they
 differ.  Deep mode integrates E with 2k + 8 and accepts any omega4.
 
-``solve`` condenses statically: every V2 DOF and every V1 interior moment
-belongs to one cell, so the cell-local block of the matrix is block
-diagonal.  Its blocks are inverted in one batch, the Schur complement on
-the facet DOFs is formed in float64 and factored with SuperLU in float32,
-and the local DOFs are recovered cell by cell.  The facet DOFs are first put
-in nested-dissection order over the cells (George 1973): the cells are
-bisected by their centroids, each separator is the facet DOFs that both
-halves own, and SuperLU keeps that order.  The single precision factor
-roughly halves the LU's time and memory; refinement in float64 against the
-full matrix (Buttari et al. 2007; Carson & Higham 2018) then brings the
-residual to the tolerance, and a step that fails to cut it tenfold is a
-SolverError, never a silent fallback to a float64 factor.
+``solve`` condenses statically from the cell matrices: every V2 DOF and
+every V1 interior moment belongs to one cell, so all cells are condensed in
+one batched dense pass, the leaf level of the element multifrontal method
+(Duff & Reid 1983).  SuperLU factors the facet Schur complement in float32,
+in nested-dissection order over the cells (George 1973), and refinement in
+float64 (Buttari et al. 2007; Carson & Higham 2018) brings the residual to
+the tolerance; a step that fails to cut it tenfold is a SolverError, never
+a silent fallback to a float64 factor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,14 +149,24 @@ class ProblemConfig:
 
 @dataclass
 class LinearSystem:
-    """Assembled block system over [V1 DOFs | V2 DOFs]."""
+    """Assembled block system over [V1 DOFs | V2 DOFs]: each cell's signed
+    mixed matrix over its row of ``cell_dofs``.  The essential DOFs act as
+    identity rows and zero columns, with a zero right-hand side."""
 
-    matrix: sp.csr_matrix
+    cell_matrices: np.ndarray      # (n_cells, nd, nd)
     rhs: np.ndarray
     essential: np.ndarray          # constrained global row indices
     u_space: FunctionSpace
     p_space: FunctionSpace
     stats: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        nd = self.u_space.element.ndofs + self.p_space.element.ndofs
+        for name, shape in [("cell_matrices", (self.u_space.mesh.n_cells, nd, nd)),
+                            ("rhs", (self.n_u + self.n_p,))]:
+            if getattr(self, name).shape != shape:
+                raise ValueError(
+                    f"{name} has shape {getattr(self, name).shape}, but the spaces need {shape}")
 
     @property
     def n_u(self) -> int:
@@ -168,6 +175,39 @@ class LinearSystem:
     @property
     def n_p(self) -> int:
         return self.p_space.n_dofs
+
+    @property
+    def cell_dofs(self) -> np.ndarray:
+        """(n_cells, nd) each cell's [V1 | V2] DOFs in the global numbering."""
+        return np.hstack([self.u_space.cell_dofs, self.p_space.cell_dofs + self.n_u])
+
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """``matrix @ z``, from the cell matrices."""
+        dofs, zm = self.cell_dofs, z.copy()
+        zm[self.essential] = 0.0
+        Ez = np.einsum("eij,ej->ei", self.cell_matrices, zm[dofs])
+        y = np.bincount(dofs.ravel(), Ez.ravel(), len(z))
+        y[self.essential] = z[self.essential]
+        return y
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The global CSR, the tests' oracle; ``solve`` never builds it.  A
+        facet DOF lies in at most two cells, so no entry sums more than two
+        contributions and the CSR does not depend on the scatter order."""
+        E, dofs, n = self.cell_matrices, self.cell_dofs, len(self.rhs)
+        nd = E.shape[1]
+        A = sp.coo_matrix(
+            (E.ravel(), (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel())),
+            shape=(n, n),
+        ).tocsr()
+        if len(self.essential):
+            dofs, keep = self.essential, np.ones(n)
+            keep[dofs] = 0.0
+            P = sp.diags(keep)
+            ident = sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=(n, n))
+            A = (P @ A @ P + ident).tocsr()
+        return A
 
 
 def coordinate_field(config: ProblemConfig, mesh):
@@ -217,10 +257,11 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     nd = nd1 + nd2
 
     nc = mesh.n_cells
-    n_u, n_p = u_space.n_dofs, p_space.n_dofs
-    n = n_u + n_p
-    # each cell's [V1 | V2] DOFs in the global [V1 | V2] numbering
-    dofs = np.hstack([u_space.cell_dofs, p_space.cell_dofs + n_u])
+    system = LinearSystem(
+        cell_matrices=np.empty((nc, nd, nd)), rhs=np.zeros(u_space.n_dofs + p_space.n_dofs),
+        essential=np.empty(0, dtype=np.int64), u_space=u_space, p_space=p_space,
+    )
+    dofs = system.cell_dofs
     signs = np.hstack([u_space.cell_signs, p_space.cell_signs])
 
     # reference tensors, tabulated once; see the module docstring
@@ -233,9 +274,6 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1.divergences[mq])
 
     n_fact = 0
-    rows, cols, data = [], [], []
-    rhs = np.zeros(n)
-
     for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts):
         ch = len(cells)
         n_fact += J.n_factorizations
@@ -261,24 +299,16 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         fhat = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T)
         b = np.hstack([fhat.reshape(ch, 3 * nq) @ Tb, (wdet * gq) @ psi])
 
-        E = np.empty((ch, nd, nd))
+        E = system.cell_matrices[cells[0]:cells[0] + ch]   # chunks are runs of cells
         E[:, :nd1, :nd1] = (K.reshape(ch, 9 * nm) @ T).reshape(ch, nd1, nd1)
         E[:, :nd1, nd1:] = -D_ref.T
         E[:, nd1:, :nd1] = D_ref
         E[:, nd1:, nd1:] = -((wm * J.det) @ Tp).reshape(ch, nd2, nd2)
         sg, gd = signs[cells], dofs[cells]
         E *= sg[:, :, None] * sg[:, None, :]
-        rows.append(np.repeat(gd, nd, axis=1).ravel())
-        cols.append(np.tile(gd, (1, nd)).ravel())
-        data.append(E.ravel())
-        np.add.at(rhs, gd.ravel(), (b * sg).ravel())
+        np.add.at(system.rhs, gd.ravel(), (b * sg).ravel())
 
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-
-    stats = {
+    system.stats = {
         "n_jacobian_factorizations": n_fact,
         "n_quadrature_points": nq,
         "n_cells": nc,
@@ -286,32 +316,21 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         "matrix_quadrature_degree": mrule.degree,
         "n_matrix_quadrature_points": nm,
     }
-    return LinearSystem(
-        matrix=A, rhs=rhs, essential=np.empty(0, dtype=np.int64),
-        u_space=u_space, p_space=p_space, stats=stats,
-    )
+    return system
 
 
 def apply_inner_bc(system: LinearSystem) -> LinearSystem:
     """Impose u . n = 0 on the inner boundary (outer boundary stays natural).
 
-    Essential rows become identity rows with zero right-hand side; matching
-    columns are cleared (the constrained value is zero, so nothing moves to
-    the RHS).
+    Records the essential DOFs, which act as identity rows and zero columns
+    (the constrained value is zero, so nothing moves to the RHS), and zeroes
+    their right-hand side.  The cell matrices are shared, not copied.
     """
     space = system.u_space
     dofs = np.unique(space.hfacet_dofs[space.facets.inner_boundary].ravel())
-    n = system.matrix.shape[0]
-    keep = np.ones(n)
+    keep = np.ones(len(system.rhs))
     keep[dofs] = 0.0
-    P = sp.diags(keep)
-    ident = sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=(n, n))
-    A = (P @ system.matrix @ P + ident).tocsr()
-    rhs = system.rhs * keep
-    return LinearSystem(
-        matrix=A, rhs=rhs, essential=dofs,
-        u_space=system.u_space, p_space=system.p_space, stats=dict(system.stats),
-    )
+    return replace(system, rhs=system.rhs * keep, essential=dofs, stats=dict(system.stats))
 
 
 @dataclass
@@ -334,11 +353,13 @@ class SolveResult:
     stats: dict = field(default_factory=dict)
 
 
-def _cell_local_dofs(system: LinearSystem) -> np.ndarray:
-    """(n_cells, n_local) global indices of the V1 interior and V2 DOFs."""
-    u, p = system.u_space, system.p_space
-    interior = [i for i, d in enumerate(u.element.dofs) if d.entity[0] == "interior"]
-    return np.hstack([u.cell_dofs[:, interior], p.cell_dofs + system.n_u])
+def _cell_positions(system: LinearSystem):
+    """Positions in a row of ``cell_dofs``: the cell-local DOFs (the V1
+    interior moments, then every V2 DOF) and the facet DOFs."""
+    u = system.u_space.element
+    interior = np.array([d.entity[0] == "interior" for d in u.dofs])
+    local = np.r_[np.flatnonzero(interior), u.ndofs:system.cell_matrices.shape[1]]
+    return local, np.flatnonzero(~interior)
 
 
 def _nested_dissection(cell_dofs, centroids, glob):
@@ -381,42 +402,72 @@ def _nested_dissection(cell_dofs, centroids, glob):
     return glob[np.concatenate(order)]
 
 
+def _condense(system: LinearSystem, glob: np.ndarray):
+    """Condense every cell's local (l) DOFs onto its facet (g) DOFs.
+
+    Per cell, with the essential rows and columns zeroed: B^-1 = E_ll^-1,
+    W = B^-1 E_lg and S_e = E_gg - E_gl W.  Returns S = sum of the S_e plus
+    the essential identity rows, a float64 CSC in the order of ``glob``; the
+    cells' facet DOFs as positions in ``glob``; B^-1, W and E_gl.
+    """
+    lp, gp = _cell_positions(system)
+    E, dofs = system.cell_matrices, system.cell_dofs
+    keep = np.ones(len(system.rhs))
+    keep[system.essential] = 0.0
+    mask = keep[dofs[:, gp]]
+    try:
+        B_inv = np.linalg.inv(E[:, lp[:, None], lp])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"cell-local block inversion failed: {exc}") from exc
+    E_gl = E[:, gp[:, None], lp] * mask[:, :, None]
+    W = B_inv @ (E[:, lp[:, None], gp] * mask[:, None, :])
+    S_e = E[:, gp[:, None], gp] * (mask[:, :, None] * mask[:, None, :])
+    S_e -= E_gl @ W
+
+    index = np.empty(len(keep), dtype=np.int64)
+    index[glob] = np.arange(len(glob))
+    facet, ess = index[dofs[:, gp]], index[system.essential]
+    S = sp.coo_matrix(
+        (np.r_[S_e.ravel(), np.ones(len(ess))],
+         (np.r_[np.repeat(facet, len(gp), axis=1).ravel(), ess],
+          np.r_[np.tile(facet, (1, len(gp))).ravel(), ess])),
+        shape=(len(glob), len(glob)),
+    ).tocsc()
+    S.eliminate_zeros()         # the zeroed essential entries would add LU fill
+    return S, facet, B_inv, W, E_gl
+
+
 def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     """Sparse direct solve by static condensation, with a residual contract.
 
-    The cell-local DOFs (see ``_cell_local_dofs``) are eliminated through the
-    inverses of their per-cell blocks B; SuperLU factors the Schur complement
-    S = A_gg - A_gl B^-1 A_lg on the remaining facet DOFs, which are put in
-    nested-dissection order over the cells (``_nested_dissection``: each
-    separator is the facet DOFs that both halves of a cell bisection own)
-    before S is formed; SuperLU factors S in float32, keeps that column
+    ``_condense`` sums the cells' Schur complements into S = A_gg - A_gl
+    B^-1 A_lg on the facet DOFs, in the nested-dissection order of
+    ``_nested_dissection``.  SuperLU factors S in float32, keeps that column
     order and relaxes diagonal pivoting to a threshold of 0.01 so that row
-    swaps do not undo it.  S is formed in float64, and the cell-block
-    inverses stay in float64; only the facet right-hand side of each solve
-    is cast to float32, scaled to unit max, for the triangular solves.  The
-    solution is refined from z = 0 (relative residual 1): each step solves
-    for the float64 residual b - A z of the full ``system.matrix`` and adds
-    the correction, until the relative residual is at most ``tolerance``,
-    for at most ``MAX_REFINEMENT_STEPS`` steps after the first solve.
+    swaps do not undo it.  Everything else stays in float64; only the facet
+    right-hand side of each solve is cast to float32, scaled to unit max.
+    The local DOFs are recovered cell by cell.  The solution is refined
+    from z = 0 (relative residual 1): each step solves for the residual
+    b - A z (``LinearSystem.matvec``) and adds the correction, until the
+    relative residual is at most ``tolerance``, for at most
+    ``MAX_REFINEMENT_STEPS`` steps after the first solve.
 
-    Raises SolverError when the cell-local block couples two cells, when a
-    cell block is singular, when SuperLU fails or runs out of memory, when a
-    solve (the first one included) cuts the residual less than tenfold, and
-    when the residual misses the tolerance after ``MAX_REFINEMENT_STEPS``
-    steps; the last two name the residual history.
+    Raises SolverError when a cell block is singular, when SuperLU fails or
+    runs out of memory, when a solve (the first one included) cuts the
+    residual less than tenfold, and when the residual misses the tolerance
+    after ``MAX_REFINEMENT_STEPS`` steps; the last two name the residual
+    history.
     """
-    A, b = system.matrix.tocsr(), system.rhs
-    n, n_u = A.shape[0], system.n_u
-    local = _cell_local_dofs(system)
-    nc, nl = local.shape
-    local = local.ravel()
+    b = system.rhs
+    n, n_u = len(b), system.n_u
+    local = system.cell_dofs[:, _cell_positions(system)[0]]
     u = system.u_space
     glob = _nested_dissection(
         u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), np.setdiff1d(np.arange(n), local)
     )
     ng = len(glob)
     stats = {
-        "n_global": ng, "n_local_per_cell": nl, "lu_nnz": 0, "refinement_steps": 0,
+        "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "refinement_steps": 0,
         "ordering": "nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
@@ -430,23 +481,9 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     if bnorm == 0.0:
         return result(np.zeros_like(b), 0.0)
 
-    # the cell-local rows, grouped by cell, and the facet rows
-    A_l, A_g = A[local], A[glob]
-    # B = A_ll as one (nl, nl) block per cell, inverted in place below
-    B_inv = A_l[:, local].tobsr(blocksize=(nl, nl))
-    B_inv.eliminate_zeros()
-    if not (np.array_equal(B_inv.indptr, np.arange(nc + 1))
-            and np.array_equal(B_inv.indices, np.arange(nc))):
-        raise SolverError("cell-local block couples DOFs of different cells")
-    try:
-        B_inv.data[:] = np.linalg.inv(B_inv.data)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"cell-local block inversion failed: {exc}") from exc
-    A_gl = A_g[:, local]
-    W = B_inv @ A_l[:, glob]                                 # B^-1 A_lg
+    S, facet, B_inv, W, E_gl = _condense(system, glob)
     # float64 S is a temporary: only the float32 copy is kept for the LU
-    S = (A_g[:, glob] - A_gl @ W).tocsc().astype(np.float32)
-    del A_l, A_g                     # free the row copies before the LU
+    S = S.astype(np.float32)
     try:
         lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01)
     except MemoryError as exc:
@@ -458,14 +495,14 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     stats["lu_nnz"] = int(lu.nnz)
 
     def apply_inverse(rhs):
-        y_l = B_inv @ rhs[local]
-        f_g = rhs[glob] - A_gl @ y_l
+        y_l = np.einsum("eij,ej->ei", B_inv, rhs[local])
+        f_g = rhs[glob] - np.bincount(facet.ravel(), np.einsum("eij,ej->ei", E_gl, y_l).ravel(), ng)
         # scaled to unit max so that a small correction stays in float32 range
         scale = np.abs(f_g).max() or 1.0
         x_g = lu.solve((f_g / scale).astype(np.float32)).astype(float) * scale
         z = np.empty(n)
         z[glob] = x_g
-        z[local] = y_l - W @ x_g
+        z[local] = y_l - np.einsum("eij,ej->ei", W, x_g[facet])
         return z
 
     # Refinement from z = 0, whose relative residual is 1: each solve with
@@ -475,7 +512,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     z, r, res = np.zeros(n), b, 1.0
     for step in range(MAX_REFINEMENT_STEPS + 1):
         z = z + apply_inverse(r)
-        r = b - A @ z
+        r = b - system.matvec(z)
         prev, res = res, float(np.linalg.norm(r) / bnorm)
         residuals.append(res)
         if res <= tolerance:

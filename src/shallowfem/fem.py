@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .geometry import CENTROID, barycentric
 from .mesh import TRIANGLE_EDGE_VERTICES, ExtrudedMesh, FacetSet
@@ -96,6 +95,25 @@ def _gauss01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _gauss_jacobi(n: int):
+    """Gauss-Jacobi rule for the weight 1 - x on [-1, 1]: Golub-Welsch nodes
+    of the monic recurrence p_{i+1} = (x - a_i) p_i - b_i p_{i-1}, one Newton
+    step on p_n, and weights 1 / ((1 - x^2) p_n'^2) scaled to sum to 2."""
+    i = np.arange(n)
+    a, b = -1.0 / ((2 * i + 1) * (2 * i + 3)), i * (i + 1.0) / (2 * i + 1) ** 2
+
+    def p_n(x):
+        p0, p, d0, d = 0.0, np.ones_like(x), 0.0, np.zeros_like(x)
+        for ai, bi in zip(a, b):
+            p0, p, d0, d = p, (x - ai) * p - bi * p0, d, p + (x - ai) * d - bi * d0
+        return p, d
+
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(np.sqrt(b[1:]), -1))
+    x -= np.divide(*p_n(x))
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * p_n(x)[1] ** 2)
+    return x, 2.0 * w / w.sum()
+
+
 def quadrature_triangle(degree: int) -> QuadratureRule:
     """Triangle rule of the requested exactness, built by collapsing a square.
 
@@ -105,7 +123,7 @@ def quadrature_triangle(degree: int) -> QuadratureRule:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree} (supported: 0..60)")
     n = max(1, math.ceil((degree + 1) / 2))
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xj, wj = _gauss_jacobi(n)
     u, wu = (xj + 1.0) / 2.0, wj / 4.0
     v, wv = _gauss01(n)
     # xi1 = u, xi2 = v (1 - u): integrates f over the unit triangle

@@ -227,9 +227,8 @@ def test_solve_residual_contract(coarse_system):
 
 
 def test_solve_reports_failure(coarse_system):
-    singular = sp.csr_matrix(coarse_system.matrix.shape)
     bad = assembly.LinearSystem(
-        matrix=singular,
+        cell_matrices=np.zeros_like(coarse_system.cell_matrices),
         rhs=np.ones(coarse_system.matrix.shape[0]),
         essential=np.empty(0, dtype=np.int64),
         u_space=coarse_system.u_space,
@@ -265,16 +264,6 @@ def test_condensed_solve_matches_full_spsolve(annulus_r0_l1_module, k, mode):
     assert stats["ordering"] == "nested-dissection"
 
 
-def test_solve_rejects_cross_cell_pressure_coupling(coarse_system):
-    system = assembly.apply_inner_bc(coarse_system)
-    system.rhs[:] = 1.0
-    nu = system.n_u
-    A = system.matrix.tolil()
-    A[nu, nu + 1] = A[nu + 1, nu] = 0.5     # V2 DOFs of cells 0 and 1
-    with pytest.raises(assembly.SolverError, match="different cells"):
-        assembly.solve(dataclasses.replace(system, matrix=A.tocsr()))
-
-
 def test_solve_rejects_a_singular_cell_block(annulus_r0_l1_module):
     """Two equal rows in one cell's local block (15 x 15 at k=2): the
     in-place block inversion fails, and that is a SolverError."""
@@ -282,11 +271,11 @@ def test_solve_rejects_a_singular_cell_block(annulus_r0_l1_module):
     system = assembly.apply_inner_bc(
         assembly.assemble(assembly.ProblemConfig(mode="shallow", k=2), V1, V2))
     system.rhs[:] = 1.0
-    r0, r1 = assembly._cell_local_dofs(system)[0, :2]
-    A = system.matrix.tolil()
-    A[r1, :] = A[r0, :]
+    r0, r1 = assembly._cell_positions(system)[0][:2]
+    E = system.cell_matrices.copy()
+    E[0, r1] = E[0, r0]
     with pytest.raises(assembly.SolverError, match="inversion failed"):
-        assembly.solve(dataclasses.replace(system, matrix=A.tocsr()))
+        assembly.solve(dataclasses.replace(system, cell_matrices=E))
 
 
 def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
@@ -309,10 +298,15 @@ def r1_system(annulus_r1_l2):
     return assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
 
 
+def cell_local_dofs(system):
+    """(n_cells, n_local) global indices of the V1 interior and V2 DOFs."""
+    return system.cell_dofs[:, assembly._cell_positions(system)[0]]
+
+
 def facet_inputs(system):
     """(cell_dofs, cell centroids, sorted facet DOFs) as ``solve`` sees them."""
     u = system.u_space
-    glob = np.setdiff1d(np.arange(system.matrix.shape[0]), assembly._cell_local_dofs(system))
+    glob = np.setdiff1d(np.arange(system.matrix.shape[0]), cell_local_dofs(system))
     return u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), glob
 
 
@@ -437,18 +431,29 @@ def test_refinement_is_capped(r1_system, monkeypatch):
 
 
 def test_near_singular_condensed_matrix_is_solver_error(r1_system):
-    """Facet row j becomes row i plus 1e-14 on its diagonal, with an
-    inconsistent right-hand side: threshold pivoting must not return a
-    number that misses the residual contract."""
-    _, _, glob = facet_inputs(r1_system)
-    i, j = np.setdiff1d(glob, r1_system.essential)[[0, -1]]
-    A = r1_system.matrix.tolil()
-    A[j, :] = A[i, :]
-    A[j, j] += 1e-14 * abs(A[i, i])
-    rhs = np.ones(A.shape[0])
-    rhs[j] = 2.0
-    with pytest.raises(assembly.SolverError):
-        assembly.solve(dataclasses.replace(r1_system, matrix=A.tocsr(), rhs=rhs))
+    """In a cell that alone owns a facet DOF i, the row of the pressure DOF
+    j becomes row i plus 1e-14 on its diagonal, with an inconsistent
+    right-hand side.  The local block stays invertible, so S is near
+    singular, and threshold pivoting must not return a number that misses
+    the residual contract."""
+    local, facet = assembly._cell_positions(r1_system)
+    dofs = r1_system.cell_dofs
+    owners = np.bincount(dofs[:, facet].ravel())[dofs[:, facet]]
+    free = ~np.isin(dofs[:, facet], r1_system.essential)
+    c, slot = np.argwhere((owners == 1) & free)[0]
+    i, j = facet[slot], local[-1]
+    E = r1_system.cell_matrices.copy()
+    E[c, j] = E[c, i]
+    E[c, j, j] += 1e-14 * abs(E[c, i, i])
+    rhs = np.ones(len(r1_system.rhs))
+    rhs[dofs[c, j]] = 2.0
+    system = dataclasses.replace(r1_system, cell_matrices=E, rhs=rhs)
+    A = system.matrix
+    row_i, row_j = A[dofs[c, i]].toarray(), A[dofs[c, j]].toarray()
+    row_j[0, dofs[c, j]] -= 1e-14 * abs(E[c, i, i])
+    np.testing.assert_array_equal(row_i, row_j)
+    with pytest.raises(assembly.SolverError, match="exceeds tolerance"):
+        assembly.solve(system)
 
 
 def test_weak_residual_of_solution(annulus_r0_l1_module):
@@ -489,7 +494,7 @@ def test_weak_residual_sign_flip_invariant(annulus_r0_l1_module):
     signs = np.ones(system.matrix.shape[0])
     signs[::2] = -1.0
     flipped = assembly.LinearSystem(
-        matrix=sp.diags(signs) @ system.matrix,
+        cell_matrices=signs[system.cell_dofs][:, :, None] * system.cell_matrices,
         rhs=signs * system.rhs,
         essential=system.essential,
         u_space=system.u_space,
@@ -515,7 +520,7 @@ def test_deep_mode_assembles_and_solves(annulus_r0_l1_module):
 
 def cell_local_blocks(system):
     """(n_cells, n_local, n_local) blocks of the cell-local DOFs of the matrix."""
-    local = assembly._cell_local_dofs(system)
+    local = cell_local_dofs(system)
     nc, nl = local.shape
     rows = np.repeat(local, nl, axis=1).ravel()
     cols = np.tile(local, (1, nl)).ravel()
@@ -725,8 +730,86 @@ def test_mixed_cell_scatter_matches_four_blocks(annulus_r1_l2, k, mode):
     )
     system = assembly.assemble(config, V1, V2)
     A_ref, rhs_ref = four_block_system(config, V1, V2)
-    A = system.matrix
+    assert_same_csr(system.matrix, A_ref)
+    assert system.rhs.tobytes() == rhs_ref.tobytes()
+
+    # the inner boundary condition as the global-matrix assembly imposed it
+    constrained = assembly.apply_inner_bc(system)
+    dofs = constrained.essential
+    keep = np.ones(len(rhs_ref))
+    keep[dofs] = 0.0
+    P = sp.diags(keep)
+    ident = sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=A_ref.shape)
+    assert_same_csr(constrained.matrix, (P @ A_ref @ P + ident).tocsr())
+    assert constrained.rhs.tobytes() == (rhs_ref * keep).tobytes()
+
+
+def assert_same_csr(A, A_ref):
     np.testing.assert_array_equal(A.indptr, A_ref.indptr)
     np.testing.assert_array_equal(A.indices, A_ref.indices)
     assert A.data.tobytes() == A_ref.data.tobytes()
-    assert system.rhs.tobytes() == rhs_ref.tobytes()
+
+
+@pytest.fixture(scope="module", params=[
+    (k, mode) for k in (1, 2) for mode in ("shallow", "deep")], ids=lambda p: f"k{p[0]}-{p[1]}")
+def bc_system(request, annulus_r1_l2):
+    k, mode = request.param
+    V1, V2 = build_spaces(annulus_r1_l2, k)
+    config = assembly.ProblemConfig(mode=mode, k=k, g=lambda x4: x4[..., 0] * x4[..., 3])
+    return assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
+
+
+def test_cell_matvec_matches_the_oracle_matrix(bc_system):
+    """The refinement's residual operator, from the cell matrices, equals the
+    product with the global CSR, with and without the essential DOFs."""
+    rng = np.random.default_rng(7)
+    for system in (bc_system, dataclasses.replace(bc_system, essential=np.empty(0, dtype=int))):
+        for _ in range(3):
+            z = rng.standard_normal(len(system.rhs))
+            ref = system.matrix @ z
+            assert np.abs(system.matvec(z) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_cell_condensation_matches_the_sparse_one(bc_system):
+    """S summed from the cell Schur complements equals A_gg - A_gl B^-1 A_lg
+    of the oracle matrix, in the nested-dissection order of ``solve``, and
+    stores only its nonzeros."""
+    A = bc_system.matrix
+    cell_dofs, centroids, glob = facet_inputs(bc_system)
+    glob = assembly._nested_dissection(cell_dofs, centroids, glob)
+    local = cell_local_dofs(bc_system).ravel()
+    B_inv = np.linalg.inv(cell_local_blocks(bc_system))
+    A_gl = A[glob][:, local]
+    W = sp.block_diag(list(B_inv)) @ A[local][:, glob]
+    S_ref = (A[glob][:, glob] - A_gl @ W).toarray()
+    S = assembly._condense(bc_system, glob)[0]
+    assert S.nnz == np.count_nonzero(S_ref)     # no explicit zeros to add LU fill
+    assert np.abs(S.toarray() - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
+
+
+def test_solve_never_builds_the_global_matrix(r1_system, monkeypatch):
+    expected = assembly.solve(r1_system)
+
+    def no_matrix(system):
+        raise AssertionError("solve read LinearSystem.matrix")
+
+    monkeypatch.setattr(assembly.LinearSystem, "matrix", property(no_matrix))
+    result = assembly.solve(r1_system)
+    assert result.residual <= 1e-10
+    assert result.p.coeffs.tobytes() == expected.p.coeffs.tobytes()
+
+
+def test_mismatched_cell_matrices_rejected(coarse_system):
+    E = coarse_system.cell_matrices
+    with pytest.raises(ValueError, match=r"\(20, 8, 9\).*\(20, 9, 9\)"):
+        dataclasses.replace(coarse_system, cell_matrices=E[:, 1:])
+    with pytest.raises(ValueError, match=r"\(19, 9, 9\).*\(20, 9, 9\)"):
+        dataclasses.replace(coarse_system, cell_matrices=E[1:])
+
+
+def test_mismatched_rhs_rejected(coarse_system):
+    """A right-hand side three entries short fails at the system, not as an
+    IndexError inside ``solve``."""
+    n = len(coarse_system.rhs)
+    with pytest.raises(ValueError, match=rf"\({n - 3},\).*\({n},\)"):
+        dataclasses.replace(coarse_system, rhs=coarse_system.rhs[:-3])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,31 @@ def test_prism_rule_cubic_cross_term():
     rule = fem.quadrature_prism(3)
     got = (rule.weights * rule.points.prod(axis=1)).sum()
     np.testing.assert_allclose(got, 1.0 / 48.0, rtol=1e-13)
+
+
+def test_gauss_jacobi_matches_scipy_and_a_40_digit_rule():
+    """The numpy Gauss-Jacobi (alpha=1, beta=0) rule for n = 1..31 points,
+    the triangle rules of degree 0..60.  Its nodes agree with scipy's
+    ``roots_jacobi`` to 1e-14.  Its weights agree to 1e-15 with mpmath's
+    40-digit rule; scipy's own weights are off that rule by up to 1.21e-14
+    (at n = 25), so they are held to 2e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import roots_jacobi
+
+    for n in range(1, 32):
+        x, w = fem._gauss_jacobi(n)
+        xs, ws = roots_jacobi(n, 1.0, 0.0)
+        with mpmath.workdps(40):
+            X, W = (np.array(v, dtype=float) for v in mpmath.gauss_quadrature(n, "jacobi", 1, 0))
+        assert np.abs(x - xs).max() <= 1e-14 and np.abs(x - X.ravel()).max() <= 1e-15
+        assert np.abs(w - W.ravel()).max() <= 1e-15 and np.abs(w - ws).max() <= 2e-14
+
+
+def test_import_leaves_scipy_special_out():
+    code = "import sys, shallowfem; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(fem.__file__).parents[1])})
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_quadrature_rejects_negative_degree():
