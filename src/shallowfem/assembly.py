@@ -40,6 +40,10 @@ of all cells are kept as one (n_cells, nd, nd) array, and [b_u | b_p] s is
 scattered into the right-hand side.  No global matrix is built on the solve
 path; ``LinearSystem.matrix`` is the tests' oracle.
 
+The inner boundary condition u . n = 0 is written into the cell matrices
+by ``apply_inner_bc``, so the solver, its residual and the oracle all read
+one operator.
+
 The kind of form fixes the quadrature rule.  The right-hand sides b_u and
 b_p use ``fem.default_quadrature_degree(k)`` = 2k + 8, which the
 manufactured forcing needs.  The shallow matrix E uses
@@ -150,12 +154,11 @@ class ProblemConfig:
 @dataclass
 class LinearSystem:
     """Assembled block system over [V1 DOFs | V2 DOFs]: each cell's signed
-    mixed matrix over its row of ``cell_dofs``.  The essential DOFs act as
-    identity rows and zero columns, with a zero right-hand side."""
+    mixed matrix over its row of ``cell_dofs``.  Boundary conditions are
+    part of the cell matrices and ``rhs`` (see ``apply_inner_bc``)."""
 
     cell_matrices: np.ndarray      # (n_cells, nd, nd)
     rhs: np.ndarray
-    essential: np.ndarray          # constrained global row indices
     u_space: FunctionSpace
     p_space: FunctionSpace
     stats: dict = field(default_factory=dict)
@@ -183,30 +186,23 @@ class LinearSystem:
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """``matrix @ z``, from the cell matrices."""
-        dofs, zm = self.cell_dofs, z.copy()
-        zm[self.essential] = 0.0
-        Ez = np.einsum("eij,ej->ei", self.cell_matrices, zm[dofs])
-        y = np.bincount(dofs.ravel(), Ez.ravel(), len(z))
-        y[self.essential] = z[self.essential]
-        return y
+        dofs = self.cell_dofs
+        Ez = np.einsum("eij,ej->ei", self.cell_matrices, z[dofs])
+        return np.bincount(dofs.ravel(), Ez.ravel(), len(z))
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The global CSR, the tests' oracle; ``solve`` never builds it.  A
         facet DOF lies in at most two cells, so no entry sums more than two
-        contributions and the CSR does not depend on the scatter order."""
+        contributions and the CSR does not depend on the scatter order.  It
+        stores no zeros."""
         E, dofs, n = self.cell_matrices, self.cell_dofs, len(self.rhs)
         nd = E.shape[1]
         A = sp.coo_matrix(
             (E.ravel(), (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel())),
             shape=(n, n),
         ).tocsr()
-        if len(self.essential):
-            dofs, keep = self.essential, np.ones(n)
-            keep[dofs] = 0.0
-            P = sp.diags(keep)
-            ident = sp.coo_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=(n, n))
-            A = (P @ A @ P + ident).tocsr()
+        A.eliminate_zeros()
         return A
 
 
@@ -259,7 +255,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     nc = mesh.n_cells
     system = LinearSystem(
         cell_matrices=np.empty((nc, nd, nd)), rhs=np.zeros(u_space.n_dofs + p_space.n_dofs),
-        essential=np.empty(0, dtype=np.int64), u_space=u_space, p_space=p_space,
+        u_space=u_space, p_space=p_space,
     )
     dofs = system.cell_dofs
     signs = np.hstack([u_space.cell_signs, p_space.cell_signs])
@@ -322,15 +318,22 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
 def apply_inner_bc(system: LinearSystem) -> LinearSystem:
     """Impose u . n = 0 on the inner boundary (outer boundary stays natural).
 
-    Records the essential DOFs, which act as identity rows and zero columns
-    (the constrained value is zero, so nothing moves to the RHS), and zeroes
-    their right-hand side.  The cell matrices are shared, not copied.
+    Each constrained DOF lies in one cell, a layer-0 cell.  In a copy of the
+    cell matrices its row and column there are zeroed and its diagonal set
+    to 1, so the global matrix has an identity row and a zero column for it;
+    its right-hand side is zeroed (the constrained value is zero, so nothing
+    moves to the RHS).  The input system is left unchanged.
     """
     space = system.u_space
     dofs = np.unique(space.hfacet_dofs[space.facets.inner_boundary].ravel())
     keep = np.ones(len(system.rhs))
     keep[dofs] = 0.0
-    return replace(system, rhs=system.rhs * keep, essential=dofs, stats=dict(system.stats))
+    cells, pos = np.nonzero(keep[system.cell_dofs] == 0.0)
+    E = system.cell_matrices.copy()
+    E[cells, pos, :] = 0.0
+    E[cells, :, pos] = 0.0
+    E[cells, pos, pos] = 1.0
+    return replace(system, cell_matrices=E, rhs=system.rhs * keep, stats=dict(system.stats))
 
 
 @dataclass
@@ -405,35 +408,29 @@ def _nested_dissection(cell_dofs, centroids, glob):
 def _condense(system: LinearSystem, glob: np.ndarray):
     """Condense every cell's local (l) DOFs onto its facet (g) DOFs.
 
-    Per cell, with the essential rows and columns zeroed: B^-1 = E_ll^-1,
-    W = B^-1 E_lg and S_e = E_gg - E_gl W.  Returns S = sum of the S_e plus
-    the essential identity rows, a float64 CSC in the order of ``glob``; the
+    Per cell: B^-1 = E_ll^-1, W = B^-1 E_lg and S_e = E_gg - E_gl W.
+    Returns S = sum of the S_e, a float64 CSC in the order of ``glob``; the
     cells' facet DOFs as positions in ``glob``; B^-1, W and E_gl.
     """
     lp, gp = _cell_positions(system)
     E, dofs = system.cell_matrices, system.cell_dofs
-    keep = np.ones(len(system.rhs))
-    keep[system.essential] = 0.0
-    mask = keep[dofs[:, gp]]
     try:
         B_inv = np.linalg.inv(E[:, lp[:, None], lp])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"cell-local block inversion failed: {exc}") from exc
-    E_gl = E[:, gp[:, None], lp] * mask[:, :, None]
-    W = B_inv @ (E[:, lp[:, None], gp] * mask[:, None, :])
-    S_e = E[:, gp[:, None], gp] * (mask[:, :, None] * mask[:, None, :])
-    S_e -= E_gl @ W
+    E_gl = E[:, gp[:, None], lp]
+    W = B_inv @ E[:, lp[:, None], gp]
+    S_e = E[:, gp[:, None], gp] - E_gl @ W
 
-    index = np.empty(len(keep), dtype=np.int64)
+    index = np.empty(len(system.rhs), dtype=np.int64)
     index[glob] = np.arange(len(glob))
-    facet, ess = index[dofs[:, gp]], index[system.essential]
+    facet = index[dofs[:, gp]]
     S = sp.coo_matrix(
-        (np.r_[S_e.ravel(), np.ones(len(ess))],
-         (np.r_[np.repeat(facet, len(gp), axis=1).ravel(), ess],
-          np.r_[np.tile(facet, (1, len(gp))).ravel(), ess])),
+        (S_e.ravel(), (np.repeat(facet, len(gp), axis=1).ravel(),
+                       np.tile(facet, (1, len(gp))).ravel())),
         shape=(len(glob), len(glob)),
     ).tocsc()
-    S.eliminate_zeros()         # the zeroed essential entries would add LU fill
+    S.eliminate_zeros()         # zeros in the constrained rows and columns would add LU fill
     return S, facet, B_inv, W, E_gl
 
 

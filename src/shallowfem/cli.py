@@ -244,7 +244,7 @@ def main(argv=None) -> int:
         conv.error("--check needs at least two levels to compute a rate")
     try:
         return args.func(args)
-    except (SolverError, ValueError) as exc:
+    except (SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
         print("error: out of memory; try coarser --levels or fewer --points", file=sys.stderr)

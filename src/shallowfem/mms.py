@@ -320,7 +320,6 @@ class ForcingReport:
     tangency_after_projection: float
     f_discrepancy: float            # max |F_derived - F_printed|
     g_discrepancy: float            # max |g_derived - g_printed|
-    points: np.ndarray
     F_derived: np.ndarray
     g_derived: np.ndarray
 
@@ -366,7 +365,6 @@ def derive_forcing(case: ManufacturedCase, points, ops: ShallowOperators = None)
         tangency_after_projection=float(tang),
         f_discrepancy=float(np.abs(F_d - case.F_printed(x4)).max()),
         g_discrepancy=float(np.abs(g_d - case.g_printed(x4)).max()),
-        points=x4,
         F_derived=F_d,
         g_derived=g_d,
     )

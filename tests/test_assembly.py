@@ -8,12 +8,17 @@ from scipy.sparse.linalg import splu, spsolve
 from shallowfem import assembly, fem, geometry, mesh, mms
 
 
+def inner_dofs(system):
+    """The DOFs that ``apply_inner_bc`` constrains: u . n on the inner sphere."""
+    space = system.u_space
+    return np.unique(space.hfacet_dofs[space.facets.inner_boundary])
+
+
 def weak_residual(system, result):
-    """Max weak-form defect |a(z; w) - L(w)| over non-essential test DOFs."""
+    """Max weak-form defect |a(z; w) - L(w)| over the unconstrained test DOFs."""
     z = np.concatenate([result.u.coeffs, result.p.coeffs])
     r = system.matrix @ z - system.rhs
-    if len(system.essential):
-        r[system.essential] = 0.0
+    r[inner_dofs(system)] = 0.0
     return float(np.abs(r).max())
 
 
@@ -181,18 +186,19 @@ def test_mismatched_meshes_rejected(one_cell_mesh, annulus_r0_l1_module):
 def test_inner_bc_dof_count(coarse_system):
     """base(r=0), one layer: one vertical DOF per inner triangle facet."""
     constrained = assembly.apply_inner_bc(coarse_system)
-    assert len(constrained.essential) == 20
-    # essential rows are identity rows with zero RHS
+    dofs = inner_dofs(constrained)
+    assert len(dofs) == 20
+    # constrained rows are identity rows with zero RHS
     A = constrained.matrix
-    for d in constrained.essential:
+    for d in dofs:
         row = A[d].toarray().ravel()
         assert row[d] == 1.0
         row[d] = 0.0
         assert np.abs(row).max() == 0.0
         assert constrained.rhs[d] == 0.0
     # matching columns cleared
-    cols = abs(A[:, constrained.essential])
-    assert cols.sum() == len(constrained.essential)
+    cols = abs(A[:, dofs])
+    assert cols.sum() == len(dofs)
 
 
 def test_inner_bc_solution_exactly_zero(annulus_r0_l1_module):
@@ -205,7 +211,7 @@ def test_inner_bc_solution_exactly_zero(annulus_r0_l1_module):
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
-    assert (result.u.coeffs[system.essential] == 0.0).all()
+    assert (result.u.coeffs[inner_dofs(system)] == 0.0).all()
 
 
 def test_solve_zero_rhs(coarse_system):
@@ -230,7 +236,6 @@ def test_solve_reports_failure(coarse_system):
     bad = assembly.LinearSystem(
         cell_matrices=np.zeros_like(coarse_system.cell_matrices),
         rhs=np.ones(coarse_system.matrix.shape[0]),
-        essential=np.empty(0, dtype=np.int64),
         u_space=coarse_system.u_space,
         p_space=coarse_system.p_space,
         stats={},
@@ -439,7 +444,7 @@ def test_near_singular_condensed_matrix_is_solver_error(r1_system):
     local, facet = assembly._cell_positions(r1_system)
     dofs = r1_system.cell_dofs
     owners = np.bincount(dofs[:, facet].ravel())[dofs[:, facet]]
-    free = ~np.isin(dofs[:, facet], r1_system.essential)
+    free = ~np.isin(dofs[:, facet], inner_dofs(r1_system))
     c, slot = np.argwhere((owners == 1) & free)[0]
     i, j = facet[slot], local[-1]
     E = r1_system.cell_matrices.copy()
@@ -477,7 +482,7 @@ def test_weak_residual_detects_perturbation(annulus_r0_l1_module):
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
-    free = np.setdiff1d(np.arange(system.n_u), system.essential)
+    free = np.setdiff1d(np.arange(system.n_u), inner_dofs(system))
     result.u.coeffs[free[0]] += 1.0
     assert weak_residual(system, result) > 1e-3
 
@@ -496,7 +501,6 @@ def test_weak_residual_sign_flip_invariant(annulus_r0_l1_module):
     flipped = assembly.LinearSystem(
         cell_matrices=signs[system.cell_dofs][:, :, None] * system.cell_matrices,
         rhs=signs * system.rhs,
-        essential=system.essential,
         u_space=system.u_space,
         p_space=system.p_space,
         stats=system.stats,
@@ -730,12 +734,13 @@ def test_mixed_cell_scatter_matches_four_blocks(annulus_r1_l2, k, mode):
     )
     system = assembly.assemble(config, V1, V2)
     A_ref, rhs_ref = four_block_system(config, V1, V2)
+    A_ref.eliminate_zeros()     # the oracle stores no zeros
     assert_same_csr(system.matrix, A_ref)
     assert system.rhs.tobytes() == rhs_ref.tobytes()
 
     # the inner boundary condition as the global-matrix assembly imposed it
     constrained = assembly.apply_inner_bc(system)
-    dofs = constrained.essential
+    dofs = inner_dofs(constrained)
     keep = np.ones(len(rhs_ref))
     keep[dofs] = 0.0
     P = sp.diags(keep)
@@ -752,18 +757,37 @@ def assert_same_csr(A, A_ref):
 
 @pytest.fixture(scope="module", params=[
     (k, mode) for k in (1, 2) for mode in ("shallow", "deep")], ids=lambda p: f"k{p[0]}-{p[1]}")
-def bc_system(request, annulus_r1_l2):
+def cell_system(request, annulus_r1_l2):
     k, mode = request.param
     V1, V2 = build_spaces(annulus_r1_l2, k)
     config = assembly.ProblemConfig(mode=mode, k=k, g=lambda x4: x4[..., 0] * x4[..., 3])
-    return assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
+    return assembly.assemble(config, V1, V2)
 
 
-def test_cell_matvec_matches_the_oracle_matrix(bc_system):
+@pytest.fixture(scope="module")
+def bc_system(cell_system):
+    return assembly.apply_inner_bc(cell_system)
+
+
+def test_inner_bc_leaves_its_input_unchanged(cell_system):
+    """``apply_inner_bc`` writes into a copy, so the module-scoped systems
+    that several tests constrain stay as assembled.  Each constrained DOF
+    lies in exactly one cell, so the 1 put on its diagonal there is the
+    global diagonal."""
+    E, rhs = cell_system.cell_matrices.tobytes(), cell_system.rhs.tobytes()
+    assembly.apply_inner_bc(cell_system)
+    assert cell_system.cell_matrices.tobytes() == E
+    assert cell_system.rhs.tobytes() == rhs
+    owners = np.bincount(cell_system.cell_dofs.ravel())
+    np.testing.assert_array_equal(owners[inner_dofs(cell_system)], 1)
+
+
+def test_cell_matvec_matches_the_oracle_matrix(cell_system, bc_system):
     """The refinement's residual operator, from the cell matrices, equals the
-    product with the global CSR, with and without the essential DOFs."""
+    product with the global CSR, with and without the inner boundary
+    condition."""
     rng = np.random.default_rng(7)
-    for system in (bc_system, dataclasses.replace(bc_system, essential=np.empty(0, dtype=int))):
+    for system in (bc_system, cell_system):
         for _ in range(3):
             z = rng.standard_normal(len(system.rhs))
             ref = system.matrix @ z

@@ -345,6 +345,21 @@ def test_convergence_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--k", "1", "--levels", "0:1", "--csv", "{missing}/t.csv",
+     "--forcing-report", "{tmp}/f.txt"],
+    ["verify-forcing", "--points", "5", "--out", "{missing}/r.json"],
+], ids=["convergence-csv", "verify-forcing-out"])
+def test_unwritable_output_is_one_line(argv, tmp_path, capsys):
+    """An output path in a directory that does not exist exits 1 with one
+    error line, not an OSError traceback."""
+    missing = tmp_path / "no" / "such" / "dir"
+    assert run([a.format(missing=missing, tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(missing) in err
+
+
 def test_convergence_single_level_prints_na(tmp_path, capsys):
     """One level has no rate: the summary says n/a and the run succeeds."""
     code = run(["convergence", "--k", "1", "--levels", "0:1",
