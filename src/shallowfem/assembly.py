@@ -58,11 +58,12 @@ differ.  Deep mode integrates E with 2k + 8 and accepts any omega4.
 ``solve`` condenses statically from the cell matrices: every V2 DOF and
 every V1 interior moment belongs to one cell, so all cells are condensed in
 one batched dense pass, the leaf level of the element multifrontal method
-(Duff & Reid 1983).  SuperLU factors the facet Schur complement in float32,
-in nested-dissection order over the cells (George 1973), and refinement in
-float64 (Buttari et al. 2007; Carson & Higham 2018) brings the residual to
-the tolerance; a step that fails to cut it tenfold is a SolverError, never
-a silent fallback to a float64 factor.
+(Duff & Reid 1983); a row of ``cell_dofs`` is [facet | local], so each
+cell's blocks are slices of its matrix.  SuperLU factors the facet Schur
+complement in float32, in nested-dissection order over the cells (George
+1973), and refinement in float64 (Buttari et al. 2007; Carson & Higham
+2018) brings the residual to the tolerance; a step that fails to cut it
+tenfold is a SolverError, never a silent fallback to a float64 factor.
 """
 
 from dataclasses import dataclass, field, replace
@@ -181,7 +182,7 @@ class LinearSystem:
 
     @property
     def cell_dofs(self) -> np.ndarray:
-        """(n_cells, nd) each cell's [V1 | V2] DOFs in the global numbering."""
+        """(n_cells, nd) each cell's global [V1 facet | V1 interior | V2] DOFs, facets first."""
         return np.hstack([self.u_space.cell_dofs, self.p_space.cell_dofs + self.n_u])
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
@@ -196,14 +197,16 @@ class LinearSystem:
         facet DOF lies in at most two cells, so no entry sums more than two
         contributions and the CSR does not depend on the scatter order.  It
         stores no zeros."""
-        E, dofs, n = self.cell_matrices, self.cell_dofs, len(self.rhs)
-        nd = E.shape[1]
-        A = sp.coo_matrix(
-            (E.ravel(), (np.repeat(dofs, nd, axis=1).ravel(), np.tile(dofs, (1, nd)).ravel())),
-            shape=(n, n),
-        ).tocsr()
+        A = _scatter_blocks(self.cell_matrices, self.cell_dofs, len(self.rhs)).tocsr()
         A.eliminate_zeros()
         return A
+
+
+def _scatter_blocks(blocks, index, n):
+    """The n x n COO sum of the per-cell blocks (n_cells, m, m), each at the
+    rows and columns ``index`` (n_cells, m)."""
+    rows, cols = np.broadcast_arrays(index[:, :, None], index[:, None, :])
+    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def coordinate_field(config: ProblemConfig, mesh):
@@ -356,31 +359,25 @@ class SolveResult:
     stats: dict = field(default_factory=dict)
 
 
-def _cell_positions(system: LinearSystem):
-    """Positions in a row of ``cell_dofs``: the cell-local DOFs (the V1
-    interior moments, then every V2 DOF) and the facet DOFs."""
-    u = system.u_space.element
-    interior = np.array([d.entity[0] == "interior" for d in u.dofs])
-    local = np.r_[np.flatnonzero(interior), u.ndofs:system.cell_matrices.shape[1]]
-    return local, np.flatnonzero(~interior)
+def _n_facet(system: LinearSystem) -> int:
+    """f, the facet DOFs per cell: the V1 DOFs not tagged "interior", which
+    the element lists first, so a row of ``cell_dofs`` is [facet (f) | local]."""
+    return sum(d.entity[0] != "interior" for d in system.u_space.element.dofs)
 
 
-def _nested_dissection(cell_dofs, centroids, glob):
-    """``glob`` (the facet DOFs) in nested-dissection order over the cells.
+def _nested_dissection(cell_facets, centroids):
+    """The facet DOFs 0 ... ng-1 in nested-dissection order over the cells.
 
     Two facet DOFs couple in the Schur complement only through a shared
-    cell, so the order is built from ``cell_dofs`` and the cell centroids
-    before the matrix exists (George 1973).  A set of cells is split into two
-    halves by rank along the widest axis of its centroids, and the separator
-    is the unordered facet DOFs that cells of both halves own; it is ordered
-    after the two halves.  A set with at most ``ND_LEAF`` unordered DOFs is
-    not split.
+    cell, so the order is built from each cell's facet DOFs and centroid
+    before the matrix exists (George 1973).  A set of cells is split into
+    two halves by rank along the widest axis of its centroids, and the
+    separator is the unordered facet DOFs that cells of both halves own; it
+    is ordered after the two halves.  A set with at most ``ND_LEAF``
+    unordered DOFs is not split.
     """
-    ng = len(glob)
-    index = np.full(cell_dofs.max() + 1, ng)
-    index[glob] = np.arange(ng)
-    cell_ids = index[cell_dofs]          # each cell's facet DOFs, ng elsewhere
-    side = np.zeros(ng + 1, dtype=np.int8)   # 1: a low cell owns it, 2: separator
+    ng = cell_facets.max() + 1
+    side = np.zeros(ng, dtype=np.int8)   # 1: a low cell owns it, 2: separator
     order = []
 
     def dissect(cells, ids):
@@ -389,47 +386,44 @@ def _nested_dissection(cell_dofs, centroids, glob):
             x = centroids[cells]
             rank = np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")
             low, high = np.split(cells[rank], [len(cells) // 2])
-            side[cell_ids[low]] = 1
-            sep = cell_ids[high]
+            side[cell_facets[low]] = 1
+            sep = cell_facets[high]
             sep = np.unique(sep[side[sep] == 1])
-            sep = sep[sep < ng]
             side[sep] = 2
             half = side[ids]
-            side[cell_ids[low]] = 0
+            side[cell_facets[low]] = 0
             dissect(low, ids[half == 1])
             dissect(high, ids[half == 0])
             ids = sep
         order.append(ids)
 
-    dissect(np.arange(len(cell_dofs)), np.arange(ng))
-    return glob[np.concatenate(order)]
+    dissect(np.arange(len(cell_facets)), np.arange(ng))
+    return np.concatenate(order)
 
 
-def _condense(system: LinearSystem, glob: np.ndarray):
+def _condense(system: LinearSystem, order: np.ndarray):
     """Condense every cell's local (l) DOFs onto its facet (g) DOFs.
 
-    Per cell: B^-1 = E_ll^-1, W = B^-1 E_lg and S_e = E_gg - E_gl W.
-    Returns S = sum of the S_e, a float64 CSC in the order of ``glob``; the
-    cells' facet DOFs as positions in ``glob``; B^-1, W and E_gl.
+    E_gg, E_gl, E_lg and E_ll are slices of each cell matrix at f.  Per
+    cell: B^-1 = E_ll^-1, W = B^-1 E_lg and S_e = E_gg - E_gl W.  Returns S
+    = sum of the S_e, a float64 CSC in the facet order ``order``; the cells'
+    facet DOFs as positions in ``order``; B^-1, W and E_gl.
     """
-    lp, gp = _cell_positions(system)
-    E, dofs = system.cell_matrices, system.cell_dofs
+    f = _n_facet(system)
+    E = system.cell_matrices
     try:
-        B_inv = np.linalg.inv(E[:, lp[:, None], lp])
+        B_inv = np.linalg.inv(E[:, f:, f:])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"cell-local block inversion failed: {exc}") from exc
-    E_gl = E[:, gp[:, None], lp]
-    W = B_inv @ E[:, lp[:, None], gp]
-    S_e = E[:, gp[:, None], gp] - E_gl @ W
+    E_gl = E[:, :f, f:]
+    W = B_inv @ E[:, f:, :f]
+    S_e = E[:, :f, :f] - E_gl @ W
 
-    index = np.empty(len(system.rhs), dtype=np.int64)
-    index[glob] = np.arange(len(glob))
-    facet = index[dofs[:, gp]]
-    S = sp.coo_matrix(
-        (S_e.ravel(), (np.repeat(facet, len(gp), axis=1).ravel(),
-                       np.tile(facet, (1, len(gp))).ravel())),
-        shape=(len(glob), len(glob)),
-    ).tocsc()
+    ng = len(order)
+    position = np.empty(ng, dtype=np.int64)
+    position[order] = np.arange(ng)
+    facet = position[system.cell_dofs[:, :f]]
+    S = _scatter_blocks(S_e, facet, ng).tocsc()
     S.eliminate_zeros()         # zeros in the constrained rows and columns would add LU fill
     return S, facet, B_inv, W, E_gl
 
@@ -457,12 +451,11 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     """
     b = system.rhs
     n, n_u = len(b), system.n_u
-    local = system.cell_dofs[:, _cell_positions(system)[0]]
+    f = _n_facet(system)
+    local = system.cell_dofs[:, f:]
     u = system.u_space
-    glob = _nested_dissection(
-        u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), np.setdiff1d(np.arange(n), local)
-    )
-    ng = len(glob)
+    order = _nested_dissection(u.cell_dofs[:, :f], u.mesh.cell_node_coords().mean(axis=1))
+    ng = len(order)
     stats = {
         "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "refinement_steps": 0,
         "ordering": "nested-dissection", "factor_dtype": "float32", "residuals": [],
@@ -478,7 +471,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     if bnorm == 0.0:
         return result(np.zeros_like(b), 0.0)
 
-    S, facet, B_inv, W, E_gl = _condense(system, glob)
+    S, facet, B_inv, W, E_gl = _condense(system, order)
     # float64 S is a temporary: only the float32 copy is kept for the LU
     S = S.astype(np.float32)
     try:
@@ -493,12 +486,13 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
 
     def apply_inverse(rhs):
         y_l = np.einsum("eij,ej->ei", B_inv, rhs[local])
-        f_g = rhs[glob] - np.bincount(facet.ravel(), np.einsum("eij,ej->ei", E_gl, y_l).ravel(), ng)
+        Ey = np.einsum("eij,ej->ei", E_gl, y_l)
+        f_g = rhs[order] - np.bincount(facet.ravel(), Ey.ravel(), ng)
         # scaled to unit max so that a small correction stays in float32 range
         scale = np.abs(f_g).max() or 1.0
         x_g = lu.solve((f_g / scale).astype(np.float32)).astype(float) * scale
         z = np.empty(n)
-        z[glob] = x_g
+        z[order] = x_g
         z[local] = y_l - np.einsum("eij,ej->ei", W, x_g[facet])
         return z
 

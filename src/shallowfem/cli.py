@@ -18,6 +18,7 @@ byte-identical files.
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -160,6 +161,10 @@ def _rate(value) -> str:
 
 
 def cmd_convergence(args) -> int:
+    for path in filter(None, (args.csv, args.forcing_report, args.stats_json)):
+        parent = Path(path).parent      # checked before the ladder, which can take minutes
+        if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise ValueError(f"cannot write {path}: not a file in an existing, writable directory")
     table = mms.convergence_study(
         k=args.k,
         levels=args.levels,

@@ -189,10 +189,6 @@ class DofFunctional:
     points: np.ndarray    # (nq, 3)
     weights: np.ndarray   # (nq, 3)
 
-    def apply(self, values: np.ndarray) -> float:
-        """Apply to vector samples taken at ``self.points``, shape (nq, 3)."""
-        return float(np.sum(self.weights * values))
-
 
 @dataclass(frozen=True)
 class FiniteElement:

@@ -41,7 +41,6 @@ __all__ = [
     "coordinate_planes",
     "stack_planes",
     "unit_normal",
-    "tangent_planes",
     "project_tangent",
     "longitude",
     "tangent_frame",
@@ -321,10 +320,9 @@ def quadrature_chunks(coords: CoordinateField, x4, points):
 # chunks of quadrature points this roughly halves the time of computing on
 # (..., 4) arrays, where every step strides over the last axis and builds
 # np.stack, np.linalg.norm and einsum temporaries.  The providers in ``mms``
-# call the plane kernels (``tangent_planes``, ``longitude``,
-# ``TangentFrame.at`` / ``dot`` / ``combine``) directly; the (..., 4)
-# functions wrap the same kernels for the finite-difference oracles and the
-# tests.
+# call the plane kernels (``longitude``, ``TangentFrame.at`` / ``dot`` /
+# ``combine``) directly; the (..., 4) functions wrap the same kernels for
+# the finite-difference oracles and the tests.
 
 def coordinate_planes(v) -> np.ndarray:
     """The coordinate planes of vectors (..., n) as one contiguous copy, (n, ...).
@@ -356,17 +354,11 @@ def unit_normal(x4) -> np.ndarray:
     return stack_planes((x[0] / r, x[1] / r, x[2] / r, 0.0))
 
 
-def tangent_planes(v, x):
-    """The planes of P v = v - ((v . x) / |x|^2) x, the tangential projection
-    along ``unit_normal``, for the planes v of 4-vectors at the points with
-    planes x."""
-    s = (v[0] * x[0] + v[1] * x[1] + v[2] * x[2]) / _radius_squared(x)
-    return v[0] - s * x[0], v[1] - s * x[1], v[2] - s * x[2], v[3]
-
-
 def project_tangent(v, x4) -> np.ndarray:
     """Tangential projection P v = v - (v . l) l, with l = unit_normal(x4)."""
-    return stack_planes(tangent_planes(coordinate_planes(v), coordinate_planes(x4)))
+    v, x = coordinate_planes(v), coordinate_planes(x4)
+    s = (v[0] * x[0] + v[1] * x[1] + v[2] * x[2]) / _radius_squared(x)
+    return stack_planes((v[0] - s * x[0], v[1] - s * x[1], v[2] - s * x[2], v[3]))
 
 
 def longitude(x1, x2, a):

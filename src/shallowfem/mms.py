@@ -18,10 +18,10 @@ normal l = (x / |x|, 0) and the projection P = I - l l^T (``unit_normal``,
 
 The printed exact velocity is not tangent to the manifold: its normal
 component is (3 - a^2) x1 x2 x3 (x4^2 - 1)(x4^2 - 4) / a.  The case therefore
-projects u onto the tangent space and re-derives the forcing (F, g) through
-the oracles; discrepancies against the printed forcing are reported, never
-patched silently.  The providers and ``derive_forcing`` raise ValueError
-when the operators' radius is not the case's.
+uses its tangential projection, in closed form, and re-derives the forcing
+(F, g) through the oracles; discrepancies against the printed forcing are
+reported, never patched silently.  The providers and ``derive_forcing``
+raise ValueError when the operators' radius is not the case's.
 
 The solver's providers (``ManufacturedCase.derived_f4`` / ``derived_g``)
 evaluate grad p and div u in closed form, at the same manifold points and in
@@ -210,10 +210,21 @@ class ManufacturedCase:
     def u_printed(self, x4):
         return geometry.stack_planes(self._u_printed(geometry.coordinate_planes(x4)))
 
+    def _u_exact(self, x):
+        """P u_printed in closed form, with no cancellation at a large radius:
+        u_printed . x = x1 x2 x3 q (3 - |x|^2), so (P u)_i = q x_j x_k (1 - 3 x_i^2 / |x|^2)."""
+        x1, x2, x3, h = x
+        q, s = self._q(h), 3.0 / (x1 * x1 + x2 * x2 + x3 * x3)
+        return (
+            x2 * x3 * q * (1.0 - s * x1 * x1),
+            x1 * x3 * q * (1.0 - s * x2 * x2),
+            x1 * x2 * q * (1.0 - s * x3 * x3),
+            2.0 * x1 * x2 * x3 * h * (2.0 * h ** 2 - 5.0),
+        )
+
     def u_exact(self, x4):
         """Tangentially projected printed velocity (the solution actually used)."""
-        x = geometry.coordinate_planes(x4)
-        return geometry.stack_planes(geometry.tangent_planes(self._u_printed(x), x))
+        return geometry.stack_planes(self._u_exact(geometry.coordinate_planes(x4)))
 
     def u_dot_l_analytic(self, x4):
         """Closed form of the printed velocity's normal component on S^2(a)."""
@@ -250,7 +261,7 @@ class ManufacturedCase:
         def f4(x4):
             x = geometry.coordinate_planes(x4)
             fr = geometry.TangentFrame.at(x, ops.a)
-            u = geometry.tangent_planes(self._u_printed(x), x)
+            u = self._u_exact(x)
             c_l, s_l = fr.cos_l, fr.sin_l
             s_p, c_p = _oracle_latitude(x, ops.a)
             a, h, q = ops.a, x[3], self._q(x[3])

@@ -109,7 +109,7 @@ def interpolate_hdiv(space, coords, func):
         for i in todo:
             stop = start + len(dofs[i].points)
             g = space.cell_dofs[cell, i]
-            coeffs[g] = space.cell_signs[cell, i] * dofs[i].apply(vhat[start:stop])
+            coeffs[g] = space.cell_signs[cell, i] * np.sum(dofs[i].weights * vhat[start:stop])
             written[g] = True
             start = stop
     return fem.Field(space=space, coeffs=coeffs)

@@ -276,7 +276,8 @@ def test_solve_rejects_a_singular_cell_block(annulus_r0_l1_module):
     system = assembly.apply_inner_bc(
         assembly.assemble(assembly.ProblemConfig(mode="shallow", k=2), V1, V2))
     system.rhs[:] = 1.0
-    r0, r1 = assembly._cell_positions(system)[0][:2]
+    r0 = assembly._n_facet(system)
+    r1 = r0 + 1
     E = system.cell_matrices.copy()
     E[0, r1] = E[0, r0]
     with pytest.raises(assembly.SolverError, match="inversion failed"):
@@ -305,42 +306,71 @@ def r1_system(annulus_r1_l2):
 
 def cell_local_dofs(system):
     """(n_cells, n_local) global indices of the V1 interior and V2 DOFs."""
-    return system.cell_dofs[:, assembly._cell_positions(system)[0]]
+    return system.cell_dofs[:, assembly._n_facet(system):]
+
+
+def n_facet_dofs(system):
+    """ng, the number of facet DOFs: all DOFs but the cell-local ones."""
+    return len(system.rhs) - cell_local_dofs(system).size
 
 
 def facet_inputs(system):
-    """(cell_dofs, cell centroids, sorted facet DOFs) as ``solve`` sees them."""
+    """(each cell's facet DOFs, cell centroids) as ``solve`` sees them."""
     u = system.u_space
-    glob = np.setdiff1d(np.arange(system.matrix.shape[0]), cell_local_dofs(system))
-    return u.cell_dofs, u.mesh.cell_node_coords().mean(axis=1), glob
+    return u.cell_dofs[:, :assembly._n_facet(system)], u.mesh.cell_node_coords().mean(axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cell_dofs_put_the_facet_dofs_first(annulus_r1_l2, k):
+    """The layout ``solve`` slices: a row of ``cell_dofs`` is [V1 facet | V1
+    interior | V2], and the facet DOFs are numbered 0 ... ng-1, before every
+    cell-local DOF."""
+    V1, V2 = build_spaces(annulus_r1_l2, k)
+    nd = V1.element.ndofs + V2.element.ndofs
+    system = assembly.LinearSystem(
+        cell_matrices=np.zeros((annulus_r1_l2.n_cells, nd, nd)),
+        rhs=np.zeros(V1.n_dofs + V2.n_dofs), u_space=V1, p_space=V2,
+    )
+    f = assembly._n_facet(system)
+    kinds = [d.entity[0] for d in V1.element.dofs]
+    assert "interior" not in kinds[:f] and set(kinds[f:]) <= {"interior"}
+    assert len(kinds[f:]) == {1: 0, 2: 9}[k]
+    np.testing.assert_array_equal(system.cell_dofs[:, :V1.element.ndofs], V1.cell_dofs)
+    np.testing.assert_array_equal(system.cell_dofs[:, V1.element.ndofs:], V2.cell_dofs + V1.n_dofs)
+
+    ng = V1.vfacet_dofs.size + V1.hfacet_dofs.size
+    np.testing.assert_array_equal(np.unique(V1.cell_dofs[:, :f]), np.arange(ng))
+    assert V1.cell_dofs[:, :f].max() < ng <= system.cell_dofs[:, f:].min()
+    if k == 2:
+        assert ng <= V1.cell_dofs[:, f:].min()
 
 
 def test_nested_dissection_is_a_deterministic_permutation(r1_system):
-    cell_dofs, centroids, glob = facet_inputs(r1_system)
-    order = assembly._nested_dissection(cell_dofs, centroids, glob)
-    np.testing.assert_array_equal(np.sort(order), glob)
-    np.testing.assert_array_equal(assembly._nested_dissection(cell_dofs, centroids, glob), order)
+    cell_facets, centroids = facet_inputs(r1_system)
+    order = assembly._nested_dissection(cell_facets, centroids)
+    np.testing.assert_array_equal(np.sort(order), np.arange(n_facet_dofs(r1_system)))
+    np.testing.assert_array_equal(assembly._nested_dissection(cell_facets, centroids), order)
 
 
 def test_nested_dissection_orders_the_top_separator_last(r1_system):
     """The top split of the cells, recomputed: the order is the low block, the
     high block and then exactly the facet DOFs that cells of both halves own,
     and no cell owns a DOF of the low block and one of the high block."""
-    cell_dofs, centroids, glob = facet_inputs(r1_system)
-    order = assembly._nested_dissection(cell_dofs, centroids, glob)
+    cell_facets, centroids = facet_inputs(r1_system)
+    order = assembly._nested_dissection(cell_facets, centroids)
+    ng = len(order)
     axis = np.ptp(centroids, axis=0).argmax()
     low, high = np.split(np.argsort(centroids[:, axis], kind="stable"), [len(centroids) // 2])
-    facet = np.isin(cell_dofs, glob)
-    low_ids, high_ids = (np.unique(cell_dofs[c][facet[c]]) for c in (low, high))
+    low_ids, high_ids = (np.unique(cell_facets[c]) for c in (low, high))
     sep = np.intersect1d(low_ids, high_ids)
     assert len(sep)
-    np.testing.assert_array_equal(np.sort(order[len(glob) - len(sep):]), sep)
+    np.testing.assert_array_equal(np.sort(order[ng - len(sep):]), sep)
 
     n_low = len(low_ids) - len(sep)
     np.testing.assert_array_equal(np.sort(order[:n_low]), np.setdiff1d(low_ids, sep))
-    block = np.full(cell_dofs.max() + 1, -1)
-    block[order] = np.repeat([0, 1, 2], [n_low, len(glob) - n_low - len(sep), len(sep)])
-    owned = block[cell_dofs]
+    block = np.full(ng, -1)
+    block[order] = np.repeat([0, 1, 2], [n_low, ng - n_low - len(sep), len(sep)])
+    owned = block[cell_facets]
     assert not ((owned == 0).any(axis=1) & (owned == 1).any(axis=1)).any()
 
 
@@ -369,19 +399,19 @@ def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
     assert assembly.solve(r1_system).residual <= 1e-10
     assert captured["permc_spec"] == "NATURAL"
 
-    cell_dofs, centroids, glob = facet_inputs(r1_system)
-    order = assembly._nested_dissection(cell_dofs, centroids, glob)
-    index = np.full(cell_dofs.max() + 1, -1)
-    index[order] = np.arange(len(order))
-    cell_ids = index[cell_dofs]
-    owner, slot = np.nonzero(cell_ids >= 0)
+    cell_facets, centroids = facet_inputs(r1_system)
+    order = assembly._nested_dissection(cell_facets, centroids)
+    ng = len(order)
+    index = np.empty(ng, dtype=np.int64)
+    index[order] = np.arange(ng)
+    nc, f = cell_facets.shape
     E = sp.csr_matrix(
-        (np.ones(len(owner)), (cell_ids[owner, slot], owner)), shape=(len(glob), len(cell_dofs))
+        (np.ones(nc * f), (index[cell_facets].ravel(), np.repeat(np.arange(nc), f))), shape=(ng, nc)
     )
     graph = (E @ E.T).tocsr()
     S = captured["matrix"].tocoo()
     nz = S.data != 0.0
-    assert nz.sum() > len(glob)
+    assert nz.sum() > ng
     assert (np.asarray(graph[S.row[nz], S.col[nz]]).ravel() > 0).all()
 
 
@@ -441,12 +471,12 @@ def test_near_singular_condensed_matrix_is_solver_error(r1_system):
     right-hand side.  The local block stays invertible, so S is near
     singular, and threshold pivoting must not return a number that misses
     the residual contract."""
-    local, facet = assembly._cell_positions(r1_system)
+    f = assembly._n_facet(r1_system)
     dofs = r1_system.cell_dofs
-    owners = np.bincount(dofs[:, facet].ravel())[dofs[:, facet]]
-    free = ~np.isin(dofs[:, facet], inner_dofs(r1_system))
-    c, slot = np.argwhere((owners == 1) & free)[0]
-    i, j = facet[slot], local[-1]
+    owners = np.bincount(dofs[:, :f].ravel())[dofs[:, :f]]
+    free = ~np.isin(dofs[:, :f], inner_dofs(r1_system))
+    c, i = np.argwhere((owners == 1) & free)[0]
+    j = dofs.shape[1] - 1
     E = r1_system.cell_matrices.copy()
     E[c, j] = E[c, i]
     E[c, j, j] += 1e-14 * abs(E[c, i, i])
@@ -799,14 +829,13 @@ def test_cell_condensation_matches_the_sparse_one(bc_system):
     of the oracle matrix, in the nested-dissection order of ``solve``, and
     stores only its nonzeros."""
     A = bc_system.matrix
-    cell_dofs, centroids, glob = facet_inputs(bc_system)
-    glob = assembly._nested_dissection(cell_dofs, centroids, glob)
+    order = assembly._nested_dissection(*facet_inputs(bc_system))
     local = cell_local_dofs(bc_system).ravel()
     B_inv = np.linalg.inv(cell_local_blocks(bc_system))
-    A_gl = A[glob][:, local]
-    W = sp.block_diag(list(B_inv)) @ A[local][:, glob]
-    S_ref = (A[glob][:, glob] - A_gl @ W).toarray()
-    S = assembly._condense(bc_system, glob)[0]
+    A_gl = A[order][:, local]
+    W = sp.block_diag(list(B_inv)) @ A[local][:, order]
+    S_ref = (A[order][:, order] - A_gl @ W).toarray()
+    S = assembly._condense(bc_system, order)[0]
     assert S.nnz == np.count_nonzero(S_ref)     # no explicit zeros to add LU fill
     assert np.abs(S.toarray() - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
 

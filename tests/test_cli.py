@@ -310,18 +310,40 @@ def test_convergence_degenerate_geometry_is_one_line(tmp_path, capsys, flags, me
 
 @pytest.mark.parametrize("argv", [
     ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e5"],
+    ["convergence", "--levels", "0:1,1:1", "--inner-radius", "6.371e6", "--thickness", "1e4"],
+    ["verify-forcing", "--inner-radius", "1e5"],
+], ids=["convergence-1e5", "convergence-earth", "verify-1e5"])
+def test_large_radius_runs(argv, tmp_path):
+    """The closed-form tangential velocity stays tangent at a large radius,
+    so the manufactured case runs there, the Earth's radius and a 10 km
+    shell included: every file is written and every solve meets 1e-10."""
+    if argv[0] == "convergence":
+        files = [tmp_path / "t.csv", tmp_path / "f.txt", tmp_path / "s.json"]
+        outputs = ["--csv", files[0], "--forcing-report", files[1], "--stats-json", files[2]]
+    else:
+        files = [tmp_path / "r.json"]
+        outputs = ["--out", files[0]]
+    assert run(argv + [str(x) for x in outputs]) == 0
+    assert all(x.stat().st_size > 0 for x in files)
+    if argv[0] == "convergence":
+        residuals = [r["residual"] for r in json.loads(files[2].read_text())]
+        assert len(residuals) == 2 and max(residuals) <= 1e-10
+    else:
+        # |u_exact| is of order a^2 = 1e10 here
+        assert json.loads(files[0].read_text())["tangency_after_projection"] <= 1e-12 * 1e10
+
+
+@pytest.mark.parametrize("argv", [
     ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e8"],
     ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e100"],
     ["convergence", "--levels", "0:1,1:1", "--thickness", "1e100"],
-    ["verify-forcing", "--inner-radius", "1e5"],
     ["verify-forcing", "--inner-radius", "1e100"],
-], ids=["convergence-1e5", "convergence-1e8", "convergence-1e100",
-        "convergence-thick-1e100", "verify-1e5", "verify-1e100"])
+], ids=["convergence-1e8", "convergence-1e100", "convergence-thick-1e100", "verify-1e100"])
 def test_large_sizes_are_one_line(argv, tmp_path, capsys):
-    """A radius from 1e5 up fails the manufactured velocity's tangency
-    check, and one of 1e100 leaves the float64 range; either is one error
-    line, with no traceback and no RuntimeWarning (the suite makes warnings
-    errors)."""
+    """At a radius of 1e8 with H = 1 the solve misses its residual
+    contract, and sizes of 1e100 leave the float64 range; either is one
+    error line, with no traceback and no RuntimeWarning (the suite makes
+    warnings errors), and no file is written."""
     outputs = (["--csv", str(tmp_path / "t.csv"), "--forcing-report", str(tmp_path / "f.txt")]
                if argv[0] == "convergence" else ["--out", str(tmp_path / "r.json")])
     assert run(argv + outputs) == 1
@@ -358,6 +380,29 @@ def test_unwritable_output_is_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--forcing-report", "--stats-json"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_convergence_output_fails_before_the_ladder(
+        flag, where, tmp_path, capsys, monkeypatch):
+    """An output path in a directory that does not exist, or one that is a
+    directory, is one error line naming it, before any level is solved, and
+    no file is created."""
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran before the output paths were checked")
+
+    monkeypatch.setattr(cli.mms, "convergence_study", no_ladder)
+    (tmp_path / "out").mkdir()
+    bad = tmp_path / "no" / "such" / "dir" / "t.csv" if where == "missing" else tmp_path / "out"
+    outputs = {"--csv": tmp_path / "t.csv", "--forcing-report": tmp_path / "f.txt",
+               "--stats-json": tmp_path / "s.json", flag: bad}
+    argv = ["convergence", "--k", "1", "--levels", "0:1"]
+    assert run(argv + [str(a) for item in outputs.items() for a in item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["out"]
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_convergence_single_level_prints_na(tmp_path, capsys):
