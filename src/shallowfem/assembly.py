@@ -60,10 +60,14 @@ every V1 interior moment belongs to one cell, so all cells are condensed in
 one batched dense pass, the leaf level of the element multifrontal method
 (Duff & Reid 1983); a row of ``cell_dofs`` is [facet | local], so each
 cell's blocks are slices of its matrix.  SuperLU factors the facet Schur
-complement in float32, in nested-dissection order over the cells (George
-1973), and refinement in float64 (Buttari et al. 2007; Carson & Higham
-2018) brings the residual to the tolerance; a step that fails to cut it
-tenfold is a SolverError, never a silent fallback to a float64 factor.
+complement in float32, in a column order: the horizontal-facet DOFs, which
+couple only inside one column of prisms, come first, so SuperLU eliminates
+them as independent column blocks; the vertical-facet DOFs follow in
+nested-dissection order over the columns (George 1973), so the dissection
+splits only the 2D graph of columns.  Refinement in float64 (Buttari et al.
+2007; Carson & Higham 2018) brings the residual to the tolerance; a step
+that fails to cut it tenfold is a SolverError, never a silent fallback to a
+float64 factor.
 """
 
 from dataclasses import dataclass, field, replace
@@ -91,15 +95,15 @@ __all__ = [
 ]
 
 
-# Most unordered facet DOFs that nested dissection leaves unsplit.  LU fill
-# at k=2 (2,4), k=1 (3,8) and deep k=1 (4,2) is 7.41M, 16.06M and 8.67M
-# with 32; 64 gave 7.47M, 16.23M and 8.91M, and 128 gave 7.54M, 20.56M and
-# 9.27M.  The solve times of 32 and 64 agree within run-to-run noise.
+# Most unordered vertical-facet DOFs that nested dissection leaves unsplit.
+# LU fill at k=2 (2,4), k=1 (3,8) and deep k=1 (4,2) is 6.88M, 15.25M and
+# 4.79M with 32, the same with 8 and 16 but for 4.78M at deep (4,2) with 8;
+# 64 gave 6.88M, 15.33M and 4.90M, and 128 gave 6.93M, 15.33M and 5.25M.
 ND_LEAF = 32
 
 # Most refinement steps after the first solve with the float32 factor.  Each
-# step scales the residual by about cond(S) 2^-24: 5e-5 at k=2 (2,4) and
-# 2e-3 at k=2 (3,8), where three steps reach 1e-10.
+# step scales the residual by about cond(S) 2^-24: 1e-5 at k=2 (2,4) and
+# 3e-5 at k=2 (3,8), where two steps reach 1e-10.
 MAX_REFINEMENT_STEPS = 10
 
 
@@ -346,7 +350,8 @@ class SolveResult:
     ``stats``: ``n_global`` (order of the condensed matrix),
     ``n_local_per_cell`` (DOFs eliminated per cell), ``lu_nnz`` (SuperLU fill
     of the condensed matrix), ``refinement_steps``, ``ordering`` (the
-    column order of the condensed matrix, always ``"nested-dissection"``),
+    column order of the condensed matrix, always
+    ``"column-nested-dissection"``: see ``_facet_order``),
     ``factor_dtype`` (the precision of the LU, always ``"float32"``) and
     ``residuals`` (the relative residual after the first solve and after
     each refinement step; its last entry is ``residual``, and it is empty
@@ -365,40 +370,57 @@ def _n_facet(system: LinearSystem) -> int:
     return sum(d.entity[0] != "interior" for d in system.u_space.element.dofs)
 
 
-def _nested_dissection(cell_facets, centroids):
-    """The facet DOFs 0 ... ng-1 in nested-dissection order over the cells.
+def _nested_dissection(column_facets, centroids):
+    """The vertical-facet DOFs 0 ... nv-1 in nested-dissection order over
+    the columns.
 
-    Two facet DOFs couple in the Schur complement only through a shared
-    cell, so the order is built from each cell's facet DOFs and centroid
-    before the matrix exists (George 1973).  A set of cells is split into
-    two halves by rank along the widest axis of its centroids, and the
-    separator is the unordered facet DOFs that cells of both halves own; it
-    is ordered after the two halves.  A set with at most ``ND_LEAF``
-    unordered DOFs is not split.
+    Two vertical-facet DOFs couple in the Schur complement, once the
+    horizontal-facet DOFs are eliminated, only through a shared column, so
+    the order is built from each column's vertical-facet DOFs and the
+    centroid of its base triangle before the matrix exists (George 1973).
+    A set of columns is split into two halves by rank along the widest axis
+    of its centroids, and the separator is the unordered DOFs that columns
+    of both halves own; it is ordered after the two halves.  A set with at
+    most ``ND_LEAF`` unordered DOFs is not split.
     """
-    ng = cell_facets.max() + 1
-    side = np.zeros(ng, dtype=np.int8)   # 1: a low cell owns it, 2: separator
+    nv = column_facets.max() + 1
+    side = np.zeros(nv, dtype=np.int8)   # 1: a low column owns it, 2: separator
     order = []
 
-    def dissect(cells, ids):
-        # ids: the unordered facet DOFs of cells, which no other cell owns
-        if len(ids) > ND_LEAF and len(cells) > 1:
-            x = centroids[cells]
+    def dissect(columns, ids):
+        # ids: the unordered DOFs of columns, which no other column owns
+        if len(ids) > ND_LEAF and len(columns) > 1:
+            x = centroids[columns]
             rank = np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")
-            low, high = np.split(cells[rank], [len(cells) // 2])
-            side[cell_facets[low]] = 1
-            sep = cell_facets[high]
+            low, high = np.split(columns[rank], [len(columns) // 2])
+            side[column_facets[low]] = 1
+            sep = column_facets[high]
             sep = np.unique(sep[side[sep] == 1])
             side[sep] = 2
             half = side[ids]
-            side[cell_facets[low]] = 0
+            side[column_facets[low]] = 0
             dissect(low, ids[half == 1])
             dissect(high, ids[half == 0])
             ids = sep
         order.append(ids)
 
-    dissect(np.arange(len(cell_facets)), np.arange(ng))
+    dissect(np.arange(len(column_facets)), np.arange(nv))
     return np.concatenate(order)
+
+
+def _facet_order(u: FunctionSpace) -> np.ndarray:
+    """The facet DOFs 0 ... ng-1 in the order SuperLU factors them: every
+    horizontal-facet DOF (nv ... ng-1), which couples only inside its
+    column, then the vertical-facet DOFs 0 ... nv-1 by ``_nested_dissection``
+    over the columns.  Cells are numbered column-major, so a column's
+    vertical-facet DOFs are a reshape of its cells' ``"quad"`` DOFs."""
+    base = u.mesh.base
+    quad = [d.entity[0] == "quad" for d in u.element.dofs]
+    columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
+    nv = u.vfacet_dofs.size
+    horizontal = np.arange(nv, nv + u.hfacet_dofs.size)
+    centroids = base.vertices[base.triangles].mean(axis=1)
+    return np.concatenate([horizontal, _nested_dissection(columns, centroids)])
 
 
 def _condense(system: LinearSystem, order: np.ndarray):
@@ -432,11 +454,11 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     """Sparse direct solve by static condensation, with a residual contract.
 
     ``_condense`` sums the cells' Schur complements into S = A_gg - A_gl
-    B^-1 A_lg on the facet DOFs, in the nested-dissection order of
-    ``_nested_dissection``.  SuperLU factors S in float32, keeps that column
-    order and relaxes diagonal pivoting to a threshold of 0.01 so that row
-    swaps do not undo it.  Everything else stays in float64; only the facet
-    right-hand side of each solve is cast to float32, scaled to unit max.
+    B^-1 A_lg on the facet DOFs, in the column order of ``_facet_order``.
+    SuperLU factors S in float32, keeps that column order and relaxes
+    diagonal pivoting to a threshold of 0.01 so that row swaps do not undo
+    it.  Everything else stays in float64; only the facet right-hand side
+    of each solve is cast to float32, scaled to unit max.
     The local DOFs are recovered cell by cell.  The solution is refined
     from z = 0 (relative residual 1): each step solves for the residual
     b - A z (``LinearSystem.matvec``) and adds the correction, until the
@@ -453,12 +475,11 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     n, n_u = len(b), system.n_u
     f = _n_facet(system)
     local = system.cell_dofs[:, f:]
-    u = system.u_space
-    order = _nested_dissection(u.cell_dofs[:, :f], u.mesh.cell_node_coords().mean(axis=1))
+    order = _facet_order(system.u_space)
     ng = len(order)
     stats = {
         "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "refinement_steps": 0,
-        "ordering": "nested-dissection", "factor_dtype": "float32", "residuals": [],
+        "ordering": "column-nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
     def result(z, res):

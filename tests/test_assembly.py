@@ -266,7 +266,7 @@ def test_condensed_solve_matches_full_spsolve(annulus_r0_l1_module, k, mode):
     n = system.matrix.shape[0]
     assert stats["n_global"] == n - m.n_cells * stats["n_local_per_cell"]
     assert stats["lu_nnz"] > 0 and 0 <= stats["refinement_steps"] <= assembly.MAX_REFINEMENT_STEPS
-    assert stats["ordering"] == "nested-dissection"
+    assert stats["ordering"] == "column-nested-dissection"
 
 
 def test_solve_rejects_a_singular_cell_block(annulus_r0_l1_module):
@@ -314,17 +314,26 @@ def n_facet_dofs(system):
     return len(system.rhs) - cell_local_dofs(system).size
 
 
+def n_vertical_facet_dofs(system):
+    """nv: the vertical-facet ("quad") DOFs are 0 ... nv-1."""
+    return system.u_space.vfacet_dofs.size
+
+
 def facet_inputs(system):
-    """(each cell's facet DOFs, cell centroids) as ``solve`` sees them."""
+    """(each column's vertical-facet DOFs, its base triangle's centroid), the
+    inputs of ``_nested_dissection`` in ``solve``."""
     u = system.u_space
-    return u.cell_dofs[:, :assembly._n_facet(system)], u.mesh.cell_node_coords().mean(axis=1)
+    base = u.mesh.base
+    quad = [d.entity[0] == "quad" for d in u.element.dofs]
+    columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
+    return columns, base.vertices[base.triangles].mean(axis=1)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_cell_dofs_put_the_facet_dofs_first(annulus_r1_l2, k):
     """The layout ``solve`` slices: a row of ``cell_dofs`` is [V1 facet | V1
     interior | V2], and the facet DOFs are numbered 0 ... ng-1, before every
-    cell-local DOF."""
+    cell-local DOF, with the vertical-facet DOFs first."""
     V1, V2 = build_spaces(annulus_r1_l2, k)
     nd = V1.element.ndofs + V2.element.ndofs
     system = assembly.LinearSystem(
@@ -344,46 +353,74 @@ def test_cell_dofs_put_the_facet_dofs_first(annulus_r1_l2, k):
     if k == 2:
         assert ng <= V1.cell_dofs[:, f:].min()
 
+    # the vertical-facet ("quad") DOFs are 0 ... nv-1, distinct in a column
+    quad = [d.entity[0] == "quad" for d in V1.element.dofs]
+    np.testing.assert_array_equal(np.unique(V1.cell_dofs[:, quad]), np.arange(V1.vfacet_dofs.size))
+    columns = V1.cell_dofs[:, quad].reshape(annulus_r1_l2.base.n_triangles, -1)
+    assert all(len(np.unique(c)) == len(c) for c in columns)
+
 
 def test_nested_dissection_is_a_deterministic_permutation(r1_system):
-    cell_facets, centroids = facet_inputs(r1_system)
-    order = assembly._nested_dissection(cell_facets, centroids)
-    np.testing.assert_array_equal(np.sort(order), np.arange(n_facet_dofs(r1_system)))
-    np.testing.assert_array_equal(assembly._nested_dissection(cell_facets, centroids), order)
+    columns, centroids = facet_inputs(r1_system)
+    order = assembly._nested_dissection(columns, centroids)
+    np.testing.assert_array_equal(np.sort(order), np.arange(n_vertical_facet_dofs(r1_system)))
+    np.testing.assert_array_equal(assembly._nested_dissection(columns, centroids), order)
+
+
+def test_facet_order_puts_the_horizontal_facet_dofs_first(r1_system):
+    """Every horizontal-facet DOF (nv ... ng-1) precedes every vertical-facet
+    DOF, and the vertical ones follow in ``_nested_dissection`` order."""
+    order = assembly._facet_order(r1_system.u_space)
+    nv, ng = n_vertical_facet_dofs(r1_system), n_facet_dofs(r1_system)
+    assert len(order) == ng
+    np.testing.assert_array_equal(order[:ng - nv], np.arange(nv, ng))
+    vertical = assembly._nested_dissection(*facet_inputs(r1_system))
+    np.testing.assert_array_equal(order[ng - nv:], vertical)
 
 
 def test_nested_dissection_orders_the_top_separator_last(r1_system):
-    """The top split of the cells, recomputed: the order is the low block, the
-    high block and then exactly the facet DOFs that cells of both halves own,
-    and no cell owns a DOF of the low block and one of the high block."""
-    cell_facets, centroids = facet_inputs(r1_system)
-    order = assembly._nested_dissection(cell_facets, centroids)
-    ng = len(order)
+    """The top split of the columns, recomputed: the order is the low block,
+    the high block and then exactly the DOFs that columns of both halves
+    own, and no column owns a DOF of the low block and one of the high
+    block.  The top separator holds only vertical-facet DOFs, last in the
+    order ``solve`` factors in."""
+    columns, centroids = facet_inputs(r1_system)
+    order = assembly._nested_dissection(columns, centroids)
+    nv = len(order)
     axis = np.ptp(centroids, axis=0).argmax()
     low, high = np.split(np.argsort(centroids[:, axis], kind="stable"), [len(centroids) // 2])
-    low_ids, high_ids = (np.unique(cell_facets[c]) for c in (low, high))
+    low_ids, high_ids = (np.unique(columns[c]) for c in (low, high))
     sep = np.intersect1d(low_ids, high_ids)
     assert len(sep)
-    np.testing.assert_array_equal(np.sort(order[ng - len(sep):]), sep)
+    np.testing.assert_array_equal(np.sort(order[nv - len(sep):]), sep)
+    full = assembly._facet_order(r1_system.u_space)
+    np.testing.assert_array_equal(np.sort(full[len(full) - len(sep):]), sep)
+    assert sep.max() < nv
 
     n_low = len(low_ids) - len(sep)
     np.testing.assert_array_equal(np.sort(order[:n_low]), np.setdiff1d(low_ids, sep))
-    block = np.full(ng, -1)
-    block[order] = np.repeat([0, 1, 2], [n_low, ng - n_low - len(sep), len(sep)])
-    owned = block[cell_facets]
+    block = np.full(nv, -1)
+    block[order] = np.repeat([0, 1, 2], [n_low, nv - n_low - len(sep), len(sep)])
+    owned = block[columns]
     assert not ((owned == 0).any(axis=1) & (owned == 1).any(axis=1)).any()
 
 
-@pytest.mark.parametrize("k, mode, level, parent_fill", [
-    (2, "shallow", (1, 2), 463_527),
-    (1, "deep", (3, 1), 459_820),
+@pytest.mark.parametrize("k, mode, level, parent_fill, steps", [
+    (2, "shallow", (1, 2), 463_527, 1),
+    (1, "deep", (3, 1), 287_188, 1),
 ], ids=["k2-shallow-1:2", "k1-deep-3:1"])
-def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, parent_fill):
+def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, parent_fill, steps):
     """SuperLU fill of the manufactured ladder's condensed matrix stays below
-    that of the earlier order, which split the facet DOFs at the median of
-    their mean cell centroids."""
+    that of an earlier order, and the float32 factor needs ``steps``
+    refinement steps.  Deep (3,1) compares with the nested dissection over
+    cells (287,188; 2 steps).  k=2 (1,2) keeps the bound of the order before
+    it, which split the facet DOFs at the median of their mean cell
+    centroids: there the column order fills 331,872, only 0.5 % below the
+    cell order's 333,627, and the layer-averaged column centroids that
+    break ties differently filled 343,680, 3 % above it."""
     (row,) = mms.convergence_study(k, [level], mode=mode).rows
     assert 0 < row.solve_stats["lu_nnz"] < parent_fill
+    assert row.solve_stats["refinement_steps"] == steps
 
 
 def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
@@ -399,8 +436,8 @@ def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
     assert assembly.solve(r1_system).residual <= 1e-10
     assert captured["permc_spec"] == "NATURAL"
 
-    cell_facets, centroids = facet_inputs(r1_system)
-    order = assembly._nested_dissection(cell_facets, centroids)
+    cell_facets = r1_system.u_space.cell_dofs[:, :assembly._n_facet(r1_system)]
+    order = assembly._facet_order(r1_system.u_space)
     ng = len(order)
     index = np.empty(ng, dtype=np.int64)
     index[order] = np.arange(ng)
@@ -826,10 +863,10 @@ def test_cell_matvec_matches_the_oracle_matrix(cell_system, bc_system):
 
 def test_cell_condensation_matches_the_sparse_one(bc_system):
     """S summed from the cell Schur complements equals A_gg - A_gl B^-1 A_lg
-    of the oracle matrix, in the nested-dissection order of ``solve``, and
-    stores only its nonzeros."""
+    of the oracle matrix, in the column order of ``solve``, and stores only
+    its nonzeros."""
     A = bc_system.matrix
-    order = assembly._nested_dissection(*facet_inputs(bc_system))
+    order = assembly._facet_order(bc_system.u_space)
     local = cell_local_dofs(bc_system).ravel()
     B_inv = np.linalg.inv(cell_local_blocks(bc_system))
     A_gl = A[order][:, local]
