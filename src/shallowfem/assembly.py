@@ -6,16 +6,18 @@ Discretises
 
 on the spherical annulus with V1 x V2 prism elements.  The weak form gives
 the block system [[M + C, -D^T], [D, -M_p]].  Coefficient providers are
-functions of the 4D manifold coordinate; vector data (Omega, F) is pushed
-into the active frame through the per-cell map chi_e, so the same
-providers serve both modes:
+functions of the 4D manifold coordinate, called with the coordinate planes
+of ``geometry.quadrature_chunks``; vector data (Omega, F) is pushed into
+the active frame through the per-cell map chi_e, so the same providers
+serve both modes.  Assembly reads only the metric G = J^T J and det J,
+which is all that the two modes differ in:
 
   * shallow: the chart ``manifold_coordinates`` in R^4, as the paper writes
-    the equations; its map is affine, so J = J4 is factored once per cell
-    and det is the pseudodeterminant (the hedgehog mesh, the tests' oracle,
-    has the same J^T J and det);
-  * deep: continuous annulus coordinates, one factorization per
-    quadrature point.
+    the equations; its map is affine, so G = J4^T J4 and det, the
+    pseudodeterminant, come once per cell (the hedgehog mesh, the tests'
+    oracle, has the same J^T J and det);
+  * deep: continuous annulus coordinates, whose G and det vary over the
+    cell and come from J's columns, with no per-point Jacobian.
 
 The div(w) p coupling uses the Piola identity div v = dhat / det J, so the
 determinants cancel and D reduces to a single reference matrix shared by
@@ -25,18 +27,27 @@ The velocity block uses the tensor representation (Kirby & Logg 2006).
 With physical basis J phi / det and Omega_3 = J pinv4 omega4 pushed through
 chi_e, the integrand of M + C at a point is phi_i . K phi_j, where
 
-    K = J^T J / det + 2 [omega_hat]x,      omega_hat = pinv4 omega4.
+    K = G / det + 2 [omega_hat]x,      G = J^T J,  omega_hat = pinv4 omega4.
 
 The cross term carries no J and no det because (Ja) x (Jb) = det J J^-T
 (a x b) and J^-1 (J pinv4) = pinv4; both hold at every point, so one formula
-serves both modes.  The reference tensors T[(q,c,d),(i,j)] = w_q phi_ic
-phi_jd and Tb[(q,c),i] = w_q phi_ic are tabulated once per call, and each
-chunk of cells is a GEMM: A_uu = K @ T and b_u = fhat @ Tb with
-fhat = J^T J pinv4 f4.  M_p and b_p are GEMMs of w det against the V2
-basis.  The blocks of a chunk of ``geometry.quadrature_chunks`` form one
-mixed cell matrix E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2]
-DOFs; the orientation signs s are applied once as E * s s^T, the signed E
-of all cells are kept as one (n_cells, nd, nd) array, and [b_u | b_p] s is
+serves both modes.  The symmetric part pairs the six planes of G / det
+with T_sym[(s,q),(i,j)] = w_q (phi_ic phi_jd + phi_id phi_jc) over the
+entries s = (c, d) of ``geometry.METRIC_PAIRS`` (one term when c = d), and
+the antisymmetric part pairs the three planes of 2 omega_hat with
+T_anti[(m,q),(i,j)] = w_q (phi_j x phi_i)_m.  Both, and
+Tb[(c,q),i] = w_q phi_ic, are tabulated once per call, and each chunk of
+cells is a GEMM:
+
+    A_uu = [G / det | 2 omega_hat] @ [T_sym; T_anti],    b_u = fhat @ Tb,
+
+with fhat = G pinv4 f4 formed on planes.  On the chart the per-cell G and
+det broadcast over the points, so one path serves both modes.  M_p and b_p
+are GEMMs of w det against the V2 basis.  The blocks of a chunk of
+``geometry.quadrature_chunks`` form one mixed cell matrix
+E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2] DOFs; the
+orientation signs s are applied once as E * s s^T, the signed E of all
+cells are kept as one (n_cells, nd, nd) array, and [b_u | b_p] s is
 scattered into the right-hand side.  No global matrix is built on the solve
 path; ``LinearSystem.matrix`` is the tests' oracle.
 
@@ -113,19 +124,29 @@ class SolverError(Exception):
 
 def traditional_omega(x4):
     """Traditional-approximation rotation: (0, 0, 0, x3 / 2)."""
-    x4 = np.asarray(x4, dtype=float)
-    out = np.zeros(x4.shape)
-    out[..., 3] = 0.5 * x4[..., 2]
-    return out
+    return geometry.stack_planes((0.0, 0.0, 0.0, 0.5 * geometry.coordinate_planes(x4)[2]))
+
+
+def _zeros(x4, *tail):
+    """Zeros of the points' shape (see ``geometry.point_shape``) plus ``tail``."""
+    return np.zeros(geometry.point_shape(geometry.coordinate_planes(x4)) + tail)
 
 
 @dataclass
 class ProblemConfig:
     """Coefficients and discretisation choices for one solve.
 
-    ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors;
-    ``g`` maps them to scalars.  In shallow mode ``omega4`` must be affine
-    on each cell (``traditional_omega`` is; see the module docstring).
+    ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors,
+    (..., 4); ``g`` maps them to scalars, (...).  Assembly calls them with
+    the solver-point map's coordinate planes, a tuple (x1, x2, x3, h) whose
+    planes broadcast over (cells, triangle points, interval points), x1, x2,
+    x3 varying with the triangle point and h with the interval point, so a
+    provider's horizontal work runs once per triangle point; the result's
+    leading axes need only broadcast against them.  Read the planes with
+    ``geometry.coordinate_planes``, which also takes a (..., 4) array (as
+    the finite-difference oracles and the tests pass).  In shallow mode
+    ``omega4`` must be affine on each cell (``traditional_omega`` is; see
+    the module docstring).
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
     """
@@ -145,9 +166,9 @@ class ProblemConfig:
         if self.omega4 is None:
             self.omega4 = traditional_omega
         if self.f4 is None:
-            self.f4 = lambda x4: np.zeros(x4.shape)
+            self.f4 = lambda x4: _zeros(x4, 4)
         if self.g is None:
-            self.g = lambda x4: np.zeros(x4.shape[:-1])
+            self.g = _zeros
 
     @property
     def degree(self) -> int:
@@ -249,13 +270,12 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     # Shallow chunks map the right-hand-side and the matrix points in one pass.
     rule = quadrature_prism(config.degree)
     mrule = quadrature_prism(exact_matrix_degree(config.k)) if shallow else rule
+    rules = (rule, mrule) if shallow else (rule,)
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
-    pts = np.vstack([rule.points, mrule.points]) if shallow else rule.points
-    mq = slice(nq, None) if shallow else slice(None)      # the matrix points of pts
     omega_basis = geometry.nodal_basis(mrule.points)
-    tab1 = tabulate(u_space.element, pts)
-    tab2 = tabulate(p_space.element, pts)
+    tab1, tab1m = tabulate(u_space.element, rule.points), tabulate(u_space.element, mrule.points)
+    psi, psim = (tabulate(p_space.element, r.points).values for r in (rule, mrule))
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
     nd = nd1 + nd2
 
@@ -268,45 +288,48 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     signs = np.hstack([u_space.cell_signs, p_space.cell_signs])
 
     # reference tensors, tabulated once; see the module docstring
-    phi, psi = tab1.values[:nq], tab2.values[:nq]            # (nq, nd1, 3), (nq, nd2)
-    phim, psim = tab1.values[mq], tab2.values[mq]
-    T = np.einsum("q,qic,qjd->qcdij", wm, phim, phim).reshape(9 * nm, nd1 * nd1)
-    Tb = (w[:, None, None] * phi).transpose(0, 2, 1).reshape(3 * nq, nd1)
+    phim = tab1m.values                                          # (nm, nd1, 3)
+    T = np.einsum("q,qic,qjd->cdqij", wm, phim, phim)
+    T_sym = [T[c, d] + T[d, c] if c != d else T[c, c] for c, d in geometry.METRIC_PAIRS]
+    T_anti = [T[2, 1] - T[1, 2], T[0, 2] - T[2, 0], T[1, 0] - T[0, 1]]
+    T_uu = np.concatenate(T_sym + T_anti).reshape(9 * nm, nd1 * nd1)
+    n_planes = 9 if config.coriolis_enabled else 6
+    Tb = (w[:, None, None] * tab1.values).transpose(2, 0, 1).reshape(3 * nq, nd1)
     Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
     # det-free divergence coupling: identical on every cell
-    D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1.divergences[mq])
+    D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1m.divergences)
+    w, wm = rule.tensor_weights, mrule.tensor_weights
 
     n_fact = 0
-    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts):
+    for cells, maps in geometry.quadrature_chunks(coords, x4, *rules):
+        q, m = maps[0], maps[-1]
         ch = len(cells)
-        n_fact += J.n_factorizations
-        x4m, x4q = x4q[:, mq], x4q[:, :nq]
-        JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
-        gq = config.g(x4q)
+        n_fact += q.n_factorizations
 
-        # K = J^T J / det + 2 [omega_hat]x with omega_hat = pinv4 omega4
-        K = np.empty((ch, nm, 3, 3))
-        np.divide(JtJ, J.det[..., None, None], out=K)
+        # [G / det | 2 omega_hat] planes with omega_hat = pinv4 omega4
+        K = np.empty((ch, n_planes) + m.shape[1:])
+        for i, g in enumerate(m.G):
+            np.divide(g, m.det, out=K[:, i])
         if config.coriolis_enabled:
-            om4 = config.omega4(x4m)
+            om4 = config.omega4(m.x)
             if shallow:
-                _check_interpolant(om4, omega_basis @ config.omega4(x4[cells]))
-            om = 2.0 * (om4 @ pinv4T)
-            K[..., 0, 1] -= om[..., 2]
-            K[..., 1, 0] += om[..., 2]
-            K[..., 0, 2] += om[..., 1]
-            K[..., 2, 0] -= om[..., 1]
-            K[..., 1, 2] -= om[..., 0]
-            K[..., 2, 1] += om[..., 0]
-        wdet = w * J.det                                     # (ch, nq)
-        fhat = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T)
-        b = np.hstack([fhat.reshape(ch, 3 * nq) @ Tb, (wdet * gq) @ psi])
+                nodal = config.omega4(geometry.coordinate_planes(x4[cells]))
+                _check_interpolant(np.broadcast_to(om4, m.shape + (4,)).reshape(ch, nm, 4),
+                                   omega_basis @ nodal)
+            for i, o in enumerate(m.pull(om4)):
+                np.multiply(2.0, o, out=K[:, 6 + i])
+        fhat = np.empty((ch, 3) + q.shape[1:])
+        for i, v in enumerate(q.lower(q.pull(config.f4(q.x)))):
+            fhat[:, i] = v
+        wdet_g = np.broadcast_to(w * q.det * config.g(q.x), q.shape).reshape(ch, nq)
+        b = np.hstack([fhat.reshape(ch, 3 * nq) @ Tb, wdet_g @ psi])
 
         E = system.cell_matrices[cells[0]:cells[0] + ch]   # chunks are runs of cells
-        E[:, :nd1, :nd1] = (K.reshape(ch, 9 * nm) @ T).reshape(ch, nd1, nd1)
+        E[:, :nd1, :nd1] = (K.reshape(ch, -1) @ T_uu[:n_planes * nm]).reshape(ch, nd1, nd1)
         E[:, :nd1, nd1:] = -D_ref.T
         E[:, nd1:, :nd1] = D_ref
-        E[:, nd1:, nd1:] = -((wm * J.det) @ Tp).reshape(ch, nd2, nd2)
+        wdet = np.broadcast_to(wm * m.det, m.shape).reshape(ch, nm)
+        E[:, nd1:, nd1:] = -(wdet @ Tp).reshape(ch, nd2, nd2)
         sg, gd = signs[cells], dofs[cells]
         E *= sg[:, :, None] * sg[:, None, :]
         np.add.at(system.rhs, gd.ravel(), (b * sg).ravel())

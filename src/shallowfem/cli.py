@@ -247,6 +247,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "convergence" and args.check and len(args.levels) < 2:
         conv.error("--check needs at least two levels to compute a rate")
+    if args.command == "convergence" and args.check and args.mode == "deep":
+        conv.error("--check needs --mode shallow: the rate windows are the shallow ones, "
+                   "and deep errors measure the shallow-to-deep gap")
     try:
         return args.func(args)
     except (SolverError, ValueError, OSError) as exc:

@@ -82,11 +82,23 @@ def embed_tri(which: int, xy) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights on the reference prism (or triangle)."""
+    """Points and weights on the reference prism (or triangle, or interval).
+
+    A prism rule is the tensor product of ``triangle`` and ``interval``:
+    point ``t * nz + z`` is triangle point t at interval point z, and its
+    weight is their product, so values at the points reshape to (nt, nz).
+    """
 
     points: np.ndarray
     weights: np.ndarray
     degree: int
+    triangle: "QuadratureRule" = None
+    interval: "QuadratureRule" = None
+
+    @property
+    def tensor_weights(self) -> np.ndarray:
+        """A prism rule's weights as (nt, nz), to broadcast over (cells, nt, nz)."""
+        return self.weights.reshape(len(self.triangle.weights), -1)
 
 
 def _gauss01(n: int):
@@ -142,7 +154,8 @@ def quadrature_prism(degree: int) -> QuadratureRule:
     pts[:, :2] = np.repeat(tri.points, nz, axis=0)
     pts[:, 2] = np.tile(z, npts)
     wts = (tri.weights[:, None] * wz[None, :]).ravel()
-    return QuadratureRule(points=pts, weights=wts, degree=degree)
+    interval = QuadratureRule(points=z[:, None], weights=wz, degree=degree)
+    return QuadratureRule(points=pts, weights=wts, degree=degree, triangle=tri, interval=interval)
 
 
 def default_quadrature_degree(k: int) -> int:

@@ -13,6 +13,17 @@ are rigidly extruded along the outward normals of their chordal base
 triangles (the "hedgehog" mesh, ``hedgehog_coordinates``): the base edges
 are orthogonal to the axis, so J^T J = J4^T J4 and det J = pdet J4 exactly.
 The hedgehog mesh is the tests' oracle and what ``export-mesh`` writes.
+
+Assembly and the error norms read a cell's map only through the metric
+G = J^T J and det J, which is all that shallow and deep differ in.  The
+solver-point map ``quadrature_chunks`` hands them G, det and the points on
+the manifold as planes over (cells, triangle points, interval points): on
+the chart G and det are one value per cell; on a field in R^3 they come
+from J's columns, since on the linear-triangle x linear-interval prism
+dx/dxi1 and dx/dxi2 depend on zeta alone and dx/dzeta on (xi1, xi2) alone,
+so no per-point Jacobian is formed.  The horizontal coordinates x1, x2, x3
+vary only with the triangle point and h only with the interval point, so
+the providers' horizontal work runs once per triangle point.
 """
 
 from dataclasses import dataclass
@@ -34,12 +45,14 @@ __all__ = [
     "nodal_basis",
     "nodal_basis_gradients",
     "jacobian",
-    "matvec3",
     "jacobian4",
     "pseudo_inverse_pseudo_det",
+    "METRIC_PAIRS",
+    "PointMap",
     "quadrature_chunks",
     "coordinate_planes",
     "stack_planes",
+    "point_shape",
     "unit_normal",
     "project_tangent",
     "longitude",
@@ -197,18 +210,6 @@ def _det3(J) -> np.ndarray:
             + J[..., 0, 2] * (J[..., 1, 0] * J[..., 2, 1] - J[..., 1, 1] * J[..., 2, 0]))
 
 
-def matvec3(A, v) -> np.ndarray:
-    """Products A v of n x 3 matrices and 3-vectors, entry by entry.
-
-    ``A`` is (..., n, 3) and ``v`` is (..., 3); their leading axes
-    broadcast, so one matrix per cell (..., 1, n, 3) serves every point.
-    """
-    out = np.empty(np.broadcast_shapes(A.shape[:-2], v.shape[:-1]) + A.shape[-2:-1])
-    for i in range(A.shape[-2]):
-        out[..., i] = A[..., i, 0] * v[..., 0] + A[..., i, 1] * v[..., 1] + A[..., i, 2] * v[..., 2]
-    return out
-
-
 def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
     """Jacobian samples for the given cells at the given reference points.
 
@@ -278,59 +279,176 @@ def pseudo_inverse_pseudo_det(J4):
 
 POINTS_PER_CHUNK = 2 ** 15
 
+# The entries of a symmetric 3x3 matrix, in the order PointMap.G keeps them.
+METRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
-def quadrature_chunks(coords: CoordinateField, x4, points):
+
+@dataclass(frozen=True)
+class PointMap:
+    """The solver-point map of a chunk of cells at one prism rule's points.
+
+    Every array broadcasts over (cells, triangle points, interval points),
+    (ch, nt, nz), and has size 1 along the axes it does not depend on.
+    """
+
+    x: tuple               # x1, x2, x3 (ch, nt, 1) and h (ch, 1, nz): manifold points
+    G: tuple               # G = J^T J at METRIC_PAIRS
+    det: np.ndarray        # det J; on the chart the signed pdet J4
+    pinv4: np.ndarray      # (ch, 3, 4): J4's pseudoinverse at the centroid
+
+    @property
+    def shape(self) -> tuple:
+        """(ch, nt, nz)."""
+        return point_shape(self.x)
+
+    @property
+    def n_factorizations(self) -> int:
+        """Number of (point, cell) metrics this map holds."""
+        return int(self.det.size)
+
+    def pull(self, v) -> tuple:
+        """The planes pinv4 v: reference components of tangent 4-vectors v,
+        given as planes or as a (..., 4) array whose leading axes broadcast
+        against (ch, nt, nz).  One batched GEMM per chunk, (ch, 3, 4) x
+        (ch, 4, points); each plane keeps v's broadcast shape."""
+        v = stack_planes(v) if isinstance(v, tuple) else np.asarray(v, dtype=float)
+        lead = (1,) * (4 - v.ndim) + v.shape[:-1]
+        w = self.pinv4 @ np.swapaxes(v.reshape(lead[0], -1, 4), 1, 2)
+        return tuple(w[:, c].reshape((len(w),) + lead[1:]) for c in range(3))
+
+    def lower(self, v) -> tuple:
+        """The planes G v of reference vectors with planes v."""
+        g00, g01, g02, g11, g12, g22 = self.G
+        return (g00 * v[0] + g01 * v[1] + g02 * v[2],
+                g01 * v[0] + g11 * v[1] + g12 * v[2],
+                g02 * v[0] + g12 * v[1] + g22 * v[2])
+
+
+def _manifold_planes(x4, lam, z):
+    """The coordinate planes of the manifold points of cells ``x4`` (ch, 6, 4)
+    at the triangle barycentrics ``lam`` (nt, 3) times the interval points
+    ``z`` (nz,): x1, x2, x3 from the bottom nodes, (ch, nt, 1), and h from
+    node 0 and node 3, (ch, 1, nz)."""
+    horizontal = np.swapaxes(x4[:, :3, :3], 1, 2) @ lam.T           # (ch, 3, nt)
+    h = x4[:, :1, 3] * (1.0 - z) + x4[:, 3:4, 3] * z                 # (ch, nz)
+    return (*(horizontal[:, d, :, None] for d in range(3)), h[:, None, :])
+
+
+def _prism_metric(nodal, lam, z):
+    """G at METRIC_PAIRS and det J of the prism cells ``nodal`` (n, 6, 3) in
+    R^3 at the points ``lam`` x ``z`` (see ``_manifold_planes``), as a
+    function of a run of cells.
+
+    dx/dxi_a = E_a Z(zeta), with E_a the bottom and top edges a + 1 and
+    Z = (1 - zeta, zeta), and dx/dzeta = j2(xi1, xi2).  So G_00, G_01 and
+    G_11 are (ch, 1, nz), computed for every cell here, and G_22 is
+    (ch, nt, 1); G_a2 = (j2 . E_a) Z and det = (j0 x j1) . j2 = (j2 . N) Z2,
+    with N Z2 the quadratic j0 x j1, are each one (ch nt, 2 or 3) x (2 or 3,
+    nz) GEMM.  The function raises DegenerateMapError if any det is <= 0.
+    """
+    bottom, top = nodal[:, :3], nodal[:, 3:]
+    Z = np.stack([1.0 - z, z])                                       # (2, nz)
+    Z2 = np.stack([Z[0] * Z[0], Z[0] * Z[1], Z[1] * Z[1]])
+    E0, E1 = (np.stack([bottom[:, a] - bottom[:, 0], top[:, a] - top[:, 0]], axis=-1)
+              for a in (1, 2))                                       # (n, 3, 2)
+    cross = np.cross(E0[..., [0, 0, 1, 1]], E1[..., [0, 1, 0, 1]], axis=1)
+    N = np.stack([cross[..., 0], cross[..., 1] + cross[..., 2], cross[..., 3]], axis=-1)
+    C = np.concatenate([E0, E1, N], axis=-1)                         # (n, 3, 7)
+    j0, j1 = E0 @ Z, E1 @ Z                                          # (n, 3, nz)
+    flat = ((j0 * j0).sum(axis=1), (j0 * j1).sum(axis=1), (j1 * j1).sum(axis=1))
+    vertical = top - bottom
+    nt, nz = len(lam), len(z)
+
+    def metric(run):
+        j2 = lam @ vertical[run]                                     # (ch, nt, 3)
+        ch = len(j2)
+        P = (j2 @ C[run]).reshape(ch * nt, 7)
+        G02, G12, det = ((P[:, cols] @ B).reshape(ch, nt, nz)
+                         for cols, B in ((slice(0, 2), Z), (slice(2, 4), Z), (slice(4, 7), Z2)))
+        g00, g01, g11 = (g[run, None] for g in flat)
+        return (g00, g01, G02, g11, G12, (j2 * j2).sum(axis=2)[..., None]), _positive(det)
+
+    return metric
+
+
+def quadrature_chunks(coords: CoordinateField, x4, *rules):
     """The solver-point map of every cell, chunk by chunk.
 
-    Assembly and the error norms both loop over this.  A chunk holds
-    max(1, POINTS_PER_CHUNK // npts) cells, in order (2**14 slowed k=2
-    ladders by 3-4%).  Yields ``(cells, J, pinv4T, x4q)``:
+    Assembly and the error norms both loop over this.  ``rules`` are prism
+    rules (``fem.quadrature_prism``); a chunk holds max(1, POINTS_PER_CHUNK
+    // their points) cells, in order (2**14 slowed k=2 ladders by 3-4%).
+    Yields ``(cells, maps)``, one PointMap per rule:
 
-      * ``J``: the JacobianSample of ``coords``.  If ``coords`` holds ``x4``
-        itself (the chart), each map is affine: J4 and its signed pdet come
-        once per cell, at the centroid, from the SVD that gives pinv4T,
-        (ch, 1, 4, 3).  Any other field is sampled at every point, after the
-        centroid det of every cell (an inverted cell is named first).
-      * ``pinv4T``: the transposed pseudoinverse of J4 at the centroid,
-        (ch, 4, 3); ``v4 @ pinv4T`` gives tangent 4-vectors' reference
-        components.
-      * ``x4q``: the manifold points of the quadrature points, (ch, npts, 4).
+      * ``x``: the manifold points from ``x4``, the nodes of radially
+        extruded cells pulled back to R^4, whose top nodes share the bottom
+        nodes' horizontal part and whose layers have one h; so x1, x2, x3
+        vary only with the triangle point and h only with the interval point.
+      * ``G``, ``det``: if ``coords`` holds ``x4`` itself (the chart), each
+        map is affine: G = J4^T J4 and the signed pdet come once per cell,
+        at the centroid, from the SVD that gives pinv4, (ch, 1, 1).  Any
+        other field is in R^3; its G and det come from J's columns
+        (``_prism_metric``), after the centroid det of every cell (an
+        inverted cell is named first).
+      * ``pinv4``: the pseudoinverse of J4 at the centroid.
     """
-    nbasis = nodal_basis(points)
-    chart = coords.cell_coords is x4
-    if chart:
+    tables = [(barycentric(r.triangle.points)[0], r.interval.points[:, 0]) for r in rules]
+    if coords.cell_coords is x4:
         centre, pinv4 = _chart_sample(x4, CENTROID)
+        J4 = centre.J[:, 0]
+        G = tuple((J4[:, :, a] * J4[:, :, b]).sum(axis=1)[:, None, None] for a, b in METRIC_PAIRS)
+        det = centre.det[:, :, None]
+        metrics = [lambda run: (tuple(g[run] for g in G), det[run])] * len(rules)
     else:
+        if coords.cell_coords.shape[-1] != 3:
+            raise ValueError("a coordinate field in R^4 must be the chart x4 itself")
         jacobian(coords, slice(None), CENTROID)
         pinv4, _ = pseudo_inverse_pseudo_det(jacobian4(x4, slice(None), CENTROID))
-    chunk = max(1, POINTS_PER_CHUNK // len(points))
+        metrics = [_prism_metric(coords.cell_coords, lam, z) for lam, z in tables]
+    pinv4 = pinv4[:, 0]
+    chunk = max(1, POINTS_PER_CHUNK // sum(len(r.weights) for r in rules))
     for start in range(0, coords.n_cells, chunk):
-        cells = np.arange(start, min(start + chunk, coords.n_cells))
-        J = JacobianSample(centre.J[cells], centre.det[cells]) if chart else jacobian(coords, cells, points)
-        yield cells, J, np.swapaxes(pinv4[cells, 0], 1, 2), nbasis @ x4[cells]
+        run = slice(start, min(start + chunk, coords.n_cells))
+        maps = tuple(PointMap(_manifold_planes(x4[run], lam, z), *metric(run), pinv4[run])
+                     for (lam, z), metric in zip(tables, metrics))
+        yield np.arange(run.start, run.stop), maps
 
 
 # ---------------------------------------------------------------------------
 # The tangent space of S^2(a) x [0, H]
 # ---------------------------------------------------------------------------
 #
-# The kernels below work on coordinate planes: the points (..., 4) are copied
-# once into four contiguous (...)-shaped planes x1, x2, x3, h, every
-# intermediate is such a plane, and a (..., 4) result is written once.  On
-# chunks of quadrature points this roughly halves the time of computing on
-# (..., 4) arrays, where every step strides over the last axis and builds
-# np.stack, np.linalg.norm and einsum temporaries.  The providers in ``mms``
-# call the plane kernels (``longitude``, ``TangentFrame.at`` / ``dot`` /
-# ``combine``) directly; the (..., 4) functions wrap the same kernels for
-# the finite-difference oracles and the tests.
+# The kernels below work on coordinate planes x1, x2, x3, h: every
+# intermediate is such a plane, and a (..., 4) result is written once.
+# Points given as a (..., 4) array are copied once into four contiguous
+# planes; on chunks of quadrature points this roughly halves the time of
+# computing on (..., 4) arrays, where every step strides over the last axis
+# and builds np.stack, np.linalg.norm and einsum temporaries.  The
+# solver-point map passes its planes as a tuple that ``coordinate_planes``
+# hands through, each broadcast over (cells, triangle points, interval
+# points), so a quantity of the horizontal position alone (the frame, the
+# longitude, the latitude) is computed once per triangle point.  The
+# providers in ``mms`` call the plane kernels (``longitude``,
+# ``TangentFrame.at`` / ``dot`` / ``combine``) directly; the (..., 4)
+# functions wrap the same kernels for the finite-difference oracles and the
+# tests.
 
-def coordinate_planes(v) -> np.ndarray:
-    """The coordinate planes of vectors (..., n) as one contiguous copy, (n, ...).
+def coordinate_planes(v):
+    """The coordinate planes of vectors v.
 
-    Row i is the (...)-shaped plane of component i; a single vector (n,)
+    A tuple holds planes already and is passed through (the solver-point
+    map's ``PointMap.x`` is one).  An array (..., n) is copied once into one
+    contiguous (n, ...) block, and the tuple of its rows is returned: row i
+    is the (...)-shaped plane of component i, and a single vector (n,)
     gives n scalars.
     """
-    return np.array(np.moveaxis(np.asarray(v, dtype=float), -1, 0), order="C")
+    if isinstance(v, tuple):
+        return v
+    return tuple(np.array(np.moveaxis(np.asarray(v, dtype=float), -1, 0), order="C"))
+
+
+def point_shape(x) -> tuple:
+    """The shape of the points with coordinate planes x: the planes' broadcast shape."""
+    return np.broadcast_shapes(*(np.shape(p) for p in x))
 
 
 def stack_planes(planes) -> np.ndarray:

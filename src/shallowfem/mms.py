@@ -30,10 +30,19 @@ poles and cost no perturbed evaluations.  ``derive_forcing`` and the tests
 keep building (F, g) from the finite-difference oracles as the independent
 check of those closed forms.
 
-The providers and the exact fields run once per quadrature point of every
+The providers and the exact fields run at the quadrature points of every
 level, so they work on coordinate planes (see geometry's tangent-space
 section): one call builds one tangent frame and one longitude, computes
-with the plane kernels and writes its (..., 4) result once.
+with the plane kernels and writes its (..., 4) result once.  The solver
+calls them with the solver-point map's planes, x1, x2, x3 per triangle
+point and h per interval point: the exact velocity is (q U1, q U2, q U3,
+v U4), with U a function of the horizontal position and q, v of h, and
+p = x1 x2 x3 q, so every bracket of the horizontal position runs once per
+triangle point and meets q or v in one product at the end.  They take
+(..., 4) arrays as well, as the oracles and the benchmark's probe pass.
+
+``l2_errors`` reads the chunk's metric: with d = vhat / det - pinv4 u_exact
+the squared velocity error at a point is det d . G d, in both modes.
 """
 
 import math
@@ -210,17 +219,28 @@ class ManufacturedCase:
     def u_printed(self, x4):
         return geometry.stack_planes(self._u_printed(geometry.coordinate_planes(x4)))
 
-    def _u_exact(self, x):
-        """P u_printed in closed form, with no cancellation at a large radius:
-        u_printed . x = x1 x2 x3 q (3 - |x|^2), so (P u)_i = q x_j x_k (1 - 3 x_i^2 / |x|^2)."""
-        x1, x2, x3, h = x
-        q, s = self._q(h), 3.0 / (x1 * x1 + x2 * x2 + x3 * x3)
+    def _v(self, h):
+        return 2.0 * h * (2.0 * h * h - 5.0)
+
+    def _u_horizontal(self, x):
+        """U with u_exact = (q U1, q U2, q U3, v U4), v = 2h (2h^2 - 5): the
+        factors of the horizontal position alone.
+
+        P u_printed in closed form, with no cancellation at a large radius:
+        u_printed . x = x1 x2 x3 q (3 - |x|^2), so (P u)_i = q x_j x_k (1 - 3 x_i^2 / |x|^2).
+        """
+        x1, x2, x3 = x[:3]
+        s = 3.0 / (x1 * x1 + x2 * x2 + x3 * x3)
         return (
-            x2 * x3 * q * (1.0 - s * x1 * x1),
-            x1 * x3 * q * (1.0 - s * x2 * x2),
-            x1 * x2 * q * (1.0 - s * x3 * x3),
-            2.0 * x1 * x2 * x3 * h * (2.0 * h ** 2 - 5.0),
+            x2 * x3 * (1.0 - s * x1 * x1),
+            x1 * x3 * (1.0 - s * x2 * x2),
+            x1 * x2 * (1.0 - s * x3 * x3),
+            x1 * x2 * x3,
         )
+
+    def _u_exact(self, x):
+        U, q, v = self._u_horizontal(x), self._q(x[3]), self._v(x[3])
+        return U[0] * q, U[1] * q, U[2] * q, U[3] * v
 
     def u_exact(self, x4):
         """Tangentially projected printed velocity (the solution actually used)."""
@@ -261,22 +281,25 @@ class ManufacturedCase:
         def f4(x4):
             x = geometry.coordinate_planes(x4)
             fr = geometry.TangentFrame.at(x, ops.a)
-            u = self._u_exact(x)
             c_l, s_l = fr.cos_l, fr.sin_l
             s_p, c_p = _oracle_latitude(x, ops.a)
-            a, h, q = ops.a, x[3], self._q(x[3])
+            a = ops.a
+            # u_exact = (q U_1..3, v U_4); every bracket below depends on the
+            # horizontal position alone, and meets q or v once, at the end
+            U = self._u_horizontal(x)
             # frame components of u and Omega, as in tangent_cross; Omega is
             # along i4, so its e_lambda and e_phi components vanish
-            u_l, u_p = fr.dot(u)
+            u_l, u_p = fr.dot(U)
             o_4 = self.omega4(x4)[..., 3]
-            # frame components of grad p at y, plus those of 2 Omega x u
-            f_l = a * a * q * c_p * s_p * (c_l * c_l - s_l * s_l)
-            f_l -= 2.0 * (o_4 * u_p)
-            f_p = a * a * q * (1.0 - 3.0 * s_p * s_p) * s_l * c_l * c_p
-            f_p += 2.0 * (o_4 * u_l)
-            f_4 = 2.0 * a ** 3 * h * (2.0 * h * h - 5.0) * s_l * c_l * s_p * c_p * c_p
+            # frame components of grad p at y plus those of 2 Omega x u, over
+            # q horizontally and over v vertically
+            f_l = a * a * c_p * s_p * (c_l * c_l - s_l * s_l) - 2.0 * (o_4 * u_p)
+            f_p = a * a * (1.0 - 3.0 * s_p * s_p) * s_l * c_l * c_p + 2.0 * (o_4 * u_l)
+            f_4 = a ** 3 * s_l * c_l * s_p * c_p * c_p
             # u + 2 Omega x u + grad p, written once
-            return geometry.stack_planes(fr.combine((f_l, f_p, f_4), u))
+            F = fr.combine((f_l, f_p, f_4), U)
+            q, v = self._q(x[3]), self._v(x[3])
+            return geometry.stack_planes((F[0] * q, F[1] * q, F[2] * q, F[3] * v))
 
         return f4
 
@@ -389,37 +412,39 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     """L^2 errors in the active coordinate field's measure.
 
     The exact velocity is evaluated on the manifold, tangent-projected,
-    pushed forward through chi_e, and compared against the Piola-evaluated
-    discrete field at the 2k + 8 points.  Returns (err_u, err_p).  ``degree``
-    stays only for the benchmark's traced walk, which passes None.
+    pulled back through pinv4 and compared with the discrete field's
+    reference components at the 2k + 8 points, in the metric G of the
+    solver-point map: |u_h - u_exact|^2 = d . G d with d = vhat / det -
+    pinv4 u_exact.  Returns (err_u, err_p).  ``degree`` stays only for the
+    benchmark's traced walk, which passes None.
     """
     space_u, space_p = u_h.space, p_h.space
     chart = coords.cell_coords.shape[-1] == 4
     x4 = coords.cell_coords if chart else geometry.manifold_coordinates(space_u.mesh)
     k = space_u.element.k
     rule = quadrature_prism(degree if degree is not None else default_quadrature_degree(k))
-    pts, w = rule.points, rule.weights
-    nq = len(w)
-    tab1 = tabulate(space_u.element, pts)
-    tab2 = tabulate(space_p.element, pts)
-    phi = tab1.values.transpose(1, 0, 2).reshape(-1, nq * 3)    # (nd1, (q, c))
-    psiT = tab2.values.T                                        # (nd2, nq)
+    nq = len(rule.weights)
+    w = rule.tensor_weights
+    phi = tabulate(space_u.element, rule.points).values.transpose(1, 2, 0).reshape(-1, 3 * nq)
+    psiT = tabulate(space_p.element, rule.points).values.T      # (nd2, nq)
 
     err_u2 = 0.0
     err_p2 = 0.0
-    for cells, J, pinv4T, x4q in geometry.quadrature_chunks(coords, x4, pts):
+    for cells, (m,) in geometry.quadrature_chunks(coords, x4, rule):
         ch = len(cells)
-        det = np.broadcast_to(J.det, (ch, nq))
-        p_ex = case.p_exact(x4q)
+        shape = m.shape
+        wdet = w * m.det
 
-        # u_h - u_exact = J (vhat / det - pinv4 u_exact) at every point
+        # u_h - u_exact = J d with d = vhat / det - pinv4 u_exact, so
+        # |u_h - u_exact|^2 = d . G d at every point
         chat = u_h.coeffs[space_u.cell_dofs[cells]] * space_u.cell_signs[cells]
-        vhat = (chat @ phi).reshape(ch, nq, 3)
-        diff = geometry.matvec3(J.J, vhat / det[..., None] - case.u_exact(x4q) @ pinv4T)
-        p_hv = p_h.coeffs[space_p.cell_dofs[cells]] @ psiT
+        vhat = (chat @ phi).reshape((ch, 3) + shape[1:])
+        d = tuple(vhat[:, i] / m.det - u for i, u in enumerate(m.pull(case._u_exact(m.x))))
+        Gd = m.lower(d)
+        p_hv = (p_h.coeffs[space_p.cell_dofs[cells]] @ psiT).reshape(shape)
 
-        err_u2 += float(np.einsum("q,eq,eq->", w, det, (diff ** 2).sum(-1)))
-        err_p2 += float(np.einsum("q,eq,eq->", w, det, (p_hv - p_ex) ** 2))
+        err_u2 += float((wdet * (d[0] * Gd[0] + d[1] * Gd[1] + d[2] * Gd[2])).sum())
+        err_p2 += float((wdet * (p_hv - case._p(m.x)) ** 2).sum())
     return math.sqrt(err_u2), math.sqrt(err_p2)
 
 

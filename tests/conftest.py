@@ -66,6 +66,18 @@ def hedgehog_axes(coords) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def matvec3(A, v) -> np.ndarray:
+    """Products A v of n x 3 matrices and 3-vectors, entry by entry.
+
+    ``A`` is (..., n, 3) and ``v`` is (..., 3); their leading axes
+    broadcast, so one matrix per cell (..., 1, n, 3) serves every point.
+    """
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], v.shape[:-1]) + A.shape[-2:-1])
+    for i in range(A.shape[-2]):
+        out[..., i] = A[..., i, 0] * v[..., 0] + A[..., i, 1] * v[..., 1] + A[..., i, 2] * v[..., 2]
+    return out
+
+
 def evaluate_velocity(u, coords, cells, points) -> np.ndarray:
     """Physical velocity values of a V1 field at reference points per cell,
     by the contravariant Piola map v = J vhat / det J (an oracle)."""
@@ -74,7 +86,7 @@ def evaluate_velocity(u, coords, cells, points) -> np.ndarray:
     J = geometry.jacobian(coords, cells, points)
     chat = u.coeffs[u.space.cell_dofs[cells]] * u.space.cell_signs[cells]
     vhat = np.einsum("ed,pdc->epc", chat, tab.values)
-    return geometry.matvec3(J.J, vhat) / J.det[..., None]
+    return matvec3(J.J, vhat) / J.det[..., None]
 
 
 def interpolate_hdiv(space, coords, func):

@@ -91,7 +91,7 @@ def test_disabling_coriolis_equals_zero_omega(one_cell_mesh):
     V1, V2 = build_spaces(one_cell_mesh, 1)
     off = assembly.ProblemConfig(mode="shallow", k=1, coriolis_enabled=False)
     zero = assembly.ProblemConfig(
-        mode="shallow", k=1, omega4=lambda x4: np.zeros(x4.shape)
+        mode="shallow", k=1, omega4=lambda x: np.zeros(geometry.point_shape(x) + (4,))
     )
     A_off = assembly.assemble(off, V1, V2).matrix
     A_zero = assembly.assemble(zero, V1, V2).matrix
@@ -206,8 +206,8 @@ def test_inner_bc_solution_exactly_zero(annulus_r0_l1_module):
     V1, V2 = build_spaces(m, 1)
     config = assembly.ProblemConfig(
         mode="shallow", k=1,
-        f4=lambda x4: np.broadcast_to([1.0, 0.5, -0.3, 0.2], x4.shape),
-        g=lambda x4: x4[..., 3],
+        f4=lambda x: np.broadcast_to([1.0, 0.5, -0.3, 0.2], geometry.point_shape(x) + (4,)),
+        g=lambda x: x[3],
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
@@ -252,8 +252,8 @@ def test_condensed_solve_matches_full_spsolve(annulus_r0_l1_module, k, mode):
     V1, V2 = build_spaces(m, k)
     config = assembly.ProblemConfig(
         mode=mode, k=k,
-        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
-        g=lambda x4: x4[..., 0] * x4[..., 1],
+        f4=lambda x: geometry.stack_planes((x[1], -x[0], x[3], x[2])),
+        g=lambda x: x[0] * x[1],
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
@@ -300,7 +300,7 @@ def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
 def r1_system(annulus_r1_l2):
     """k=1 on 160 cells: enough facet DOFs for three levels of dissection."""
     V1, V2 = build_spaces(annulus_r1_l2, 1)
-    config = assembly.ProblemConfig(mode="shallow", k=1, g=lambda x4: x4[..., 0])
+    config = assembly.ProblemConfig(mode="shallow", k=1, g=lambda x: x[0])
     return assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
 
 
@@ -533,8 +533,8 @@ def test_weak_residual_of_solution(annulus_r0_l1_module):
     V1, V2 = build_spaces(m, 1)
     config = assembly.ProblemConfig(
         mode="shallow", k=1,
-        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
-        g=lambda x4: x4[..., 0] * x4[..., 1],
+        f4=lambda x: geometry.stack_planes((x[1], -x[0], x[3], x[2])),
+        g=lambda x: x[0] * x[1],
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
@@ -545,7 +545,7 @@ def test_weak_residual_detects_perturbation(annulus_r0_l1_module):
     m = annulus_r0_l1_module
     V1, V2 = build_spaces(m, 1)
     config = assembly.ProblemConfig(
-        mode="shallow", k=1, g=lambda x4: np.ones(x4.shape[:-1])
+        mode="shallow", k=1, g=lambda x: np.ones(geometry.point_shape(x))
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
@@ -558,7 +558,7 @@ def test_weak_residual_sign_flip_invariant(annulus_r0_l1_module):
     """Negating test functions (rows) leaves the defect measure unchanged."""
     m = annulus_r0_l1_module
     V1, V2 = build_spaces(m, 1)
-    config = assembly.ProblemConfig(mode="shallow", k=1, g=lambda x4: x4[..., 3])
+    config = assembly.ProblemConfig(mode="shallow", k=1, g=lambda x: x[3])
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
     result.u.coeffs[-1] += 0.01
@@ -579,9 +579,7 @@ def test_deep_mode_assembles_and_solves(annulus_r0_l1_module):
     m = annulus_r0_l1_module
     V1, V2 = build_spaces(m, 1)
     config = assembly.ProblemConfig(
-        mode="deep", k=1, f4=lambda x4: np.stack(
-            [x4[..., 3], x4[..., 2], -x4[..., 1], x4[..., 0]], axis=-1
-        )
+        mode="deep", k=1, f4=lambda x: geometry.stack_planes((x[3], x[2], -x[1], x[0]))
     )
     system = assembly.apply_inner_bc(assembly.assemble(config, V1, V2))
     result = assembly.solve(system)
@@ -622,10 +620,8 @@ def test_shallow_mode_rejects_a_rotation_that_is_not_affine(annulus_r0_l1_module
     """The exact shallow matrix rule needs an affine omega4; deep mode takes any."""
     V1, V2 = build_spaces(annulus_r0_l1_module, 1)
 
-    def omega4(x4):
-        out = np.zeros(x4.shape)
-        out[..., 3] = x4[..., 2] ** 2
-        return out
+    def omega4(x):
+        return geometry.stack_planes((0.0, 0.0, 0.0, x[2] ** 2))
 
     with pytest.raises(ValueError, match="nodal interpolant"):
         assembly.assemble(assembly.ProblemConfig(mode="shallow", k=1, omega4=omega4), V1, V2)
@@ -673,10 +669,10 @@ def per_point_velocity_block(config, V1):
     L = np.einsum("eqcd,qid->eqic", J.J, fem.tabulate(V1.element, pts).values)
     R = L
     if config.coriolis_enabled:
-        Om3 = np.matmul(push, config.omega4(x4q)[..., None])[..., 0]
+        Om3 = np.matmul(push, config.omega4(geometry.coordinate_planes(x4q))[..., None])[..., 0]
         R = L + np.cross(2.0 * Om3[:, :, None, :], L)
     A = np.einsum("q,eq,eqic,eqjc->eij", w, 1.0 / J.det, L, R)
-    F3 = np.matmul(push, config.f4(x4q)[..., None])[..., 0]
+    F3 = np.matmul(push, config.f4(geometry.coordinate_planes(x4q))[..., None])[..., 0]
     b = np.einsum("q,eqic,eqc->ei", w, L, F3)
 
     sg, gd = V1.cell_signs, V1.cell_dofs
@@ -700,10 +696,8 @@ def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode,
     V1, V2 = build_spaces(annulus_r0_l1_module, k)
     config = assembly.ProblemConfig(
         mode=mode, k=k, coriolis_enabled=coriolis,
-        omega4=lambda x4: np.stack(
-            [0.3 * x4[..., 1], -0.2 * x4[..., 3], 0.1 * x4[..., 0], 0.5 * x4[..., 2]], axis=-1
-        ),
-        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
+        omega4=lambda x: geometry.stack_planes((0.3 * x[1], -0.2 * x[3], 0.1 * x[0], 0.5 * x[2])),
+        f4=lambda x: geometry.stack_planes((x[1], -x[0], x[3], x[2])),
     )
     system = assembly.assemble(config, V1, V2)
     A_ref, b_ref = per_point_velocity_block(config, V1)
@@ -719,50 +713,53 @@ def four_block_system(config, V1, V2):
 
     A_uu, D, -D^T and -M_p go through four index triplets, b_u and b_p
     through two ``add.at`` calls; the per-chunk kernels are those of
-    ``assemble``.  The matrix blocks use the exact rule of degree 2k + 1 in
-    shallow mode and ``config.degree`` in deep mode; the right-hand sides
-    use ``config.degree``.  Both point sets are mapped in one pass.
+    ``assemble``: A_uu is the G / det and 2 omega_hat planes against
+    [T_sym; T_anti], b_u is G pinv4 f4 against Tb.  The matrix blocks use
+    the exact rule of degree 2k + 1 in shallow mode and ``config.degree`` in
+    deep mode; the right-hand sides use ``config.degree``.  Both point sets
+    are mapped in one pass.
     """
     coords = assembly.coordinate_field(config, V1.mesh)
     shallow = config.mode == "shallow"
     x4 = coords.cell_coords if shallow else geometry.manifold_coordinates(V1.mesh)
     rule = fem.quadrature_prism(config.degree)
     mrule = fem.quadrature_prism(2 * config.k + 1) if shallow else rule
-    w, wm = rule.weights, mrule.weights
-    nq, nm = len(w), len(wm)
-    pts = np.vstack([rule.points, mrule.points]) if shallow else rule.points
-    mq = slice(nq, None) if shallow else slice(None)
-    tab1, tab2 = fem.tabulate(V1.element, pts), fem.tabulate(V2.element, pts)
+    rules = (rule, mrule) if shallow else (rule,)
+    nq, nm = len(rule.weights), len(mrule.weights)
+    tab1, tab1m = fem.tabulate(V1.element, rule.points), fem.tabulate(V1.element, mrule.points)
+    psi, psim = (fem.tabulate(V2.element, r.points).values for r in (rule, mrule))
     nd1, nd2 = V1.element.ndofs, V2.element.ndofs
     n_u = V1.n_dofs
     n = n_u + V2.n_dofs
-    phi, psi = tab1.values[:nq], tab2.values[:nq]
-    phim, psim = tab1.values[mq], tab2.values[mq]
-    T = np.einsum("q,qic,qjd->qcdij", wm, phim, phim).reshape(9 * nm, nd1 * nd1)
-    Tb = (w[:, None, None] * phi).transpose(0, 2, 1).reshape(3 * nq, nd1)
+    wm = mrule.weights
+    T = np.einsum("q,qic,qjd->cdqij", wm, tab1m.values, tab1m.values)
+    T_sym = [T[c, d] + T[d, c] if c != d else T[c, c] for c, d in geometry.METRIC_PAIRS]
+    T_anti = [T[2, 1] - T[1, 2], T[0, 2] - T[2, 0], T[1, 0] - T[0, 1]]
+    T_uu = np.concatenate(T_sym + T_anti).reshape(9 * nm, nd1 * nd1)
+    n_planes = 9 if config.coriolis_enabled else 6
+    Tb = (rule.weights[:, None, None] * tab1.values).transpose(2, 0, 1).reshape(3 * nq, nd1)
     Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
-    D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1.divergences[mq])
+    D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1m.divergences)
+    w, wm = rule.tensor_weights, mrule.tensor_weights
 
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
-    for cells, J, pinv4T, x4all in geometry.quadrature_chunks(coords, x4, pts):
+    for cells, maps in geometry.quadrature_chunks(coords, x4, *rules):
+        q, m = maps[0], maps[-1]
         ch = len(cells)
-        x4q, x4m = x4all[:, :nq], x4all[:, mq]
-        JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
-        K = np.empty((ch, nm, 3, 3))
-        np.divide(JtJ, J.det[..., None, None], out=K)
+        K = np.empty((ch, n_planes) + m.shape[1:])
+        for i, g in enumerate(m.G):
+            np.divide(g, m.det, out=K[:, i])
         if config.coriolis_enabled:
-            om = 2.0 * (config.omega4(x4m) @ pinv4T)
-            K[..., 0, 1] -= om[..., 2]
-            K[..., 1, 0] += om[..., 2]
-            K[..., 0, 2] += om[..., 1]
-            K[..., 2, 0] -= om[..., 1]
-            K[..., 1, 2] -= om[..., 0]
-            K[..., 2, 1] += om[..., 0]
-        A_uu = (K.reshape(ch, 9 * nm) @ T).reshape(ch, nd1, nd1)
-        b_u = geometry.matvec3(JtJ, config.f4(x4q) @ pinv4T).reshape(ch, 3 * nq) @ Tb
-        M_p = (wm * J.det) @ Tp
-        b_p = (w * J.det * config.g(x4q)) @ psi
+            for i, o in enumerate(m.pull(config.omega4(m.x))):
+                np.multiply(2.0, o, out=K[:, 6 + i])
+        A_uu = (K.reshape(ch, -1) @ T_uu[:n_planes * nm]).reshape(ch, nd1, nd1)
+        fhat = np.empty((ch, 3) + q.shape[1:])
+        for i, v in enumerate(q.lower(q.pull(config.f4(q.x)))):
+            fhat[:, i] = v
+        b_u = fhat.reshape(ch, 3 * nq) @ Tb
+        M_p = np.broadcast_to(wm * m.det, m.shape).reshape(ch, nm) @ Tp
+        b_p = np.broadcast_to(w * q.det * config.g(q.x), q.shape).reshape(ch, nq) @ psi
 
         gd1, sg1 = V1.cell_dofs[cells], V1.cell_signs[cells]
         gd2 = V2.cell_dofs[cells] + n_u
@@ -796,8 +793,8 @@ def test_mixed_cell_scatter_matches_four_blocks(annulus_r1_l2, k, mode):
     V1, V2 = build_spaces(annulus_r1_l2, k)
     config = assembly.ProblemConfig(
         mode=mode, k=k,
-        f4=lambda x4: np.stack([x4[..., 1], -x4[..., 0], x4[..., 3], x4[..., 2]], axis=-1),
-        g=lambda x4: x4[..., 0] * x4[..., 3],
+        f4=lambda x: geometry.stack_planes((x[1], -x[0], x[3], x[2])),
+        g=lambda x: x[0] * x[3],
     )
     system = assembly.assemble(config, V1, V2)
     A_ref, rhs_ref = four_block_system(config, V1, V2)
@@ -827,7 +824,7 @@ def assert_same_csr(A, A_ref):
 def cell_system(request, annulus_r1_l2):
     k, mode = request.param
     V1, V2 = build_spaces(annulus_r1_l2, k)
-    config = assembly.ProblemConfig(mode=mode, k=k, g=lambda x4: x4[..., 0] * x4[..., 3])
+    config = assembly.ProblemConfig(mode=mode, k=k, g=lambda x: x[0] * x[3])
     return assembly.assemble(config, V1, V2)
 
 

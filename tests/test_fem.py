@@ -94,6 +94,20 @@ def test_prism_rule_monomial_exactness(degree):
                 )
 
 
+@pytest.mark.parametrize("degree", [3, 10, 12])
+def test_prism_rule_carries_its_tensor_factors(degree):
+    """Point t * nz + z is triangle point t at interval point z, with the
+    product weight; ``tensor_weights`` is that product as (nt, nz)."""
+    rule = fem.quadrature_prism(degree)
+    tri, interval = rule.triangle, rule.interval
+    nt, nz = len(tri.weights), len(interval.weights)
+    points = rule.points.reshape(nt, nz, 3)
+    np.testing.assert_array_equal(points[..., :2], np.broadcast_to(tri.points[:, None], (nt, nz, 2)))
+    np.testing.assert_array_equal(points[..., 2], np.broadcast_to(interval.points[:, 0], (nt, nz)))
+    np.testing.assert_array_equal(rule.tensor_weights, np.outer(tri.weights, interval.weights))
+    np.testing.assert_allclose(interval.weights.sum(), 1.0, rtol=1e-14)
+
+
 def test_prism_rule_cubic_cross_term():
     rule = fem.quadrature_prism(3)
     got = (rule.weights * rule.points.prod(axis=1)).sum()

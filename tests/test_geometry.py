@@ -3,7 +3,9 @@ import pytest
 
 from shallowfem import fem, geometry, mesh
 
-from conftest import frame_basis, hedgehog_axes, phi, physical_points, pushforward_4to3
+from conftest import (
+    frame_basis, hedgehog_axes, matvec3, phi, physical_points, pushforward_4to3,
+)
 
 
 def synthetic_polar_column():
@@ -294,38 +296,61 @@ def test_jacobian_factorization_count(annulus_r1_l2):
     assert one.n_factorizations == annulus_r1_l2.n_cells
 
 
+def materialised(point_map):
+    """A PointMap's points (ch, nq, 4), G (ch, nq, 3, 3) and det (ch, nq),
+    with every plane broadcast over the rule's points."""
+    shape = point_map.shape
+    ch, nq = shape[0], shape[1] * shape[2]
+    G = np.empty(shape + (3, 3))
+    for (a, b), g in zip(geometry.METRIC_PAIRS, point_map.G):
+        G[..., a, b] = G[..., b, a] = g
+    return (geometry.stack_planes(point_map.x).reshape(ch, nq, 4), G.reshape(ch, nq, 3, 3),
+            np.broadcast_to(point_map.det, shape).reshape(ch, nq))
+
+
+def tensor_rule(nt, nz, seed):
+    """A prism rule of nt random triangle points times nz interval points."""
+    rng = np.random.default_rng(seed)
+    tri = fem.QuadratureRule(rng.uniform(0.0, 0.5, (nt, 2)), np.full(nt, 0.5 / nt), 0)
+    z = fem.QuadratureRule(rng.uniform(0.0, 1.0, (nz, 1)), np.full(nz, 1.0 / nz), 0)
+    points = np.column_stack([np.repeat(tri.points, nz, axis=0), np.tile(z.points[:, 0], nt)])
+    return fem.QuadratureRule(points, np.outer(tri.weights, z.weights).ravel(), 0, tri, z)
+
+
 def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
-    """quadrature_chunks: the chart's J4 and pdet once per cell at the
-    centroid, from the one SVD that also gives pinv4; annulus J at every
-    point; the chunks cover the cells in order."""
+    """quadrature_chunks: the chart's G = J4^T J4 and pdet once per cell at
+    the centroid, from the one SVD that also gives pinv4; annulus G and det
+    at every point; the chunks cover the cells in order."""
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
-    pts = np.array([[0.2, 0.3, 0.1], [0.5, 0.1, 0.9], [0.1, 0.1, 0.5]])
+    rule = tensor_rule(3, 2, 0)
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
     chart = geometry.CoordinateField(cell_coords=x4)
-    (cells, J, pinv4T, x4q), = geometry.quadrature_chunks(chart, x4, pts)
+    (cells, (point_map,)), = geometry.quadrature_chunks(chart, x4, rule)
     np.testing.assert_array_equal(cells, np.arange(m.n_cells))
-    assert J.J.shape == (m.n_cells, 1, 4, 3) and J.n_factorizations == m.n_cells
-    at_pts = geometry.jacobian(chart, cells, pts)
-    np.testing.assert_allclose(np.broadcast_to(J.J, at_pts.J.shape), at_pts.J,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.broadcast_to(J.det, at_pts.det.shape), at_pts.det,
-                               rtol=1e-12, atol=0)
+    assert point_map.det.shape == (m.n_cells, 1, 1) and point_map.n_factorizations == m.n_cells
+    assert all(g.shape == (m.n_cells, 1, 1) for g in point_map.G)
+    x4q, G, det = materialised(point_map)
+    at_pts = geometry.jacobian(chart, cells, rule.points)
+    JtJ = np.einsum("...ia,...ib->...ab", at_pts.J, at_pts.J)
+    np.testing.assert_allclose(G, JtJ, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(det, at_pts.det, rtol=1e-12, atol=0)
     J4 = geometry.jacobian4(x4, cells, centroid)
     pinv4, pdet = geometry.pseudo_inverse_pseudo_det(J4)
-    np.testing.assert_array_equal(J.J, J4)
-    np.testing.assert_array_equal(J.det, pdet)
-    np.testing.assert_array_equal(pinv4T, np.swapaxes(pinv4[:, 0], 1, 2))
-    np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(pts), x4),
+    JtJ4 = np.einsum("...ia,...ib->...ab", J4[:, 0], J4[:, 0])
+    np.testing.assert_array_equal(G[:, 0], JtJ4)
+    np.testing.assert_array_equal(det[:, 0], pdet[:, 0])
+    np.testing.assert_array_equal(point_map.pinv4, pinv4[:, 0])
+    np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(rule.points), x4),
                                rtol=0, atol=1e-14)
 
     # the 216 points of the k=1 default rule: 2**15 // 216 = 151 cells per chunk
-    pts = fem.quadrature_prism(fem.default_quadrature_degree(1)).points
-    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, pts))
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
+    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, rule))
     assert [len(c[0]) for c in chunks] == [151, 9]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
-    assert all(c[1].J.shape == (len(c[0]), 216, 3, 3) for c in chunks)
-    assert sum(c[1].n_factorizations for c in chunks) == 216 * m.n_cells
+    assert all(c[1][0].det.shape == (len(c[0]), 36, 6) for c in chunks)
+    assert sum(c[1][0].n_factorizations for c in chunks) == 216 * m.n_cells
 
 
 @pytest.mark.parametrize("npts, budget, first", [
@@ -341,12 +366,97 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
     if budget is not None:
         monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", budget)
     m = annulus_r1_l2
-    pts = np.random.default_rng(npts).uniform(0.0, 0.5, (npts, 3))
+    rule = tensor_rule(npts, 1, npts)
     x4 = geometry.manifold_coordinates(m)
-    chunks = [c[0] for c in geometry.quadrature_chunks(geometry.CoordinateField(x4), x4, pts)]
+    chunks = [c[0] for c in geometry.quadrature_chunks(geometry.CoordinateField(x4), x4, rule)]
     np.testing.assert_array_equal(np.concatenate(chunks), np.arange(m.n_cells))
     assert len(chunks[0]) == first
     assert all(len(c) * npts <= geometry.POINTS_PER_CHUNK or len(c) == 1 for c in chunks)
+
+
+def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
+    """Two rules share one budget: the shallow k=1 right-hand-side and
+    matrix rules, 216 + 8 points, give 146 cells per chunk."""
+    m = annulus_r1_l2
+    x4 = geometry.manifold_coordinates(m)
+    rules = fem.quadrature_prism(10), fem.quadrature_prism(3)
+    chunks = list(geometry.quadrature_chunks(geometry.CoordinateField(x4), x4, *rules))
+    assert [len(c[0]) for c in chunks] == [146, 14]
+    assert [c[1][1].shape for c in chunks] == [(146, 4, 2), (14, 4, 2)]
+
+
+def perturbed_coordinates(m):
+    """The annulus nodes, each moved by up to 2 % of the thinnest layer in a
+    random direction: a field in R^3 with no radial structure."""
+    nodal = geometry.annulus_coordinates(m).cell_coords
+    rng = np.random.default_rng(41)
+    return geometry.CoordinateField(nodal + rng.uniform(-0.01, 0.01, nodal.shape))
+
+
+FIELDS = {
+    "annulus": geometry.annulus_coordinates,
+    "hedgehog": geometry.hedgehog_coordinates,
+    "chart": lambda m: geometry.CoordinateField(geometry.manifold_coordinates(m)),
+    "perturbed": perturbed_coordinates,
+}
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_chunk_metric_matches_per_point_jacobian(annulus_r1_l2, monkeypatch, field, k):
+    """G and det of the solver-point map equal J^T J and det of
+    ``geometry.jacobian`` at every point of the 2k + 8 rule, to 1e-13
+    relative, on fields with and without radial structure."""
+    monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
+    m = annulus_r1_l2
+    coords = FIELDS[field](m)
+    x4 = coords.cell_coords if field == "chart" else geometry.manifold_coordinates(m)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
+    n = 0
+    for cells, (point_map,) in geometry.quadrature_chunks(coords, x4, rule):
+        _, G, det = materialised(point_map)
+        J = geometry.jacobian(coords, cells, rule.points)
+        JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
+        assert np.abs(G - JtJ).max() <= 1e-13 * np.abs(JtJ).max()
+        np.testing.assert_allclose(det, J.det, rtol=1e-13, atol=0)
+        n += len(cells)
+    assert n == m.n_cells
+
+
+def test_inverted_cell_raises_before_any_chunk(annulus_r1_l2, monkeypatch):
+    """An inverted cell in the last chunk is named by the centroid check
+    before the first chunk is yielded."""
+    monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
+    m = annulus_r1_l2
+    nodal = geometry.annulus_coordinates(m).cell_coords.copy()
+    nodal[-1] = nodal[-1][[1, 0, 2, 4, 3, 5]]
+    chunks = geometry.quadrature_chunks(geometry.CoordinateField(nodal),
+                                        geometry.manifold_coordinates(m), fem.quadrature_prism(10))
+    with pytest.raises(geometry.DegenerateMapError, match="inverted"):
+        next(chunks)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_chunk_points_match_the_nodal_interpolant(icosa_r1, k, a):
+    """The broadcast planes x1, x2, x3 (triangle points) and h (interval
+    points) equal nodal_basis @ x4 at every point within 1e-15 a."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, a), 3, 1.0)
+    x4 = geometry.manifold_coordinates(m)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
+    nbasis = geometry.nodal_basis(rule.points)
+    for cells, (point_map,) in geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, rule):
+        nt, nz = len(rule.triangle.weights), len(rule.interval.weights)
+        assert [p.shape for p in point_map.x] == [(len(cells), nt, 1)] * 3 + [(len(cells), 1, nz)]
+        x4q, _, _ = materialised(point_map)
+        assert np.abs(x4q - nbasis @ x4[cells]).max() <= 1e-15 * a
+
+
+def test_a_field_in_r4_must_be_the_chart(annulus_r1_l2):
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
+    with pytest.raises(ValueError, match="chart"):
+        next(geometry.quadrature_chunks(geometry.CoordinateField(x4.copy()), x4,
+                                        fem.quadrature_prism(3)))
 
 
 def _einsum_jacobian(nodal, points):
@@ -410,21 +520,23 @@ def test_chart_rejects_one_inverted_cell(annulus_r1_l2, order):
         with pytest.raises(ValueError, match="inverted"):
             geometry.jacobian(chart, cells, pts)
     with pytest.raises(ValueError, match="inverted"):
-        next(geometry.quadrature_chunks(chart, x4, pts))
+        next(geometry.quadrature_chunks(chart, x4, fem.quadrature_prism(3)))
     assert geometry.jacobian(chart, 4, pts).det > 0
 
 
 def test_matvec3_broadcasts_cell_matrices():
+    """The tests' Piola helper ``conftest.matvec3`` (pytest collects no
+    tests from conftest.py, so its test lives here)."""
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 1, 3, 3))
     v = rng.standard_normal((4, 6, 3))
     ref = np.einsum("eij,eqj->eqi", A[:, 0], v)
-    np.testing.assert_allclose(geometry.matvec3(A, v), ref, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(matvec3(A, v), ref, rtol=1e-14, atol=1e-14)
     A = rng.standard_normal((4, 6, 3, 3))
-    np.testing.assert_allclose(geometry.matvec3(A, v),
+    np.testing.assert_allclose(matvec3(A, v),
                                np.einsum("eqij,eqj->eqi", A, v), rtol=1e-14, atol=1e-14)
     A = rng.standard_normal((4, 1, 4, 3))                # chart Jacobians: 4-vectors
-    np.testing.assert_allclose(geometry.matvec3(A, v),
+    np.testing.assert_allclose(matvec3(A, v),
                                np.einsum("eij,eqj->eqi", A[:, 0], v), rtol=1e-14, atol=1e-14)
 
 
@@ -548,8 +660,8 @@ def test_projection_at_chordal_points_leaves_no_normal_component(annulus_r1_l2):
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
     coords = geometry.CoordinateField(cell_coords=x4)
     x4q = np.concatenate([
-        q.reshape(-1, 4)
-        for *_, q in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4).points)
+        geometry.stack_planes(point_map.x).reshape(-1, 4)
+        for _, (point_map,) in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4))
     ])
     radius = np.linalg.norm(x4q[:, :3], axis=1)
     assert radius.max() <= 1.0 + 1e-15 and radius.min() < 1.0 - 1e-3

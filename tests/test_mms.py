@@ -267,6 +267,39 @@ def test_closed_form_providers_match_fd_oracles(a, k, refinement, layers):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_providers_on_broadcast_planes_match_materialised_points(case, ops, k, mode):
+    """At the solver's points the providers and exact fields give the same
+    values on the solver-point map's broadcast planes (x1, x2, x3 per
+    triangle point, h per interval point) as on the materialised
+    (cells, points, 4) arrays, to 1e-14 relative; they still take those
+    arrays, which the benchmark's traced probe passes."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
+    config = assembly.ProblemConfig(mode=mode, k=k)
+    coords = assembly.coordinate_field(config, m)
+    x4 = coords.cell_coords if mode == "shallow" else geometry.manifold_coordinates(m)
+    rules = [fem.quadrature_prism(config.degree)]
+    if mode == "shallow":
+        rules.append(fem.quadrature_prism(fem.exact_matrix_degree(k)))
+    providers = {
+        "derived_f4": case.derived_f4(ops), "derived_g": case.derived_g(ops),
+        "traditional_omega": assembly.traditional_omega,
+        "u_exact": case.u_exact, "p_exact": case.p_exact,
+    }
+    cells, maps = next(geometry.quadrature_chunks(coords, x4, *rules))
+    for point_map in maps:
+        shape = point_map.shape
+        x4q = geometry.stack_planes(point_map.x).reshape(len(cells), -1, 4)
+        for name, provider in providers.items():
+            on_array = provider(x4q)
+            tail = on_array.shape[2:]
+            assert on_array.shape[:2] == x4q.shape[:2], name
+            on_planes = np.broadcast_to(provider(point_map.x), shape + tail)
+            ref = on_array.reshape(shape + tail)
+            assert np.abs(on_planes - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_closed_form_gradient_matches_projected_gradient(a):
     """grad p inside derived_f4 agrees with the projected Euclidean gradient."""

@@ -121,12 +121,13 @@ def derived_g_stacked(x4, a):
 # ---------------------------------------------------------------------------
 
 def solver_points(k, mode):
-    """The first chunk's x4q of the solver-point map at k, (ch, nq, 4)."""
+    """The first chunk's manifold points of the solver-point map at k,
+    materialised from its broadcast planes, (ch, nq, 4)."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
     coords = (geometry.hedgehog_coordinates if mode == "shallow" else geometry.annulus_coordinates)(m)
-    points = fem.quadrature_prism(fem.default_quadrature_degree(k)).points
-    *_, x4q = next(geometry.quadrature_chunks(coords, geometry.manifold_coordinates(m), points))
-    return x4q
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
+    cells, (point_map,) = next(geometry.quadrature_chunks(coords, geometry.manifold_coordinates(m), rule))
+    return geometry.stack_planes(point_map.x).reshape(len(cells), -1, 4)
 
 
 def pole_points(a):
