@@ -55,16 +55,17 @@ The inner boundary condition u . n = 0 is written into the cell matrices
 by ``apply_inner_bc``, so the solver, its residual and the oracle all read
 one operator.
 
-The kind of form fixes the quadrature rule.  The right-hand sides b_u and
-b_p use ``fem.default_quadrature_degree(k)`` = 2k + 8, which the
-manufactured forcing needs.  The shallow matrix E uses
-``fem.exact_matrix_degree(k)`` = 2k + 1, (k + 1)^3 points: J^T J / det is
-constant per cell and omega_hat is affine, so its integrand is a polynomial
-of that degree.  Both point sets are mapped in one pass of
-``quadrature_chunks``.  An omega4 that is not affine on the cells would be
-under-integrated, so shallow assembly with rotation compares omega4 at the
-matrix points with its nodal interpolant and raises ValueError when they
-differ.  Deep mode integrates E with 2k + 8 and accepts any omega4.
+One quadrature policy serves both modes, which differ only in their metric.
+The right-hand sides use ``fem.default_quadrature_degree(k)`` = 2k + 8,
+which the manufactured forcing needs, and E ``fem.exact_matrix_degree(k)``
+= 2k + 1, (k + 1)^3 points; ``quadrature_chunks`` maps both in one pass.
+On the chart E's integrand is a polynomial of that degree.  On the annulus
+det J varies only across the layer (a top face is its bottom face scaled)
+and G / det is rational in zeta with parameter dr / r, a quadrature error
+(Ciarlet 1978, 4.1) that falls as the layers thin.  An omega4 that is not
+affine on the cells would be under-integrated, so assembly with rotation
+compares it at the matrix points with its nodal interpolant and raises
+ValueError when they differ.
 
 ``solve`` condenses statically from the cell matrices: every V2 DOF and
 every V1 interior moment belongs to one cell, so all cells are condensed in
@@ -144,9 +145,9 @@ class ProblemConfig:
     provider's horizontal work runs once per triangle point; the result's
     leading axes need only broadcast against them.  Read the planes with
     ``geometry.coordinate_planes``, which also takes a (..., 4) array (as
-    the finite-difference oracles and the tests pass).  In shallow mode
-    ``omega4`` must be affine on each cell (``traditional_omega`` is; see
-    the module docstring).
+    the finite-difference oracles and the tests pass).  ``omega4`` must be
+    affine on each cell (``traditional_omega`` is; see the module
+    docstring).
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
     """
@@ -243,13 +244,13 @@ def coordinate_field(config: ProblemConfig, mesh):
 
 def _check_interpolant(omega, nodal):
     """Reject a rotation that differs from its nodal interpolant by more
-    than 1e-12 relative: the shallow matrix rule would under-integrate it."""
+    than 1e-12 relative: the matrix rule would under-integrate it."""
     gap = np.abs(omega - nodal).max()
     if gap > 1e-12 * np.abs(omega).max():
         raise ValueError(
             f"omega4 differs from its nodal interpolant by {gap:.3e} at the matrix "
-            f"quadrature points; the shallow matrix integrates only an omega4 that is "
-            f"affine on each cell exactly (mode='deep' accepts any omega4)"
+            f"quadrature points; the matrix rule integrates only an omega4 that is "
+            f"affine on each cell exactly"
         )
 
 
@@ -264,13 +265,8 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         )
     mesh = u_space.mesh
     coords = coordinate_field(config, mesh)
-    shallow = config.mode == "shallow"
-    x4 = coords.cell_coords if shallow else manifold_coordinates(mesh)
-
-    # Shallow chunks map the right-hand-side and the matrix points in one pass.
-    rule = quadrature_prism(config.degree)
-    mrule = quadrature_prism(exact_matrix_degree(config.k)) if shallow else rule
-    rules = (rule, mrule) if shallow else (rule,)
+    x4 = coords.cell_coords if coords.cell_coords.shape[-1] == 4 else manifold_coordinates(mesh)
+    rule, mrule = quadrature_prism(config.degree), quadrature_prism(exact_matrix_degree(config.k))
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
     omega_basis = geometry.nodal_basis(mrule.points)
@@ -301,8 +297,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     w, wm = rule.tensor_weights, mrule.tensor_weights
 
     n_fact = 0
-    for cells, maps in geometry.quadrature_chunks(coords, x4, *rules):
-        q, m = maps[0], maps[-1]
+    for cells, (q, m) in geometry.quadrature_chunks(coords, x4, rule, mrule):
         ch = len(cells)
         n_fact += q.n_factorizations
 
@@ -312,10 +307,9 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
             np.divide(g, m.det, out=K[:, i])
         if config.coriolis_enabled:
             om4 = config.omega4(m.x)
-            if shallow:
-                nodal = config.omega4(geometry.coordinate_planes(x4[cells]))
-                _check_interpolant(np.broadcast_to(om4, m.shape + (4,)).reshape(ch, nm, 4),
-                                   omega_basis @ nodal)
+            nodal = config.omega4(geometry.coordinate_planes(x4[cells]))
+            _check_interpolant(np.broadcast_to(om4, m.shape + (4,)).reshape(ch, nm, 4),
+                               omega_basis @ nodal)
             for i, o in enumerate(m.pull(om4)):
                 np.multiply(2.0, o, out=K[:, 6 + i])
         fhat = np.empty((ch, 3) + q.shape[1:])

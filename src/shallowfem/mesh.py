@@ -202,6 +202,9 @@ def extrude_radial(base: BaseSphereMesh, n_layers: int, thickness: float) -> Ext
 
     a = base.radius
     layer_radii = a + thickness * np.arange(n_layers + 1) / n_layers
+    if not (np.diff(layer_radii) > 0).all():
+        raise ValueError(f"thickness {thickness!r} is too thin for float64 at radius {a!r} "
+                         f"with {n_layers} layers: the layer radii do not increase")
     unit = base.unit_vertices()
 
     # vertex (v, l) -> row v*(n_layers+1) + l

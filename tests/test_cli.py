@@ -290,15 +290,17 @@ def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
     (["--inner-radius", "1e200"], "float64 range"),
     (["--thickness", "1e200"], "float64 range"),
     (["--thickness", "1e12"], "4x3 Jacobian is rank deficient at cell 0: s_min/s_max = "),
-    (["--thickness", "1e-300"], "4x3 Jacobian is rank deficient at cell 0: s_min/s_max = "),
-    (["--mode", "deep", "--thickness", "1e-300"], "cell is inverted"),
+    (["--thickness", "1e-300"], "thickness 1e-300 is too thin for float64 at radius 1.0"),
+    (["--mode", "deep", "--thickness", "1e-300"],
+     "thickness 1e-300 is too thin for float64 at radius 1.0"),
 ], ids=["tiny-radius", "huge-radius", "huge-thickness", "thick-1e12", "tiny-thickness",
         "deep-tiny-thickness"])
 def test_convergence_degenerate_geometry_is_one_line(tmp_path, capsys, flags, message):
     """Extreme but parser-valid sizes exit 1 with one error line: no traceback
     (an SVD or phi_inverse failure) and no RuntimeWarning, which the suite
-    turns into an error.  A column whose aspect ratio s_min/s_max the chart's
-    rank test cannot resolve, too thick or too thin, is named with it."""
+    turns into an error.  A column too thick for the chart's rank test is
+    named with its aspect ratio s_min/s_max; a shell whose layer radii
+    float64 cannot tell apart is named with its thickness, in both modes."""
     code = run(["convergence", "--levels", "0:1,1:1", *flags,
                 "--csv", str(tmp_path / "t.csv"),
                 "--forcing-report", str(tmp_path / "f.txt")])

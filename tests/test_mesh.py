@@ -57,6 +57,16 @@ def test_mesh_config_validation(icosa_r0):
         mesh.extrude_radial(icosa_r0, 0, 1.0)
 
 
+@pytest.mark.parametrize("thickness, layers", [(1e-17, 1), (1e-14, 100)])
+def test_a_shell_too_thin_for_float64_is_named(icosa_r0, thickness, layers):
+    """Layer radii a + H l / L that round to equal values would give flat
+    cells; the error names the thickness, the radius and the layer count."""
+    with pytest.raises(ValueError, match=f"thickness {thickness!r} is too thin for float64 "
+                                         f"at radius 1.0 with {layers} layers"):
+        mesh.extrude_radial(icosa_r0, layers, thickness)
+    assert (np.diff(mesh.extrude_radial(icosa_r0, 1, 1e-15).layer_radii) > 0).all()
+
+
 def test_mesh_config_outer_radius():
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(0, radius=2.0), 3, 0.5)
     assert m.layer_radii[0] == 2.0 and m.layer_radii[-1] == 2.5
