@@ -40,25 +40,13 @@ code = cli.main([
 assert code == 0
 
 # How far do the duplicated vertices above the base sphere drift apart?
-coords = geometry.hedgehog_coordinates(m)
-orig = m.cell_node_coords()
-top = orig[:, 3:].reshape(-1, 3)
-moved = coords.cell_coords[:, 3:].reshape(-1, 3)
-
-gaps = []
-order = np.lexsort(top.T)
-ts, ms = top[order], moved[order]
-i = 0
-while i < len(ts):
-    j = i + 1
-    while j < len(ts) and np.linalg.norm(ts[j] - ts[i]) < 1e-12:
-        j += 1
-    group = ms[i:j]
-    if len(group) > 1:
-        gaps.append(np.linalg.norm(group - group.mean(axis=0), axis=1).max())
-    i = j
-
-gaps = np.array(gaps)
+# The copies of one top vertex share its vertex id; group them by it.
+ids = m.cell_vertices[:, 3:].ravel()
+moved = geometry.hedgehog_coordinates(m)[:, 3:].reshape(-1, 3)
+order = np.argsort(ids, kind="stable")
+groups = np.split(moved[order], np.flatnonzero(np.diff(ids[order])) + 1)
+gaps = np.array([np.linalg.norm(g - g.mean(axis=0), axis=1).max()
+                 for g in groups if len(g) > 1])
 print(f"duplicated prism-top vertices: {len(gaps)} groups")
 print(f"gap radius: max {gaps.max():.4e}, mean {gaps.mean():.4e}")
 print("(the gap scales linearly with height above the inner sphere)")

@@ -20,17 +20,14 @@ from .mesh import (
 )
 from .geometry import (
     DegenerateMapError,
-    CoordinateField,
     JacobianSample,
     TangentFrame,
     phi_inverse,
-    annulus_coordinates,
     hedgehog_coordinates,
     manifold_coordinates,
     jacobian,
     jacobian4,
     pseudo_inverse_pseudo_det,
-    tangent_frame,
 )
 from .fem import (
     QuadratureRule,

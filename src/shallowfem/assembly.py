@@ -47,8 +47,9 @@ are GEMMs of w det against the V2 basis.  The blocks of a chunk of
 ``geometry.quadrature_chunks`` form one mixed cell matrix
 E = [[A_uu, -D^T], [D, -M_p]] over each cell's [V1 | V2] DOFs; the
 orientation signs s are applied once as E * s s^T, the signed E of all
-cells are kept as one (n_cells, nd, nd) array, and [b_u | b_p] s is
-scattered into the right-hand side.  No global matrix is built on the solve
+cells are kept as one (n_cells, nd, nd) array, and the rows [b_u | b_p] s
+as one (n_cells, nd) array that one ``np.bincount`` scatters into the
+right-hand side, in cell order.  No global matrix is built on the solve
 path; ``LinearSystem.matrix`` is the tests' oracle.
 
 The inner boundary condition u . n = 0 is written into the cell matrices
@@ -94,7 +95,7 @@ from .fem import (
     Field, FunctionSpace, default_quadrature_degree, exact_matrix_degree, quadrature_prism,
     tabulate,
 )
-from .geometry import CoordinateField, annulus_coordinates, manifold_coordinates
+from .geometry import manifold_coordinates
 
 __all__ = [
     "ProblemConfig",
@@ -147,7 +148,7 @@ class ProblemConfig:
     ``geometry.coordinate_planes``, which also takes a (..., 4) array (as
     the finite-difference oracles and the tests pass).  ``omega4`` must be
     affine on each cell (``traditional_omega`` is; see the module
-    docstring).
+    docstring); ``coriolis_enabled=False`` replaces it with zero.
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
     """
@@ -164,7 +165,9 @@ class ProblemConfig:
     def __post_init__(self):
         if self.mode not in ("shallow", "deep"):
             raise ValueError(f"mode must be 'shallow' or 'deep', got {self.mode!r}")
-        if self.omega4 is None:
+        if not self.coriolis_enabled:
+            self.omega4 = lambda x4: _zeros(x4, 4)
+        elif self.omega4 is None:
             self.omega4 = traditional_omega
         if self.f4 is None:
             self.f4 = lambda x4: _zeros(x4, 4)
@@ -235,11 +238,12 @@ def _scatter_blocks(blocks, index, n):
     return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
-def coordinate_field(config: ProblemConfig, mesh):
-    """The chart in R^4 for shallow mode, the annulus in R^3 for deep mode."""
+def coordinate_field(config: ProblemConfig, mesh) -> np.ndarray:
+    """The coordinate field (n_cells, 6, dim): the chart in R^4 for shallow
+    mode, the annulus in R^3 for deep mode."""
     if config.mode == "shallow":
-        return CoordinateField(cell_coords=manifold_coordinates(mesh))
-    return annulus_coordinates(mesh)
+        return manifold_coordinates(mesh)
+    return mesh.cell_node_coords()
 
 
 def _check_interpolant(omega, nodal):
@@ -265,7 +269,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         )
     mesh = u_space.mesh
     coords = coordinate_field(config, mesh)
-    x4 = coords.cell_coords if coords.cell_coords.shape[-1] == 4 else manifold_coordinates(mesh)
+    x4 = coords if coords.shape[-1] == 4 else manifold_coordinates(mesh)
     rule, mrule = quadrature_prism(config.degree), quadrature_prism(exact_matrix_degree(config.k))
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
@@ -289,44 +293,47 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     T_sym = [T[c, d] + T[d, c] if c != d else T[c, c] for c, d in geometry.METRIC_PAIRS]
     T_anti = [T[2, 1] - T[1, 2], T[0, 2] - T[2, 0], T[1, 0] - T[0, 1]]
     T_uu = np.concatenate(T_sym + T_anti).reshape(9 * nm, nd1 * nd1)
-    n_planes = 9 if config.coriolis_enabled else 6
     Tb = (w[:, None, None] * tab1.values).transpose(2, 0, 1).reshape(3 * nq, nd1)
     Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
     # det-free divergence coupling: identical on every cell
     D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1m.divergences)
     w, wm = rule.tensor_weights, mrule.tensor_weights
 
+    b_cells = np.empty((nc, nd))
     n_fact = 0
     for cells, (q, m) in geometry.quadrature_chunks(coords, x4, rule, mrule):
         ch = len(cells)
+        run = slice(cells[0], cells[0] + ch)                # chunks are runs of cells
         n_fact += q.n_factorizations
 
         # [G / det | 2 omega_hat] planes with omega_hat = pinv4 omega4
-        K = np.empty((ch, n_planes) + m.shape[1:])
+        K = np.empty((ch, 9) + m.shape[1:])
         for i, g in enumerate(m.G):
             np.divide(g, m.det, out=K[:, i])
-        if config.coriolis_enabled:
-            om4 = config.omega4(m.x)
-            nodal = config.omega4(geometry.coordinate_planes(x4[cells]))
-            _check_interpolant(np.broadcast_to(om4, m.shape + (4,)).reshape(ch, nm, 4),
-                               omega_basis @ nodal)
-            for i, o in enumerate(m.pull(om4)):
-                np.multiply(2.0, o, out=K[:, 6 + i])
+        om4 = config.omega4(m.x)
+        nodal = config.omega4(geometry.coordinate_planes(x4[cells]))
+        _check_interpolant(np.broadcast_to(om4, m.shape + (4,)).reshape(ch, nm, 4),
+                           omega_basis @ nodal)
+        for i, o in enumerate(m.pull(om4)):
+            np.multiply(2.0, o, out=K[:, 6 + i])
         fhat = np.empty((ch, 3) + q.shape[1:])
         for i, v in enumerate(q.lower(q.pull(config.f4(q.x)))):
             fhat[:, i] = v
         wdet_g = np.broadcast_to(w * q.det * config.g(q.x), q.shape).reshape(ch, nq)
-        b = np.hstack([fhat.reshape(ch, 3 * nq) @ Tb, wdet_g @ psi])
+        b = b_cells[run]
+        b[:, :nd1] = fhat.reshape(ch, 3 * nq) @ Tb
+        b[:, nd1:] = wdet_g @ psi
 
-        E = system.cell_matrices[cells[0]:cells[0] + ch]   # chunks are runs of cells
-        E[:, :nd1, :nd1] = (K.reshape(ch, -1) @ T_uu[:n_planes * nm]).reshape(ch, nd1, nd1)
+        E = system.cell_matrices[run]
+        E[:, :nd1, :nd1] = (K.reshape(ch, -1) @ T_uu).reshape(ch, nd1, nd1)
         E[:, :nd1, nd1:] = -D_ref.T
         E[:, nd1:, :nd1] = D_ref
         wdet = np.broadcast_to(wm * m.det, m.shape).reshape(ch, nm)
         E[:, nd1:, nd1:] = -(wdet @ Tp).reshape(ch, nd2, nd2)
-        sg, gd = signs[cells], dofs[cells]
+        sg = signs[cells]
         E *= sg[:, :, None] * sg[:, None, :]
-        np.add.at(system.rhs, gd.ravel(), (b * sg).ravel())
+        b *= sg
+    system.rhs = np.bincount(dofs.ravel(), b_cells.ravel(), len(system.rhs))
 
     system.stats = {
         "n_jacobian_factorizations": n_fact,

@@ -66,7 +66,7 @@ def cmd_export_mesh(args) -> int:
     annulus_path = out / "annulus.vtk"
     _write_vtk(annulus_path, mesh.vertex_coords, mesh.cell_vertices, "spherical annulus mesh")
 
-    points = hedgehog_coordinates(mesh).cell_coords.reshape(-1, 3)
+    points = hedgehog_coordinates(mesh).reshape(-1, 3)
     cells = np.arange(len(points)).reshape(-1, 6)
     hedgehog_path = out / "hedgehog.vtk"
     _write_vtk(hedgehog_path, points, cells, "hedgehog mesh (per-column extrusion)")

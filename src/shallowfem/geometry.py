@@ -34,11 +34,9 @@ from .mesh import ExtrudedMesh
 
 __all__ = [
     "DegenerateMapError",
-    "CoordinateField",
     "JacobianSample",
     "TangentFrame",
     "phi_inverse",
-    "annulus_coordinates",
     "hedgehog_coordinates",
     "manifold_coordinates",
     "barycentric",
@@ -56,7 +54,6 @@ __all__ = [
     "unit_normal",
     "project_tangent",
     "longitude",
-    "tangent_frame",
     "cell_diameters",
 ]
 
@@ -88,25 +85,13 @@ def phi_inverse(x3, a: float = 1.0):
 # ---------------------------------------------------------------------------
 # Coordinate fields on the extruded mesh
 # ---------------------------------------------------------------------------
+#
+# A coordinate field is a plain (n_cells, 6, dim) array of per-cell nodal
+# coordinates with a linear-triangle x linear-interval basis: dim 3 for a
+# field in R^3 (the annulus, ``mesh.cell_node_coords()``, or the hedgehog
+# field), dim 4 for the chart in R^4.
 
-@dataclass(frozen=True)
-class CoordinateField:
-    """Per-cell nodal coordinates with a linear-triangle x linear-interval basis:
-    three columns for a field in R^3, four for the chart in R^4."""
-
-    cell_coords: np.ndarray           # (n_cells, 6, 3 or 4)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cell_coords)
-
-
-def annulus_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
-    """Continuous coordinate field of the annulus mesh itself."""
-    return CoordinateField(cell_coords=mesh.cell_node_coords())
-
-
-def hedgehog_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
+def hedgehog_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
     """Discontinuous 3D field whose metric equals the chart's exactly.
 
     Per cell: pull the six nodes back to R^4, take the outward unit normal
@@ -123,7 +108,7 @@ def hedgehog_coordinates(mesh: ExtrudedMesh) -> CoordinateField:
         raise DegenerateMapError(f"cell {np.argmin(outward)}: chordal base triangle "
                                  f"has no outward normal")
     k = n / norm[:, None]
-    return CoordinateField(cell_coords=x4[:, :, :3] + x4[:, :, 3:] * k[:, None, :])
+    return x4[:, :, :3] + x4[:, :, 3:] * k[:, None, :]
 
 
 def manifold_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
@@ -210,16 +195,17 @@ def _det3(J) -> np.ndarray:
             + J[..., 0, 2] * (J[..., 1, 0] * J[..., 2, 1] - J[..., 1, 1] * J[..., 2, 0]))
 
 
-def jacobian(coords: CoordinateField, cells, points) -> JacobianSample:
+def jacobian(coords, cells, points) -> JacobianSample:
     """Jacobian samples for the given cells at the given reference points.
 
     ``cells`` may be an int or index array; ``points`` has shape (npts, 3).
-    Result arrays are shaped (ncells, npts, dim, 3) (leading axis dropped for
-    a scalar ``cells``).  On the chart (dim 4) det is pdet J signed by
+    ``coords`` is a coordinate field (n_cells, 6, dim).  Result arrays are
+    shaped (ncells, npts, dim, 3) (leading axis dropped for a scalar
+    ``cells``).  On the chart (dim 4) det is pdet J signed by
     det [l | J], l = (x1, x2, x3, 0), which a base wound inward or descending
     layers make negative.  Raises DegenerateMapError if any det is <= 0.
     """
-    nodal = coords.cell_coords[cells]
+    nodal = coords[cells]
     if nodal.shape[-1] == 4:
         return _chart_sample(nodal, points)[0]
     J = _nodal_gemm(nodal, points)
@@ -308,10 +294,10 @@ class PointMap:
 
     def pull(self, v) -> tuple:
         """The planes pinv4 v: reference components of tangent 4-vectors v,
-        given as planes or as a (..., 4) array whose leading axes broadcast
-        against (ch, nt, nz).  One batched GEMM per chunk, (ch, 3, 4) x
-        (ch, 4, points); each plane keeps v's broadcast shape."""
-        v = stack_planes(v) if isinstance(v, tuple) else np.asarray(v, dtype=float)
+        a (..., 4) array whose leading axes broadcast against (ch, nt, nz).
+        One batched GEMM per chunk, (ch, 3, 4) x (ch, 4, points); each plane
+        keeps v's broadcast shape."""
+        v = np.asarray(v, dtype=float)
         lead = (1,) * (4 - v.ndim) + v.shape[:-1]
         w = self.pinv4 @ np.swapaxes(v.reshape(lead[0], -1, 4), 1, 2)
         return tuple(w[:, c].reshape((len(w),) + lead[1:]) for c in range(3))
@@ -371,7 +357,7 @@ def _prism_metric(nodal, lam, z):
     return metric
 
 
-def quadrature_chunks(coords: CoordinateField, x4, *rules):
+def quadrature_chunks(coords, x4, *rules):
     """The solver-point map of every cell, chunk by chunk.
 
     Assembly and the error norms both loop over this.  ``rules`` are prism
@@ -383,31 +369,34 @@ def quadrature_chunks(coords: CoordinateField, x4, *rules):
         extruded cells pulled back to R^4, whose top nodes share the bottom
         nodes' horizontal part and whose layers have one h; so x1, x2, x3
         vary only with the triangle point and h only with the interval point.
-      * ``G``, ``det``: if ``coords`` holds ``x4`` itself (the chart), each
-        map is affine: G = J4^T J4 and the signed pdet come once per cell,
-        at the centroid, from the SVD that gives pinv4, (ch, 1, 1).  Any
+      * ``G``, ``det``: if the coordinate field ``coords`` is ``x4`` itself
+        (the chart), each map is affine: G = J4^T J4 and the signed pdet come
+        once per cell, (ch, 1, 1), from the chart's centroid sample.  Any
         other field is in R^3; its G and det come from J's columns
         (``_prism_metric``), after the centroid det of every cell (an
         inverted cell is named first).
-      * ``pinv4``: the pseudoinverse of J4 at the centroid.
+      * ``pinv4``: the pseudoinverse of J4 at the centroid, in both modes
+        from the one SVD of the chart's centroid sample.
     """
     tables = [(barycentric(r.triangle.points)[0], r.interval.points[:, 0]) for r in rules]
-    if coords.cell_coords is x4:
-        centre, pinv4 = _chart_sample(x4, CENTROID)
+    chart = coords is x4
+    if not chart:
+        if coords.shape[-1] != 3:
+            raise ValueError("a coordinate field in R^4 must be the chart x4 itself")
+        jacobian(coords, slice(None), CENTROID)
+    centre, pinv4 = _chart_sample(x4, CENTROID)
+    if chart:
         J4 = centre.J[:, 0]
         G = tuple((J4[:, :, a] * J4[:, :, b]).sum(axis=1)[:, None, None] for a, b in METRIC_PAIRS)
         det = centre.det[:, :, None]
         metrics = [lambda run: (tuple(g[run] for g in G), det[run])] * len(rules)
     else:
-        if coords.cell_coords.shape[-1] != 3:
-            raise ValueError("a coordinate field in R^4 must be the chart x4 itself")
-        jacobian(coords, slice(None), CENTROID)
-        pinv4, _ = pseudo_inverse_pseudo_det(jacobian4(x4, slice(None), CENTROID))
-        metrics = [_prism_metric(coords.cell_coords, lam, z) for lam, z in tables]
+        metrics = [_prism_metric(coords, lam, z) for lam, z in tables]
     pinv4 = pinv4[:, 0]
+    n_cells = len(coords)
     chunk = max(1, POINTS_PER_CHUNK // sum(len(r.weights) for r in rules))
-    for start in range(0, coords.n_cells, chunk):
-        run = slice(start, min(start + chunk, coords.n_cells))
+    for start in range(0, n_cells, chunk):
+        run = slice(start, min(start + chunk, n_cells))
         maps = tuple(PointMap(_manifold_planes(x4[run], lam, z), *metric(run), pinv4[run])
                      for (lam, z), metric in zip(tables, metrics))
         yield np.arange(run.start, run.stop), maps
@@ -508,9 +497,11 @@ class TangentFrame:
     phi: tuple             # three (...) planes
 
     @classmethod
-    def at(cls, x, a: float = 1.0) -> "TangentFrame":
-        """The frame at the points with coordinate planes x; pole columns get a
-        fixed fallback pair."""
+    def at(cls, x4, a: float = 1.0) -> "TangentFrame":
+        """The frame at manifold points, given as coordinate planes or as a
+        (..., 4) array (see ``coordinate_planes``); pole columns get a fixed
+        fallback pair."""
+        x = coordinate_planes(x4)
         rho, polar, cos_l, sin_l = longitude(x[0], x[1], a)
         sin_p = x[2] / a
         # At the poles any horizontal orthonormal pair will do; keep it
@@ -553,13 +544,7 @@ class TangentFrame:
         return stack_planes(self.combine(coordinate_planes(c)))
 
 
-def tangent_frame(x4, a: float = 1.0) -> TangentFrame:
-    """Tangent frame at manifold points (..., 4); see ``TangentFrame.at``."""
-    return TangentFrame.at(coordinate_planes(x4), a)
-
-
-def cell_diameters(coords: CoordinateField) -> np.ndarray:
-    """Max vertex-pair distance per cell in the given coordinate field."""
-    c = coords.cell_coords
-    diff = c[:, :, None, :] - c[:, None, :, :]
+def cell_diameters(coords) -> np.ndarray:
+    """Max vertex-pair distance per cell of the coordinate field ``coords``."""
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
     return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))

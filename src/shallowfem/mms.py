@@ -3,7 +3,7 @@
 The discretisation is verified against the exact solution of the mixed
 system on S^2(a) x [0, H].  The operators here are deliberately independent
 of the finite element code: derivatives come from central finite differences
-in the orthonormal frame (e_lambda, e_phi, i4) of ``geometry.tangent_frame``,
+in the orthonormal frame (e_lambda, e_phi, i4) of ``geometry.TangentFrame``,
 
     grad f = (1/(a cos phi) d_lambda f) e_lambda + (1/a d_phi f) e_phi
              + (d_x4 f) i4,
@@ -38,8 +38,9 @@ calls them with the solver-point map's planes, x1, x2, x3 per triangle
 point and h per interval point: the exact velocity is (q U1, q U2, q U3,
 v U4), with U a function of the horizontal position and q, v of h, and
 p = x1 x2 x3 q, so every bracket of the horizontal position runs once per
-triangle point and meets q or v in one product at the end.  They take
-(..., 4) arrays as well, as the oracles and the benchmark's probe pass.
+triangle point and meets q or v in one product at the end.  The
+providers, the exact fields and ``TangentFrame.at`` take (..., 4) arrays
+through the same entry, as the oracles and the benchmark's probe pass.
 
 ``l2_errors`` reads the chunk's metric: with d = vhat / det - pinv4 u_exact
 the squared velocity error at a point is det d . G d, in both modes.
@@ -114,12 +115,12 @@ class ShallowOperators:
         d = np.stack([self._central(lambda *c: f(self.point(*c)), coords, i) for i in range(3)], -1)
         d[..., 0] /= self.a * np.cos(coords[1])
         d[..., 1] /= self.a
-        return geometry.tangent_frame(x4, self.a).vector(d)
+        return geometry.TangentFrame.at(x4, self.a).vector(d)
 
     def _frame_component(self, u, which, lam, phi, h):
         """u_lambda, cos(phi) u_phi, or u_4 at the given frame coordinates."""
         x = self.point(lam, phi, h)
-        c = geometry.tangent_frame(x, self.a).components(u(x))
+        c = geometry.TangentFrame.at(x, self.a).components(u(x))
         return np.cos(phi) * c[..., 1] if which == 1 else c[..., which]
 
     def oracle_div(self, u, x4):
@@ -156,7 +157,7 @@ class ShallowOperators:
                 raise ValueError(
                     f"{name} argument is not tangent: |v.l| up to {nrm.max():.3e}"
                 )
-        fr = geometry.tangent_frame(x4, self.a)
+        fr = geometry.TangentFrame.at(x4, self.a)
         return fr.vector(np.cross(fr.components(v), fr.components(w)))
 
 
@@ -200,24 +201,21 @@ class ManufacturedCase:
     def _q(self, h):
         return (h ** 2 - 1.0) * (h ** 2 - 4.0)
 
-    def _p(self, x):
+    # The exact fields take manifold points as coordinate planes or as a
+    # (..., 4) array (see ``geometry.coordinate_planes``).
+    def p_exact(self, x4):
+        x = geometry.coordinate_planes(x4)
         return x[0] * x[1] * x[2] * self._q(x[3])
 
-    def p_exact(self, x4):
-        return self._p(geometry.coordinate_planes(x4))
-
-    def _u_printed(self, x):
-        x1, x2, x3, h = x
+    def u_printed(self, x4):
+        x1, x2, x3, h = geometry.coordinate_planes(x4)
         q = self._q(h)
-        return (
+        return geometry.stack_planes((
             x2 * x3 * (1.0 - x1 ** 2) * q,
             x1 * x3 * (1.0 - x2 ** 2) * q,
             x1 * x2 * (1.0 - x3 ** 2) * q,
             2.0 * x1 * x2 * x3 * h * (2.0 * h ** 2 - 5.0),
-        )
-
-    def u_printed(self, x4):
-        return geometry.stack_planes(self._u_printed(geometry.coordinate_planes(x4)))
+        ))
 
     def _v(self, h):
         return 2.0 * h * (2.0 * h * h - 5.0)
@@ -238,13 +236,11 @@ class ManufacturedCase:
             x1 * x2 * x3,
         )
 
-    def _u_exact(self, x):
-        U, q, v = self._u_horizontal(x), self._q(x[3]), self._v(x[3])
-        return U[0] * q, U[1] * q, U[2] * q, U[3] * v
-
     def u_exact(self, x4):
         """Tangentially projected printed velocity (the solution actually used)."""
-        return geometry.stack_planes(self._u_exact(geometry.coordinate_planes(x4)))
+        x = geometry.coordinate_planes(x4)
+        U, q, v = self._u_horizontal(x), self._q(x[3]), self._v(x[3])
+        return geometry.stack_planes((U[0] * q, U[1] * q, U[2] * q, U[3] * v))
 
     def u_dot_l_analytic(self, x4):
         """Closed form of the printed velocity's normal component on S^2(a)."""
@@ -317,7 +313,7 @@ class ManufacturedCase:
                 2.0 * a * c_p * c_p * s_p * c_l * s_l
                 * (6.0 * a * a * h2 - 5.0 * a * a - 6.0 * h2 * h2 + 30.0 * h2 - 24.0)
             )
-            return div - self._p(x)
+            return div - self.p_exact(x)
 
         return g
 
@@ -409,7 +405,8 @@ def derive_forcing(case: ManufacturedCase, points, ops: ShallowOperators = None)
 # ---------------------------------------------------------------------------
 
 def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
-    """L^2 errors in the active coordinate field's measure.
+    """L^2 errors in the measure of the coordinate field ``coords``
+    (``assembly.coordinate_field``).
 
     The exact velocity is evaluated on the manifold, tangent-projected,
     pulled back through pinv4 and compared with the discrete field's
@@ -419,8 +416,7 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     benchmark's traced walk, which passes None.
     """
     space_u, space_p = u_h.space, p_h.space
-    chart = coords.cell_coords.shape[-1] == 4
-    x4 = coords.cell_coords if chart else geometry.manifold_coordinates(space_u.mesh)
+    x4 = coords if coords.shape[-1] == 4 else geometry.manifold_coordinates(space_u.mesh)
     k = space_u.element.k
     rule = quadrature_prism(degree if degree is not None else default_quadrature_degree(k))
     nq = len(rule.weights)
@@ -439,12 +435,12 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
         # |u_h - u_exact|^2 = d . G d at every point
         chat = u_h.coeffs[space_u.cell_dofs[cells]] * space_u.cell_signs[cells]
         vhat = (chat @ phi).reshape((ch, 3) + shape[1:])
-        d = tuple(vhat[:, i] / m.det - u for i, u in enumerate(m.pull(case._u_exact(m.x))))
+        d = tuple(vhat[:, i] / m.det - u for i, u in enumerate(m.pull(case.u_exact(m.x))))
         Gd = m.lower(d)
         p_hv = (p_h.coeffs[space_p.cell_dofs[cells]] @ psiT).reshape(shape)
 
         err_u2 += float((wdet * (d[0] * Gd[0] + d[1] * Gd[1] + d[2] * Gd[2])).sum())
-        err_p2 += float((wdet * (p_hv - case._p(m.x)) ** 2).sum())
+        err_p2 += float((wdet * (p_hv - case.p_exact(m.x)) ** 2).sum())
     return math.sqrt(err_u2), math.sqrt(err_p2)
 
 

@@ -62,7 +62,7 @@ def phi(x4, a: float = 1.0):
 def hedgehog_axes(coords) -> np.ndarray:
     """The column axis of each hedgehog cell, recovered from its nodes: the
     top node over base vertex 0 minus the bottom one, normalised, (n_cells, 3)."""
-    d = coords.cell_coords[:, 3] - coords.cell_coords[:, 0]
+    d = coords[:, 3] - coords[:, 0]
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
@@ -101,7 +101,6 @@ def interpolate_hdiv(space, coords, func):
     Jacobian and one ``func`` call.
     """
     dofs = space.element.dofs
-    nodal = coords.cell_coords
     coeffs = np.zeros(space.n_dofs)
     written = np.zeros(space.n_dofs, dtype=bool)
     for cell in range(space.mesh.n_cells):
@@ -113,7 +112,7 @@ def interpolate_hdiv(space, coords, func):
             np.concatenate([dofs[i].points for i in todo]), axis=0, return_inverse=True
         )
         J = geometry.jacobian(coords, cell, xi)
-        x = geometry.nodal_basis(xi) @ nodal[cell]
+        x = geometry.nodal_basis(xi) @ coords[cell]
         v = np.asarray(func(cell, xi, x), dtype=float)
         vhat = np.einsum("pik,pk->pi", np.linalg.inv(J.J), v) * J.det[:, None]
         vhat = vhat[at.reshape(-1)]
@@ -130,7 +129,7 @@ def interpolate_hdiv(space, coords, func):
 def physical_points(coords, cells, ref_points):
     """Map reference points through a coordinate field, (ncell, npts, dim)."""
     N = geometry.nodal_basis(ref_points)
-    return np.einsum("pn,cnd->cpd", N, coords.cell_coords[np.asarray(cells)])
+    return np.einsum("pn,cnd->cpd", N, coords[np.asarray(cells)])
 
 
 def pushforward_4to3(coords, cell_coords4, cells, points, v4):
@@ -180,7 +179,7 @@ def vertical_facet_normal_values(m, coords, u, vf, facets, s, z):
         ascending = base.triangles[tri, p] < base.triangles[tri, q]
         t = s if ascending else 1.0 - s
         ref = fem.embed_quad(le, t, z)
-        got = geometry.nodal_basis(ref) @ coords.cell_coords[c]
+        got = geometry.nodal_basis(ref) @ coords[c]
         np.testing.assert_allclose(got, X, atol=1e-12)
         v = evaluate_velocity(u, coords, [c], ref)[0]
         out.append((v * n).sum(axis=1))

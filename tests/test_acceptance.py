@@ -87,7 +87,7 @@ def test_jacobian_structure_by_mode():
         m = mesh.extrude_radial(
             mesh.build_icosahedral_sphere(refinement, 1.0), layers, 1.0
         )
-        coords = geometry.annulus_coordinates(m)
+        coords = m.cell_node_coords()
         radii = m.layer_radii
         cells = np.arange(m.n_cells)
         det_b = geometry.jacobian(coords, cells, bottom).det
@@ -124,7 +124,7 @@ def test_hdiv_element_structure(annulus_r1_l2, facets_r1_l2):
         assert np.abs(proj - t1.divergences).max() <= 1e-12
 
         m = annulus_r1_l2
-        coords = geometry.annulus_coordinates(m)
+        coords = m.cell_node_coords()
         V = fem.build_dof_map(m, facets_r1_l2, fem.make_element("V1", k))
         rng = np.random.default_rng(29 + k)
         u = fem.Field(V, rng.standard_normal(V.n_dofs))
@@ -244,7 +244,7 @@ def test_mesh_and_embedding_exactness():
                 if not match.any():
                     continue
                 j = int(np.argmax(match))
-                gap = np.linalg.norm(coords.cell_coords[c1, i] - coords.cell_coords[c2, j])
+                gap = np.linalg.norm(coords[c1, i] - coords[c2, j])
                 law = np.linalg.norm(axes[c1] - axes[c2]) * height[c1, i]
                 assert abs(gap - law) <= 1e-12
                 checked += 1

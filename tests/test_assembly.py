@@ -66,8 +66,8 @@ def test_coordinate_field_dispatch(annulus_r0_l1_module):
     m = annulus_r0_l1_module
     shallow = assembly.coordinate_field(assembly.ProblemConfig(mode="shallow"), m)
     deep = assembly.coordinate_field(assembly.ProblemConfig(mode="deep"), m)
-    np.testing.assert_array_equal(shallow.cell_coords, geometry.manifold_coordinates(m))
-    np.testing.assert_array_equal(deep.cell_coords, m.cell_node_coords())
+    np.testing.assert_array_equal(shallow, geometry.manifold_coordinates(m))
+    np.testing.assert_array_equal(deep, m.cell_node_coords())
 
 
 def test_one_cell_system_dimension(one_cell_mesh):
@@ -752,8 +752,8 @@ def four_block_system(config, V1, V2):
     pass.
     """
     coords = assembly.coordinate_field(config, V1.mesh)
-    chart = coords.cell_coords.shape[-1] == 4
-    x4 = coords.cell_coords if chart else geometry.manifold_coordinates(V1.mesh)
+    chart = coords.shape[-1] == 4
+    x4 = coords if chart else geometry.manifold_coordinates(V1.mesh)
     rule = fem.quadrature_prism(config.degree)
     mrule = fem.quadrature_prism(2 * config.k + 1)
     nq, nm = len(rule.weights), len(mrule.weights)

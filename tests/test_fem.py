@@ -269,7 +269,7 @@ def test_piola_push_scaling(single_prism):
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(cell_coords=2.0 * ref[None])
+    coords = 2.0 * ref[None]
     V = fem.build_dof_map(single_prism, mesh.classify_facets(single_prism),
                           fem.make_element("V1", 1))
     u = fem.Field(V, np.random.default_rng(4).standard_normal(V.n_dofs))
@@ -295,7 +295,7 @@ def test_piola_preserves_normal_flux():
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(cell_coords=(ref @ A.T + shift)[None])
+    coords = (ref @ A.T + shift)[None]
     elem = fem.make_element("V1", 1)
     t, wt = np.polynomial.legendre.leggauss(4)
     t, wt = (t + 1) / 2, wt / 2
@@ -331,7 +331,7 @@ def test_piola_divergence_identity():
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(cell_coords=(ref @ A.T)[None])
+    coords = (ref @ A.T)[None]
     elem = fem.make_element("V1", 1)
     Ainv = np.linalg.inv(A)
     x0 = A @ np.array([0.25, 0.25, 0.5])
@@ -471,7 +471,7 @@ def test_field_length_validation(annulus_r0_l1, facets_r0_l1):
 def test_normal_continuity_vertical_facets(annulus_r1_l2, facets_r1_l2, k):
     """Normal components agree across interior vertical facets to 1e-10."""
     m = annulus_r1_l2
-    coords = geometry.annulus_coordinates(m)
+    coords = m.cell_node_coords()
     V = fem.build_dof_map(m, facets_r1_l2, fem.make_element("V1", k))
     rng = np.random.default_rng(17)
     u = fem.Field(V, rng.standard_normal(V.n_dofs))
@@ -490,7 +490,7 @@ def test_normal_continuity_vertical_facets(annulus_r1_l2, facets_r1_l2, k):
 def test_normal_continuity_horizontal_facets(annulus_r1_l2, facets_r1_l2, k):
     """Vertical flux is continuous across interior horizontal facets."""
     m = annulus_r1_l2
-    coords = geometry.annulus_coordinates(m)
+    coords = m.cell_node_coords()
     V = fem.build_dof_map(m, facets_r1_l2, fem.make_element("V1", k))
     rng = np.random.default_rng(23)
     u = fem.Field(V, rng.standard_normal(V.n_dofs))
@@ -503,11 +503,11 @@ def test_normal_continuity_horizontal_facets(annulus_r1_l2, facets_r1_l2, k):
         X_prev = None
         for c, which in ((below, 1), (above, 0)):
             ref = fem.embed_tri(which, xy)
-            X = geometry.nodal_basis(ref) @ coords.cell_coords[c]
+            X = geometry.nodal_basis(ref) @ coords[c]
             if X_prev is not None:
                 np.testing.assert_allclose(X, X_prev, atol=1e-12)
             X_prev = X
-            corners = coords.cell_coords[c][(3, 4, 5), :] if which else coords.cell_coords[c][(0, 1, 2), :]
+            corners = coords[c][(3, 4, 5), :] if which else coords[c][(0, 1, 2), :]
             n = np.cross(corners[1] - corners[0], corners[2] - corners[0])
             n /= np.linalg.norm(n)
             v = evaluate_velocity(u, coords, [c], ref)[0]
@@ -544,7 +544,7 @@ def test_interpolate_constant_field():
 def test_interpolation_reproduces_members(annulus_r1_l2, facets_r1_l2, k):
     """Interpolating a field of the space returns its own coefficients."""
     m = annulus_r1_l2
-    coords = geometry.annulus_coordinates(m)
+    coords = m.cell_node_coords()
     V = fem.build_dof_map(m, facets_r1_l2, fem.make_element("V1", k))
     rng = np.random.default_rng(8)
     u0 = fem.Field(V, rng.standard_normal(V.n_dofs))

@@ -111,13 +111,6 @@ def test_nodal_basis_kronecker_at_vertices():
 # coordinate fields
 # ---------------------------------------------------------------------------
 
-def test_annulus_coordinates_continuous(annulus_r1_l2):
-    coords = geometry.annulus_coordinates(annulus_r1_l2)
-    np.testing.assert_array_equal(
-        coords.cell_coords, annulus_r1_l2.vertex_coords[annulus_r1_l2.cell_vertices]
-    )
-
-
 def test_hedgehog_polar_column_fixed_point():
     """A column extruded along (0,0,1) keeps the polar axis in place: the
     line over its base centroid (0, 0, 0.8) rises along it by x4."""
@@ -135,7 +128,7 @@ def test_hedgehog_node_formula_by_hand():
     coords = geometry.hedgehog_coordinates(m)
     orig = m.cell_node_coords()[0]
     idx = [tuple(np.round(p, 12)) for p in orig].index((0.0, 1.2, 1.6))
-    np.testing.assert_allclose(coords.cell_coords[0, idx], [0.0, 0.6, 1.8], atol=1e-13)
+    np.testing.assert_allclose(coords[0, idx], [0.0, 0.6, 1.8], atol=1e-13)
 
 
 def test_hedgehog_base_layer_nodes_fixed(annulus_r1_l2):
@@ -145,7 +138,7 @@ def test_hedgehog_base_layer_nodes_fixed(annulus_r1_l2):
     orig = m.cell_node_coords()
     bottom_cells = np.arange(m.n_cells)[np.arange(m.n_cells) % m.n_layers == 0]
     np.testing.assert_allclose(
-        coords.cell_coords[bottom_cells][:, :3], orig[bottom_cells][:, :3], atol=1e-13
+        coords[bottom_cells][:, :3], orig[bottom_cells][:, :3], atol=1e-13
     )
 
 
@@ -200,7 +193,7 @@ def test_hedgehog_gap_law(annulus_r1_l2):
                 if not match.any():
                     continue
                 j = int(np.argmax(match))
-                gap = np.linalg.norm(coords.cell_coords[c1, i] - coords.cell_coords[c2, j])
+                gap = np.linalg.norm(coords[c1, i] - coords[c2, j])
                 law = np.linalg.norm(axes[c1] - axes[c2]) * x4[c1, i]
                 assert abs(gap - law) <= 1e-12
                 checked += 1
@@ -232,7 +225,7 @@ def test_unit_prism_jacobian_identity():
     ref = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
-    coords = geometry.CoordinateField(cell_coords=ref[None])
+    coords = ref[None]
     sample = geometry.jacobian(coords, [0], [[0.3, 0.3, 0.7]])
     np.testing.assert_allclose(sample.J[0, 0], np.eye(3), atol=1e-14)
     np.testing.assert_allclose(sample.det[0, 0], 1.0, atol=1e-14)
@@ -253,7 +246,7 @@ def test_hedgehog_jacobian_affine(annulus_r1_l2):
 def test_annulus_jacobian_not_affine(annulus_r1_l2):
     """Deep-mode volume scale varies by at least (r_t/r_b)^2 - 1 per cell."""
     m = annulus_r1_l2
-    coords = geometry.annulus_coordinates(m)
+    coords = m.cell_node_coords()
     cells = np.arange(m.n_cells)
     pts = np.array([[1 / 3, 1 / 3, 0.0], [1 / 3, 1 / 3, 1.0]])
     sample = geometry.jacobian(coords, cells, pts)
@@ -268,7 +261,7 @@ def test_annulus_jacobian_not_affine(annulus_r1_l2):
 def test_annulus_det_ratio_matches_radial_scaling(annulus_r1_l2):
     """det J at the top face over the bottom face equals (r_t/r_b)^2."""
     m = annulus_r1_l2
-    coords = geometry.annulus_coordinates(m)
+    coords = m.cell_node_coords()
     cells = np.arange(m.n_cells)
     for xi in ((0.2, 0.3), (0.5, 0.1)):
         pts = np.array([[xi[0], xi[1], 0.0], [xi[0], xi[1], 1.0]])
@@ -284,7 +277,7 @@ def test_jacobian_rejects_inverted_cell():
     )
     flipped = ref.copy()
     flipped[:, 2] *= -1.0
-    coords = geometry.CoordinateField(cell_coords=flipped[None])
+    coords = flipped[None]
     with pytest.raises(ValueError):
         geometry.jacobian(coords, [0], [[0.2, 0.2, 0.5]])
 
@@ -325,7 +318,7 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     x4 = geometry.manifold_coordinates(m)
     rule = tensor_rule(3, 2, 0)
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
-    chart = geometry.CoordinateField(cell_coords=x4)
+    chart = x4
     (cells, (point_map,)), = geometry.quadrature_chunks(chart, x4, rule)
     np.testing.assert_array_equal(cells, np.arange(m.n_cells))
     assert point_map.det.shape == (m.n_cells, 1, 1) and point_map.n_factorizations == m.n_cells
@@ -346,7 +339,7 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
 
     # the 216 points of the k=1 default rule: 2**15 // 216 = 151 cells per chunk
     rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
-    chunks = list(geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, rule))
+    chunks = list(geometry.quadrature_chunks(m.cell_node_coords(), x4, rule))
     assert [len(c[0]) for c in chunks] == [151, 9]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
     assert all(c[1][0].det.shape == (len(c[0]), 36, 6) for c in chunks)
@@ -368,7 +361,7 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
     m = annulus_r1_l2
     rule = tensor_rule(npts, 1, npts)
     x4 = geometry.manifold_coordinates(m)
-    chunks = [c[0] for c in geometry.quadrature_chunks(geometry.CoordinateField(x4), x4, rule)]
+    chunks = [c[0] for c in geometry.quadrature_chunks(x4, x4, rule)]
     np.testing.assert_array_equal(np.concatenate(chunks), np.arange(m.n_cells))
     assert len(chunks[0]) == first
     assert all(len(c) * npts <= geometry.POINTS_PER_CHUNK or len(c) == 1 for c in chunks)
@@ -380,23 +373,42 @@ def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rules = fem.quadrature_prism(10), fem.quadrature_prism(3)
-    chunks = list(geometry.quadrature_chunks(geometry.CoordinateField(x4), x4, *rules))
+    chunks = list(geometry.quadrature_chunks(x4, x4, *rules))
     assert [len(c[0]) for c in chunks] == [146, 14]
     assert [c[1][1].shape for c in chunks] == [(146, 4, 2), (14, 4, 2)]
+
+
+def test_chart_and_annulus_share_the_centroid_pinv4(annulus_r1_l2, monkeypatch):
+    """Both modes take pinv4 from the chart's one centroid SVD: the chart and
+    the annulus field of one mesh yield bit-identical pinv4, chunk by chunk,
+    equal to the pseudoinverse of ``jacobian4`` at the centroid."""
+    monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
+    m = annulus_r1_l2
+    x4 = geometry.manifold_coordinates(m)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
+    centroid = np.array([[1 / 3, 1 / 3, 0.5]])
+    ref = geometry.pseudo_inverse_pseudo_det(geometry.jacobian4(x4, slice(None), centroid))[0]
+    pairs = list(zip(geometry.quadrature_chunks(x4, x4, rule),
+                     geometry.quadrature_chunks(m.cell_node_coords(), x4, rule), strict=True))
+    assert len(pairs) > 1
+    for (cells, (chart,)), (cells_a, (annulus,)) in pairs:
+        np.testing.assert_array_equal(cells, cells_a)
+        np.testing.assert_array_equal(chart.pinv4, annulus.pinv4)
+        np.testing.assert_array_equal(annulus.pinv4, ref[cells, 0])
 
 
 def perturbed_coordinates(m):
     """The annulus nodes, each moved by up to 2 % of the thinnest layer in a
     random direction: a field in R^3 with no radial structure."""
-    nodal = geometry.annulus_coordinates(m).cell_coords
+    nodal = m.cell_node_coords()
     rng = np.random.default_rng(41)
-    return geometry.CoordinateField(nodal + rng.uniform(-0.01, 0.01, nodal.shape))
+    return nodal + rng.uniform(-0.01, 0.01, nodal.shape)
 
 
 FIELDS = {
-    "annulus": geometry.annulus_coordinates,
+    "annulus": mesh.ExtrudedMesh.cell_node_coords,
     "hedgehog": geometry.hedgehog_coordinates,
-    "chart": lambda m: geometry.CoordinateField(geometry.manifold_coordinates(m)),
+    "chart": geometry.manifold_coordinates,
     "perturbed": perturbed_coordinates,
 }
 
@@ -410,7 +422,7 @@ def test_chunk_metric_matches_per_point_jacobian(annulus_r1_l2, monkeypatch, fie
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2
     coords = FIELDS[field](m)
-    x4 = coords.cell_coords if field == "chart" else geometry.manifold_coordinates(m)
+    x4 = coords if field == "chart" else geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     n = 0
     for cells, (point_map,) in geometry.quadrature_chunks(coords, x4, rule):
@@ -428,10 +440,10 @@ def test_inverted_cell_raises_before_any_chunk(annulus_r1_l2, monkeypatch):
     before the first chunk is yielded."""
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2
-    nodal = geometry.annulus_coordinates(m).cell_coords.copy()
+    nodal = m.cell_node_coords()
     nodal[-1] = nodal[-1][[1, 0, 2, 4, 3, 5]]
-    chunks = geometry.quadrature_chunks(geometry.CoordinateField(nodal),
-                                        geometry.manifold_coordinates(m), fem.quadrature_prism(10))
+    chunks = geometry.quadrature_chunks(nodal, geometry.manifold_coordinates(m),
+                                        fem.quadrature_prism(10))
     with pytest.raises(geometry.DegenerateMapError, match="inverted"):
         next(chunks)
 
@@ -445,7 +457,7 @@ def test_chunk_points_match_the_nodal_interpolant(icosa_r1, k, a):
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     nbasis = geometry.nodal_basis(rule.points)
-    for cells, (point_map,) in geometry.quadrature_chunks(geometry.annulus_coordinates(m), x4, rule):
+    for cells, (point_map,) in geometry.quadrature_chunks(m.cell_node_coords(), x4, rule):
         nt, nz = len(rule.triangle.weights), len(rule.interval.weights)
         assert [p.shape for p in point_map.x] == [(len(cells), nt, 1)] * 3 + [(len(cells), 1, nz)]
         x4q, _, _ = materialised(point_map)
@@ -455,8 +467,7 @@ def test_chunk_points_match_the_nodal_interpolant(icosa_r1, k, a):
 def test_a_field_in_r4_must_be_the_chart(annulus_r1_l2):
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
     with pytest.raises(ValueError, match="chart"):
-        next(geometry.quadrature_chunks(geometry.CoordinateField(x4.copy()), x4,
-                                        fem.quadrature_prism(3)))
+        next(geometry.quadrature_chunks(x4.copy(), x4, fem.quadrature_prism(3)))
 
 
 def _einsum_jacobian(nodal, points):
@@ -471,12 +482,12 @@ def _einsum_jacobian(nodal, points):
 def test_jacobian_matches_einsum_oracle(annulus_r1_l2, field, cells):
     """GEMM J and cofactor det agree with einsum + np.linalg.det to 1e-14."""
     m = annulus_r1_l2
-    coords = {"annulus": geometry.annulus_coordinates,
+    coords = {"annulus": mesh.ExtrudedMesh.cell_node_coords,
               "hedgehog": geometry.hedgehog_coordinates}[field](m)
     pts = np.random.default_rng(3).random((7, 3)) * [0.5, 0.5, 1.0]
     sel = np.arange(m.n_cells) if cells == "batched" else 37
     sample = geometry.jacobian(coords, sel, pts)
-    J_ref, det_ref = _einsum_jacobian(coords.cell_coords[sel], pts)
+    J_ref, det_ref = _einsum_jacobian(coords[sel], pts)
     assert sample.J.shape == J_ref.shape and sample.det.shape == det_ref.shape
     np.testing.assert_allclose(sample.J, J_ref, rtol=0, atol=1e-14 * np.abs(J_ref).max())
     np.testing.assert_allclose(sample.det, det_ref, rtol=1e-14, atol=0)
@@ -495,12 +506,11 @@ def test_jacobian4_matches_einsum_oracle(annulus_r1_l2):
 
 def test_jacobian_rejects_one_inverted_cell_in_a_batch(annulus_r1_l2):
     """A single mirrored cell among valid ones still raises, batched or alone."""
-    nodal = geometry.annulus_coordinates(annulus_r1_l2).cell_coords.copy()
-    nodal[5] = nodal[5][[1, 0, 2, 4, 3, 5]]          # swap two vertices: det < 0
-    coords = geometry.CoordinateField(cell_coords=nodal)
+    coords = annulus_r1_l2.cell_node_coords()
+    coords[5] = coords[5][[1, 0, 2, 4, 3, 5]]        # swap two vertices: det < 0
     pts = np.array([[0.2, 0.2, 0.5]])
     with pytest.raises(ValueError, match="inverted"):
-        geometry.jacobian(coords, np.arange(len(nodal)), pts)
+        geometry.jacobian(coords, np.arange(len(coords)), pts)
     with pytest.raises(ValueError, match="inverted"):
         geometry.jacobian(coords, 5, pts)
     assert geometry.jacobian(coords, 4, pts).det.shape == (1,)
@@ -514,7 +524,7 @@ def test_chart_rejects_one_inverted_cell(annulus_r1_l2, order):
     batched or alone, and in ``quadrature_chunks``; its neighbours do not."""
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
     x4[5] = x4[5][order]
-    chart = geometry.CoordinateField(cell_coords=x4)
+    chart = x4
     pts = np.array([[0.2, 0.2, 0.5]])
     for cells in (np.arange(len(x4)), 5):
         with pytest.raises(ValueError, match="inverted"):
@@ -584,7 +594,7 @@ def test_pseudo_inverse_rank_deficiency_error():
 
 def test_frame_at_equator():
     x = np.array([1.0, 0.0, 0.0, 0.5])
-    f = geometry.tangent_frame(x)
+    f = geometry.TangentFrame.at(x)
     np.testing.assert_allclose(f.e_lambda, [0, 1, 0, 0], atol=1e-14)
     np.testing.assert_allclose(f.e_phi, [0, 0, 1, 0], atol=1e-14)
     np.testing.assert_allclose(frame_basis(f)[2], [0, 0, 0, 1], atol=1e-14)
@@ -596,7 +606,7 @@ def test_frame_orthonormal_at_random_points():
     d = rng.standard_normal((100, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     pts = np.column_stack([d, rng.uniform(0, 1, 100)])
-    f = geometry.tangent_frame(pts)
+    f = geometry.TangentFrame.at(pts)
     basis = np.moveaxis(frame_basis(f), 0, 1)
     G = np.einsum("nic,njc->nij", basis, basis)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(3), G.shape), atol=1e-12)
@@ -610,7 +620,7 @@ def test_frame_right_handed():
     d = rng.standard_normal((50, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     pts = np.column_stack([d, np.zeros(50)])
-    f = geometry.tangent_frame(pts)
+    f = geometry.TangentFrame.at(pts)
     cross = np.cross(f.e_lambda[:, :3], f.e_phi[:, :3])
     np.testing.assert_allclose(cross, geometry.unit_normal(pts)[:, :3], atol=1e-12)
 
@@ -618,7 +628,7 @@ def test_frame_right_handed():
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_frame_pole_fallback(z):
     pole = np.array([0.0, 0.0, z, 0.3])
-    f = geometry.tangent_frame(pole)
+    f = geometry.TangentFrame.at(pole)
     basis = frame_basis(f)
     normal = geometry.unit_normal(pole)
     np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-12)
@@ -640,7 +650,7 @@ def _sphere_points(n, seed, a=1.0):
 def test_frame_vector_inverts_components_of_tangent_vectors(a):
     """vector(components(v)) == v for tangent v, the pole fallback included."""
     pts = _sphere_points(60, 21, a)
-    f = geometry.tangent_frame(pts, a)
+    f = geometry.TangentFrame.at(pts, a)
     v = geometry.project_tangent(np.random.default_rng(22).standard_normal(pts.shape), pts)
     assert f.e_lambda[-2:, 0].tolist() == [1.0, 1.0]      # the poles' fallback frame
     np.testing.assert_allclose(f.vector(f.components(v)), v, rtol=0, atol=1e-14)
@@ -649,7 +659,7 @@ def test_frame_vector_inverts_components_of_tangent_vectors(a):
 def test_frame_components_invert_vector():
     """components(vector(c)) == c."""
     pts = _sphere_points(60, 23)
-    f = geometry.tangent_frame(pts)
+    f = geometry.TangentFrame.at(pts)
     c = np.random.default_rng(24).standard_normal((len(pts), 3))
     np.testing.assert_allclose(f.components(f.vector(c)), c, rtol=0, atol=1e-14)
 
@@ -658,7 +668,7 @@ def test_projection_at_chordal_points_leaves_no_normal_component(annulus_r1_l2):
     """At the quadrature points x4q (|x| < a inside each chord) P v has no
     component along unit_normal, which stays of unit length there."""
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
-    coords = geometry.CoordinateField(cell_coords=x4)
+    coords = x4
     x4q = np.concatenate([
         geometry.stack_planes(point_map.x).reshape(-1, 4)
         for _, (point_map,) in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4))
@@ -746,9 +756,9 @@ def test_cell_diameters_positive(annulus_r1_l2):
 
 
 def test_physical_point_mapping_interpolates_vertices(annulus_r1_l2):
-    coords = geometry.annulus_coordinates(annulus_r1_l2)
+    coords = annulus_r1_l2.cell_node_coords()
     ref_vertices = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float
     )
     got = physical_points(coords, [0, 3], ref_vertices)
-    np.testing.assert_allclose(got, coords.cell_coords[[0, 3]], atol=1e-14)
+    np.testing.assert_allclose(got, coords[[0, 3]], atol=1e-14)

@@ -68,7 +68,7 @@ def test_divergence_library(ops, sample_points):
         return np.stack([-x[..., 1] * x[..., 3], x[..., 0] * x[..., 3], zeros, zeros], axis=-1)
 
     def meridional(x):
-        f = geometry.tangent_frame(x, a=1.0)
+        f = geometry.TangentFrame.at(x, a=1.0)
         return f.e_phi
 
     def vertical_linear(x):
@@ -110,7 +110,7 @@ def test_cross_right_handed_frame(ops):
 
 
 def test_cross_of_vector_with_itself(ops, sample_points):
-    e_lambda, e_phi, i4 = frame_basis(geometry.tangent_frame(sample_points, a=1.0))
+    e_lambda, e_phi, i4 = frame_basis(geometry.TangentFrame.at(sample_points, a=1.0))
     v = 0.7 * e_lambda - 1.3 * e_phi + 0.4 * i4
     out = ops.tangent_cross(v, v, sample_points)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -119,7 +119,7 @@ def test_cross_of_vector_with_itself(ops, sample_points):
 def test_cross_orthogonal_to_inputs_and_normal(ops, sample_points):
     rng = np.random.default_rng(9)
     c = rng.standard_normal((2, len(sample_points), 3))
-    basis = frame_basis(geometry.tangent_frame(sample_points, a=1.0))
+    basis = frame_basis(geometry.TangentFrame.at(sample_points, a=1.0))
     v = np.einsum("nk,knc->nc", c[0], basis)
     w = np.einsum("nk,knc->nc", c[1], basis)
     out = ops.tangent_cross(v, w, sample_points)
@@ -278,7 +278,7 @@ def test_providers_on_broadcast_planes_match_materialised_points(case, ops, k, m
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
     config = assembly.ProblemConfig(mode=mode, k=k)
     coords = assembly.coordinate_field(config, m)
-    x4 = coords.cell_coords if mode == "shallow" else geometry.manifold_coordinates(m)
+    x4 = coords if mode == "shallow" else geometry.manifold_coordinates(m)
     rules = [fem.quadrature_prism(config.degree)]
     if mode == "shallow":
         rules.append(fem.quadrature_prism(fem.exact_matrix_degree(k)))
@@ -298,6 +298,28 @@ def test_providers_on_broadcast_planes_match_materialised_points(case, ops, k, m
             on_planes = np.broadcast_to(provider(point_map.x), shape + tail)
             ref = on_array.reshape(shape + tail)
             assert np.abs(on_planes - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_field_functions_take_planes_or_arrays_bit_for_bit(case, k):
+    """p_exact, u_exact and TangentFrame.at have one entry for both forms of
+    points: on a PointMap's broadcast planes and on the same points as a
+    (..., 4) array they give bit-identical values."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
+    x4 = geometry.manifold_coordinates(m)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
+    _, (point_map,) = next(geometry.quadrature_chunks(x4, x4, rule))
+    x4q = geometry.stack_planes(point_map.x)               # (ch, nt, nz, 4)
+
+    def frame(x):
+        f = geometry.TangentFrame.at(x, case.a)
+        return geometry.stack_planes((f.cos_l, f.sin_l, *f.phi))
+
+    for fn in (case.p_exact, case.u_exact, frame):
+        on_array = fn(x4q)
+        assert on_array.shape[:3] == point_map.shape
+        np.testing.assert_array_equal(np.broadcast_to(fn(point_map.x), on_array.shape),
+                                      on_array)
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -325,7 +347,7 @@ def test_closed_form_providers_finite_at_poles(a):
     poles = np.concatenate([
         np.column_stack([np.zeros((3, 2)), np.full(3, sgn * a), h]) for sgn in (1.0, -1.0)
     ])
-    assert geometry.tangent_frame(poles, a).e_lambda[:, 0].tolist() == [1.0] * 6
+    assert geometry.TangentFrame.at(poles, a).e_lambda[:, 0].tolist() == [1.0] * 6
     f4 = case.derived_f4(ops)(poles)
     g = case.derived_g(ops)(poles)
     assert np.isfinite(f4).all() and np.isfinite(g).all()
@@ -458,7 +480,7 @@ def test_shallow_l2_errors_match_per_point_jacobian(case, coarse_solution, k):
         rng = np.random.default_rng(5)
         u_h = fem.Field(V1, rng.standard_normal(V1.n_dofs))
         p_h = fem.Field(V2, rng.standard_normal(V2.n_dofs))
-        coords = geometry.CoordinateField(cell_coords=geometry.manifold_coordinates(m))
+        coords = geometry.manifold_coordinates(m)
     got = mms.l2_errors(u_h, p_h, case, coords)
     ref = per_point_l2_errors(u_h, p_h, case, geometry.hedgehog_coordinates(m))
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)

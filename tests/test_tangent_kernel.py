@@ -124,7 +124,7 @@ def solver_points(k, mode):
     """The first chunk's manifold points of the solver-point map at k,
     materialised from its broadcast planes, (ch, nq, 4)."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
-    coords = (geometry.hedgehog_coordinates if mode == "shallow" else geometry.annulus_coordinates)(m)
+    coords = (geometry.hedgehog_coordinates if mode == "shallow" else mesh.ExtrudedMesh.cell_node_coords)(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     cells, (point_map,) = next(geometry.quadrature_chunks(coords, geometry.manifold_coordinates(m), rule))
     return geometry.stack_planes(point_map.x).reshape(len(cells), -1, 4)
@@ -194,7 +194,7 @@ def test_normal_and_projection_match_stacked(points):
 
 def test_frame_matches_stacked(points):
     x4, a = points
-    frame = geometry.tangent_frame(x4, a)
+    frame = geometry.TangentFrame.at(x4, a)
     e_lam, e_phi = tangent_frame_stacked(x4, a)
     assert_matches(frame.e_lambda, e_lam)
     assert_matches(frame.e_phi, e_phi)
