@@ -545,6 +545,7 @@ class TangentFrame:
 
 
 def cell_diameters(coords) -> np.ndarray:
-    """Max vertex-pair distance per cell of the coordinate field ``coords``."""
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    """Max vertex-pair distance per cell of the coordinate field ``coords``,
+    over the 15 distinct pairs of its six vertices."""
+    i, j = np.triu_indices(6, 1)
+    return np.sqrt(sum((x[:, i] - x[:, j]) ** 2 for x in coordinate_planes(coords))).max(axis=1)

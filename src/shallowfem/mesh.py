@@ -79,6 +79,14 @@ def _icosahedron():
     return verts, faces
 
 
+def _pair_keys(pairs):
+    """One integer per row of an (m, 2) array of non-negative indices,
+    ordered as the rows are lexicographically: ``lo * n + hi`` with n above
+    every index, so a 1-D ``np.unique`` of the keys stands in for
+    ``np.unique(pairs, axis=0)``."""
+    return pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
+
+
 def _first_seen(pairs):
     """Distinct unordered vertex pairs in order of first appearance.
 
@@ -86,7 +94,7 @@ def _first_seen(pairs):
     each input pair maps to.
     """
     pairs = np.sort(pairs, axis=1)
-    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_pair_keys(pairs), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -274,7 +282,7 @@ def classify_facets(mesh: ExtrudedMesh) -> FacetSet:
     ).reshape(-1, 2)
 
     pairs = vertical_cells[vertical_cells[:, 1] >= 0]
-    if len(np.unique(pairs, axis=0)) != len(pairs):
+    if len(np.unique(_pair_keys(pairs))) != len(pairs):
         raise InvalidTopologyError("duplicate interior vertical facet cell pair")
 
     return FacetSet(

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -914,6 +915,46 @@ def test_solve_never_builds_the_global_matrix(r1_system, monkeypatch):
     result = assembly.solve(r1_system)
     assert result.residual <= 1e-10
     assert result.p.coeffs.tobytes() == expected.p.coeffs.tobytes()
+
+
+def test_heap_release_changes_no_bit_of_the_solve(r1_system, monkeypatch):
+    """The heap is handed back once, right before the factor, and the
+    solution, residuals and stats are those of a solve without it."""
+    calls = []
+    release = assembly._release_freed_heap
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(assembly, "splu", recorded("splu", splu))
+    monkeypatch.setattr(assembly, "_release_freed_heap", recorded("release", release))
+    trimmed = assembly.solve(r1_system)
+    assert calls == ["release", "splu"]
+    monkeypatch.setattr(assembly, "_release_freed_heap", lambda: None)
+    plain = assembly.solve(r1_system)
+    for a, b in ((trimmed.u, plain.u), (trimmed.p, plain.p)):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert trimmed.residual == plain.residual
+    assert trimmed.stats == plain.stats
+
+
+@pytest.mark.parametrize("lookup", ["found", "missing", "unloadable"])
+def test_heap_release_calls_malloc_trim_where_it_exists(monkeypatch, lookup):
+    """``malloc_trim(0)`` where the C library has it; a C library without
+    the symbol, or none at all, is left alone."""
+    calls = []
+
+    def cdll(name):
+        if lookup == "unloadable":
+            raise OSError("no C library")
+        return types.SimpleNamespace(malloc_trim=calls.append) if lookup == "found" else object()
+
+    monkeypatch.setattr(assembly.ctypes, "CDLL", cdll)
+    assert assembly._release_freed_heap() is None
+    assert calls == ([0] if lookup == "found" else [])
 
 
 def test_mismatched_cell_matrices_rejected(coarse_system):

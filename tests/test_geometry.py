@@ -755,6 +755,20 @@ def test_cell_diameters_positive(annulus_r1_l2):
     assert d.shape == (annulus_r1_l2.n_cells,)
 
 
+@pytest.mark.parametrize("field", ["hedgehog", "annulus", "chart"])
+def test_cell_diameters_match_the_all_pairs_tensor(annulus_r1_l2, field):
+    """The 15 distinct vertex pairs give, bit for bit, the max over all 36
+    ordered pairs: x_j - x_i is the exact negation of x_i - x_j."""
+    coords = {
+        "hedgehog": geometry.hedgehog_coordinates,
+        "annulus": mesh.ExtrudedMesh.cell_node_coords,
+        "chart": geometry.manifold_coordinates,
+    }[field](annulus_r1_l2)
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    want = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    assert geometry.cell_diameters(coords).tobytes() == want.tobytes()
+
+
 def test_physical_point_mapping_interpolates_vertices(annulus_r1_l2):
     coords = annulus_r1_l2.cell_node_coords()
     ref_vertices = np.array(

@@ -296,3 +296,56 @@ def test_topology_matches_loop_oracles(r, a):
 
 def test_open_mesh_topology_matches_loop_oracles(single_prism):
     assert_topology_matches_loops(single_prism.base)
+
+
+def unique_rows_first_seen(pairs):
+    """``mesh._first_seen`` on ``np.unique(axis=0)``: the row-wise oracle of
+    its integer keys."""
+    pairs = np.sort(pairs, axis=1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pairs[first[order]], rank[inverse.reshape(-1)]
+
+
+def assert_pair_keys_match_unique_rows(pairs):
+    got = np.unique(mesh._pair_keys(pairs), return_index=True, return_inverse=True)
+    want = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert_identical(a, b.reshape(-1))
+
+
+def assert_integer_keys_match_unique_rows(base, layers):
+    triangle_pairs = base.triangles[:, mesh.TRIANGLE_EDGE_VERTICES].reshape(-1, 2)
+    for got, want in zip(mesh._first_seen(triangle_pairs), unique_rows_first_seen(triangle_pairs)):
+        assert_identical(got, want)
+    assert_pair_keys_match_unique_rows(np.sort(triangle_pairs, axis=1))
+    for L in layers:
+        cells = mesh.classify_facets(mesh.extrude_radial(base, L, 1.0)).vertical_cells
+        assert_pair_keys_match_unique_rows(cells[cells[:, 1] >= 0])
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_integer_key_topology_matches_unique_rows(r):
+    """The 1-D keys sort as the rows do, so the edge tables and the facet
+    pair check are those of ``np.unique(axis=0)``, bit for bit."""
+    assert_integer_keys_match_unique_rows(mesh.build_icosahedral_sphere(r), (1, 3))
+
+
+def test_integer_key_topology_on_an_open_mesh(single_prism):
+    """A lone column has no interior facet pair: the empty key set passes."""
+    assert_integer_keys_match_unique_rows(single_prism.base, (1, 2))
+
+
+def test_duplicate_interior_facet_pair_rejected(icosa_r0):
+    """Two base edges over the same pair of triangles give one cell pair twice."""
+    base = icosa_r0
+    edge_triangles = base.edge_triangles.copy()
+    edge_triangles[1] = edge_triangles[0]
+    m = mesh.extrude_radial(
+        mesh.BaseSphereMesh(base.radius, base.vertices, base.triangles, base.edges,
+                            base.triangle_edges, edge_triangles), 2, 1.0)
+    with pytest.raises(mesh.InvalidTopologyError, match="duplicate interior"):
+        mesh.classify_facets(m)
