@@ -161,10 +161,12 @@ def _rate(value) -> str:
 
 
 def cmd_convergence(args) -> int:
-    for path in filter(None, (args.csv, args.forcing_report, args.stats_json)):
-        parent = Path(path).parent      # checked before the ladder, which can take minutes
-        if Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK)):
+    paths = [Path(p) for p in (args.csv, args.forcing_report, args.stats_json) if p]
+    for path in paths:      # checked before the ladder, which can take minutes
+        if path.is_dir() or not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
             raise ValueError(f"cannot write {path}: not a file in an existing, writable directory")
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ValueError(f"output paths {', '.join(map(str, paths))} must name distinct files")
     table = mms.convergence_study(
         k=args.k,
         levels=args.levels,

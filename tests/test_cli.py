@@ -412,6 +412,24 @@ def test_unwritable_convergence_output_fails_before_the_ladder(
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("alias", ["t/a.csv", "t/./a.csv", "t/../t/a.csv"],
+                         ids=["repeat", "dot-alias", "dotdot-alias"])
+def test_convergence_output_paths_must_differ(alias, tmp_path, capsys, monkeypatch):
+    """Two outputs naming one file, literally or through ``.`` or ``..``,
+    are one error line before the ladder, not a run whose last write wins."""
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran before the output paths were checked")
+
+    monkeypatch.setattr(cli.mms, "convergence_study", no_ladder)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t").mkdir()
+    assert run(["convergence", "--k", "1", "--levels", "0:1",
+                "--csv", "t/a.csv", "--forcing-report", alias]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "distinct" in err
+    assert not any((tmp_path / "t").iterdir())
+
+
 def test_convergence_single_level_prints_na(tmp_path, capsys):
     """One level has no rate: the summary says n/a and the run succeeds."""
     code = run(["convergence", "--k", "1", "--levels", "0:1",
