@@ -9,15 +9,14 @@ the block system [[M + C, -D^T], [D, -M_p]].  Coefficient providers are
 functions of the 4D manifold coordinate, called with the coordinate planes
 of ``geometry.quadrature_chunks``; vector data (Omega, F) is pushed into
 the active frame through the per-cell map chi_e, so the same providers
-serve both modes.  Assembly reads only the metric G = J^T J and det J,
-which is all that the two modes differ in:
+serve both modes.  Both assemble on the chart ``manifold_coordinates`` in
+R^4, as the paper writes the equations, and read only its metric G and det:
 
-  * shallow: the chart ``manifold_coordinates`` in R^4, as the paper writes
-    the equations; its map is affine, so G = J4^T J4 and det, the
-    pseudodeterminant, come once per cell (the hedgehog mesh, the tests'
-    oracle, has the same J^T J and det);
-  * deep: continuous annulus coordinates, whose G and det vary over the
-    cell and come from J's columns, with no per-point Jacobian.
+  * shallow: the restricted Euclidean metric; the map is affine, so
+    G = J4^T J4 and det, the pseudodeterminant, come once per cell (the
+    hedgehog mesh, the tests' oracle, has the same J^T J and det);
+  * deep: the metric phi pulls back from R^3, the annulus prism's, whose G
+    and det vary over the cell and come in closed form.
 
 The div(w) p coupling uses the Piola identity div v = dhat / det J, so the
 determinants cancel and D reduces to a single reference matrix shared by
@@ -269,8 +268,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
             f"{u_space.element.k} (V1) and {p_space.element.k} (V2)"
         )
     mesh = u_space.mesh
-    coords = coordinate_field(config, mesh)
-    x4 = coords if coords.shape[-1] == 4 else manifold_coordinates(mesh)
+    x4 = manifold_coordinates(mesh)
     rule, mrule = quadrature_prism(config.degree), quadrature_prism(exact_matrix_degree(config.k))
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
@@ -302,7 +300,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
 
     b_cells = np.empty((nc, nd))
     n_fact = 0
-    for cells, (q, m) in geometry.quadrature_chunks(coords, x4, rule, mrule):
+    for cells, (q, m) in geometry.quadrature_chunks(x4, config.mode, rule, mrule):
         ch = len(cells)
         run = slice(cells[0], cells[0] + ch)                # chunks are runs of cells
         n_fact += q.n_factorizations

@@ -76,7 +76,20 @@ def cmd_export_mesh(args) -> int:
     return 0
 
 
+def _check_outputs(*paths):
+    """Raise ValueError unless the given output paths (None is skipped) name
+    distinct files in existing, writable directories; commands check them
+    before they compute, which can take minutes."""
+    paths = [Path(p) for p in paths if p]
+    for path in paths:
+        if path.is_dir() or not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            raise ValueError(f"cannot write {path}: not a file in an existing, writable directory")
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ValueError(f"output paths {', '.join(map(str, paths))} must name distinct files")
+
+
 def cmd_verify_forcing(args) -> int:
+    _check_outputs(args.out)
     case = mms.ManufacturedCase(a=args.inner_radius, H=args.thickness)
     pts = mms.sample_manifold_points(args.inner_radius, args.thickness, args.points, args.seed)
     report = mms.derive_forcing(case, pts)
@@ -161,12 +174,7 @@ def _rate(value) -> str:
 
 
 def cmd_convergence(args) -> int:
-    paths = [Path(p) for p in (args.csv, args.forcing_report, args.stats_json) if p]
-    for path in paths:      # checked before the ladder, which can take minutes
-        if path.is_dir() or not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
-            raise ValueError(f"cannot write {path}: not a file in an existing, writable directory")
-    if len({path.resolve() for path in paths}) < len(paths):
-        raise ValueError(f"output paths {', '.join(map(str, paths))} must name distinct files")
+    _check_outputs(args.csv, args.forcing_report, args.stats_json)
     table = mms.convergence_study(
         k=args.k,
         levels=args.levels,

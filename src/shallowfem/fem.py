@@ -17,6 +17,7 @@ rule with vector weights, which makes DOF application to arbitrary fields
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -351,24 +352,15 @@ def _v2_monomials(k: int):
     )
 
 
-_ELEMENT_CACHE = {}
-
-
+@cache
 def make_element(family: str, k: int) -> FiniteElement:
     """Construct (and cache) the V1 or V2 element of degree k in {1, 2}."""
-    key = (family, k)
-    if key in _ELEMENT_CACHE:
-        return _ELEMENT_CACHE[key]
     if family not in ("V1", "V2") or k not in (1, 2):
         raise ValueError(f"unknown element {family}({k}); families V1, V2 with k in {{1, 2}}")
 
     if family == "V2":
         mono = _v2_monomials(k)
-        elem = FiniteElement(
-            family="V2", k=k, monomials=mono, coeffs=np.eye(len(mono)), dofs=()
-        )
-        _ELEMENT_CACHE[key] = elem
-        return elem
+        return FiniteElement(family="V2", k=k, monomials=mono, coeffs=np.eye(len(mono)), dofs=())
 
     mono = _v1_monomials(k)
     dofs = _edge_moment_dofs(k) + _tri_moment_dofs(k) + _interior_dofs(k)
@@ -386,9 +378,7 @@ def make_element(family: str, k: int) -> FiniteElement:
         raise AssertionError(f"degenerate DOF set for V1({k}): cond = {cond:.2e}")
     coeffs = np.linalg.solve(A, np.eye(len(dofs))).T
 
-    elem = FiniteElement(family="V1", k=k, monomials=mono, coeffs=coeffs, dofs=tuple(dofs))
-    _ELEMENT_CACHE[key] = elem
-    return elem
+    return FiniteElement(family="V1", k=k, monomials=mono, coeffs=coeffs, dofs=tuple(dofs))
 
 
 def tabulate(element: FiniteElement, points) -> Tabulation:

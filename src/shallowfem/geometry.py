@@ -14,18 +14,19 @@ triangles (the "hedgehog" mesh, ``hedgehog_coordinates``): the base edges
 are orthogonal to the axis, so J^T J = J4^T J4 and det J = pdet J4 exactly.
 The hedgehog mesh is the tests' oracle and what ``export-mesh`` writes.
 
-Assembly and the error norms read a cell's map only through the metric
-G = J^T J and det J, which is all that shallow and deep differ in.  The
-solver-point map ``quadrature_chunks`` hands them G, det and the points on
-the manifold as planes over (cells, triangle points, interval points): on
-the chart G and det are one value per cell; on a field in R^3 they come
-from J's columns, since on the linear-triangle x linear-interval prism
-dx/dxi1 and dx/dxi2 depend on zeta alone and dx/dzeta on (xi1, xi2) alone,
-so no per-point Jacobian is formed.  The horizontal coordinates x1, x2, x3
-vary only with the triangle point and h only with the interval point, so
-the providers' horizontal work runs once per triangle point.
+Both modes assemble on the chart and differ only in its metric: shallow
+takes the restricted Euclidean metric of R^4, deep the one phi pulls back
+from R^3, which makes the chart cell the annulus prism.  Assembly and the
+error norms read a cell's map only through G and det, which the
+solver-point map ``quadrature_chunks`` hands them, with the points on the
+manifold, as planes over (cells, triangle points, interval points): one
+value per cell in shallow mode, closed forms in phi in deep mode.  The
+horizontal coordinates x1, x2, x3 vary only with the triangle point and h
+only with the interval point, so the providers' horizontal work runs once
+per triangle point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,10 @@ def hedgehog_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
     Raises DegenerateMapError for a base plane within 1e-9 a of the centre.
     """
     x4 = manifold_coordinates(mesh)                      # (nc, 6, 4)
-    X = x4[:, :3, :3]                                    # chordal base triangles
+    X = x4[:, :3, :3] / mesh.base.radius                 # chordal base triangles, unit sphere
     n = np.cross(X[:, 1] - X[:, 0], X[:, 2] - X[:, 0])
     norm = np.linalg.norm(n, axis=1)
-    outward = (n * X[:, 0]).sum(axis=1) > 1e-9 * mesh.base.radius * norm
+    outward = (n * X[:, 0]).sum(axis=1) > 1e-9 * norm
     if not outward.all():
         raise DegenerateMapError(f"cell {np.argmin(outward)}: chordal base triangle "
                                  f"has no outward normal")
@@ -278,8 +279,8 @@ class PointMap:
     """
 
     x: tuple               # x1, x2, x3 (ch, nt, 1) and h (ch, 1, nz): manifold points
-    G: tuple               # G = J^T J at METRIC_PAIRS
-    det: np.ndarray        # det J; on the chart the signed pdet J4
+    G: tuple               # the chart's metric G = J^T J in the mode, at METRIC_PAIRS
+    det: np.ndarray        # det J: shallow the signed pdet J4, deep phi's pull-back
     pinv4: np.ndarray      # (ch, 3, 4): J4's pseudoinverse at the centroid
 
     @property
@@ -289,8 +290,8 @@ class PointMap:
 
     @property
     def n_factorizations(self) -> int:
-        """Number of (point, cell) metrics this map holds."""
-        return int(self.det.size)
+        """Number of (point, cell) metrics this map holds: G and det's broadcast size."""
+        return math.prod(point_shape((*self.G, self.det)))
 
     def pull(self, v) -> tuple:
         """The planes pinv4 v: reference components of tangent 4-vectors v,
@@ -320,86 +321,66 @@ def _manifold_planes(x4, lam, z):
     return (*(horizontal[:, d, :, None] for d in range(3)), h[:, None, :])
 
 
-def _prism_metric(nodal, lam, z):
-    """G at METRIC_PAIRS and det J of the prism cells ``nodal`` (n, 6, 3) in
-    R^3 at the points ``lam`` x ``z`` (see ``_manifold_planes``), as a
-    function of a run of cells.
+def _pullback_metric(x4):
+    """G at METRIC_PAIRS and det J of the metric phi pulls back to the chart
+    cells ``x4`` (ch, 6, 4), as a function of their manifold planes ``x``.
 
-    dx/dxi_a = E_a Z(zeta), with E_a the bottom and top edges a + 1 and
-    Z = (1 - zeta, zeta), and dx/dzeta = j2(xi1, xi2).  So G_00, G_01 and
-    G_11 are (ch, 1, nz), computed for every cell here, and G_22 is
-    (ch, nt, 1); G_a2 = (j2 . E_a) Z and det = (j0 x j1) . j2 = (j2 . N) Z2,
-    with N Z2 the quadratic j0 x j1, are each one (ch nt, 2 or 3) x (2 or 3,
-    nz) GEMM.  The function raises DegenerateMapError if any det is <= 0.
-    """
-    bottom, top = nodal[:, :3], nodal[:, 3:]
-    Z = np.stack([1.0 - z, z])                                       # (2, nz)
-    Z2 = np.stack([Z[0] * Z[0], Z[0] * Z[1], Z[1] * Z[1]])
-    E0, E1 = (np.stack([bottom[:, a] - bottom[:, 0], top[:, a] - top[:, 0]], axis=-1)
-              for a in (1, 2))                                       # (n, 3, 2)
-    cross = np.cross(E0[..., [0, 0, 1, 1]], E1[..., [0, 1, 0, 1]], axis=1)
-    N = np.stack([cross[..., 0], cross[..., 1] + cross[..., 2], cross[..., 3]], axis=-1)
-    C = np.concatenate([E0, E1, N], axis=-1)                         # (n, 3, 7)
-    j0, j1 = E0 @ Z, E1 @ Z                                          # (n, 3, nz)
-    flat = ((j0 * j0).sum(axis=1), (j0 * j1).sum(axis=1), (j1 * j1).sum(axis=1))
-    vertical = top - bottom
-    nt, nz = len(lam), len(z)
+    phi maps a cell to the annulus prism s(zeta) X(xi), with X the chordal
+    chart point and s = 1 + h / a: dx/dxi_a = s (X_{a+1} - X_0) = s E_a and
+    dx/dzeta = c X, c = dh / a.  So G_ab = s^2 E_a . E_b and det = s^2 c
+    (E_0 x E_1) . X_0 are (ch, 1, nz), G_a2 = s c E_a . X (ch, nt, nz) and
+    G_22 = c^2 |X|^2 (ch, nt, 1)."""
+    X = np.moveaxis(x4[:, :3, :3], 2, 0)[..., None, None]           # planes (3, ch, 3, 1, 1)
+    X0, E0, E1 = X[:, :, 0], X[:, :, 1] - X[:, :, 0], X[:, :, 2] - X[:, :, 0]
+    a = np.sqrt(_dot(X0, X0))
+    c = (x4[:, 3, 3] - x4[:, 0, 3])[:, None, None] / a
+    g00, g01, g11 = _dot(E0, E0), _dot(E0, E1), _dot(E1, E1)
+    vol = c * _dot(np.cross(E0, E1, axis=0), X0)
 
-    def metric(run):
-        j2 = lam @ vertical[run]                                     # (ch, nt, 3)
-        ch = len(j2)
-        P = (j2 @ C[run]).reshape(ch * nt, 7)
-        G02, G12, det = ((P[:, cols] @ B).reshape(ch, nt, nz)
-                         for cols, B in ((slice(0, 2), Z), (slice(2, 4), Z), (slice(4, 7), Z2)))
-        g00, g01, g11 = (g[run, None] for g in flat)
-        return (g00, g01, G02, g11, G12, (j2 * j2).sum(axis=2)[..., None]), _positive(det)
+    def metric(x):
+        s = 1.0 + x[3] / a
+        s2, sc = s * s, s * c
+        return (s2 * g00, s2 * g01, sc * _dot(E0, x), s2 * g11, sc * _dot(E1, x),
+                c * c * _dot(x, x)), s2 * vol
 
     return metric
 
 
-def quadrature_chunks(coords, x4, *rules):
-    """The solver-point map of every cell, chunk by chunk.
+def quadrature_chunks(x4, mode, *rules):
+    """The solver-point map of every cell of the chart ``x4``, chunk by chunk.
 
     Assembly and the error norms both loop over this.  ``rules`` are prism
     rules (``fem.quadrature_prism``); a chunk holds max(1, POINTS_PER_CHUNK
     // their points) cells, in order (2**14 slowed k=2 ladders by 3-4%).
     Yields ``(cells, maps)``, one PointMap per rule:
 
-      * ``x``: the manifold points from ``x4``, the nodes of radially
-        extruded cells pulled back to R^4, whose top nodes share the bottom
-        nodes' horizontal part and whose layers have one h; so x1, x2, x3
-        vary only with the triangle point and h only with the interval point.
-      * ``G``, ``det``: if the coordinate field ``coords`` is ``x4`` itself
-        (the chart), each map is affine: G = J4^T J4 and the signed pdet come
-        once per cell, (ch, 1, 1), from the chart's centroid sample.  Any
-        other field is in R^3; its G and det come from J's columns
-        (``_prism_metric``), after the centroid det of every cell (an
-        inverted cell is named first).
-      * ``pinv4``: the pseudoinverse of J4 at the centroid, in both modes
-        from the one SVD of the chart's centroid sample.
+      * ``x``: the manifold points; top nodes share the bottom nodes'
+        horizontal part and a layer has one h, so x1, x2, x3 vary only with
+        the triangle point and h only with the interval point.
+      * ``G``, ``det``: the chart's metric in ``mode``: "shallow" the
+        restricted Euclidean one, G = J4^T J4 and the signed pdet once per
+        cell, (ch, 1, 1); "deep" the one phi pulls back from R^3
+        (``_pullback_metric``), whose det has the sign of the chart's.
+      * ``pinv4``: J4's pseudoinverse.
+
+    J4, its signed pdet and pinv4 come from one SVD of the chart's centroid
+    sample, which names an inverted cell before the first chunk.
     """
+    if mode not in ("shallow", "deep"):
+        raise ValueError(f"mode must be 'shallow' or 'deep', got {mode!r}")
     tables = [(barycentric(r.triangle.points)[0], r.interval.points[:, 0]) for r in rules]
-    chart = coords is x4
-    if not chart:
-        if coords.shape[-1] != 3:
-            raise ValueError("a coordinate field in R^4 must be the chart x4 itself")
-        jacobian(coords, slice(None), CENTROID)
     centre, pinv4 = _chart_sample(x4, CENTROID)
-    if chart:
-        J4 = centre.J[:, 0]
-        G = tuple((J4[:, :, a] * J4[:, :, b]).sum(axis=1)[:, None, None] for a, b in METRIC_PAIRS)
-        det = centre.det[:, :, None]
-        metrics = [lambda run: (tuple(g[run] for g in G), det[run])] * len(rules)
-    else:
-        metrics = [_prism_metric(coords, lam, z) for lam, z in tables]
-    pinv4 = pinv4[:, 0]
-    n_cells = len(coords)
+    J4, pinv4 = centre.J[:, 0], pinv4[:, 0]
+    G = tuple((J4[:, :, a] * J4[:, :, b]).sum(axis=1)[:, None, None] for a, b in METRIC_PAIRS)
+    det = centre.det[:, :, None]
     chunk = max(1, POINTS_PER_CHUNK // sum(len(r.weights) for r in rules))
-    for start in range(0, n_cells, chunk):
-        run = slice(start, min(start + chunk, n_cells))
-        maps = tuple(PointMap(_manifold_planes(x4[run], lam, z), *metric(run), pinv4[run])
-                     for (lam, z), metric in zip(tables, metrics))
-        yield np.arange(run.start, run.stop), maps
+    for start in range(0, len(x4), chunk):
+        run = slice(start, min(start + chunk, len(x4)))
+        metric = (_pullback_metric(x4[run]) if mode == "deep"
+                  else lambda x: (tuple(g[run] for g in G), det[run]))
+        planes = [_manifold_planes(x4[run], lam, z) for lam, z in tables]
+        yield np.arange(run.start, run.stop), tuple(
+            PointMap(x, *metric(x), pinv4[run]) for x in planes)
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +429,23 @@ def stack_planes(planes) -> np.ndarray:
     return out
 
 
-def _radius_squared(x):
-    """|x|^2 of the horizontal part of the points with planes x."""
-    return x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+def _dot(u, v):
+    """The planes of the dot product of the horizontal parts of the planes u, v."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def unit_normal(x4) -> np.ndarray:
     """Unit normal l = (x / |x|, 0), (..., 4); at a chordal point (|x| < a)
     it is the normal of the manifold at the point's radial lift."""
     x = coordinate_planes(x4)
-    r = np.sqrt(_radius_squared(x))
+    r = np.sqrt(_dot(x, x))
     return stack_planes((x[0] / r, x[1] / r, x[2] / r, 0.0))
 
 
 def project_tangent(v, x4) -> np.ndarray:
     """Tangential projection P v = v - (v . l) l, with l = unit_normal(x4)."""
     v, x = coordinate_planes(v), coordinate_planes(x4)
-    s = (v[0] * x[0] + v[1] * x[1] + v[2] * x[2]) / _radius_squared(x)
+    s = _dot(v, x) / _dot(x, x)
     return stack_planes((v[0] - s * x[0], v[1] - s * x[1], v[2] - s * x[2], v[3]))
 
 

@@ -168,6 +168,9 @@ def build_icosahedral_sphere(refinement_level: int, radius: float = 1.0) -> Base
         raise ValueError("refinement_level must be >= 0")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
+    if float(radius) * float(radius) < np.finfo(float).tiny:
+        raise ValueError(f"radius {radius!r} is too small for float64: its square is below "
+                         f"the smallest normal float64")
     verts, faces = _icosahedron()
     for _ in range(refinement_level):
         verts, faces = _subdivide(verts, faces)
@@ -209,6 +212,10 @@ def extrude_radial(base: BaseSphereMesh, n_layers: int, thickness: float) -> Ext
         raise ValueError(f"thickness must be finite and positive, got {thickness}")
 
     a = base.radius
+    outer = a + float(thickness)
+    if math.isinf(outer * outer):
+        raise ValueError(f"outer radius {a!r} + {thickness!r} is too large for float64: "
+                         f"its square overflows")
     layer_radii = a + thickness * np.arange(n_layers + 1) / n_layers
     if not (np.diff(layer_radii) > 0).all():
         raise ValueError(f"thickness {thickness!r} is too thin for float64 at radius {a!r} "

@@ -405,8 +405,8 @@ def derive_forcing(case: ManufacturedCase, points, ops: ShallowOperators = None)
 # ---------------------------------------------------------------------------
 
 def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
-    """L^2 errors in the measure of the coordinate field ``coords``
-    (``assembly.coordinate_field``).
+    """L^2 errors in the mode of the coordinate field ``coords``
+    (``assembly.coordinate_field``): the chart is shallow, the annulus deep.
 
     The exact velocity is evaluated on the manifold, tangent-projected,
     pulled back through pinv4 and compared with the discrete field's
@@ -416,7 +416,8 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     benchmark's traced walk, which passes None.
     """
     space_u, space_p = u_h.space, p_h.space
-    x4 = coords if coords.shape[-1] == 4 else geometry.manifold_coordinates(space_u.mesh)
+    x4 = geometry.manifold_coordinates(space_u.mesh)
+    mode = "shallow" if coords.shape[-1] == 4 else "deep"
     k = space_u.element.k
     rule = quadrature_prism(degree if degree is not None else default_quadrature_degree(k))
     nq = len(rule.weights)
@@ -426,7 +427,7 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
 
     err_u2 = 0.0
     err_p2 = 0.0
-    for cells, (m,) in geometry.quadrature_chunks(coords, x4, rule):
+    for cells, (m,) in geometry.quadrature_chunks(x4, mode, rule):
         ch = len(cells)
         shape = m.shape
         wdet = w * m.det

@@ -752,9 +752,7 @@ def four_block_system(config, V1, V2):
     ``config.degree``, in both modes.  Both point sets are mapped in one
     pass.
     """
-    coords = assembly.coordinate_field(config, V1.mesh)
-    chart = coords.shape[-1] == 4
-    x4 = coords if chart else geometry.manifold_coordinates(V1.mesh)
+    x4 = geometry.manifold_coordinates(V1.mesh)
     rule = fem.quadrature_prism(config.degree)
     mrule = fem.quadrature_prism(2 * config.k + 1)
     nq, nm = len(rule.weights), len(mrule.weights)
@@ -776,7 +774,7 @@ def four_block_system(config, V1, V2):
 
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
-    for cells, (q, m) in geometry.quadrature_chunks(coords, x4, rule, mrule):
+    for cells, (q, m) in geometry.quadrature_chunks(x4, config.mode, rule, mrule):
         ch = len(cells)
         K = np.empty((ch, n_planes) + m.shape[1:])
         for i, g in enumerate(m.G):

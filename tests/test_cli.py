@@ -93,6 +93,17 @@ def test_export_mesh_at_a_large_radius(tmp_path):
     assert (tmp_path / "annulus.vtk").exists() and (tmp_path / "hedgehog.vtk").exists()
 
 
+@pytest.mark.parametrize("a", [1e-150, 1e150])
+def test_export_mesh_at_extreme_radii(a, tmp_path):
+    """The hedgehog normals are taken on the unit sphere, so a radius whose
+    square fits float64 but whose cube does not still exports, with every
+    hedgehog node between a and a + H = 2a."""
+    assert run(["export-mesh", "--inner-radius", str(a), "--thickness", str(a),
+                "--out-dir", str(tmp_path)]) == 0
+    r = np.linalg.norm(read_vtk_points(tmp_path / "hedgehog.vtk") / a, axis=1)
+    assert r.min() >= 1.0 - 1e-12 and r.max() <= 2.0 + 1e-12
+
+
 def test_read_vtk_points_rejects_other_files(tmp_path):
     bad = tmp_path / "not_a_grid.vtk"
     bad.write_text("hello\n")
@@ -343,16 +354,24 @@ def test_large_radius_runs(argv, tmp_path):
     ["convergence", "--levels", "0:1,1:1", "--inner-radius", "1e100"],
     ["convergence", "--levels", "0:1,1:1", "--thickness", "1e100"],
     ["verify-forcing", "--inner-radius", "1e100"],
-], ids=["convergence-1e9", "convergence-1e100", "convergence-thick-1e100", "verify-1e100"])
+    ["export-mesh", "--thickness", "1e300"],
+    ["export-mesh", "--inner-radius", "1e-300"],
+    ["export-mesh", "--inner-radius", "1e-160"],
+], ids=["convergence-1e9", "convergence-1e100", "convergence-thick-1e100", "verify-1e100",
+        "export-thick-1e300", "export-1e-300", "export-1e-160"])
 def test_large_sizes_are_one_line(argv, tmp_path, capsys):
     """At a radius of 1e9 with H = 1 the solve misses its residual contract
     by about 1000 times (from 1e7 up the refinement stalls, at 1e7 and 3e8
     within 40 times of the tolerance, and 1e8 happens to meet it), and
-    sizes of 1e100 leave the float64 range; either is one error line, with
-    no traceback and no RuntimeWarning (the suite makes warnings errors),
-    and no file is written."""
-    outputs = (["--csv", str(tmp_path / "t.csv"), "--forcing-report", str(tmp_path / "f.txt")]
-               if argv[0] == "convergence" else ["--out", str(tmp_path / "r.json")])
+    sizes of 1e100, an outer radius whose square overflows and a radius
+    whose square is below the smallest normal float64 leave the float64
+    range; either is one error line, with no traceback and no
+    RuntimeWarning (the suite makes warnings errors), and no file is
+    written."""
+    outputs = {"convergence": ["--csv", str(tmp_path / "t.csv"),
+                               "--forcing-report", str(tmp_path / "f.txt")],
+               "verify-forcing": ["--out", str(tmp_path / "r.json")],
+               "export-mesh": ["--out-dir", str(tmp_path)]}[argv[0]]
     assert run(argv + outputs) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -378,15 +397,20 @@ def test_convergence_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     ["convergence", "--k", "1", "--levels", "0:1", "--csv", "{missing}/t.csv",
      "--forcing-report", "{tmp}/f.txt"],
     ["verify-forcing", "--points", "5", "--out", "{missing}/r.json"],
-], ids=["convergence-csv", "verify-forcing-out"])
+    ["verify-forcing", "--points", "5", "--out", "{tmp}/out"],
+], ids=["convergence-csv", "verify-forcing-out", "verify-forcing-out-directory"])
 def test_unwritable_output_is_one_line(argv, tmp_path, capsys):
-    """An output path in a directory that does not exist exits 1 with one
-    error line, not an OSError traceback."""
+    """An output path in a directory that does not exist, or one that is a
+    directory, exits 1 with one error line naming it, not an OSError
+    traceback, before the command prints anything."""
     missing = tmp_path / "no" / "such" / "dir"
+    (tmp_path / "out").mkdir()
+    bad = missing if any("{missing}" in a for a in argv) else tmp_path / "out"
     assert run([a.format(missing=missing, tmp=tmp_path) for a in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert str(missing) in err
+    assert str(bad) in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--forcing-report", "--stats-json"])

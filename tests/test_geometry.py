@@ -311,15 +311,15 @@ def tensor_rule(nt, nz, seed):
 
 
 def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
-    """quadrature_chunks: the chart's G = J4^T J4 and pdet once per cell at
-    the centroid, from the one SVD that also gives pinv4; annulus G and det
-    at every point; the chunks cover the cells in order."""
+    """quadrature_chunks: shallow G = J4^T J4 and pdet once per cell at the
+    centroid, from the one SVD that also gives pinv4; deep G at every point
+    and det at every interval point; the chunks cover the cells in order."""
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rule = tensor_rule(3, 2, 0)
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
     chart = x4
-    (cells, (point_map,)), = geometry.quadrature_chunks(chart, x4, rule)
+    (cells, (point_map,)), = geometry.quadrature_chunks(x4, "shallow", rule)
     np.testing.assert_array_equal(cells, np.arange(m.n_cells))
     assert point_map.det.shape == (m.n_cells, 1, 1) and point_map.n_factorizations == m.n_cells
     assert all(g.shape == (m.n_cells, 1, 1) for g in point_map.G)
@@ -339,10 +339,11 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
 
     # the 216 points of the k=1 default rule: 2**15 // 216 = 151 cells per chunk
     rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
-    chunks = list(geometry.quadrature_chunks(m.cell_node_coords(), x4, rule))
+    chunks = list(geometry.quadrature_chunks(x4, "deep", rule))
     assert [len(c[0]) for c in chunks] == [151, 9]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
-    assert all(c[1][0].det.shape == (len(c[0]), 36, 6) for c in chunks)
+    assert all(c[1][0].det.shape == (len(c[0]), 1, 6) for c in chunks)
+    assert all(c[1][0].G[2].shape == (len(c[0]), 36, 6) for c in chunks)
     assert sum(c[1][0].n_factorizations for c in chunks) == 216 * m.n_cells
 
 
@@ -361,7 +362,7 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
     m = annulus_r1_l2
     rule = tensor_rule(npts, 1, npts)
     x4 = geometry.manifold_coordinates(m)
-    chunks = [c[0] for c in geometry.quadrature_chunks(x4, x4, rule)]
+    chunks = [c[0] for c in geometry.quadrature_chunks(x4, "shallow", rule)]
     np.testing.assert_array_equal(np.concatenate(chunks), np.arange(m.n_cells))
     assert len(chunks[0]) == first
     assert all(len(c) * npts <= geometry.POINTS_PER_CHUNK or len(c) == 1 for c in chunks)
@@ -373,23 +374,23 @@ def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rules = fem.quadrature_prism(10), fem.quadrature_prism(3)
-    chunks = list(geometry.quadrature_chunks(x4, x4, *rules))
+    chunks = list(geometry.quadrature_chunks(x4, "shallow", *rules))
     assert [len(c[0]) for c in chunks] == [146, 14]
     assert [c[1][1].shape for c in chunks] == [(146, 4, 2), (14, 4, 2)]
 
 
 def test_chart_and_annulus_share_the_centroid_pinv4(annulus_r1_l2, monkeypatch):
-    """Both modes take pinv4 from the chart's one centroid SVD: the chart and
-    the annulus field of one mesh yield bit-identical pinv4, chunk by chunk,
-    equal to the pseudoinverse of ``jacobian4`` at the centroid."""
+    """Both modes take pinv4 from the chart's one centroid SVD: shallow and
+    deep maps of one chart yield bit-identical pinv4, chunk by chunk, equal
+    to the pseudoinverse of ``jacobian4`` at the centroid."""
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
     ref = geometry.pseudo_inverse_pseudo_det(geometry.jacobian4(x4, slice(None), centroid))[0]
-    pairs = list(zip(geometry.quadrature_chunks(x4, x4, rule),
-                     geometry.quadrature_chunks(m.cell_node_coords(), x4, rule), strict=True))
+    pairs = list(zip(geometry.quadrature_chunks(x4, "shallow", rule),
+                     geometry.quadrature_chunks(x4, "deep", rule), strict=True))
     assert len(pairs) > 1
     for (cells, (chart,)), (cells_a, (annulus,)) in pairs:
         np.testing.assert_array_equal(cells, cells_a)
@@ -397,19 +398,9 @@ def test_chart_and_annulus_share_the_centroid_pinv4(annulus_r1_l2, monkeypatch):
         np.testing.assert_array_equal(annulus.pinv4, ref[cells, 0])
 
 
-def perturbed_coordinates(m):
-    """The annulus nodes, each moved by up to 2 % of the thinnest layer in a
-    random direction: a field in R^3 with no radial structure."""
-    nodal = m.cell_node_coords()
-    rng = np.random.default_rng(41)
-    return nodal + rng.uniform(-0.01, 0.01, nodal.shape)
-
-
 FIELDS = {
-    "annulus": mesh.ExtrudedMesh.cell_node_coords,
-    "hedgehog": geometry.hedgehog_coordinates,
-    "chart": geometry.manifold_coordinates,
-    "perturbed": perturbed_coordinates,
+    "annulus": ("deep", mesh.ExtrudedMesh.cell_node_coords),
+    "chart": ("shallow", geometry.manifold_coordinates),
 }
 
 
@@ -417,15 +408,17 @@ FIELDS = {
 @pytest.mark.parametrize("k", [1, 2])
 def test_chunk_metric_matches_per_point_jacobian(annulus_r1_l2, monkeypatch, field, k):
     """G and det of the solver-point map equal J^T J and det of
-    ``geometry.jacobian`` at every point of the 2k + 8 rule, to 1e-13
-    relative, on fields with and without radial structure."""
+    ``geometry.jacobian`` on the mode's field at every point of the 2k + 8
+    rule, to 1e-13 relative: the chart's in shallow mode, the annulus's,
+    phi of the chart, in deep mode."""
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2
-    coords = FIELDS[field](m)
-    x4 = coords if field == "chart" else geometry.manifold_coordinates(m)
+    mode, field_of = FIELDS[field]
+    coords = field_of(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     n = 0
-    for cells, (point_map,) in geometry.quadrature_chunks(coords, x4, rule):
+    for cells, (point_map,) in geometry.quadrature_chunks(geometry.manifold_coordinates(m),
+                                                          mode, rule):
         _, G, det = materialised(point_map)
         J = geometry.jacobian(coords, cells, rule.points)
         JtJ = np.einsum("...ia,...ib->...ab", J.J, J.J)
@@ -435,17 +428,46 @@ def test_chunk_metric_matches_per_point_jacobian(annulus_r1_l2, monkeypatch, fie
     assert n == m.n_cells
 
 
-def test_inverted_cell_raises_before_any_chunk(annulus_r1_l2, monkeypatch):
-    """An inverted cell in the last chunk is named by the centroid check
-    before the first chunk is yielded."""
-    monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
-    m = annulus_r1_l2
+def long_double_metric(nodal, points):
+    """J^T J (cells, points, 3, 3) and det J (cells, points) of the nodal map
+    of the cells ``nodal`` (cells, 6, 3) at reference points, in long double."""
+    grads = geometry.nodal_basis_gradients(points).astype(np.longdouble)
+    J = np.einsum("cvi,pvk->cpik", nodal.astype(np.longdouble), grads)
+    det = (np.cross(J[..., 0], J[..., 1]) * J[..., 2]).sum(axis=-1)
+    return np.einsum("...ia,...ib->...ab", J, J), det
+
+
+def test_deep_metric_at_earth_radius_matches_the_annulus_map_in_long_double():
+    """At a = 6.371e6, H = 1e4 the closed-form pull-back metric is within
+    1e-12 of the annulus map's J^T J and det evaluated in long double, each
+    entry of G relative to its largest value (measured: 4.4e-13 in G_22,
+    2.3e-13 in det; float64 ``jacobian`` is 5.9e-13 and 2.6e-13 off)."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 6.371e6), 2, 1e4)
     nodal = m.cell_node_coords()
-    nodal[-1] = nodal[-1][[1, 0, 2, 4, 3, 5]]
-    chunks = geometry.quadrature_chunks(nodal, geometry.manifold_coordinates(m),
-                                        fem.quadrature_prism(10))
-    with pytest.raises(geometry.DegenerateMapError, match="inverted"):
-        next(chunks)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
+    n = 0
+    for cells, (point_map,) in geometry.quadrature_chunks(geometry.manifold_coordinates(m),
+                                                          "deep", rule):
+        _, G, det = materialised(point_map)
+        G_ref, det_ref = long_double_metric(nodal[cells], rule.points)
+        for c, d in geometry.METRIC_PAIRS:
+            ref = G_ref[..., c, d]
+            assert np.abs(G[..., c, d] - ref).max() <= 1e-12 * np.abs(ref).max(), (c, d)
+        assert (np.abs(det - det_ref) / det_ref).max() <= 1e-12
+        n += len(cells)
+    assert n == m.n_cells
+
+
+def test_inverted_cell_raises_before_any_chunk(annulus_r1_l2, monkeypatch):
+    """An inverted cell in the last chunk is named by the chart's centroid
+    check before the first chunk is yielded, in both modes."""
+    monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
+    x4[-1] = x4[-1][[1, 0, 2, 4, 3, 5]]
+    for mode in ("shallow", "deep"):
+        chunks = geometry.quadrature_chunks(x4, mode, fem.quadrature_prism(10))
+        with pytest.raises(geometry.DegenerateMapError, match="inverted"):
+            next(chunks)
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -457,17 +479,17 @@ def test_chunk_points_match_the_nodal_interpolant(icosa_r1, k, a):
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     nbasis = geometry.nodal_basis(rule.points)
-    for cells, (point_map,) in geometry.quadrature_chunks(m.cell_node_coords(), x4, rule):
+    for cells, (point_map,) in geometry.quadrature_chunks(x4, "deep", rule):
         nt, nz = len(rule.triangle.weights), len(rule.interval.weights)
         assert [p.shape for p in point_map.x] == [(len(cells), nt, 1)] * 3 + [(len(cells), 1, nz)]
         x4q, _, _ = materialised(point_map)
         assert np.abs(x4q - nbasis @ x4[cells]).max() <= 1e-15 * a
 
 
-def test_a_field_in_r4_must_be_the_chart(annulus_r1_l2):
+def test_chunks_take_only_the_two_modes(annulus_r1_l2):
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
-    with pytest.raises(ValueError, match="chart"):
-        next(geometry.quadrature_chunks(x4.copy(), x4, fem.quadrature_prism(3)))
+    with pytest.raises(ValueError, match="'shallow' or 'deep'"):
+        next(geometry.quadrature_chunks(x4, "hedgehog", fem.quadrature_prism(3)))
 
 
 def _einsum_jacobian(nodal, points):
@@ -521,7 +543,8 @@ def test_jacobian_rejects_one_inverted_cell_in_a_batch(annulus_r1_l2):
 def test_chart_rejects_one_inverted_cell(annulus_r1_l2, order):
     """On the chart det is pdet signed by det [l | J4]: one cell with two base
     vertices swapped, or with its layers swapped, raises in ``jacobian``,
-    batched or alone, and in ``quadrature_chunks``; its neighbours do not."""
+    batched or alone, and in ``quadrature_chunks`` in both modes; its
+    neighbours do not."""
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
     x4[5] = x4[5][order]
     chart = x4
@@ -529,8 +552,9 @@ def test_chart_rejects_one_inverted_cell(annulus_r1_l2, order):
     for cells in (np.arange(len(x4)), 5):
         with pytest.raises(ValueError, match="inverted"):
             geometry.jacobian(chart, cells, pts)
-    with pytest.raises(ValueError, match="inverted"):
-        next(geometry.quadrature_chunks(chart, x4, fem.quadrature_prism(3)))
+    for mode in ("shallow", "deep"):
+        with pytest.raises(ValueError, match="inverted"):
+            next(geometry.quadrature_chunks(chart, mode, fem.quadrature_prism(3)))
     assert geometry.jacobian(chart, 4, pts).det > 0
 
 
@@ -668,10 +692,9 @@ def test_projection_at_chordal_points_leaves_no_normal_component(annulus_r1_l2):
     """At the quadrature points x4q (|x| < a inside each chord) P v has no
     component along unit_normal, which stays of unit length there."""
     x4 = geometry.manifold_coordinates(annulus_r1_l2)
-    coords = x4
     x4q = np.concatenate([
         geometry.stack_planes(point_map.x).reshape(-1, 4)
-        for _, (point_map,) in geometry.quadrature_chunks(coords, x4, fem.quadrature_prism(4))
+        for _, (point_map,) in geometry.quadrature_chunks(x4, "shallow", fem.quadrature_prism(4))
     ])
     radius = np.linalg.norm(x4q[:, :3], axis=1)
     assert radius.max() <= 1.0 + 1e-15 and radius.min() < 1.0 - 1e-3

@@ -277,8 +277,7 @@ def test_providers_on_broadcast_planes_match_materialised_points(case, ops, k, m
     arrays, which the benchmark's traced probe passes."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
     config = assembly.ProblemConfig(mode=mode, k=k)
-    coords = assembly.coordinate_field(config, m)
-    x4 = coords if mode == "shallow" else geometry.manifold_coordinates(m)
+    x4 = geometry.manifold_coordinates(m)
     rules = [fem.quadrature_prism(config.degree)]
     if mode == "shallow":
         rules.append(fem.quadrature_prism(fem.exact_matrix_degree(k)))
@@ -287,7 +286,7 @@ def test_providers_on_broadcast_planes_match_materialised_points(case, ops, k, m
         "traditional_omega": assembly.traditional_omega,
         "u_exact": case.u_exact, "p_exact": case.p_exact,
     }
-    cells, maps = next(geometry.quadrature_chunks(coords, x4, *rules))
+    cells, maps = next(geometry.quadrature_chunks(x4, mode, *rules))
     for point_map in maps:
         shape = point_map.shape
         x4q = geometry.stack_planes(point_map.x).reshape(len(cells), -1, 4)
@@ -308,7 +307,7 @@ def test_field_functions_take_planes_or_arrays_bit_for_bit(case, k):
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
-    _, (point_map,) = next(geometry.quadrature_chunks(x4, x4, rule))
+    _, (point_map,) = next(geometry.quadrature_chunks(x4, "shallow", rule))
     x4q = geometry.stack_planes(point_map.x)               # (ch, nt, nz, 4)
 
     def frame(x):

@@ -124,9 +124,8 @@ def solver_points(k, mode):
     """The first chunk's manifold points of the solver-point map at k,
     materialised from its broadcast planes, (ch, nq, 4)."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0)
-    coords = (geometry.hedgehog_coordinates if mode == "shallow" else mesh.ExtrudedMesh.cell_node_coords)(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
-    cells, (point_map,) = next(geometry.quadrature_chunks(coords, geometry.manifold_coordinates(m), rule))
+    cells, (point_map,) = next(geometry.quadrature_chunks(geometry.manifold_coordinates(m), mode, rule))
     return geometry.stack_planes(point_map.x).reshape(len(cells), -1, 4)
 
 
