@@ -247,7 +247,12 @@ class ManufacturedCase:
         x4, a = np.asarray(x4, dtype=float), self.a
         return (3.0 - a * a) * x4[..., 0] * x4[..., 1] * x4[..., 2] * self._q(x4[..., 3]) / a
 
-    omega4 = staticmethod(_assembly.traditional_omega)
+    def omega4(self, x4):
+        """The rotation (0, 0, 0, x3 / (2a)): Omega sin phi with Omega = 1/2 at
+        any radius, ``traditional_omega`` at a = 1.  A rate that grew with a
+        would make the Coriolis block dwarf the mass block, and the factor's
+        pivoting would undo its column order."""
+        return _assembly.traditional_omega(x4) / self.a
 
     def g_printed(self, x4):
         return self.p_exact(x4)

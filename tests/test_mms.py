@@ -194,10 +194,16 @@ def test_exact_vertical_velocity_vanishes_at_inner_boundary(case):
 
 
 def test_rotation_vector_is_traditional(case, sample_points):
+    """The case's rotation is the default one, bit for bit, at a = 1, and
+    x3 / (2a), a rate of 1/2 at any radius, elsewhere."""
     om = case.omega4(sample_points)
     np.testing.assert_allclose(om[:, :3], 0.0, atol=0)
     np.testing.assert_allclose(om[:, 3], 0.5 * sample_points[:, 2], atol=0)
-    assert mms.ManufacturedCase.omega4 is assembly.ProblemConfig().omega4
+    np.testing.assert_array_equal(om, assembly.ProblemConfig().omega4(sample_points))
+    pts = mms.sample_manifold_points(a=2.0)
+    om = mms.ManufacturedCase(a=2.0).omega4(pts)
+    np.testing.assert_array_equal(om[:, :3], 0.0)
+    np.testing.assert_array_equal(om[:, 3], pts[:, 2] / 4.0)
 
 
 # ---------------------------------------------------------------------------

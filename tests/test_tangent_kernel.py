@@ -98,7 +98,7 @@ def derived_f4_stacked(x4, a):
     c_l, s_l, s_p, c_p = oracle_angles_stacked(x4, a)
     h, q = x4[..., 3], q_stacked(x4)
     u_c = components_stacked(fr, u)
-    o_4 = 0.5 * x4[..., 2]
+    o_4 = 0.5 * x4[..., 2] / a
     f_l = a * a * q * c_p * s_p * (c_l * c_l - s_l * s_l)
     f_l -= 2.0 * (o_4 * u_c[..., 1])
     f_p = a * a * q * (1.0 - 3.0 * s_p * s_p) * s_l * c_l * c_p
