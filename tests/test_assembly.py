@@ -617,17 +617,25 @@ def test_shallow_cell_matrix_does_not_depend_on_the_layer(icosa_r1, k):
     assert spread["deep"] > 1e-2
 
 
-def test_shallow_mode_rejects_a_rotation_that_is_not_affine(annulus_r0_l1_module):
-    """The matrix rule 2k + 1 needs an omega4 that is affine on each cell;
-    deep mode shares the rule, so it rejects the same omega4."""
-    V1, V2 = build_spaces(annulus_r0_l1_module, 1)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
+def test_rotation_is_read_at_the_chart_nodes(annulus_r0_l1_module, k, mode):
+    """Assembly reads omega4 only at the chart's nodes: a rotation that
+    differs from the traditional one off the nodes alone, by a multiple of
+    |x|^2 - a^2, gives the same cell matrices, which the rotation moves."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, k)
+    a = annulus_r0_l1_module.base.radius
 
     def omega4(x):
-        return geometry.stack_planes((0.0, 0.0, 0.0, x[2] ** 2))
+        x = geometry.coordinate_planes(x)
+        return geometry.stack_planes(
+            (0.0, 0.0, 0.0, 0.5 * x[2] + 3.0 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - a * a)))
 
-    for mode in ("shallow", "deep"):
-        with pytest.raises(ValueError, match="nodal interpolant"):
-            assembly.assemble(assembly.ProblemConfig(mode=mode, k=1, omega4=omega4), V1, V2)
+    E = [assembly.assemble(assembly.ProblemConfig(mode=mode, k=k, omega4=om), V1, V2).cell_matrices
+         for om in (assembly.traditional_omega, omega4)]
+    assert np.abs(E[1] - E[0]).max() <= 1e-14 * np.abs(E[0]).max()
+    off = assembly.assemble(assembly.ProblemConfig(mode=mode, k=k, coriolis_enabled=False), V1, V2)
+    assert np.abs(off.cell_matrices - E[0]).max() > 1e-2 * np.abs(E[0]).max()
 
 
 @pytest.mark.parametrize("mode", ["shallow", "deep"])
@@ -747,7 +755,8 @@ def four_block_system(config, V1, V2):
     A_uu, D, -D^T and -M_p go through four index triplets, b_u and b_p
     through two ``add.at`` calls; the per-chunk kernels are those of
     ``assemble``: A_uu is the G / det and 2 omega_hat planes against
-    [T_sym; T_anti], b_u is G pinv4 f4 against Tb.  The matrix blocks use
+    [T_sym; T_anti], with omega4 interpolated from the cell's nodes, b_u is
+    G pinv4 f4 against Tb.  The matrix blocks use
     the exact rule of degree 2k + 1 and the right-hand sides
     ``config.degree``, in both modes.  Both point sets are mapped in one
     pass.
@@ -771,6 +780,8 @@ def four_block_system(config, V1, V2):
     Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
     D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1m.divergences)
     w, wm = rule.tensor_weights, mrule.tensor_weights
+    omega_basis = geometry.nodal_basis(mrule.points)
+    omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape)
 
     rows, cols, data = [], [], []
     rhs = np.zeros(n)
@@ -780,7 +791,8 @@ def four_block_system(config, V1, V2):
         for i, g in enumerate(m.G):
             np.divide(g, m.det, out=K[:, i])
         if config.coriolis_enabled:
-            for i, o in enumerate(m.pull(config.omega4(m.x))):
+            om4 = (omega_basis @ omega_nodes[cells]).reshape(m.shape + (4,))
+            for i, o in enumerate(m.pull(om4)):
                 np.multiply(2.0, o, out=K[:, 6 + i])
         A_uu = (K.reshape(ch, -1) @ T_uu[:n_planes * nm]).reshape(ch, nd1, nd1)
         fhat = np.empty((ch, 3) + q.shape[1:])
