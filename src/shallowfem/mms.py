@@ -3,7 +3,8 @@
 The discretisation is verified against the exact solution of the mixed
 system on S^2(a) x [0, H].  The operators here are deliberately independent
 of the finite element code: derivatives come from central finite differences
-in the orthonormal frame (e_lambda, e_phi, i4) of ``geometry.TangentFrame``,
+in the frame (e_lambda, e_phi, i4) of ``geometry.TangentFrame``, orthonormal
+on S^2(a) x [0, H] but with |e_phi| = |x| / a at a chordal point,
 
     grad f = (1/(a cos phi) d_lambda f) e_lambda + (1/a d_phi f) e_phi
              + (d_x4 f) i4,
@@ -248,10 +249,9 @@ class ManufacturedCase:
         return (3.0 - a * a) * x4[..., 0] * x4[..., 1] * x4[..., 2] * self._q(x4[..., 3]) / a
 
     def omega4(self, x4):
-        """The rotation (0, 0, 0, x3 / (2a)): Omega sin phi with Omega = 1/2 at
-        any radius, ``traditional_omega`` at a = 1.  A rate that grew with a
-        would make the Coriolis block dwarf the mass block, and the factor's
-        pivoting would undo its column order."""
+        """(0, 0, 0, x3 / (2a)): Omega sin phi with Omega = 1/2 at any radius,
+        so the Coriolis block stays the mass block's size; ``traditional_omega``
+        at a = 1."""
         return _assembly.traditional_omega(x4) / self.a
 
     def g_printed(self, x4):

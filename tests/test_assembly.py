@@ -424,6 +424,30 @@ def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, parent_fill, 
     assert row.solve_stats["refinement_steps"] == steps
 
 
+def test_earth_shell_keeps_the_unit_radius_factor():
+    """At the Earth's radius, a = 6.371e6 with H = 1e4, the manufactured
+    rotation rate is 1/2 as at a = 1.  With no row swapped the fill depends
+    only on the pattern, so each level fills the factor exactly as the a = 1
+    level does, and the first solve meets the contract."""
+    table = mms.convergence_study(1, [(1, 2), (2, 4)], a=6.371e6, thickness=1e4)
+    assert [r.solve_stats["lu_nnz"] for r in table.rows] == [37_824, 773_538]
+    assert [r.solve_stats["refinement_steps"] for r in table.rows] == [0, 0]
+
+
+def test_strong_rotation_swaps_rows_and_meets_the_contract():
+    """ProblemConfig's default rotation x3 / 2 is a rate of a / 2: at a = 1000
+    with the Earth's aspect ratio the Coriolis block dwarfs the mass block,
+    so SuperLU swaps rows, which more than doubles the fill of k=1 (1,4) at
+    a = 1 (146,890); refinement still meets the residual contract."""
+    a, H = 1000.0, 1000.0 / 637
+    V1, V2 = build_spaces(mesh.extrude_radial(mesh.build_icosahedral_sphere(1, a), 4, H), 1)
+    case, ops = mms.ManufacturedCase(a=a, H=H), mms.ShallowOperators(a=a, H=H)
+    config = assembly.ProblemConfig(k=1, f4=case.derived_f4(ops), g=case.derived_g(ops))
+    result = assembly.solve(assembly.apply_inner_bc(assembly.assemble(config, V1, V2)))
+    assert result.residual <= 1e-10
+    assert result.stats["lu_nnz"] > 2 * 146_890
+
+
 def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
     """S couples two facet DOFs only if they share a cell, in the ordered
     indexing that SuperLU is told to keep."""
