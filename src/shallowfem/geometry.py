@@ -469,9 +469,9 @@ class TangentFrame:
     Orthonormal on S^2(a) x [0, H].  At a chordal point (|x| < a), as the
     quadrature points are, e_phi takes sin phi = x3 / a, so |e_phi| = |x| / a:
     up to 1.76e-2 short at k=2 (2,4).  The radial lift of ROADMAP item 3
-    would make it unit.  The horizontal parts of (e_lambda, e_phi) together with the radial
-    direction form a right-handed triple in R^3.  The frame is kept as
-    planes over the points' leading axes: e_lambda = (-sin lambda,
+    would make it unit.  The horizontal parts of (e_lambda, e_phi) together
+    with the radial direction form a right-handed triple in R^3.  The frame
+    is kept as planes over the points' leading axes: e_lambda = (-sin lambda,
     cos lambda, 0, 0) from ``cos_l`` and ``sin_l``, and e_phi = (phi1, phi2,
     phi3, 0) from ``phi``.
     """
