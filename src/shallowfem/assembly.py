@@ -7,10 +7,13 @@ Discretises
 on the spherical annulus with V1 x V2 prism elements.  The weak form gives
 the block system [[M + C, -D^T], [D, -M_p]].  Coefficient providers are
 functions of the 4D manifold coordinate, called with the coordinate planes
-of ``geometry.quadrature_chunks``; vector data (Omega, F) is pushed into
-the active frame through the per-cell map chi_e, so the same providers
-serve both modes.  Both assemble on the chart ``manifold_coordinates`` in
-R^4, as the paper writes the equations, and read only its metric G and det:
+of ``geometry.quadrature_chunks``, which broadcast over (cells, interval
+points, triangle points) in the order of the rule's points, so every
+(ch, nz, nt) plane reshapes to the GEMMs' (ch, points); vector data
+(Omega, F) is pushed into the active frame through the per-cell map chi_e,
+so the same providers serve both modes.  Both assemble on the chart
+``manifold_coordinates`` in R^4, as the paper writes the equations, and
+read only its metric G and det:
 
   * shallow: the restricted Euclidean metric; the map is affine, so
     G = J4^T J4 and det, the pseudodeterminant, come once per cell (the
@@ -140,14 +143,16 @@ class ProblemConfig:
     ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors,
     (..., 4); ``g`` maps them to scalars, (...).  Assembly calls them with
     the solver-point map's coordinate planes, a tuple (x1, x2, x3, h) whose
-    planes broadcast over (cells, triangle points, interval points), x1, x2,
-    x3 varying with the triangle point and h with the interval point, so a
-    provider's horizontal work runs once per triangle point; the result's
-    leading axes need only broadcast against them.  Read the planes with
-    ``geometry.coordinate_planes``, which also takes a (..., 4) array (as
-    the finite-difference oracles and the tests pass).  ``omega4`` is read
-    once, at the chart's nodes, planes (n_cells, 6), and interpolated (see
-    the module docstring); ``coriolis_enabled=False`` replaces it with zero.
+    planes broadcast over (cells, interval points, triangle points), x1, x2,
+    x3 varying with the triangle point, (cells, 1, nt), and h with the
+    interval point, (cells, nz, 1), so a provider's horizontal work runs
+    once per triangle point and its mixed products loop innermost over the
+    triangle points; the result's leading axes need only broadcast against
+    them.  Read the planes with ``geometry.coordinate_planes``, which also
+    takes a (..., 4) array (as the finite-difference oracles and the tests
+    pass).  ``omega4`` is read once, at the chart's nodes, planes
+    (n_cells, 6), and interpolated (see the module docstring);
+    ``coriolis_enabled=False`` replaces it with zero.
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
     """
@@ -359,8 +364,10 @@ class SolveResult:
 
     ``stats``: ``n_global`` (order of the condensed matrix),
     ``n_local_per_cell`` (DOFs eliminated per cell), ``lu_nnz`` (SuperLU fill
-    of the condensed matrix), ``refinement_steps``, ``ordering`` (the
-    column order of the condensed matrix, always
+    of the condensed matrix), ``rows_swapped`` (the rows SuperLU's partial
+    pivoting moved, the entries of ``perm_r`` off the identity: with none
+    the fill depends only on the pattern), ``refinement_steps``,
+    ``ordering`` (the column order of the condensed matrix, always
     ``"column-nested-dissection"``: see ``_facet_order``),
     ``factor_dtype`` (the precision of the LU, always ``"float32"``) and
     ``residuals`` (the relative residual after the first solve and after
@@ -423,13 +430,17 @@ def _facet_order(u: FunctionSpace) -> np.ndarray:
     horizontal-facet DOF (nv ... ng-1), which couples only inside its
     column, then the vertical-facet DOFs 0 ... nv-1 by ``_nested_dissection``
     over the columns.  Cells are numbered column-major, so a column's
-    vertical-facet DOFs are a reshape of its cells' ``"quad"`` DOFs."""
+    vertical-facet DOFs are a reshape of its cells' ``"quad"`` DOFs.  The
+    columns' centroids come from the base mesh's unscaled ``directions``:
+    the icosahedral mesh has exact coordinate ties, which centroids of the
+    scaled vertices break by rounding differently at some radii, so the
+    order, and with it the LU fill, is the same at every radius."""
     base = u.mesh.base
     quad = [d.entity[0] == "quad" for d in u.element.dofs]
     columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
     nv = u.vfacet_dofs.size
     horizontal = np.arange(nv, nv + u.hfacet_dofs.size)
-    centroids = base.vertices[base.triangles].mean(axis=1)
+    centroids = base.directions[base.triangles].mean(axis=1)
     return np.concatenate([horizontal, _nested_dissection(columns, centroids)])
 
 
@@ -514,7 +525,8 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     order = _facet_order(system.u_space)
     ng = len(order)
     stats = {
-        "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "refinement_steps": 0,
+        "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "rows_swapped": 0,
+        "refinement_steps": 0,
         "ordering": "column-nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
@@ -541,6 +553,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     stats["lu_nnz"] = int(lu.nnz)
+    stats["rows_swapped"] = int(np.count_nonzero(lu.perm_r != np.arange(ng)))
 
     def apply_inverse(rhs):
         y_l = np.einsum("eij,ej->ei", B_inv, rhs[local])

@@ -86,8 +86,9 @@ class QuadratureRule:
     """Points and weights on the reference prism (or triangle, or interval).
 
     A prism rule is the tensor product of ``triangle`` and ``interval``:
-    point ``t * nz + z`` is triangle point t at interval point z, and its
-    weight is their product, so values at the points reshape to (nt, nz).
+    point ``z * nt + t`` is triangle point t at interval point z, and its
+    weight is their product, so values at the points reshape to (nz, nt)
+    with the triangle axis innermost.
     """
 
     points: np.ndarray
@@ -98,8 +99,8 @@ class QuadratureRule:
 
     @property
     def tensor_weights(self) -> np.ndarray:
-        """A prism rule's weights as (nt, nz), to broadcast over (cells, nt, nz)."""
-        return self.weights.reshape(len(self.triangle.weights), -1)
+        """A prism rule's weights as (nz, nt), to broadcast over (cells, nz, nt)."""
+        return self.weights.reshape(len(self.interval.weights), -1)
 
 
 def _gauss01(n: int):
@@ -147,14 +148,15 @@ def quadrature_triangle(degree: int) -> QuadratureRule:
 
 
 def quadrature_prism(degree: int) -> QuadratureRule:
-    """Tensor product of the triangle rule with Gauss-Legendre in xi3."""
+    """Tensor product of the triangle rule with Gauss-Legendre in xi3,
+    interval-major (see ``QuadratureRule``)."""
     tri = quadrature_triangle(degree)
     z, wz = _gauss01(max(1, math.ceil((degree + 1) / 2)))
     npts, nz = len(tri.weights), len(z)
-    pts = np.empty((npts * nz, 3))
-    pts[:, :2] = np.repeat(tri.points, nz, axis=0)
-    pts[:, 2] = np.tile(z, npts)
-    wts = (tri.weights[:, None] * wz[None, :]).ravel()
+    pts = np.empty((nz * npts, 3))
+    pts[:, :2] = np.tile(tri.points, (nz, 1))
+    pts[:, 2] = np.repeat(z, npts)
+    wts = (wz[:, None] * tri.weights[None, :]).ravel()
     interval = QuadratureRule(points=z[:, None], weights=wz, degree=degree)
     return QuadratureRule(points=pts, weights=wts, degree=degree, triangle=tri, interval=interval)
 

@@ -19,11 +19,12 @@ takes the restricted Euclidean metric of R^4, deep the one phi pulls back
 from R^3, which makes the chart cell the annulus prism.  Assembly and the
 error norms read a cell's map only through G and det, which the
 solver-point map ``quadrature_chunks`` hands them, with the points on the
-manifold, as planes over (cells, triangle points, interval points): one
+manifold, as planes over (cells, interval points, triangle points): one
 value per cell in shallow mode, closed forms in phi in deep mode.  The
 horizontal coordinates x1, x2, x3 vary only with the triangle point and h
 only with the interval point, so the providers' horizontal work runs once
-per triangle point.
+per triangle point, and every product of a horizontal and a vertical plane
+runs its inner loop over the triangle points.
 """
 
 import math
@@ -223,9 +224,11 @@ def _positive(det):
 
 def _chart_sample(x4, points):
     """The chart's JacobianSample (see ``jacobian``) of cells ``x4``
-    (..., 6, 4) and its pseudoinverse, from one SVD."""
+    (..., 6, 4) and its pseudoinverse: in closed form where
+    ``_scaled_normal_equations`` certifies the rank test for every cell,
+    else from ``pseudo_inverse_pseudo_det``'s SVD."""
     J = _nodal_gemm(x4, points)
-    pinv, pdet = pseudo_inverse_pseudo_det(J)
+    pinv, pdet = _scaled_normal_equations(J) or pseudo_inverse_pseudo_det(J)
     l = (nodal_basis(points) @ x4) * [1.0, 1.0, 1.0, 0.0]
     orientation = np.linalg.det(np.concatenate([l[..., None], J], axis=-1))
     return JacobianSample(J=J, det=_positive(pdet * np.sign(orientation))), pinv
@@ -246,7 +249,8 @@ def pseudo_inverse_pseudo_det(J4):
     Raises DegenerateMapError when the SVD fails (a non-finite Jacobian) or
     s_min <= 1e-12 s_max, naming s_min / s_max, a chart cell's aspect ratio,
     and for a (cells, points, 4, 3) batch the first such cell's position.
-    Batched over leading axes.
+    Batched over leading axes.  The chart takes it only for a batch that
+    ``_scaled_normal_equations`` cannot certify; the tests compare with it.
     """
     J4 = np.asarray(J4, dtype=float)
     try:
@@ -264,6 +268,48 @@ def pseudo_inverse_pseudo_det(J4):
     return pinv, pdet
 
 
+# A bound on the absolute rounding error of det Gs computed from unit
+# columns: its terms are at most 1 in size, so it errs by a few 1e-16.
+DET_GS_ROUNDING = 1e-14
+
+
+def _scaled_normal_equations(J):
+    """pinv and pdet of 4x3 Jacobians (..., 4, 3) from the column-scaled
+    normal equations, or None unless the rank test of
+    ``pseudo_inverse_pseudo_det`` is certified for every J.
+
+    With D = diag |J_c| and unit columns U = J D^-1, J^T J = D Gs D for
+    Gs = U^T U, so pinv = D^-1 Gs^-1 U^T, Gs^-1 from its 3x3 cofactors, and
+    pdet = sqrt(det Gs) prod |J_c|.  Gs has trace 3, so its two largest
+    eigenvalues have product at most 9/4, and s_min^2 >= 4/9 det Gs
+    min |J_c|^2 while s_max <= |J|_F.  The batch is certified when
+    sqrt((det Gs - DET_GS_ROUNDING) / 9) min |J_c| / |J|_F >= 1e-12
+    everywhere: half that bound, with det Gs lowered by its rounding, so
+    the SVD's s_min / s_max would exceed 1e-12 too, and every accept or
+    reject decision is the SVD's.  Works on the planes J[..., i, c].
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        norm = [np.sqrt(sum(J[..., i, c] ** 2 for i in range(4))) for c in range(3)]
+        U = [[J[..., i, c] / norm[c] for c in range(3)] for i in range(4)]
+        g01, g02, g12 = (sum(u[a] * u[b] for u in U) for a, b in ((0, 1), (0, 2), (1, 2)))
+        cof = ((1.0 - g12 * g12, g02 * g12 - g01, g01 * g12 - g02),
+               (g02 * g12 - g01, 1.0 - g02 * g02, g01 * g02 - g12),
+               (g01 * g12 - g02, g01 * g02 - g12, 1.0 - g01 * g01))
+        det = cof[0][0] + g01 * cof[0][1] + g02 * cof[0][2]
+        frobenius = np.sqrt(norm[0] ** 2 + norm[1] ** 2 + norm[2] ** 2)
+        bound = (np.sqrt(np.maximum(det - DET_GS_ROUNDING, 0.0) / 9.0)
+                 * np.minimum(np.minimum(norm[0], norm[1]), norm[2]) / frobenius)
+    if not np.all(bound >= 1e-12):
+        return None
+    pinv = np.empty(J.shape[:-2] + (3, 4))
+    for c in range(3):
+        scale = 1.0 / (det * norm[c])
+        for i in range(4):
+            pinv[..., c, i] = (cof[c][0] * U[i][0] + cof[c][1] * U[i][1]
+                               + cof[c][2] * U[i][2]) * scale
+    return pinv, np.sqrt(det) * norm[0] * norm[1] * norm[2]
+
+
 POINTS_PER_CHUNK = 2 ** 15
 
 # The entries of a symmetric 3x3 matrix, in the order PointMap.G keeps them.
@@ -274,18 +320,19 @@ METRIC_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 class PointMap:
     """The solver-point map of a chunk of cells at one prism rule's points.
 
-    Every array broadcasts over (cells, triangle points, interval points),
-    (ch, nt, nz), and has size 1 along the axes it does not depend on.
+    Every array broadcasts over (cells, interval points, triangle points),
+    (ch, nz, nt), the order of the rule's points, and has size 1 along the
+    axes it does not depend on.
     """
 
-    x: tuple               # x1, x2, x3 (ch, nt, 1) and h (ch, 1, nz): manifold points
+    x: tuple               # x1, x2, x3 (ch, 1, nt) and h (ch, nz, 1): manifold points
     G: tuple               # the chart's metric G = J^T J in the mode, at METRIC_PAIRS
     det: np.ndarray        # det J: shallow the signed pdet J4, deep phi's pull-back
     pinv4: np.ndarray      # (ch, 3, 4): J4's pseudoinverse at the centroid
 
     @property
     def shape(self) -> tuple:
-        """(ch, nt, nz)."""
+        """(ch, nz, nt)."""
         return point_shape(self.x)
 
     @property
@@ -295,7 +342,7 @@ class PointMap:
 
     def pull(self, v) -> tuple:
         """The planes pinv4 v: reference components of tangent 4-vectors v,
-        a (..., 4) array whose leading axes broadcast against (ch, nt, nz).
+        a (..., 4) array whose leading axes broadcast against (ch, nz, nt).
         One batched GEMM per chunk, (ch, 3, 4) x (ch, 4, points); each plane
         keeps v's broadcast shape."""
         v = np.asarray(v, dtype=float)
@@ -313,12 +360,12 @@ class PointMap:
 
 def _manifold_planes(x4, lam, z):
     """The coordinate planes of the manifold points of cells ``x4`` (ch, 6, 4)
-    at the triangle barycentrics ``lam`` (nt, 3) times the interval points
-    ``z`` (nz,): x1, x2, x3 from the bottom nodes, (ch, nt, 1), and h from
-    node 0 and node 3, (ch, 1, nz)."""
+    at the interval points ``z`` (nz,) times the triangle barycentrics
+    ``lam`` (nt, 3): x1, x2, x3 from the bottom nodes, (ch, 1, nt), and h
+    from node 0 and node 3, (ch, nz, 1)."""
     horizontal = np.swapaxes(x4[:, :3, :3], 1, 2) @ lam.T           # (ch, 3, nt)
     h = x4[:, :1, 3] * (1.0 - z) + x4[:, 3:4, 3] * z                 # (ch, nz)
-    return (*(horizontal[:, d, :, None] for d in range(3)), h[:, None, :])
+    return (*(horizontal[:, d, None, :] for d in range(3)), h[:, :, None])
 
 
 def _pullback_metric(x4):
@@ -328,8 +375,8 @@ def _pullback_metric(x4):
     phi maps a cell to the annulus prism s(zeta) X(xi), with X the chordal
     chart point and s = 1 + h / a: dx/dxi_a = s (X_{a+1} - X_0) = s E_a and
     dx/dzeta = c X, c = dh / a.  So G_ab = s^2 E_a . E_b and det = s^2 c
-    (E_0 x E_1) . X_0 are (ch, 1, nz), G_a2 = s c E_a . X (ch, nt, nz) and
-    G_22 = c^2 |X|^2 (ch, nt, 1)."""
+    (E_0 x E_1) . X_0 are (ch, nz, 1), G_a2 = s c E_a . X (ch, nz, nt) and
+    G_22 = c^2 |X|^2 (ch, 1, nt)."""
     X = np.moveaxis(x4[:, :3, :3], 2, 0)[..., None, None]           # planes (3, ch, 3, 1, 1)
     X0, E0, E1 = X[:, :, 0], X[:, :, 1] - X[:, :, 0], X[:, :, 2] - X[:, :, 0]
     a = np.sqrt(_dot(X0, X0))
@@ -351,20 +398,27 @@ def quadrature_chunks(x4, mode, *rules):
 
     Assembly and the error norms both loop over this.  ``rules`` are prism
     rules (``fem.quadrature_prism``); a chunk holds max(1, POINTS_PER_CHUNK
-    // their points) cells, in order (2**14 slowed k=2 ladders by 3-4%).
+    // their points) cells, in order.  With the triangle axis innermost,
+    2**14 and 2**16 each beat 2**15 in at most 6 of 10 alternating 10 s
+    pairs of the deep k=1 and the k=2 benchmark ladders on 2 cores (ladder
+    medians: 2**14 1.23 against 1.18 s deep, 0.74 against 0.73 s at k=2;
+    2**16 1.11 against 1.14 s and 0.65 against 0.73 s, inside the runs'
+    spread).
     Yields ``(cells, maps)``, one PointMap per rule:
 
       * ``x``: the manifold points; top nodes share the bottom nodes'
         horizontal part and a layer has one h, so x1, x2, x3 vary only with
-        the triangle point and h only with the interval point.
+        the triangle point, (ch, 1, nt), and h only with the interval point,
+        (ch, nz, 1); the triangle axis is innermost, as in the rule.
       * ``G``, ``det``: the chart's metric in ``mode``: "shallow" the
         restricted Euclidean one, G = J4^T J4 and the signed pdet once per
         cell, (ch, 1, 1); "deep" the one phi pulls back from R^3
         (``_pullback_metric``), whose det has the sign of the chart's.
       * ``pinv4``: J4's pseudoinverse.
 
-    J4, its signed pdet and pinv4 come from one SVD of the chart's centroid
-    sample, which names an inverted cell before the first chunk.
+    J4, its signed pdet and pinv4 come from one closed-form sample of the
+    chart at its centroids (``_chart_sample``), which names an inverted or
+    rank-deficient cell before the first chunk.
     """
     if mode not in ("shallow", "deep"):
         raise ValueError(f"mode must be 'shallow' or 'deep', got {mode!r}")
@@ -394,7 +448,7 @@ def quadrature_chunks(x4, mode, *rules):
 # computing on (..., 4) arrays, where every step strides over the last axis
 # and builds np.stack, np.linalg.norm and einsum temporaries.  The
 # solver-point map passes its planes as a tuple that ``coordinate_planes``
-# hands through, each broadcast over (cells, triangle points, interval
+# hands through, each broadcast over (cells, interval points, triangle
 # points), so a quantity of the horizontal position alone (the frame, the
 # longitude, the latitude) is computed once per triangle point.  The
 # providers in ``mms`` call the plane kernels (``longitude``,

@@ -42,6 +42,10 @@ class BaseSphereMesh:
     ``triangle_edges[t, k]`` is the global edge opposite local vertex ``k`` of
     triangle ``t``; ``edge_triangles[e]`` lists the one or two incident
     triangles (-1 marks a missing neighbour on open test meshes).
+    ``directions`` are the vertices before the builder scaled them by the
+    radius (``vertices / radius`` when not given), so that what is computed
+    from them, such as the solver's column order, rounds the same at every
+    radius.
     """
 
     radius: float
@@ -50,6 +54,11 @@ class BaseSphereMesh:
     edges: np.ndarray             # (ne, 2) int, ascending pairs
     triangle_edges: np.ndarray    # (nt, 3) int
     edge_triangles: np.ndarray    # (ne, 2) int
+    directions: np.ndarray = field(repr=False, default=None)   # (nv, 3)
+
+    def __post_init__(self):
+        if self.directions is None:
+            object.__setattr__(self, "directions", self.vertices / self.radius)
 
     @property
     def n_triangles(self) -> int:
@@ -118,8 +127,9 @@ def _subdivide(verts, faces):
     return np.concatenate([verts, m]), new_faces.reshape(-1, 3)
 
 
-def base_mesh_from_triangles(vertices, triangles, radius=1.0) -> BaseSphereMesh:
-    """Assemble a :class:`BaseSphereMesh` from raw vertex/triangle arrays.
+def base_mesh_from_triangles(vertices, triangles, radius=1.0, directions=None) -> BaseSphereMesh:
+    """Assemble a :class:`BaseSphereMesh` from raw vertex/triangle arrays
+    (and the unscaled ``directions`` of the vertices, if given).
 
     Derives the edge list and all incidence tables.  Raises
     :class:`InvalidTopologyError` if a vertex index lies outside
@@ -155,6 +165,7 @@ def base_mesh_from_triangles(vertices, triangles, radius=1.0) -> BaseSphereMesh:
         edges=edges,
         triangle_edges=triangle_edges.reshape(-1, 3),
         edge_triangles=edge_triangles,
+        directions=directions,
     )
 
 
@@ -174,7 +185,7 @@ def build_icosahedral_sphere(refinement_level: int, radius: float = 1.0) -> Base
     verts, faces = _icosahedron()
     for _ in range(refinement_level):
         verts, faces = _subdivide(verts, faces)
-    return base_mesh_from_triangles(radius * verts, faces, radius=radius)
+    return base_mesh_from_triangles(radius * verts, faces, radius=radius, directions=verts)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ level, so they work on coordinate planes (see geometry's tangent-space
 section): one call builds one tangent frame and one longitude, computes
 with the plane kernels and writes its (..., 4) result once.  The solver
 calls them with the solver-point map's planes, x1, x2, x3 per triangle
-point and h per interval point: the exact velocity is (q U1, q U2, q U3,
+point, (cells, 1, nt), and h per interval point, (cells, nz, 1), with the
+triangle axis innermost: the exact velocity is (q U1, q U2, q U3,
 v U4), with U a function of the horizontal position and q, v of h, and
 p = x1 x2 x3 q, so every bracket of the horizontal position runs once per
 triangle point and meets q or v in one product at the end.  The

@@ -327,7 +327,7 @@ def facet_inputs(system):
     base = u.mesh.base
     quad = [d.entity[0] == "quad" for d in u.element.dofs]
     columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
-    return columns, base.vertices[base.triangles].mean(axis=1)
+    return columns, base.directions[base.triangles].mean(axis=1)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -431,20 +431,39 @@ def test_earth_shell_keeps_the_unit_radius_factor():
     level does, and the first solve meets the contract."""
     table = mms.convergence_study(1, [(1, 2), (2, 4)], a=6.371e6, thickness=1e4)
     assert [r.solve_stats["lu_nnz"] for r in table.rows] == [37_824, 773_538]
+    assert [r.solve_stats["rows_swapped"] for r in table.rows] == [0, 0]
     assert [r.solve_stats["refinement_steps"] for r in table.rows] == [0, 0]
+
+
+@pytest.mark.parametrize("level", [(1, 1), (1, 2), (3, 8), (4, 2)], ids=str)
+def test_column_order_does_not_depend_on_the_radius(level):
+    """The facet order ``solve`` factors in is the a = 1 order at every
+    radius.  Centroids of the scaled vertices broke the icosahedral mesh's
+    exact coordinate ties differently at some radii: (1,1) at a = 1e7
+    ordered 178 positions differently and filled 10,256 against 9,928 with
+    no row swapped, and deep (4,2) differed at 7 of these 8 radii."""
+    def order(a):
+        m = mesh.extrude_radial(mesh.build_icosahedral_sphere(level[0], a), level[1], 1.0)
+        V1 = fem.build_dof_map(m, mesh.classify_facets(m), fem.make_element("V1", 1))
+        return assembly._facet_order(V1)
+
+    ref = order(1.0)
+    for a in (0.3, 2.0, 1e5, 1e6, 6.371e6, 1e7, 3e7, 1e9):
+        np.testing.assert_array_equal(order(a), ref, err_msg=f"a = {a}")
 
 
 def test_strong_rotation_swaps_rows_and_meets_the_contract():
     """ProblemConfig's default rotation x3 / 2 is a rate of a / 2: at a = 1000
     with the Earth's aspect ratio the Coriolis block dwarfs the mass block,
-    so SuperLU swaps rows, which more than doubles the fill of k=1 (1,4) at
-    a = 1 (146,890); refinement still meets the residual contract."""
+    so SuperLU swaps rows (689), which more than doubles the fill of k=1
+    (1,4) at a = 1 (146,890); refinement still meets the residual contract."""
     a, H = 1000.0, 1000.0 / 637
     V1, V2 = build_spaces(mesh.extrude_radial(mesh.build_icosahedral_sphere(1, a), 4, H), 1)
     case, ops = mms.ManufacturedCase(a=a, H=H), mms.ShallowOperators(a=a, H=H)
     config = assembly.ProblemConfig(k=1, f4=case.derived_f4(ops), g=case.derived_g(ops))
     result = assembly.solve(assembly.apply_inner_bc(assembly.assemble(config, V1, V2)))
     assert result.residual <= 1e-10
+    assert result.stats["rows_swapped"] > 0
     assert result.stats["lu_nnz"] > 2 * 146_890
 
 

@@ -302,18 +302,29 @@ def materialised(point_map):
 
 
 def tensor_rule(nt, nz, seed):
-    """A prism rule of nt random triangle points times nz interval points."""
+    """A prism rule of nt random triangle points times nz interval points,
+    interval-major as ``fem.quadrature_prism``."""
     rng = np.random.default_rng(seed)
     tri = fem.QuadratureRule(rng.uniform(0.0, 0.5, (nt, 2)), np.full(nt, 0.5 / nt), 0)
     z = fem.QuadratureRule(rng.uniform(0.0, 1.0, (nz, 1)), np.full(nz, 1.0 / nz), 0)
-    points = np.column_stack([np.repeat(tri.points, nz, axis=0), np.tile(z.points[:, 0], nt)])
-    return fem.QuadratureRule(points, np.outer(tri.weights, z.weights).ravel(), 0, tri, z)
+    points = np.column_stack([np.tile(tri.points, (nz, 1)), np.repeat(z.points[:, 0], nt)])
+    return fem.QuadratureRule(points, np.outer(z.weights, tri.weights).ravel(), 0, tri, z)
+
+
+def assert_matches_the_svd(pinv4, pdet, J4):
+    """pinv4 and pdet within 1e-13 relative of ``pseudo_inverse_pseudo_det``
+    of J4, cell by cell (pinv4 relative to the cell's largest entry)."""
+    ref, ref_det = geometry.pseudo_inverse_pseudo_det(J4)
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(pinv4 - ref) <= 1e-13 * scale).all()
+    assert (np.abs(pdet - ref_det) <= 1e-13 * np.abs(ref_det)).all()
 
 
 def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     """quadrature_chunks: shallow G = J4^T J4 and pdet once per cell at the
-    centroid, from the one SVD that also gives pinv4; deep G at every point
-    and det at every interval point; the chunks cover the cells in order."""
+    centroid, from the one sample that also gives pinv4, within 1e-13 of the
+    SVD; deep G at every point and det at every interval point; the chunks
+    cover the cells in order."""
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rule = tensor_rule(3, 2, 0)
@@ -329,11 +340,9 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     np.testing.assert_allclose(G, JtJ, rtol=0, atol=1e-12)
     np.testing.assert_allclose(det, at_pts.det, rtol=1e-12, atol=0)
     J4 = geometry.jacobian4(x4, cells, centroid)
-    pinv4, pdet = geometry.pseudo_inverse_pseudo_det(J4)
     JtJ4 = np.einsum("...ia,...ib->...ab", J4[:, 0], J4[:, 0])
     np.testing.assert_array_equal(G[:, 0], JtJ4)
-    np.testing.assert_array_equal(det[:, 0], pdet[:, 0])
-    np.testing.assert_array_equal(point_map.pinv4, pinv4[:, 0])
+    assert_matches_the_svd(point_map.pinv4[:, None], det[:, :1], J4)
     np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(rule.points), x4),
                                rtol=0, atol=1e-14)
 
@@ -342,8 +351,8 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     chunks = list(geometry.quadrature_chunks(x4, "deep", rule))
     assert [len(c[0]) for c in chunks] == [151, 9]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
-    assert all(c[1][0].det.shape == (len(c[0]), 1, 6) for c in chunks)
-    assert all(c[1][0].G[2].shape == (len(c[0]), 36, 6) for c in chunks)
+    assert all(c[1][0].det.shape == (len(c[0]), 6, 1) for c in chunks)
+    assert all(c[1][0].G[2].shape == (len(c[0]), 6, 36) for c in chunks)
     assert sum(c[1][0].n_factorizations for c in chunks) == 216 * m.n_cells
 
 
@@ -376,26 +385,84 @@ def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
     rules = fem.quadrature_prism(10), fem.quadrature_prism(3)
     chunks = list(geometry.quadrature_chunks(x4, "shallow", *rules))
     assert [len(c[0]) for c in chunks] == [146, 14]
-    assert [c[1][1].shape for c in chunks] == [(146, 4, 2), (14, 4, 2)]
+    assert [c[1][1].shape for c in chunks] == [(146, 2, 4), (14, 2, 4)]
 
 
 def test_chart_and_annulus_share_the_centroid_pinv4(annulus_r1_l2, monkeypatch):
-    """Both modes take pinv4 from the chart's one centroid SVD: shallow and
-    deep maps of one chart yield bit-identical pinv4, chunk by chunk, equal
-    to the pseudoinverse of ``jacobian4`` at the centroid."""
+    """Both modes take pinv4 from the chart's one centroid sample: shallow
+    and deep maps of one chart yield bit-identical pinv4, chunk by chunk,
+    within 1e-13 of the SVD pseudoinverse of ``jacobian4`` at the centroid."""
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
     centroid = np.array([[1 / 3, 1 / 3, 0.5]])
-    ref = geometry.pseudo_inverse_pseudo_det(geometry.jacobian4(x4, slice(None), centroid))[0]
+    J4 = geometry.jacobian4(x4, slice(None), centroid)
+    ref = geometry.pseudo_inverse_pseudo_det(J4)[0]
     pairs = list(zip(geometry.quadrature_chunks(x4, "shallow", rule),
                      geometry.quadrature_chunks(x4, "deep", rule), strict=True))
     assert len(pairs) > 1
     for (cells, (chart,)), (cells_a, (annulus,)) in pairs:
         np.testing.assert_array_equal(cells, cells_a)
         np.testing.assert_array_equal(chart.pinv4, annulus.pinv4)
-        np.testing.assert_array_equal(annulus.pinv4, ref[cells, 0])
+        scale = np.abs(ref[cells, 0]).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(annulus.pinv4 - ref[cells, 0]) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("level, a, H", [
+    ((3, 1), 1.0, 1.0), ((4, 2), 1.0, 1.0), ((2, 4), 1.0, 1.0), ((2, 4), 6.371e6, 1e4),
+    ((2, 4), 1e9, 1.0),
+], ids=["3:1", "4:2", "2:4", "earth-2:4", "1e9-2:4"])
+def test_closed_form_chart_matches_the_svd(level, a, H):
+    """On the benchmark's charts, the Earth shell and a = 1e9 the closed form
+    is certified for every cell, and its pinv4 and signed pdet are within
+    1e-13 of the SVD's (measured: at most 1.5e-14 and 1.2e-15)."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(level[0], a), level[1], H)
+    x4 = geometry.manifold_coordinates(m)
+    J4 = geometry.jacobian4(x4, slice(None), geometry.CENTROID)
+    assert geometry._scaled_normal_equations(J4) is not None
+    sample, pinv4 = geometry._chart_sample(x4, geometry.CENTROID)
+    assert (sample.det > 0).all()
+    assert_matches_the_svd(pinv4, sample.det, J4)
+
+
+@pytest.mark.parametrize("H, certified, ratio", [
+    (3e11, True, None), (5e11, False, None), (1e12, False, "7.435e-13"),
+], ids=["certified", "svd-only", "rank-deficient"])
+def test_rank_decision_on_both_sides_of_the_certificate(H, certified, ratio):
+    """A column 3e11 thick (s_min/s_max 2.5e-12) is certified; one 5e11
+    thick (1.5e-12) is not, and the SVD it falls back to accepts it with
+    its own pinv4; one 1e12 thick (7.4e-13) is not either, and the SVD names
+    its aspect ratio, as before the closed form."""
+    x4 = geometry.manifold_coordinates(
+        mesh.extrude_radial(mesh.build_icosahedral_sphere(0, 1.0), 1, H))
+    J4 = geometry.jacobian4(x4, slice(None), geometry.CENTROID)
+    assert (geometry._scaled_normal_equations(J4) is not None) == certified
+    chunks = geometry.quadrature_chunks(x4, "shallow", fem.quadrature_prism(3))
+    if ratio is not None:
+        with pytest.raises(geometry.DegenerateMapError,
+                           match=f"rank deficient at cell 0: s_min/s_max = {ratio} <= 1e-12"):
+            next(chunks)
+        return
+    cells, (point_map,) = next(chunks)
+    if certified:
+        assert_matches_the_svd(point_map.pinv4[:, None], point_map.det[:, :1, 0], J4)
+    else:
+        np.testing.assert_array_equal(point_map.pinv4,
+                                      geometry.pseudo_inverse_pseudo_det(J4)[0][:, 0])
+
+
+def test_near_parallel_columns_are_left_to_the_svd():
+    """Two columns 1e-13 apart in angle: det Gs is lost in rounding, so the
+    bound, which lowers det Gs by its rounding, certifies nothing and the
+    SVD rejects the Jacobian."""
+    J = np.zeros((1, 4, 3))
+    J[0, 0, :2] = 1.0
+    J[0, 1, 1] = 1e-13
+    J[0, 3, 2] = 1.0
+    assert geometry._scaled_normal_equations(J) is None
+    with pytest.raises(geometry.DegenerateMapError, match="rank deficient"):
+        geometry.pseudo_inverse_pseudo_det(J)
 
 
 FIELDS = {
@@ -473,15 +540,15 @@ def test_inverted_cell_raises_before_any_chunk(annulus_r1_l2, monkeypatch):
 @pytest.mark.parametrize("a", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_chunk_points_match_the_nodal_interpolant(icosa_r1, k, a):
-    """The broadcast planes x1, x2, x3 (triangle points) and h (interval
-    points) equal nodal_basis @ x4 at every point within 1e-15 a."""
+    """The broadcast planes x1, x2, x3 (triangle points, innermost) and h
+    (interval points) equal nodal_basis @ x4 at every point within 1e-15 a."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, a), 3, 1.0)
     x4 = geometry.manifold_coordinates(m)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     nbasis = geometry.nodal_basis(rule.points)
     for cells, (point_map,) in geometry.quadrature_chunks(x4, "deep", rule):
         nt, nz = len(rule.triangle.weights), len(rule.interval.weights)
-        assert [p.shape for p in point_map.x] == [(len(cells), nt, 1)] * 3 + [(len(cells), 1, nz)]
+        assert [p.shape for p in point_map.x] == [(len(cells), 1, nt)] * 3 + [(len(cells), nz, 1)]
         x4q, _, _ = materialised(point_map)
         assert np.abs(x4q - nbasis @ x4[cells]).max() <= 1e-15 * a
 
