@@ -7,11 +7,14 @@ manifold ``S^2(a) x [0, H]`` in R^4 under
 
 The shallow solver assembles on the chart: the nodes pulled back to R^4
 (``manifold_coordinates``) make every cell map affine, with metric J4^T J4
-and volume factor pdet J4 (the product of J4's singular values).  As the
+and volume factor pdet J4 (the product of J4's singular values).  The base
+edges are orthogonal to the axis, so a cell is its chordal base triangle
+times its layer interval, J4 = [E_0 E_1 | dh i4], and its metric, pdet,
+pseudoinverse and rank test come in closed form (``_chart_cells``).  As the
 paper shows, this equals assembling on a discontinuous 3D mesh whose columns
 are rigidly extruded along the outward normals of their chordal base
-triangles (the "hedgehog" mesh, ``hedgehog_coordinates``): the base edges
-are orthogonal to the axis, so J^T J = J4^T J4 and det J = pdet J4 exactly.
+triangles (the "hedgehog" mesh, ``hedgehog_coordinates``), with
+J^T J = J4^T J4 and det J = pdet J4 exactly.
 The hedgehog mesh is the tests' oracle and what ``export-mesh`` writes.
 
 Both modes assemble on the chart and differ only in its metric: shallow
@@ -29,6 +32,7 @@ runs its inner loop over the triangle points.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,15 +207,13 @@ def jacobian(coords, cells, points) -> JacobianSample:
     ``cells`` may be an int or index array; ``points`` has shape (npts, 3).
     ``coords`` is a coordinate field (n_cells, 6, dim).  Result arrays are
     shaped (ncells, npts, dim, 3) (leading axis dropped for a scalar
-    ``cells``).  On the chart (dim 4) det is pdet J signed by
-    det [l | J], l = (x1, x2, x3, 0), which a base wound inward or descending
-    layers make negative.  Raises DegenerateMapError if any det is <= 0.
+    ``cells``).  On the chart (dim 4) det is the cell's pdet J4, signed
+    (``_chart_cells``).  Raises DegenerateMapError if any det is <= 0.
     """
     nodal = coords[cells]
-    if nodal.shape[-1] == 4:
-        return _chart_sample(nodal, points)[0]
     J = _nodal_gemm(nodal, points)
-    return JacobianSample(J=J, det=_positive(_det3(J)))
+    det = _chart_cells(nodal).pdet[..., None] if nodal.shape[-1] == 4 else _positive(_det3(J))
+    return JacobianSample(J=J, det=np.broadcast_to(det, J.shape[:-2]))
 
 
 def _positive(det):
@@ -222,16 +224,57 @@ def _positive(det):
     return det
 
 
-def _chart_sample(x4, points):
-    """The chart's JacobianSample (see ``jacobian``) of cells ``x4``
-    (..., 6, 4) and its pseudoinverse: in closed form where
-    ``_scaled_normal_equations`` certifies the rank test for every cell,
-    else from ``pseudo_inverse_pseudo_det``'s SVD."""
-    J = _nodal_gemm(x4, points)
-    pinv, pdet = _scaled_normal_equations(J) or pseudo_inverse_pseudo_det(J)
-    l = (nodal_basis(points) @ x4) * [1.0, 1.0, 1.0, 0.0]
-    orientation = np.linalg.det(np.concatenate([l[..., None], J], axis=-1))
-    return JacobianSample(J=J, det=_positive(pdet * np.sign(orientation))), pinv
+class _ChartCells(NamedTuple):
+    """Chart cells in closed form (``_chart_cells``), each field over the cells' axes."""
+
+    a: np.ndarray          # |X_0|
+    E: tuple               # E_0, E_1, each (3, ...): planes of the base edges
+    G: tuple               # J4^T J4 at METRIC_PAIRS: E_a . E_b, 0, dh^2
+    dh: np.ndarray         # h_3 - h_0
+    vol: np.ndarray        # (E_0 x E_1) . X_0
+    pdet: np.ndarray       # pdet J4 signed by det [l | J4], > 0
+    pinv4: np.ndarray      # (..., 3, 4): J4's pseudoinverse
+
+
+def _chart_cells(x4) -> _ChartCells:
+    """Each chart cell of ``x4`` (..., 6, 4) in closed form, as its chordal
+    base triangle times its layer interval, read as the solver points read
+    it: X_0, the edges E_a = X_{a+1} - X_0 of the bottom nodes and
+    dh = h_3 - h_0.  So J4 = [E_0 E_1 | dh i4], J4^T J4 is block diagonal,
+    G_h = (E_a . E_b) and dh^2, and J4's singular values are |dh| and those
+    of [E_0 E_1], s_1 and s_2 = |E_0 x E_1| / s_1.  pdet = |E_0 x E_1| |dh|
+    is signed by det [l | J4] = dh (E_0 x E_1) . X_0, its expansion along
+    the h row, and pinv4 = [[G_h^-1 [E_0 E_1]^T, 0], [0, 1 / dh]].
+    Raises DegenerateMapError where s_min <= 1e-12 s_max, naming s_min /
+    s_max, |dh|, s_1, s_2 and for a batch the first such cell, or where the
+    signed pdet is <= 0 (an inverted cell).
+    """
+    X = np.moveaxis(x4[..., :3, :3], -1, 0)              # planes (3, ..., 3): bottom nodes
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite cell fails the test
+        X0, E0, E1 = X[..., 0], X[..., 1] - X[..., 0], X[..., 2] - X[..., 0]
+        dh = x4[..., 3, 3] - x4[..., 0, 3]
+        g00, g01, g11 = _dot(E0, E0), _dot(E0, E1), _dot(E1, E1)
+        n = np.cross(E0, E1, axis=0)
+        area = np.sqrt(_dot(n, n))
+        s1 = np.sqrt(0.5 * (g00 + g11 + np.hypot(g00 - g11, 2.0 * g01)))
+        s2 = area / np.where(s1 > 0.0, s1, 1.0)
+        s_max, s_min = np.maximum(s1, np.abs(dh)), np.minimum(s2, np.abs(dh))
+        low = ~(s_min > 1e-12 * s_max)
+    if low.any():
+        bad = np.unravel_index(np.argmax(low), low.shape)
+        where = f" at cell {bad[0]}" if bad else ""
+        raise DegenerateMapError(
+            f"4x3 Jacobian is rank deficient{where}: s_min/s_max = "
+            f"{s_min[bad] / max(s_max[bad], 1e-300):.3e} <= 1e-12 (|dh| = {abs(dh[bad]):.3e}, "
+            f"base triangle singular values {s1[bad]:.3e} and {s2[bad]:.3e})")
+    vol, zero = _dot(n, X0), np.zeros_like(dh)
+    pdet = _positive(area * dh * np.sign(vol))
+    rows = np.array([g11 * E0 - g01 * E1, g00 * E1 - g01 * E0]) / (area * area)
+    pinv4 = np.zeros(dh.shape + (3, 4))
+    pinv4[..., :2, :3] = np.moveaxis(rows, (0, 1), (-2, -1))
+    pinv4[..., 2, 3] = 1.0 / dh
+    return _ChartCells(np.sqrt(_dot(X0, X0)), (E0, E1), (g00, g01, zero, g11, zero, dh * dh),
+                       dh, vol, pdet, pinv4)
 
 
 CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0, 0.5]])
@@ -249,8 +292,8 @@ def pseudo_inverse_pseudo_det(J4):
     Raises DegenerateMapError when the SVD fails (a non-finite Jacobian) or
     s_min <= 1e-12 s_max, naming s_min / s_max, a chart cell's aspect ratio,
     and for a (cells, points, 4, 3) batch the first such cell's position.
-    Batched over leading axes.  The chart takes it only for a batch that
-    ``_scaled_normal_equations`` cannot certify; the tests compare with it.
+    Batched over leading axes.  The tests' oracle for the closed-form chart
+    (``_chart_cells``), which the program reads instead.
     """
     J4 = np.asarray(J4, dtype=float)
     try:
@@ -266,48 +309,6 @@ def pseudo_inverse_pseudo_det(J4):
     pinv = np.einsum("...ji,...j,...kj->...ik", Vt, 1.0 / s, U)
     pdet = np.prod(s, axis=-1)
     return pinv, pdet
-
-
-# A bound on the absolute rounding error of det Gs computed from unit
-# columns: its terms are at most 1 in size, so it errs by a few 1e-16.
-DET_GS_ROUNDING = 1e-14
-
-
-def _scaled_normal_equations(J):
-    """pinv and pdet of 4x3 Jacobians (..., 4, 3) from the column-scaled
-    normal equations, or None unless the rank test of
-    ``pseudo_inverse_pseudo_det`` is certified for every J.
-
-    With D = diag |J_c| and unit columns U = J D^-1, J^T J = D Gs D for
-    Gs = U^T U, so pinv = D^-1 Gs^-1 U^T, Gs^-1 from its 3x3 cofactors, and
-    pdet = sqrt(det Gs) prod |J_c|.  Gs has trace 3, so its two largest
-    eigenvalues have product at most 9/4, and s_min^2 >= 4/9 det Gs
-    min |J_c|^2 while s_max <= |J|_F.  The batch is certified when
-    sqrt((det Gs - DET_GS_ROUNDING) / 9) min |J_c| / |J|_F >= 1e-12
-    everywhere: half that bound, with det Gs lowered by its rounding, so
-    the SVD's s_min / s_max would exceed 1e-12 too, and every accept or
-    reject decision is the SVD's.  Works on the planes J[..., i, c].
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        norm = [np.sqrt(sum(J[..., i, c] ** 2 for i in range(4))) for c in range(3)]
-        U = [[J[..., i, c] / norm[c] for c in range(3)] for i in range(4)]
-        g01, g02, g12 = (sum(u[a] * u[b] for u in U) for a, b in ((0, 1), (0, 2), (1, 2)))
-        cof = ((1.0 - g12 * g12, g02 * g12 - g01, g01 * g12 - g02),
-               (g02 * g12 - g01, 1.0 - g02 * g02, g01 * g02 - g12),
-               (g01 * g12 - g02, g01 * g02 - g12, 1.0 - g01 * g01))
-        det = cof[0][0] + g01 * cof[0][1] + g02 * cof[0][2]
-        frobenius = np.sqrt(norm[0] ** 2 + norm[1] ** 2 + norm[2] ** 2)
-        bound = (np.sqrt(np.maximum(det - DET_GS_ROUNDING, 0.0) / 9.0)
-                 * np.minimum(np.minimum(norm[0], norm[1]), norm[2]) / frobenius)
-    if not np.all(bound >= 1e-12):
-        return None
-    pinv = np.empty(J.shape[:-2] + (3, 4))
-    for c in range(3):
-        scale = 1.0 / (det * norm[c])
-        for i in range(4):
-            pinv[..., c, i] = (cof[c][0] * U[i][0] + cof[c][1] * U[i][1]
-                               + cof[c][2] * U[i][2]) * scale
-    return pinv, np.sqrt(det) * norm[0] * norm[1] * norm[2]
 
 
 POINTS_PER_CHUNK = 2 ** 15
@@ -368,21 +369,21 @@ def _manifold_planes(x4, lam, z):
     return (*(horizontal[:, d, None, :] for d in range(3)), h[:, :, None])
 
 
-def _pullback_metric(x4):
+def _pullback_metric(chart, run):
     """G at METRIC_PAIRS and det J of the metric phi pulls back to the chart
-    cells ``x4`` (ch, 6, 4), as a function of their manifold planes ``x``.
+    cells ``run`` of ``chart`` (``_chart_cells`` with leading axes
+    (n, 1, 1)), as a function of their manifold planes ``x``.
 
     phi maps a cell to the annulus prism s(zeta) X(xi), with X the chordal
-    chart point and s = 1 + h / a: dx/dxi_a = s (X_{a+1} - X_0) = s E_a and
+    chart point and s = 1 + h / a, a = |X_0|: dx/dxi_a = s E_a and
     dx/dzeta = c X, c = dh / a.  So G_ab = s^2 E_a . E_b and det = s^2 c
     (E_0 x E_1) . X_0 are (ch, nz, 1), G_a2 = s c E_a . X (ch, nz, nt) and
     G_22 = c^2 |X|^2 (ch, 1, nt)."""
-    X = np.moveaxis(x4[:, :3, :3], 2, 0)[..., None, None]           # planes (3, ch, 3, 1, 1)
-    X0, E0, E1 = X[:, :, 0], X[:, :, 1] - X[:, :, 0], X[:, :, 2] - X[:, :, 0]
-    a = np.sqrt(_dot(X0, X0))
-    c = (x4[:, 3, 3] - x4[:, 0, 3])[:, None, None] / a
-    g00, g01, g11 = _dot(E0, E0), _dot(E0, E1), _dot(E1, E1)
-    vol = c * _dot(np.cross(E0, E1, axis=0), X0)
+    E0, E1 = (e[:, run] for e in chart.E)
+    g00, g01, g11 = (chart.G[i][run] for i in (0, 1, 3))
+    a = chart.a[run]
+    c = chart.dh[run] / a
+    vol = c * chart.vol[run]
 
     def metric(x):
         s = 1.0 + x[3] / a
@@ -411,30 +412,28 @@ def quadrature_chunks(x4, mode, *rules):
         the triangle point, (ch, 1, nt), and h only with the interval point,
         (ch, nz, 1); the triangle axis is innermost, as in the rule.
       * ``G``, ``det``: the chart's metric in ``mode``: "shallow" the
-        restricted Euclidean one, G = J4^T J4 and the signed pdet once per
-        cell, (ch, 1, 1); "deep" the one phi pulls back from R^3
-        (``_pullback_metric``), whose det has the sign of the chart's.
+        restricted Euclidean one, G = J4^T J4 = (E_a . E_b, 0, dh^2) and
+        the signed pdet once per cell, (ch, 1, 1); "deep" the one phi pulls
+        back from R^3 (``_pullback_metric``), whose det has the sign of the
+        chart's.
       * ``pinv4``: J4's pseudoinverse.
 
-    J4, its signed pdet and pinv4 come from one closed-form sample of the
-    chart at its centroids (``_chart_sample``), which names an inverted or
-    rank-deficient cell before the first chunk.
+    Both modes read every cell once, in closed form, as its chordal base
+    triangle times its layer interval (``_chart_cells``), which names an
+    inverted or rank-deficient cell before the first chunk.
     """
     if mode not in ("shallow", "deep"):
         raise ValueError(f"mode must be 'shallow' or 'deep', got {mode!r}")
     tables = [(barycentric(r.triangle.points)[0], r.interval.points[:, 0]) for r in rules]
-    centre, pinv4 = _chart_sample(x4, CENTROID)
-    J4, pinv4 = centre.J[:, 0], pinv4[:, 0]
-    G = tuple((J4[:, :, a] * J4[:, :, b]).sum(axis=1)[:, None, None] for a, b in METRIC_PAIRS)
-    det = centre.det[:, :, None]
+    chart = _chart_cells(x4[:, None, None])          # per cell, (n, 1, 1)
     chunk = max(1, POINTS_PER_CHUNK // sum(len(r.weights) for r in rules))
     for start in range(0, len(x4), chunk):
         run = slice(start, min(start + chunk, len(x4)))
-        metric = (_pullback_metric(x4[run]) if mode == "deep"
-                  else lambda x: (tuple(g[run] for g in G), det[run]))
+        metric = (_pullback_metric(chart, run) if mode == "deep"
+                  else lambda x: (tuple(g[run] for g in chart.G), chart.pdet[run]))
         planes = [_manifold_planes(x4[run], lam, z) for lam, z in tables]
         yield np.arange(run.start, run.stop), tuple(
-            PointMap(x, *metric(x), pinv4[run]) for x in planes)
+            PointMap(x, *metric(x), chart.pinv4[run, 0, 0]) for x in planes)
 
 
 # ---------------------------------------------------------------------------

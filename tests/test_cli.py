@@ -301,16 +301,23 @@ def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
     (["--inner-radius", "1e200"], "float64 range"),
     (["--thickness", "1e200"], "float64 range"),
     (["--thickness", "1e12"], "4x3 Jacobian is rank deficient at cell 0: s_min/s_max = "),
+    (["--mode", "deep", "--thickness", "1e12"],
+     "4x3 Jacobian is rank deficient at cell 0: s_min/s_max = 7.435e-13 <= 1e-12 "
+     "(|dh| = 1.000e+12, base triangle singular values 1.288e+00 and 7.435e-01)"),
+    (["--thickness", "1e-13"],
+     "4x3 Jacobian is rank deficient at cell 0: s_min/s_max = 7.759e-14 <= 1e-12 "
+     "(|dh| = 9.992e-14, base triangle singular values 1.288e+00 and 7.435e-01)"),
     (["--thickness", "1e-300"], "thickness 1e-300 is too thin for float64 at radius 1.0"),
     (["--mode", "deep", "--thickness", "1e-300"],
      "thickness 1e-300 is too thin for float64 at radius 1.0"),
-], ids=["tiny-radius", "huge-radius", "huge-thickness", "thick-1e12", "tiny-thickness",
-        "deep-tiny-thickness"])
+], ids=["tiny-radius", "huge-radius", "huge-thickness", "thick-1e12", "deep-thick-1e12",
+        "thin-1e-13", "tiny-thickness", "deep-tiny-thickness"])
 def test_convergence_degenerate_geometry_is_one_line(tmp_path, capsys, flags, message):
     """Extreme but parser-valid sizes exit 1 with one error line: no traceback
-    (an SVD or phi_inverse failure) and no RuntimeWarning, which the suite
-    turns into an error.  A column too thick for the chart's rank test is
-    named with its aspect ratio s_min/s_max; a shell whose layer radii
+    (a phi_inverse failure) and no RuntimeWarning, which the suite turns
+    into an error.  A column too thick or too thin for the chart's rank
+    test is named, in both modes, with its aspect ratio s_min/s_max, its
+    |dh| and its base triangle's singular values; a shell whose layer radii
     float64 cannot tell apart is named with its thickness, in both modes."""
     code = run(["convergence", "--levels", "0:1,1:1", *flags,
                 "--csv", str(tmp_path / "t.csv"),

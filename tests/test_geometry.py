@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -313,18 +315,19 @@ def tensor_rule(nt, nz, seed):
 
 def assert_matches_the_svd(pinv4, pdet, J4):
     """pinv4 and pdet within 1e-13 relative of ``pseudo_inverse_pseudo_det``
-    of J4, cell by cell (pinv4 relative to the cell's largest entry)."""
+    of J4, cell by cell (pinv4 relative to the largest entry of its row)."""
     ref, ref_det = geometry.pseudo_inverse_pseudo_det(J4)
-    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    scale = np.abs(ref).max(axis=-1, keepdims=True)
     assert (np.abs(pinv4 - ref) <= 1e-13 * scale).all()
     assert (np.abs(pdet - ref_det) <= 1e-13 * np.abs(ref_det)).all()
 
 
 def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
-    """quadrature_chunks: shallow G = J4^T J4 and pdet once per cell at the
-    centroid, from the one sample that also gives pinv4, within 1e-13 of the
-    SVD; deep G at every point and det at every interval point; the chunks
-    cover the cells in order."""
+    """quadrature_chunks: shallow G = J4^T J4 (within 1e-15 of the cell's
+    largest entry) and pdet once per cell, from the closed form that also
+    gives pinv4, within 1e-13 of the SVD of J4 at the centroid; deep G at
+    every point and det at every interval point; the chunks cover the cells
+    in order."""
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rule = tensor_rule(3, 2, 0)
@@ -341,7 +344,8 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     np.testing.assert_allclose(det, at_pts.det, rtol=1e-12, atol=0)
     J4 = geometry.jacobian4(x4, cells, centroid)
     JtJ4 = np.einsum("...ia,...ib->...ab", J4[:, 0], J4[:, 0])
-    np.testing.assert_array_equal(G[:, 0], JtJ4)
+    scale = np.abs(JtJ4).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(G[:, 0] - JtJ4) <= 1e-15 * scale).all()
     assert_matches_the_svd(point_map.pinv4[:, None], det[:, :1], J4)
     np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(rule.points), x4),
                                rtol=0, atol=1e-14)
@@ -389,9 +393,10 @@ def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
 
 
 def test_chart_and_annulus_share_the_centroid_pinv4(annulus_r1_l2, monkeypatch):
-    """Both modes take pinv4 from the chart's one centroid sample: shallow
-    and deep maps of one chart yield bit-identical pinv4, chunk by chunk,
-    within 1e-13 of the SVD pseudoinverse of ``jacobian4`` at the centroid."""
+    """Both modes take pinv4 from the chart's one closed-form reading of
+    its cells: shallow and deep maps of one chart yield bit-identical pinv4,
+    chunk by chunk, within 1e-13 of the SVD pseudoinverse of ``jacobian4``
+    at the centroid."""
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
@@ -409,60 +414,103 @@ def test_chart_and_annulus_share_the_centroid_pinv4(annulus_r1_l2, monkeypatch):
         assert (np.abs(annulus.pinv4 - ref[cells, 0]) <= 1e-13 * scale).all()
 
 
+def product_form(x4):
+    """J4 = [E_0 E_1 | dh i4] of the chart cells x4, (cells, 1, 4, 3): the
+    edges E_a = X_{a+1} - X_0 of the bottom nodes and dh = h_3 - h_0."""
+    J4 = np.zeros((len(x4), 1, 4, 3))
+    J4[:, 0, :3, :2] = np.swapaxes(x4[:, 1:3, :3] - x4[:, :1, :3], 1, 2)
+    J4[:, 0, 3, 2] = x4[:, 3, 3] - x4[:, 0, 3]
+    return J4
+
+
 @pytest.mark.parametrize("level, a, H", [
     ((3, 1), 1.0, 1.0), ((4, 2), 1.0, 1.0), ((2, 4), 1.0, 1.0), ((2, 4), 6.371e6, 1e4),
     ((2, 4), 1e9, 1.0),
 ], ids=["3:1", "4:2", "2:4", "earth-2:4", "1e9-2:4"])
 def test_closed_form_chart_matches_the_svd(level, a, H):
-    """On the benchmark's charts, the Earth shell and a = 1e9 the closed form
-    is certified for every cell, and its pinv4 and signed pdet are within
-    1e-13 of the SVD's (measured: at most 1.5e-14 and 1.2e-15)."""
+    """On the benchmark's charts, the Earth shell and a = 1e9 every cell is
+    accepted with a positive signed pdet, and its pinv4 and pdet are within
+    1e-13 of the SVD of the product-form J4 (measured: at most 1.6e-15 and
+    7.6e-16).  At a = 1 the SVD of the six-node J4 at the centroid agrees
+    as well (1.6e-14 and 2.2e-15).  At larger radii it does not:
+    ``phi_inverse`` gives each node's h an error of up to a eps, which that
+    J4 averages over three columns (6.2e-13 on the Earth shell, 8.4e-7 at
+    a = 1e9), while the closed form reads vertex 0's, as the points do."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(level[0], a), level[1], H)
     x4 = geometry.manifold_coordinates(m)
-    J4 = geometry.jacobian4(x4, slice(None), geometry.CENTROID)
-    assert geometry._scaled_normal_equations(J4) is not None
-    sample, pinv4 = geometry._chart_sample(x4, geometry.CENTROID)
-    assert (sample.det > 0).all()
-    assert_matches_the_svd(pinv4, sample.det, J4)
+    chart = geometry._chart_cells(x4)
+    assert (chart.pdet > 0).all()
+    assert_matches_the_svd(chart.pinv4[:, None], chart.pdet[:, None], product_form(x4))
+    if a == 1.0:
+        assert_matches_the_svd(chart.pinv4[:, None], chart.pdet[:, None],
+                               geometry.jacobian4(x4, slice(None), geometry.CENTROID))
 
 
-@pytest.mark.parametrize("H, certified, ratio", [
-    (3e11, True, None), (5e11, False, None), (1e12, False, "7.435e-13"),
-], ids=["certified", "svd-only", "rank-deficient"])
-def test_rank_decision_on_both_sides_of_the_certificate(H, certified, ratio):
-    """A column 3e11 thick (s_min/s_max 2.5e-12) is certified; one 5e11
-    thick (1.5e-12) is not, and the SVD it falls back to accepts it with
-    its own pinv4; one 1e12 thick (7.4e-13) is not either, and the SVD names
-    its aspect ratio, as before the closed form."""
+@pytest.mark.parametrize("H, ratio", [(3e11, None), (5e11, None), (1e12, "7.435e-13")],
+                         ids=["certified", "svd-only", "rank-deficient"])
+def test_rank_decision_on_both_sides_of_the_certificate(H, ratio):
+    """The rank test reads J4's exact singular values, those of the base
+    triangle and |dh|, so it decides as the SVD does next to its 1e-12
+    limit: columns 3e11 and 5e11 thick (s_min/s_max 2.5e-12 and 1.5e-12)
+    are accepted, with pinv4 and pdet within 1e-13 of the SVD's, and one
+    1e12 thick (7.4e-13) is named with its aspect ratio, |dh| and the base
+    triangle's singular values."""
     x4 = geometry.manifold_coordinates(
         mesh.extrude_radial(mesh.build_icosahedral_sphere(0, 1.0), 1, H))
-    J4 = geometry.jacobian4(x4, slice(None), geometry.CENTROID)
-    assert (geometry._scaled_normal_equations(J4) is not None) == certified
     chunks = geometry.quadrature_chunks(x4, "shallow", fem.quadrature_prism(3))
     if ratio is not None:
         with pytest.raises(geometry.DegenerateMapError,
-                           match=f"rank deficient at cell 0: s_min/s_max = {ratio} <= 1e-12"):
+                           match=re.escape(f"rank deficient at cell 0: s_min/s_max = {ratio} "
+                                           "<= 1e-12 (|dh| = 1.000e+12, base triangle "
+                                           "singular values 1.288e+00 and 7.435e-01)")):
             next(chunks)
         return
     cells, (point_map,) = next(chunks)
-    if certified:
-        assert_matches_the_svd(point_map.pinv4[:, None], point_map.det[:, :1, 0], J4)
-    else:
-        np.testing.assert_array_equal(point_map.pinv4,
-                                      geometry.pseudo_inverse_pseudo_det(J4)[0][:, 0])
+    assert_matches_the_svd(point_map.pinv4[:, None], point_map.det[:, :1, 0], product_form(x4))
 
 
-def test_near_parallel_columns_are_left_to_the_svd():
-    """Two columns 1e-13 apart in angle: det Gs is lost in rounding, so the
-    bound, which lowers det Gs by its rounding, certifies nothing and the
-    SVD rejects the Jacobian."""
-    J = np.zeros((1, 4, 3))
-    J[0, 0, :2] = 1.0
-    J[0, 1, 1] = 1e-13
-    J[0, 3, 2] = 1.0
-    assert geometry._scaled_normal_equations(J) is None
-    with pytest.raises(geometry.DegenerateMapError, match="rank deficient"):
-        geometry.pseudo_inverse_pseudo_det(J)
+def test_near_collinear_base_triangle_is_rank_deficient():
+    """A base triangle whose edges are about 1e-13 apart in angle leaves [E_0 E_1]
+    a second singular value of 8.9e-14, and the cell is named with it."""
+    x4 = np.zeros((2, 6, 4))
+    x4[:, :3, :3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    x4[1, 2, :3] = [0.5, 0.5, 1e-13]
+    x4[:, 3:, :3] = x4[:, :3, :3]
+    x4[:, 3:, 3] = 1.0
+    assert geometry._chart_cells(x4[:1]).pdet > 0
+    for mode in ("shallow", "deep"):
+        with pytest.raises(geometry.DegenerateMapError,
+                           match=re.escape("rank deficient at cell 1: s_min/s_max = 5.657e-14 "
+                                           "<= 1e-12 (|dh| = 1.000e+00, base triangle singular "
+                                           "values 1.581e+00 and 8.944e-14)")):
+            next(geometry.quadrature_chunks(x4, mode, fem.quadrature_prism(3)))
+
+
+def test_shallow_metric_is_block_diagonal(annulus_r1_l2):
+    """The base edges are orthogonal to the extrusion axis, so the shallow
+    G_02 and G_12 are exactly 0 and G_22 is dh^2, in every chunk."""
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
+    for cells, (point_map,) in geometry.quadrature_chunks(x4, "shallow", fem.quadrature_prism(3)):
+        g00, g01, g02, g11, g12, g22 = point_map.G
+        assert (g02 == 0.0).all() and (g12 == 0.0).all()
+        np.testing.assert_array_equal(g22[:, 0, 0], (x4[cells, 3, 3] - x4[cells, 0, 3]) ** 2)
+
+
+def test_chart_maps_without_the_svd(monkeypatch):
+    """The chart calls no SVD: with ``np.linalg.svd`` raising,
+    ``quadrature_chunks`` still maps a chart 5e11 thick, close to the rank
+    test's limit, in both modes, and ``jacobian`` samples it."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    x4 = geometry.manifold_coordinates(
+        mesh.extrude_radial(mesh.build_icosahedral_sphere(0, 1.0), 1, 5e11))
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for mode in ("shallow", "deep"):
+        chunks = list(geometry.quadrature_chunks(x4, mode, fem.quadrature_prism(3)))
+        assert sum(len(c[0]) for c in chunks) == len(x4)
+        assert all((c[1][0].det > 0).all() for c in chunks)
+    assert (geometry.jacobian(x4, slice(None), geometry.CENTROID).det > 0).all()
 
 
 FIELDS = {
