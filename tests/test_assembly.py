@@ -57,7 +57,7 @@ def test_config_validates_mode():
 
 
 def test_config_default_quadrature_degree():
-    assert assembly.ProblemConfig(k=1).degree == 10
+    assert assembly.ProblemConfig(k=1).degree == 9
     assert assembly.ProblemConfig(k=2).degree == 12
     assert assembly.ProblemConfig(k=1, quadrature_degree=4).degree == 4
 
@@ -134,7 +134,8 @@ def test_factorization_counts(annulus_r0_l1_module):
     """Shallow mode factors one Jacobian per cell, deep one per point.
 
     Both modes integrate the matrix at its exact rule of degree 2k + 1, with
-    (k + 1)^3 points, and the right-hand sides at 2k + 8.
+    (k + 1)^3 points, and the right-hand sides at ``default_quadrature_degree``:
+    degree 9 with Dunavant's 19 triangle points at k=1, 12 at k=2.
     """
     m = annulus_r0_l1_module
     V1, V2 = build_spaces(m, 1)
@@ -150,8 +151,8 @@ def test_factorization_counts(annulus_r0_l1_module):
             stats["matrix_quadrature_degree"], stats["n_matrix_quadrature_points"],
         )
 
-    assert rules(shallow.stats) == (10, 216, 3, 8)
-    assert rules(deep.stats) == (10, 216, 3, 8)
+    assert rules(shallow.stats) == (9, 95, 3, 8)
+    assert rules(deep.stats) == (9, 95, 3, 8)
     V1, V2 = build_spaces(m, 2)
     for mode, expected in [("shallow", (12, 343, 5, 27)), ("deep", (12, 343, 5, 27))]:
         stats = assembly.assemble(assembly.ProblemConfig(mode=mode, k=2), V1, V2).stats
@@ -771,7 +772,7 @@ def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode,
 ], ids=["k1", "k2"])
 def test_deep_matrix_rule_gap_falls_with_refinement(k, bounds):
     """The deep matrix at its rule 2k + 1 against the per-point formula at
-    the right-hand-side rule 2k + 8.
+    the right-hand-side rule, ``default_quadrature_degree(k)``.
 
     det J varies only across the layer and G / det is rational only in
     zeta, with parameter s - 1 = dr / r, so the rules differ by a

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -65,7 +66,7 @@ def test_triangle_rule_weights(degree):
     assert (x > 0).all() and (y > 0).all() and (x + y < 1).all()
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 9, 10, 12])
 def test_triangle_rule_monomial_exactness(degree):
     rule = fem.quadrature_triangle(degree)
     for a in range(degree + 1):
@@ -73,6 +74,47 @@ def test_triangle_rule_monomial_exactness(degree):
             got = (rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b).sum()
             np.testing.assert_allclose(got, tri_integral(a, b), rtol=1e-13,
                                        err_msg=f"monomial ({a},{b})")
+
+
+def test_degree_9_triangle_rule_is_the_symmetric_19_point_rule():
+    """Dunavant's degree-9 rule: 19 interior points with positive weights
+    summing to 1/2, exact on all 55 monomials of degree <= 9 to 1e-14
+    relative, and every permutation of a point's barycentrics is a point of
+    the same weight."""
+    rule = fem.quadrature_triangle(9)
+    w, (x, y) = rule.weights, rule.points.T
+    assert len(w) == 19 and (w > 0).all()
+    np.testing.assert_allclose(w.sum(), 0.5, rtol=1e-15)
+    assert (x > 0).all() and (y > 0).all() and (x + y < 1).all()
+    n = 0
+    for a in range(10):
+        for b in range(10 - a):
+            got = (w * x ** a * y ** b).sum()
+            assert abs(got - tri_integral(a, b)) <= 1e-14 * tri_integral(a, b), (a, b)
+            n += 1
+    assert n == 55
+    lam = np.column_stack([1.0 - x - y, x, y])
+    for i in range(19):
+        for perm in itertools.permutations(range(3)):
+            j = np.abs(lam - lam[i, list(perm)]).max(axis=1).argmin()
+            assert np.abs(lam[j] - lam[i, list(perm)]).max() <= 1e-15
+            assert w[j] == w[i]
+
+
+@pytest.mark.parametrize("k, npts", [(1, 95), (2, 343)])
+def test_default_rule_points_and_its_exactness_in_zeta(k, npts):
+    """The right-hand-side and norm rule has 95 points a cell at k=1 (19
+    triangle points times 5) and 343 at k=2; its interval factor integrates
+    q(h)^2, q = (h^2 - 1)(h^2 - 4), the degree-8 factor of the shallow
+    integrands, exactly on layers h = h0 + zeta dh, to 1e-14 relative."""
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
+    assert len(rule.weights) == npts
+    z, wz = rule.interval.points[:, 0], rule.interval.weights
+    q = np.polynomial.Polynomial([4.0, 0.0, -5.0, 0.0, 1.0])
+    for h0, dh in [(0.0, 1.0), (0.5, 0.25), (0.75, 0.25), (0.0, 2.0)]:
+        q2 = (q ** 2)(np.polynomial.Polynomial([h0, dh]))
+        exact = q2.integ()(1.0) - q2.integ()(0.0)
+        assert abs(wz @ q2(z) - exact) <= 1e-14 * abs(exact), (h0, dh)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 6])

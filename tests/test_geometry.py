@@ -350,8 +350,8 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     np.testing.assert_allclose(x4q, np.einsum("pn,cnd->cpd", geometry.nodal_basis(rule.points), x4),
                                rtol=0, atol=1e-14)
 
-    # the 216 points of the k=1 default rule: 2**15 // 216 = 151 cells per chunk
-    rule = fem.quadrature_prism(fem.default_quadrature_degree(1))
+    # the 216 points of the degree-10 rule: 2**15 // 216 = 151 cells per chunk
+    rule = fem.quadrature_prism(10)
     chunks = list(geometry.quadrature_chunks(x4, "deep", rule))
     assert [len(c[0]) for c in chunks] == [151, 9]
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), np.arange(m.n_cells))
@@ -369,7 +369,8 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
                                                                npts, budget, first):
     """The chunks hold every cell once, in order, and at most POINTS_PER_CHUNK
     points unless a chunk is a single cell; the real budget gives the cells
-    per chunk of the deep and shallow k=1 and the k=2 rules."""
+    per chunk of the degree-10 rule alone and with the k=1 matrix rule
+    (216 and 216 + 8 points) and of the k=2 rules."""
     if budget is not None:
         monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", budget)
     m = annulus_r1_l2
@@ -382,8 +383,8 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
 
 
 def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
-    """Two rules share one budget: the shallow k=1 right-hand-side and
-    matrix rules, 216 + 8 points, give 146 cells per chunk."""
+    """Two rules share one budget: the degree-10 rule and the k=1 matrix
+    rule, 216 + 8 points, give 146 cells per chunk."""
     m = annulus_r1_l2
     x4 = geometry.manifold_coordinates(m)
     rules = fem.quadrature_prism(10), fem.quadrature_prism(3)
@@ -523,8 +524,8 @@ FIELDS = {
 @pytest.mark.parametrize("k", [1, 2])
 def test_chunk_metric_matches_per_point_jacobian(annulus_r1_l2, monkeypatch, field, k):
     """G and det of the solver-point map equal J^T J and det of
-    ``geometry.jacobian`` on the mode's field at every point of the 2k + 8
-    rule, to 1e-13 relative: the chart's in shallow mode, the annulus's,
+    ``geometry.jacobian`` on the mode's field at every point of the
+    right-hand-side rule, to 1e-13 relative: the chart's in shallow mode, the annulus's,
     phi of the chart, in deep mode."""
     monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", 2 ** 12)
     m = annulus_r1_l2

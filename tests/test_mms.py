@@ -452,7 +452,7 @@ def per_point_l2_errors(u_h, p_h, case, coords):
     V1, V2 = u_h.space, p_h.space
     m = V1.mesh
     x4 = geometry.manifold_coordinates(m)
-    rule = fem.quadrature_prism(2 * V1.element.k + 8)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(V1.element.k))
     pts, w = rule.points, rule.weights
     cells = np.arange(m.n_cells)
     J = geometry.jacobian(coords, cells, pts)
