@@ -198,7 +198,8 @@ class ExtrudedMesh:
     """
 
     base: BaseSphereMesh
-    layer_radii: np.ndarray       # (n_layers + 1,)
+    layer_radii: np.ndarray       # (n_layers + 1,) a + H l / L
+    layer_heights: np.ndarray     # (n_layers + 1,) H l / L, exact where the radii round at a
     vertex_coords: np.ndarray     # (nv * (n_layers + 1), 3)
     cell_vertices: np.ndarray = field(repr=False, default=None)  # (n_cells, 6) int
 
@@ -227,7 +228,8 @@ def extrude_radial(base: BaseSphereMesh, n_layers: int, thickness: float) -> Ext
     if math.isinf(outer * outer):
         raise ValueError(f"outer radius {a!r} + {thickness!r} is too large for float64: "
                          f"its square overflows")
-    layer_radii = a + thickness * np.arange(n_layers + 1) / n_layers
+    layer_heights = thickness * np.arange(n_layers + 1) / n_layers
+    layer_radii = a + layer_heights
     if not (np.diff(layer_radii) > 0).all():
         raise ValueError(f"thickness {thickness!r} is too thin for float64 at radius {a!r} "
                          f"with {n_layers} layers: the layer radii do not increase")
@@ -246,6 +248,7 @@ def extrude_radial(base: BaseSphereMesh, n_layers: int, thickness: float) -> Ext
     return ExtrudedMesh(
         base=base,
         layer_radii=layer_radii,
+        layer_heights=layer_heights,
         vertex_coords=vertex_coords,
         cell_vertices=cells,
     )

@@ -83,6 +83,21 @@ def test_manifold_coordinates_at_large_radii(radius):
     assert np.abs(x4[..., 3].min()) <= 1e-15 * radius
 
 
+@pytest.mark.parametrize("radius, thickness, layers", [(1e9, 1.0, 4), (6.371e6, 1e4, 2)],
+                         ids=["a1e9", "earth"])
+def test_manifold_heights_are_the_layer_heights(radius, thickness, layers):
+    """Every node's h is its layer's height H l / L, bit for bit, where
+    |x| - a would be off by up to a eps; the bottom nodes of a cell sit at
+    its layer, the top nodes at the next."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, radius=radius), layers, thickness)
+    x4 = geometry.manifold_coordinates(m)
+    heights = thickness * np.arange(layers + 1) / layers
+    layer = np.arange(m.n_cells) % layers
+    np.testing.assert_array_equal(x4[:, :3, 3], np.repeat(heights[layer, None], 3, axis=1))
+    np.testing.assert_array_equal(x4[:, 3:, 3], np.repeat(heights[layer + 1, None], 3, axis=1))
+    np.testing.assert_array_equal(m.layer_heights, heights)
+
+
 def test_phi_scales_with_planet_radius():
     a = 6371.2
     x4 = np.array([0.0, 0.0, a, 10.0])

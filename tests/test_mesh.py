@@ -273,7 +273,7 @@ def assert_topology_matches_loops(base, layers=(1, 2, 8)):
     for L in layers:
         m = mesh.extrude_radial(base, L, 1.0)
         m_ref = mesh.extrude_radial(oracle_base, L, 1.0)
-        for name in ("layer_radii", "vertex_coords", "cell_vertices"):
+        for name in ("layer_radii", "layer_heights", "vertex_coords", "cell_vertices"):
             assert_identical(getattr(m, name), getattr(m_ref, name))
         f = mesh.classify_facets(m)
         ref = loop_facets(edge_triangles, base.n_triangles, L)
