@@ -406,12 +406,12 @@ def quadrature_chunks(x4, mode, *rules):
 
     Assembly and the error norms both loop over this.  ``rules`` are prism
     rules (``fem.quadrature_prism``); a chunk holds max(1, POINTS_PER_CHUNK
-    // their points) cells, in order.  With the triangle axis innermost,
-    2**14 and 2**16 each beat 2**15 in at most 6 of 10 alternating 10 s
-    pairs of the deep k=1 and the k=2 benchmark ladders on 2 cores (ladder
-    medians: 2**14 1.23 against 1.18 s deep, 0.74 against 0.73 s at k=2;
-    2**16 1.11 against 1.14 s and 0.65 against 0.73 s, inside the runs'
-    spread).
+    // their points) cells, in order.  2**14 and 2**16 each beat 2**15 in
+    at most 6 of 10 alternating 10 s pairs of the benchmark ladders on 2
+    cores, inside the runs' spread.  Deep k=1, at 95 + 8 points a cell (318
+    cells a chunk): ladder medians 0.568 s (2**14) and 0.576 s (2**16)
+    against 0.558 s, peak RSS 134.5 and 135.7 against 135.3 MiB.  k=2, at
+    343 + 27 points: 0.74 against 0.73 s and 0.65 against 0.73 s.
     Yields ``(cells, maps)``, one PointMap per rule:
 
       * ``x``: the manifold points; top nodes share the bottom nodes'
