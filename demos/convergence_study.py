@@ -7,7 +7,7 @@ order in both fields; quadratic elements reach second order in pressure while
 the velocity sits between first and second because the mesh only approximates
 the annulus piecewise linearly.
 
-    python3 demos/convergence_study.py          # quick k=1 ladder, 1.3 s on 2 vCPUs
+    python3 demos/convergence_study.py          # quick k=1 ladder, 0.5-0.6 s on 2 vCPUs
     python3 demos/convergence_study.py full     # the production ladders
 
 The CSV written to the working directory, convergence_k{k}.csv, matches the

@@ -38,8 +38,12 @@ with T_sym[(s,q),(i,j)] = w_q (phi_ic phi_jd + phi_id phi_jc) over the
 entries s = (c, d) of ``geometry.METRIC_PAIRS`` (one term when c = d), and
 the antisymmetric part pairs the three planes of 2 omega_hat with
 T_anti[(m,q),(i,j)] = w_q (phi_j x phi_i)_m.  Both, and
-Tb[(c,q),i] = w_q phi_ic, are tabulated once per call, and each chunk of
-cells is a GEMM:
+Tb[(c,q),i] = w_q phi_ic, are formed once per call from the rules and basis
+tables of ``fem.reference_tables``, which are built once per degree and
+shared with the error norms.  T_uu = [T_sym; T_anti] (2.1 MB at k=2) is not
+cached with them: alive between calls, it sits under every level's LU
+factor, where the memory peaks, and the k=2 ladder's peak RSS rose with it.
+Each chunk of cells is a GEMM:
 
     A_uu = [G / det | 2 omega_hat] @ [T_sym; T_anti],    b_u = fhat @ Tb,
 
@@ -94,10 +98,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import geometry
-from .fem import (
-    Field, FunctionSpace, default_quadrature_degree, exact_matrix_degree, quadrature_prism,
-    tabulate,
-)
+from .fem import Field, FunctionSpace, default_quadrature_degree, reference_tables
 from .geometry import manifold_coordinates
 
 __all__ = [
@@ -262,13 +263,14 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         )
     mesh = u_space.mesh
     x4 = manifold_coordinates(mesh)
-    rule, mrule = quadrature_prism(config.degree), quadrature_prism(exact_matrix_degree(config.k))
+    tables = reference_tables(config.k, config.quadrature_degree)
+    rule, mrule = tables.rule, tables.matrix_rule
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
     omega_basis = geometry.nodal_basis(mrule.points)
     omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape)
-    tab1, tab1m = tabulate(u_space.element, rule.points), tabulate(u_space.element, mrule.points)
-    psi, psim = (tabulate(p_space.element, r.points).values for r in (rule, mrule))
+    tab1, tab1m = tables.v1, tables.matrix_v1
+    psi, psim = tables.v2.values, tables.matrix_v2.values
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
     nd = nd1 + nd2
 
@@ -280,7 +282,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     dofs = system.cell_dofs
     signs = np.hstack([u_space.cell_signs, p_space.cell_signs])
 
-    # reference tensors, tabulated once; see the module docstring
+    # reference tensors, formed once per call; see the module docstring
     phim = tab1m.values                                          # (nm, nd1, 3)
     T = np.einsum("q,qic,qjd->cdqij", wm, phim, phim)
     T_sym = [T[c, d] + T[d, c] if c != d else T[c, c] for c, d in geometry.METRIC_PAIRS]
@@ -329,7 +331,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         "n_jacobian_factorizations": n_fact,
         "n_quadrature_points": nq,
         "n_cells": nc,
-        "quadrature_degree": config.degree,
+        "quadrature_degree": rule.degree,
         "matrix_quadrature_degree": mrule.degree,
         "n_matrix_quadrature_points": nm,
     }

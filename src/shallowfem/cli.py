@@ -79,11 +79,15 @@ def cmd_export_mesh(args) -> int:
 def _check_outputs(*paths):
     """Raise ValueError unless the given output paths (None is skipped) name
     distinct files in existing, writable directories; commands check them
-    before they compute, which can take minutes."""
-    paths = [Path(p) for p in paths if p]
-    for path in paths:
-        if path.is_dir() or not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
-            raise ValueError(f"cannot write {path}: not a file in an existing, writable directory")
+    before they compute, which can take minutes.  An empty path names no
+    file (``Path("")`` is the working directory)."""
+    given = [p for p in paths if p is not None]
+    paths = [Path(p) for p in given]
+    for p, path in zip(given, paths):
+        writable = path.parent.is_dir() and os.access(path.parent, os.W_OK)
+        if p == "" or path.is_dir() or not writable:
+            raise ValueError(
+                f"cannot write {p or repr(p)}: not a file in an existing, writable directory")
     if len({path.resolve() for path in paths}) < len(paths):
         raise ValueError(f"output paths {', '.join(map(str, paths))} must name distinct files")
 

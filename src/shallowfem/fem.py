@@ -15,6 +15,7 @@ rule with vector weights, which makes DOF application to arbitrary fields
 (interpolation, unisolvence checks) uniform.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +37,8 @@ __all__ = [
     "exact_matrix_degree",
     "make_element",
     "tabulate",
+    "ReferenceTables",
+    "reference_tables",
     "build_dof_map",
 ]
 
@@ -438,6 +441,53 @@ def tabulate(element: FiniteElement, points) -> Tabulation:
     return Tabulation(
         values=np.einsum("dj,pjc->pdc", element.coeffs, vals), divergences=divs @ element.coeffs.T
     )
+
+
+@dataclass(frozen=True)
+class ReferenceTables:
+    """The reference-prism data of one degree k: ``rule``, the rule of the
+    right-hand sides and the error norms, and ``matrix_rule``, the matrix's,
+    each with the V1 and V2 tabulations at its points."""
+
+    rule: QuadratureRule
+    v1: Tabulation
+    v2: Tabulation
+    matrix_rule: QuadratureRule
+    matrix_v1: Tabulation
+    matrix_v2: Tabulation
+
+
+def _freeze(obj):
+    """Make every array of a dataclass, and of the dataclasses it holds, read-only."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif dataclasses.is_dataclass(value):
+            _freeze(value)
+
+
+@cache
+def reference_tables(k: int, degree: int = None) -> ReferenceTables:
+    """Build (and cache) the rules and basis tables of degree k.
+
+    The chart lets assembly and the error norms reach a cell only through
+    its metric, so these are the same on every cell and every level, and
+    ``assembly.assemble`` and ``mms.l2_errors`` share one build per
+    (k, degree).  ``degree`` is that of ``rule``,
+    ``default_quadrature_degree(k)`` when None; ``matrix_rule`` has
+    ``exact_matrix_degree(k)``.  Every caller gets the same arrays, so all
+    of them are read-only.
+    """
+    rule = quadrature_prism(default_quadrature_degree(k) if degree is None else degree)
+    matrix_rule = quadrature_prism(exact_matrix_degree(k))
+    v1, v2 = make_element("V1", k), make_element("V2", k)
+    tables = ReferenceTables(
+        rule, tabulate(v1, rule.points), tabulate(v2, rule.points),
+        matrix_rule, tabulate(v1, matrix_rule.points), tabulate(v2, matrix_rule.points),
+    )
+    _freeze(tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------

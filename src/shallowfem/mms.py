@@ -56,7 +56,7 @@ import numpy as np
 
 from . import assembly as _assembly
 from . import geometry
-from .fem import build_dof_map, default_quadrature_degree, make_element, quadrature_prism, tabulate
+from .fem import build_dof_map, make_element, reference_tables
 from .mesh import build_icosahedral_sphere, classify_facets, extrude_radial
 
 __all__ = [
@@ -417,7 +417,8 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     The exact velocity is evaluated on the manifold, tangent-projected,
     pulled back through pinv4 and compared with the discrete field's
     reference components at the points of ``fem.default_quadrature_degree(k)``
-    (95 a cell at k=1, 343 at k=2), in the metric G of the
+    (95 a cell at k=1, 343 at k=2; rule and bases from
+    ``fem.reference_tables``, shared with assembly), in the metric G of the
     solver-point map: |u_h - u_exact|^2 = d . G d with d = vhat / det -
     pinv4 u_exact.  Returns (err_u, err_p).  ``degree`` stays only for the
     benchmark's traced walk, which passes None.
@@ -425,12 +426,12 @@ def l2_errors(u_h, p_h, case: ManufacturedCase, coords, degree=None):
     space_u, space_p = u_h.space, p_h.space
     x4 = geometry.manifold_coordinates(space_u.mesh)
     mode = "shallow" if coords.shape[-1] == 4 else "deep"
-    k = space_u.element.k
-    rule = quadrature_prism(degree if degree is not None else default_quadrature_degree(k))
+    tables = reference_tables(space_u.element.k, degree)
+    rule = tables.rule
     nq = len(rule.weights)
     w = rule.tensor_weights
-    phi = tabulate(space_u.element, rule.points).values.transpose(1, 2, 0).reshape(-1, 3 * nq)
-    psiT = tabulate(space_p.element, rule.points).values.T      # (nd2, nq)
+    phi = tables.v1.values.transpose(1, 2, 0).reshape(-1, 3 * nq)
+    psiT = tables.v2.values.T                                   # (nd2, nq)
 
     err_u2 = 0.0
     err_p2 = 0.0
@@ -496,14 +497,14 @@ def convergence_study(
     mesh size of the previous one.  The forcing is the derived (F, g) in
     closed form; the oracle-built printed-vs-derived report at the default
     ``sample_manifold_points`` is attached to the table.  An empty
-    ``levels``, a radius ``a`` or ``thickness`` that is not a finite number
-    > 0, or sizes that ``ManufacturedCase`` rejects, raise ValueError before
-    any sampling.
+    ``levels``, a radius ``a``, ``thickness`` or ``tolerance`` that is not a
+    finite number > 0, or sizes that ``ManufacturedCase`` rejects, raise
+    ValueError before any sampling.
     """
     levels = list(levels)
     if not levels:
         raise ValueError("levels must hold at least one (refinement, n_layers) pair")
-    for name, value in (("radius a", a), ("thickness", thickness)):
+    for name, value in (("radius a", a), ("thickness", thickness), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     case = ManufacturedCase(a=a, H=thickness)

@@ -62,6 +62,20 @@ def test_config_default_quadrature_degree():
     assert assembly.ProblemConfig(k=1, quadrature_degree=4).degree == 4
 
 
+def test_a_quadrature_degree_gets_its_own_tables(annulus_r0_l1_module):
+    """``quadrature_degree`` builds its own entry of ``fem.reference_tables``
+    beside the default's, and the system reports that degree and its points."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, 1)
+    fem.reference_tables.cache_clear()
+    default = assembly.assemble(assembly.ProblemConfig(k=1), V1, V2)
+    assert fem.reference_tables.cache_info().currsize == 1
+    system = assembly.assemble(assembly.ProblemConfig(k=1, quadrature_degree=4), V1, V2)
+    assert fem.reference_tables.cache_info().currsize == 2
+    assert fem.reference_tables(1, 4).rule.degree == 4
+    assert (default.stats["quadrature_degree"], default.stats["n_quadrature_points"]) == (9, 95)
+    assert (system.stats["quadrature_degree"], system.stats["n_quadrature_points"]) == (4, 27)
+
+
 def test_coordinate_field_dispatch(annulus_r0_l1_module):
     """Shallow mode assembles on the chart in R^4, deep mode on the annulus."""
     m = annulus_r0_l1_module

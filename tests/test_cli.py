@@ -405,40 +405,51 @@ def test_convergence_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
      "--forcing-report", "{tmp}/f.txt"],
     ["verify-forcing", "--points", "5", "--out", "{missing}/r.json"],
     ["verify-forcing", "--points", "5", "--out", "{tmp}/out"],
-], ids=["convergence-csv", "verify-forcing-out", "verify-forcing-out-directory"])
-def test_unwritable_output_is_one_line(argv, tmp_path, capsys):
-    """An output path in a directory that does not exist, or one that is a
-    directory, exits 1 with one error line naming it, not an OSError
-    traceback, before the command prints anything."""
+    ["convergence", "--k", "1", "--levels", "0:1", "--csv", "",
+     "--forcing-report", "{tmp}/f.txt"],
+    ["verify-forcing", "--points", "5", "--out", ""],
+], ids=["convergence-csv", "verify-forcing-out", "verify-forcing-out-directory",
+        "convergence-csv-empty", "verify-forcing-out-empty"])
+def test_unwritable_output_is_one_line(argv, tmp_path, capsys, monkeypatch):
+    """An output path in a directory that does not exist, one that is a
+    directory, or an empty one exits 1 with one error line naming it, not
+    an OSError traceback, before the command prints anything or writes a
+    file."""
+    monkeypatch.chdir(tmp_path)
     missing = tmp_path / "no" / "such" / "dir"
     (tmp_path / "out").mkdir()
-    bad = missing if any("{missing}" in a for a in argv) else tmp_path / "out"
+    bad = (missing if any("{missing}" in a for a in argv)
+           else "cannot write '':" if "" in argv else tmp_path / "out")
     assert run([a.format(missing=missing, tmp=tmp_path) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert str(bad) in err
     assert out == ""
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["out"]
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--forcing-report", "--stats-json"])
-@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("where", ["missing", "directory", "empty"])
 def test_unwritable_convergence_output_fails_before_the_ladder(
         flag, where, tmp_path, capsys, monkeypatch):
-    """An output path in a directory that does not exist, or one that is a
-    directory, is one error line naming it, before any level is solved, and
-    no file is created."""
+    """An output path in a directory that does not exist, one that is a
+    directory, or an empty one is one error line naming it, before any
+    level is solved, and no file is created."""
     def no_ladder(*args, **kwargs):
         raise AssertionError("the ladder ran before the output paths were checked")
 
     monkeypatch.setattr(cli.mms, "convergence_study", no_ladder)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "out").mkdir()
-    bad = tmp_path / "no" / "such" / "dir" / "t.csv" if where == "missing" else tmp_path / "out"
+    bad = {"missing": tmp_path / "no" / "such" / "dir" / "t.csv",
+           "directory": tmp_path / "out", "empty": ""}[where]
     outputs = {"--csv": tmp_path / "t.csv", "--forcing-report": tmp_path / "f.txt",
                "--stats-json": tmp_path / "s.json", flag: bad}
     argv = ["convergence", "--k", "1", "--levels", "0:1"]
     assert run(argv + [str(a) for item in outputs.items() for a in item]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot write {bad or repr(bad)}:" in err
     assert sorted(x.name for x in tmp_path.iterdir()) == ["out"]
     assert not any((tmp_path / "out").iterdir())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -264,6 +265,40 @@ def test_monomial_evaluator_matches_per_monomial_loop(k):
         for dof in elem.dofs
     ])
     np.testing.assert_array_equal(elem.coeffs, np.linalg.solve(A, np.eye(len(A))).T)
+
+
+def dataclass_arrays(obj):
+    """Every array of a dataclass and of the dataclasses it holds, in field order."""
+    arrays = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif dataclasses.is_dataclass(value):
+            arrays += dataclass_arrays(value)
+    return arrays
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_reference_tables_are_fresh_builds_made_read_only(k):
+    """``reference_tables(k)`` holds the rules of ``default_quadrature_degree``
+    and ``exact_matrix_degree`` and the V1 and V2 tabulations at each, equal
+    to fresh builds bit for bit, and every one of its arrays is read-only:
+    all callers share them."""
+    e1, e2 = fem.make_element("V1", k), fem.make_element("V2", k)
+    rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
+    mrule = fem.quadrature_prism(fem.exact_matrix_degree(k))
+    fresh = fem.ReferenceTables(
+        rule, fem.tabulate(e1, rule.points), fem.tabulate(e2, rule.points),
+        mrule, fem.tabulate(e1, mrule.points), fem.tabulate(e2, mrule.points))
+    tables = fem.reference_tables(k)
+    assert fem.reference_tables(k) is tables
+    cached = dataclass_arrays(tables)
+    assert len(cached) == 18        # per rule: 6 of the rule, 2 of V1, 1 of V2
+    for a, b in zip(cached, dataclass_arrays(fresh), strict=True):
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -375,20 +375,29 @@ def test_quadrature_jacobian_samples_by_field(annulus_r1_l2):
     assert sum(c[1][0].n_factorizations for c in chunks) == 216 * m.n_cells
 
 
+@pytest.fixture(scope="module")
+def annulus_r2_l2():
+    """640 cells: more than a chunk of every real rule holds."""
+    return mesh.extrude_radial(mesh.build_icosahedral_sphere(2, 1.0), 2, 1.0)
+
+
 @pytest.mark.parametrize("npts, budget, first", [
     (216, None, 151), (224, None, 146), (370, None, 88), (343, None, 95),
-    (7, 20, 2), (20, 20, 1), (21, 20, 1), (50, 20, 1),
+    (7, 20, 2), (20, 20, 1), (21, 20, 1), (50, 20, 1), (95, None, 344), (103, None, 318),
 ], ids=["deep-k1", "shallow-k1", "k2-assembly", "k2-norms",
-        "two-cells", "exact-budget", "over-budget", "far-over-budget"])
-def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, monkeypatch,
+        "two-cells", "exact-budget", "over-budget", "far-over-budget",
+        "k1-norms", "k1-assembly"])
+def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r2_l2, monkeypatch,
                                                                npts, budget, first):
     """The chunks hold every cell once, in order, and at most POINTS_PER_CHUNK
-    points unless a chunk is a single cell; the real budget gives the cells
-    per chunk of the degree-10 rule alone and with the k=1 matrix rule
-    (216 and 216 + 8 points) and of the k=2 rules."""
+    points unless a chunk is a single cell.  The real budget gives the cells
+    per chunk of the k=1 rules, the right-hand sides' alone and with the
+    matrix rule (95 and 95 + 8 points), of the k=2 rules (343 and 343 + 27)
+    and of the degree-10 rule that k=1 used before (216 and 216 + 8, the
+    ids deep-k1 and shallow-k1)."""
     if budget is not None:
         monkeypatch.setattr(geometry, "POINTS_PER_CHUNK", budget)
-    m = annulus_r1_l2
+    m = annulus_r2_l2
     rule = tensor_rule(npts, 1, npts)
     x4 = geometry.manifold_coordinates(m)
     chunks = [c[0] for c in geometry.quadrature_chunks(x4, "shallow", rule)]
@@ -397,11 +406,17 @@ def test_chunks_cover_every_cell_once_within_the_point_budget(annulus_r1_l2, mon
     assert all(len(c) * npts <= geometry.POINTS_PER_CHUNK or len(c) == 1 for c in chunks)
 
 
-def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2):
-    """Two rules share one budget: the degree-10 rule and the k=1 matrix
-    rule, 216 + 8 points, give 146 cells per chunk."""
-    m = annulus_r1_l2
-    x4 = geometry.manifold_coordinates(m)
+def test_chunks_budget_the_points_of_all_rules(annulus_r1_l2, annulus_r2_l2):
+    """Two rules share one budget: k=1's, 95 + 8 points, give 318 cells per
+    chunk, and the degree-10 rule with the k=1 matrix rule, 216 + 8, 146."""
+    x4 = geometry.manifold_coordinates(annulus_r2_l2)
+    rules = fem.quadrature_prism(fem.default_quadrature_degree(1)), fem.quadrature_prism(3)
+    chunks = list(geometry.quadrature_chunks(x4, "shallow", *rules))
+    assert [len(c[0]) for c in chunks] == [318, 318, 4]
+    assert [c[1][0].shape for c in chunks] == [(318, 5, 19), (318, 5, 19), (4, 5, 19)]
+    assert [c[1][1].shape for c in chunks] == [(318, 2, 4), (318, 2, 4), (4, 2, 4)]
+
+    x4 = geometry.manifold_coordinates(annulus_r1_l2)
     rules = fem.quadrature_prism(10), fem.quadrature_prism(3)
     chunks = list(geometry.quadrature_chunks(x4, "shallow", *rules))
     assert [len(c[0]) for c in chunks] == [146, 14]

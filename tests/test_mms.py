@@ -387,11 +387,22 @@ def test_convergence_study_rejects_a_negative_radius():
     ({"thickness": float("nan")}, "thickness"),
     ({"a": float("inf")}, "radius"),
     ({"levels": []}, "levels"),
-], ids=["nan-thickness", "inf-radius", "empty-ladder"])
-def test_convergence_study_rejects_bad_inputs_before_sampling(kwargs, match):
+    ({"tolerance": 0.0}, "tolerance"),
+    ({"tolerance": float("nan")}, "tolerance"),
+    ({"tolerance": -1.0}, "tolerance"),
+    ({"tolerance": float("inf")}, "tolerance"),
+], ids=["nan-thickness", "inf-radius", "empty-ladder", "zero-tolerance", "nan-tolerance",
+        "negative-tolerance", "inf-tolerance"])
+def test_convergence_study_rejects_bad_inputs_before_sampling(kwargs, match, monkeypatch):
     """One clear ValueError, not an OverflowError from ``rng.uniform``,
-    RuntimeWarnings, a reduction over an empty sample, or a table without
-    rows whose ``final_rates`` raises IndexError."""
+    RuntimeWarnings, a reduction over an empty sample, a table without
+    rows whose ``final_rates`` raises IndexError, a SolverError for a
+    tolerance no residual meets, or a first float32 solve accepted under an
+    infinite one."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(mms, "sample_manifold_points", no_sampling)
     with pytest.raises(ValueError, match=match):
         mms.convergence_study(1, **{"levels": [(0, 1)], **kwargs})
 
@@ -540,3 +551,26 @@ def test_convergence_study_structure():
     for row in table.rows:
         assert row.residual <= 1e-10
     assert table.forcing_report.n_points == 100
+
+
+def test_reference_tables_are_built_once_and_change_no_bit(monkeypatch):
+    """With the tables cleared, a k=2 ladder tabulates V1 and V2 at its two
+    rules once, 4 calls of ``fem.tabulate`` over both levels' assembly and
+    norms; a second ladder makes none, and its rows equal the first's bit
+    for bit."""
+    calls = []
+    tabulate = fem.tabulate
+
+    def counting(element, points):
+        calls.append((element.family, len(points)))
+        return tabulate(element, points)
+
+    monkeypatch.setattr(fem, "tabulate", counting)
+    fem.reference_tables.cache_clear()
+    cold = mms.convergence_study(2, [(0, 1), (1, 2)])
+    assert sorted(calls) == [("V1", 27), ("V1", 343), ("V2", 27), ("V2", 343)]
+    calls.clear()
+    warm = mms.convergence_study(2, [(0, 1), (1, 2)])
+    assert calls == []
+    assert warm.rows == cold.rows
+    assert [r.solve_stats for r in warm.rows] == [r.solve_stats for r in cold.rows]
