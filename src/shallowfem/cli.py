@@ -137,15 +137,9 @@ def _csv_lines(table: mms.ConvergenceTable):
 
 
 def _parse_levels(spec: str):
-    """``"r:L,r:L,..."`` to [(refinement, layers), ...]; ValueError if malformed."""
-    levels = []
-    for part in spec.split(","):
-        r, L = part.split(":")
-        r, L = int(r), int(L)
-        if r < 0 or L < 1:
-            raise ValueError(f"need refinement >= 0 and layers >= 1, got {part!r}")
-        levels.append((r, L))
-    return levels
+    """``"r:L,r:L,..."`` to [(refinement, layers), ...]; ValueError if
+    malformed or rejected by the study's own check of the pairs."""
+    return mms._check_levels(tuple(map(int, part.split(":"))) for part in spec.split(","))
 
 
 def _nonnegative_int(text: str) -> int:

@@ -447,7 +447,8 @@ def tabulate(element: FiniteElement, points) -> Tabulation:
 class ReferenceTables:
     """The reference-prism data of one degree k: ``rule``, the rule of the
     right-hand sides and the error norms, and ``matrix_rule``, the matrix's,
-    each with the V1 and V2 tabulations at its points."""
+    each with the V1 and V2 tabulations at its points (V1's divergences at
+    ``matrix_rule`` only)."""
 
     rule: QuadratureRule
     v1: Tabulation
@@ -477,13 +478,15 @@ def reference_tables(k: int, degree: int = None) -> ReferenceTables:
     (k, degree).  ``degree`` is that of ``rule``,
     ``default_quadrature_degree(k)`` when None; ``matrix_rule`` has
     ``exact_matrix_degree(k)``.  Every caller gets the same arrays, so all
-    of them are read-only.
+    of them are read-only.  The V1 divergences are kept only at the matrix
+    rule, the one place a reader takes them.
     """
     rule = quadrature_prism(default_quadrature_degree(k) if degree is None else degree)
     matrix_rule = quadrature_prism(exact_matrix_degree(k))
     v1, v2 = make_element("V1", k), make_element("V2", k)
     tables = ReferenceTables(
-        rule, tabulate(v1, rule.points), tabulate(v2, rule.points),
+        rule, dataclasses.replace(tabulate(v1, rule.points), divergences=None),
+        tabulate(v2, rule.points),
         matrix_rule, tabulate(v1, matrix_rule.points), tabulate(v2, matrix_rule.points),
     )
     _freeze(tables)

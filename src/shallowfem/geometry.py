@@ -5,11 +5,12 @@ manifold ``S^2(a) x [0, H]`` in R^4 under
 
     phi(x1, x2, x3, x4) = (1 + x4 / a) * (x1, x2, x3).
 
-The shallow solver assembles on the chart: the nodes pulled back to R^4
-(``manifold_coordinates``) make every cell map affine, with metric J4^T J4
-and volume factor pdet J4 (the product of J4's singular values).  The base
-edges are orthogonal to the axis, so a cell is its chordal base triangle
-times its layer interval, J4 = [E_0 E_1 | dh i4], and its metric, pdet,
+The shallow solver assembles on the chart, the mesh of the manifold itself:
+the base triangulation times the layer heights (``manifold_coordinates``).
+Every cell map is affine, with metric J4^T J4 and volume factor pdet J4 (the
+product of J4's singular values).  The base edges are orthogonal to the
+axis, so a cell is its chordal base triangle times its layer interval,
+J4 = [E_0 E_1 | dh i4], and its metric, pdet,
 pseudoinverse and rank test come in closed form (``_chart_cells``).  As the
 paper shows, this equals assembling on a discontinuous 3D mesh whose columns
 are rigidly extruded along the outward normals of their chordal base
@@ -42,7 +43,6 @@ __all__ = [
     "DegenerateMapError",
     "JacobianSample",
     "TangentFrame",
-    "phi_inverse",
     "hedgehog_coordinates",
     "manifold_coordinates",
     "barycentric",
@@ -66,26 +66,7 @@ __all__ = [
 
 class DegenerateMapError(ValueError):
     """A coordinate map lost rank (degenerate element or projection), or a
-    point left its domain or the float64 range."""
-
-
-def phi_inverse(x3, a: float = 1.0):
-    """Inverse map: annulus point -> (a * x/|x|, |x| - a).
-
-    Raises DegenerateMapError (a ValueError) for points more than 1e-9 a
-    inside the inner sphere; the tolerance is relative because vertex radii
-    carry rounding of about 1e-16 a.
-    """
-    x3 = np.asarray(x3, dtype=float)
-    r = np.linalg.norm(x3, axis=-1)
-    if np.any(r < a * (1.0 - 1e-9)):
-        raise DegenerateMapError(
-            f"point with radius {r.min():.3e} lies inside the sphere of radius {a}"
-        )
-    out = np.empty(x3.shape[:-1] + (4,))
-    out[..., :3] = a * x3 / r[..., None]
-    out[..., 3] = r - a
-    return out
+    field left the float64 range."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +81,10 @@ def phi_inverse(x3, a: float = 1.0):
 def hedgehog_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
     """Discontinuous 3D field whose metric equals the chart's exactly.
 
-    Per cell: pull the six nodes back to R^4, take the outward unit normal
-    ``k_e`` of the chordal base triangle (the horizontal parts of the bottom
-    nodes), then place node ``v`` at ``a * unit(x_v) + (|x_v| - a) * k_e``.
+    Per cell: take the outward unit normal ``k_e`` of the chordal base
+    triangle (the bottom nodes' horizontal parts on the chart), then place
+    node ``v``, with horizontal part X_v and height h_v on the chart, at
+    ``X_v + h_v * k_e``.
     Raises DegenerateMapError for a base plane within 1e-9 a of the centre.
     """
     x4 = manifold_coordinates(mesh)                      # (nc, 6, 4)
@@ -118,15 +100,16 @@ def hedgehog_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
 
 
 def manifold_coordinates(mesh: ExtrudedMesh) -> np.ndarray:
-    """Per-cell nodal coordinates on the 4D manifold, shape (n_cells, 6, 4).
+    """The chart: per-cell nodal coordinates on the 4D manifold, shape (n_cells, 6, 4).
 
-    The horizontal part is ``phi_inverse``'s a x / |x|.  h is the node's
-    layer height H l / L, read from ``mesh.layer_heights``: |x| - a would
-    carry an error of up to a eps (2.2e-7 at a = 1e9), which a cell's dh and
-    every node's h would inherit.
+    A node's horizontal part is its base vertex, ``mesh.base.vertices``, and
+    its h is its layer height H l / L, ``mesh.layer_heights``, so a column's
+    top nodes repeat its bottom nodes' horizontal parts exactly.
     """
-    x4 = phi_inverse(mesh.cell_node_coords(), a=mesh.base.radius)
-    x4[..., 3] = mesh.layer_heights[mesh.cell_vertices % (mesh.n_layers + 1)]
+    vertex, layer = np.divmod(mesh.cell_vertices, mesh.n_layers + 1)
+    x4 = np.empty(mesh.cell_vertices.shape + (4,))
+    x4[..., :3] = mesh.base.vertices[vertex]
+    x4[..., 3] = mesh.layer_heights[layer]
     return x4
 
 

@@ -44,8 +44,8 @@ class BaseSphereMesh:
     triangles (-1 marks a missing neighbour on open test meshes).
     ``directions`` are the vertices before the builder scaled them by the
     radius (``vertices / radius`` when not given), so that what is computed
-    from them, such as the solver's column order, rounds the same at every
-    radius.
+    from them, such as the solver's column order and the annulus that
+    ``extrude_radial`` scales them to, rounds the same at every radius.
     """
 
     radius: float
@@ -63,10 +63,6 @@ class BaseSphereMesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def unit_vertices(self) -> np.ndarray:
-        """Vertex directions, i.e. vertices scaled back to the unit sphere."""
-        return self.vertices / np.linalg.norm(self.vertices, axis=1)[:, None]
 
 
 def _icosahedron():
@@ -233,10 +229,8 @@ def extrude_radial(base: BaseSphereMesh, n_layers: int, thickness: float) -> Ext
     if not (np.diff(layer_radii) > 0).all():
         raise ValueError(f"thickness {thickness!r} is too thin for float64 at radius {a!r} "
                          f"with {n_layers} layers: the layer radii do not increase")
-    unit = base.unit_vertices()
-
     # vertex (v, l) -> row v*(n_layers+1) + l
-    vertex_coords = (layer_radii[None, :, None] * unit[:, None, :]).reshape(-1, 3)
+    vertex_coords = (layer_radii[None, :, None] * base.directions[:, None, :]).reshape(-1, 3)
 
     nt = base.n_triangles
     cells = np.empty((nt * n_layers, 6), dtype=int)

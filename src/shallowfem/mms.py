@@ -49,6 +49,7 @@ the squared velocity error at a point is det d . G d, in both modes.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -482,6 +483,27 @@ class ConvergenceTable:
         return last.rate_p, last.rate_u
 
 
+def _check_levels(levels):
+    """The ladder ``levels`` as a list of (refinement, n_layers) int pairs.
+
+    Raises ValueError, naming the pair, unless each is two integers with
+    refinement >= 0 and n_layers >= 1, or if there is none.
+    """
+    checked = []
+    for pair in levels:
+        try:
+            refinement, layers = (operator.index(n) for n in pair)
+        except (TypeError, ValueError):
+            raise ValueError(f"level {pair!r} is not two integers "
+                             f"(refinement, n_layers)") from None
+        if refinement < 0 or layers < 1:
+            raise ValueError(f"level {pair!r}: need refinement >= 0 and n_layers >= 1")
+        checked.append((refinement, layers))
+    if not checked:
+        raise ValueError("levels must hold at least one (refinement, n_layers) pair")
+    return checked
+
+
 def convergence_study(
     k,
     levels,
@@ -496,21 +518,19 @@ def convergence_study(
     ``levels`` is a list of (refinement, n_layers) pairs, each halving the
     mesh size of the previous one.  The forcing is the derived (F, g) in
     closed form; the oracle-built printed-vs-derived report at the default
-    ``sample_manifold_points`` is attached to the table.  An empty
-    ``levels``, a radius ``a``, ``thickness`` or ``tolerance`` that is not a
-    finite number > 0, or sizes that ``ManufacturedCase`` rejects, raise
-    ValueError before any sampling.
+    ``sample_manifold_points`` is attached to the table.  Raises ValueError
+    before any sampling for an empty ``levels`` or a pair that is not two
+    integers with refinement >= 0 and n_layers >= 1, a radius ``a``,
+    ``thickness`` or ``tolerance`` that is not a finite number > 0, sizes
+    that ``ManufacturedCase`` rejects, or a ``mode`` or ``k`` that
+    ``ProblemConfig`` or ``fem.make_element`` rejects.
     """
-    levels = list(levels)
-    if not levels:
-        raise ValueError("levels must hold at least one (refinement, n_layers) pair")
+    levels = _check_levels(levels)
     for name, value in (("radius a", a), ("thickness", thickness), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     case = ManufacturedCase(a=a, H=thickness)
     ops = ShallowOperators(a=a, H=thickness)
-    report = derive_forcing(case, sample_manifold_points(a, thickness, seed=seed), ops)
-
     config = _assembly.ProblemConfig(
         mode=mode,
         k=k,
@@ -519,6 +539,8 @@ def convergence_study(
         g=case.derived_g(ops),
         solver_tolerance=tolerance,
     )
+    elements = make_element("V1", k), make_element("V2", k)
+    report = derive_forcing(case, sample_manifold_points(a, thickness, seed=seed), ops)
 
     rows = []
     prev = None
@@ -526,8 +548,7 @@ def convergence_study(
         base = build_icosahedral_sphere(refinement, radius=a)
         mesh = extrude_radial(base, layers, thickness)
         facets = classify_facets(mesh)
-        u_space = build_dof_map(mesh, facets, make_element("V1", k))
-        p_space = build_dof_map(mesh, facets, make_element("V2", k))
+        u_space, p_space = (build_dof_map(mesh, facets, e) for e in elements)
 
         system = _assembly.assemble(config, u_space, p_space)
         system = _assembly.apply_inner_bc(system)

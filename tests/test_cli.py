@@ -85,8 +85,9 @@ def test_export_mesh_rerun_byte_identical(exported, tmp_path):
 
 
 def test_export_mesh_at_a_large_radius(tmp_path):
-    """Vertex radii carry rounding of about 1e-16 a, which phi_inverse's
-    relative tolerance accepts; an absolute 1e-9 rejected a = 1e8."""
+    """The hedgehog field reads the chart, base vertices times layer
+    heights, so the annulus radii's rounding of about 1e-16 a meets no
+    radius test (an absolute 1e-9 once rejected a = 1e8)."""
     code = run(["export-mesh", "--inner-radius", "1e8", "--thickness", "1e4",
                 "--refinement", "2", "--out-dir", str(tmp_path)])
     assert code == 0
@@ -314,8 +315,7 @@ def test_convergence_degenerate_map_is_one_line(tmp_path, capsys, monkeypatch):
         "thin-1e-13", "tiny-thickness", "deep-tiny-thickness"])
 def test_convergence_degenerate_geometry_is_one_line(tmp_path, capsys, flags, message):
     """Extreme but parser-valid sizes exit 1 with one error line: no traceback
-    (a phi_inverse failure) and no RuntimeWarning, which the suite turns
-    into an error.  A column too thick or too thin for the chart's rank
+    and no RuntimeWarning, which the suite turns into an error.  A column too thick or too thin for the chart's rank
     test is named, in both modes, with its aspect ratio s_min/s_max, its
     |dh| and its base triangle's singular values; a shell whose layer radii
     float64 cannot tell apart is named with its thickness, in both modes."""

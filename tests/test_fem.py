@@ -283,22 +283,33 @@ def dataclass_arrays(obj):
 def test_reference_tables_are_fresh_builds_made_read_only(k):
     """``reference_tables(k)`` holds the rules of ``default_quadrature_degree``
     and ``exact_matrix_degree`` and the V1 and V2 tabulations at each, equal
-    to fresh builds bit for bit, and every one of its arrays is read-only:
-    all callers share them."""
+    to fresh builds bit for bit (V1 without its divergences at the first),
+    and every one of its arrays is read-only: all callers share them."""
     e1, e2 = fem.make_element("V1", k), fem.make_element("V2", k)
     rule = fem.quadrature_prism(fem.default_quadrature_degree(k))
     mrule = fem.quadrature_prism(fem.exact_matrix_degree(k))
     fresh = fem.ReferenceTables(
-        rule, fem.tabulate(e1, rule.points), fem.tabulate(e2, rule.points),
+        rule, dataclasses.replace(fem.tabulate(e1, rule.points), divergences=None),
+        fem.tabulate(e2, rule.points),
         mrule, fem.tabulate(e1, mrule.points), fem.tabulate(e2, mrule.points))
     tables = fem.reference_tables(k)
     assert fem.reference_tables(k) is tables
     cached = dataclass_arrays(tables)
-    assert len(cached) == 18        # per rule: 6 of the rule, 2 of V1, 1 of V2
+    assert len(cached) == 17        # 6 per rule, 1 per V2, V1's values and matrix divergences
     for a, b in zip(cached, dataclass_arrays(fresh), strict=True):
         np.testing.assert_array_equal(a, b)
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_reference_tables_keep_divergences_only_at_the_matrix_rule(k):
+    """Assembly reads the V1 divergences only at the matrix rule, for D_ref,
+    and the error norms not at all, so the right-hand-side rule's
+    tabulation (343 x 33 at k=2) does not keep them alive."""
+    tables = fem.reference_tables(k)
+    assert tables.v1.divergences is None
+    assert tables.matrix_v1.divergences.shape == tables.matrix_v1.values.shape[:2]
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -21,7 +21,7 @@ def synthetic_polar_column():
 
 
 # ---------------------------------------------------------------------------
-# phi / phi_inverse
+# phi and the chart
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -37,58 +37,25 @@ def test_phi_values(x4, expected):
     np.testing.assert_allclose(phi(np.array(x4), a=1.0), expected, atol=1e-15)
 
 
-@pytest.mark.parametrize(
-    "x, expected",
-    [
-        ((0.0, 0.0, 1.5), (0.0, 0.0, 1.0, 0.5)),
-        ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0)),
-    ],
-)
-def test_phi_inverse_values(x, expected):
-    np.testing.assert_allclose(geometry.phi_inverse(np.array(x), a=1.0), expected, atol=1e-15)
-
-
-def test_phi_round_trip():
-    """100 random annulus points survive phi(phi_inverse(x)) to 1e-12."""
-    rng = np.random.default_rng(42)
-    d = rng.standard_normal((100, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    x = d * rng.uniform(1.0, 2.0, 100)[:, None]
-    np.testing.assert_allclose(phi(geometry.phi_inverse(x, 1.0), 1.0), x, atol=1e-12)
-    x4 = np.column_stack([d, rng.uniform(0.0, 1.0, 100)])
-    np.testing.assert_allclose(
-        geometry.phi_inverse(phi(x4, 1.0), 1.0), x4, atol=1e-12
-    )
-
-
-def test_phi_inverse_domain_error():
-    with pytest.raises(ValueError):
-        geometry.phi_inverse(np.array([0.5, 0.0, 0.0]), a=1.0)
-
-
-@pytest.mark.parametrize("a", [1.0, 1e8])
-def test_phi_inverse_tolerance_is_relative(a):
-    """A point 1e-6 a inside the sphere raises at every radius."""
-    with pytest.raises(geometry.DegenerateMapError, match="inside the sphere"):
-        geometry.phi_inverse(np.array([0.0, (1.0 - 1e-6) * a, 0.0]), a=a)
-
-
 @pytest.mark.parametrize("radius", [3e7, 5e7, 1e8, 2e8, 1e9])
 def test_manifold_coordinates_at_large_radii(radius):
-    """Inner-sphere vertices, whose radii carry rounding of about 1e-16 a,
-    map to height 0 within that rounding; an absolute tolerance of 1e-9
-    rejected them at these radii."""
+    """Inner-sphere nodes sit at height 0 exactly at these radii, where the
+    vertex radii carry rounding of about 1e-16 a: h is the layer height,
+    not |x| - a, which an absolute tolerance of 1e-9 once rejected."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(2, radius=radius), 1, 1e4)
     x4 = geometry.manifold_coordinates(m)
-    assert np.abs(x4[..., 3].min()) <= 1e-15 * radius
+    assert x4[..., 3].min() == 0.0
 
 
-@pytest.mark.parametrize("radius, thickness, layers", [(1e9, 1.0, 4), (6.371e6, 1e4, 2)],
-                         ids=["a1e9", "earth"])
+@pytest.mark.parametrize("radius, thickness, layers",
+                         [(1e9, 1.0, 4), (6.371e6, 1e4, 2), (1.0, 1.0, 3)],
+                         ids=["a1e9", "earth", "a1"])
 def test_manifold_heights_are_the_layer_heights(radius, thickness, layers):
-    """Every node's h is its layer's height H l / L, bit for bit, where
-    |x| - a would be off by up to a eps; the bottom nodes of a cell sit at
-    its layer, the top nodes at the next."""
+    """The chart is the base triangulation times the layer heights, bit for
+    bit: every node's h is its layer's height H l / L, where |x| - a would
+    be off by up to a eps, the bottom nodes of a cell sitting at its layer
+    and the top nodes at the next; every node's horizontal part is its base
+    vertex, so a column's top nodes repeat its bottom nodes'."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(1, radius=radius), layers, thickness)
     x4 = geometry.manifold_coordinates(m)
     heights = thickness * np.arange(layers + 1) / layers
@@ -96,6 +63,9 @@ def test_manifold_heights_are_the_layer_heights(radius, thickness, layers):
     np.testing.assert_array_equal(x4[:, :3, 3], np.repeat(heights[layer, None], 3, axis=1))
     np.testing.assert_array_equal(x4[:, 3:, 3], np.repeat(heights[layer + 1, None], 3, axis=1))
     np.testing.assert_array_equal(m.layer_heights, heights)
+    triangles = m.base.triangles[np.arange(m.n_cells) // layers]
+    np.testing.assert_array_equal(x4[:, :3, :3], m.base.vertices[triangles])
+    np.testing.assert_array_equal(x4[:, 3:, :3], x4[:, :3, :3])
 
 
 def test_phi_scales_with_planet_radius():
@@ -463,10 +433,12 @@ def test_closed_form_chart_matches_the_svd(level, a, H):
     accepted with a positive signed pdet, and its pinv4 and pdet are within
     1e-13 of the SVD of the product-form J4 (measured: at most 1.6e-15 and
     7.6e-16).  At a = 1 the SVD of the six-node J4 at the centroid agrees
-    as well (1.6e-14 and 2.2e-15).  At larger radii it does not:
-    ``phi_inverse`` gives each node's h an error of up to a eps, which that
-    J4 averages over three columns (6.2e-13 on the Earth shell, 8.4e-7 at
-    a = 1e9), while the closed form reads vertex 0's, as the points do."""
+    as well (1.5e-15 and 8.0e-16).  At larger radii it does not, although
+    the chart is an exact product: that J4 is a sum over the six nodes, so
+    its d/dzeta column keeps a horizontal part of about a eps where the top
+    and bottom nodes' coordinates, of size a, cancel.  Against its |dh| that
+    is 2.7e-13 on the Earth shell and 7.1e-7 at a = 1e9, and pinv4 differs
+    by 4.7e-13 and 9.0e-7; with that part zeroed it agrees to 1.1e-15."""
     m = mesh.extrude_radial(mesh.build_icosahedral_sphere(level[0], a), level[1], H)
     x4 = geometry.manifold_coordinates(m)
     chart = geometry._chart_cells(x4)

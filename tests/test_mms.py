@@ -391,20 +391,43 @@ def test_convergence_study_rejects_a_negative_radius():
     ({"tolerance": float("nan")}, "tolerance"),
     ({"tolerance": -1.0}, "tolerance"),
     ({"tolerance": float("inf")}, "tolerance"),
+    ({"levels": [(1.5, 2)]}, r"level \(1\.5, 2\) is not two integers"),
+    ({"levels": [(1, 2.5)]}, r"level \(1, 2\.5\) is not two integers"),
+    ({"levels": [(0,)]}, r"level \(0,\) is not two integers"),
+    ({"levels": [(0, 1), (1, 2, 3)]}, r"level \(1, 2, 3\) is not two integers"),
+    ({"levels": [(0, 0)]}, r"level \(0, 0\): need refinement >= 0 and n_layers >= 1"),
+    ({"levels": [(-1, 1)]}, r"level \(-1, 1\): need refinement >= 0 and n_layers >= 1"),
+    ({"k": 3}, r"unknown element V1\(3\)"),
+    ({"mode": "Deep"}, "mode must be 'shallow' or 'deep', got 'Deep'"),
 ], ids=["nan-thickness", "inf-radius", "empty-ladder", "zero-tolerance", "nan-tolerance",
-        "negative-tolerance", "inf-tolerance"])
+        "negative-tolerance", "inf-tolerance", "float-refinement", "float-layers",
+        "one-number", "three-numbers", "no-layers", "negative-refinement", "k3", "mode-case"])
 def test_convergence_study_rejects_bad_inputs_before_sampling(kwargs, match, monkeypatch):
     """One clear ValueError, not an OverflowError from ``rng.uniform``,
     RuntimeWarnings, a reduction over an empty sample, a table without
     rows whose ``final_rates`` raises IndexError, a SolverError for a
-    tolerance no residual meets, or a first float32 solve accepted under an
-    infinite one."""
+    tolerance no residual meets, a first float32 solve accepted under an
+    infinite one, or a raw TypeError or unpacking error from a malformed
+    level.  A pair is named as given; mode and k are checked by
+    ``ProblemConfig`` and ``fem.make_element``, before the forcing report
+    samples."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the inputs were checked")
 
     monkeypatch.setattr(mms, "sample_manifold_points", no_sampling)
     with pytest.raises(ValueError, match=match):
-        mms.convergence_study(1, **{"levels": [(0, 1)], **kwargs})
+        mms.convergence_study(**{"k": 1, "levels": [(0, 1)], **kwargs})
+
+
+def test_shallow_study_reads_no_annulus_nodes(monkeypatch):
+    """Shallow mode meshes the manifold directly, base triangulation times
+    layer heights: a ladder runs without the annulus nodes in R^3."""
+    def no_annulus(self):
+        raise AssertionError("shallow mode read the annulus nodes")
+
+    monkeypatch.setattr(mesh.ExtrudedMesh, "cell_node_coords", no_annulus)
+    table = mms.convergence_study(1, [(0, 1), (1, 2)])
+    assert len(table.rows) == 2 and all(r.err_u > 0 for r in table.rows)
 
 
 def test_sample_points_live_on_manifold(sample_points):
