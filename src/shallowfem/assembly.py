@@ -9,9 +9,9 @@ the block system [[M + C, -D^T], [D, -M_p]].  Coefficient providers are
 functions of the 4D manifold coordinate, called with the coordinate planes
 of ``geometry.quadrature_chunks``, which broadcast over (cells, interval
 points, triangle points) in the order of the rule's points, so every
-(ch, nz, nt) plane reshapes to the GEMMs' (ch, points); vector data
-(Omega, F) is pushed into the active frame through the per-cell map chi_e,
-so the same providers serve both modes.  Both assemble on the chart
+(ch, nz, nt) plane reshapes to the GEMMs' (ch, points); the forcing F is
+pulled into the active frame through the per-cell map chi_e, so the same
+providers serve both modes.  Both assemble on the chart
 ``manifold_coordinates`` in R^4, as the paper writes the equations, and
 read only its metric G and det:
 
@@ -33,19 +33,23 @@ chi_e, the integrand of M + C at a point is phi_i . K phi_j, where
 
 The cross term carries no J and no det because (Ja) x (Jb) = det J J^-T
 (a x b) and J^-1 (J pinv4) = pinv4; both hold at every point, so one formula
-serves both modes.  The symmetric part pairs the six planes of G / det
-with T_sym[(s,q),(i,j)] = w_q (phi_ic phi_jd + phi_id phi_jc) over the
-entries s = (c, d) of ``geometry.METRIC_PAIRS`` (one term when c = d), and
-the antisymmetric part pairs the three planes of 2 omega_hat with
-T_anti[(m,q),(i,j)] = w_q (phi_j x phi_i)_m.  Both, and
+serves both modes.  Assembly takes the traditional rotation omega4 =
+omega_4 i4, the only part of the rotation the shallow approximation keeps
+(White et al. 2005): rows 0 and 1 of pinv4 hold 0 in the i4 column and
+row 2 is (0, 0, 0, 1 / dh), so omega_hat = (0, 0, omega_4 / dh).  The
+symmetric part pairs the six planes of G / det with
+T_sym[(s,q),(i,j)] = w_q (phi_ic phi_jd + phi_id phi_jc) over the entries
+s = (c, d) of ``geometry.METRIC_PAIRS`` (one term when c = d), and the
+rotation plane 2 omega_4 / dh pairs with
+T_anti[q,(i,j)] = w_q (phi_j x phi_i)_2.  Both, and
 Tb[(c,q),i] = w_q phi_ic, are formed once per call from the rules and basis
 tables of ``fem.reference_tables``, which are built once per degree and
-shared with the error norms.  T_uu = [T_sym; T_anti] (2.1 MB at k=2) is not
+shared with the error norms.  T_uu = [T_sym; T_anti] (1.6 MB at k=2) is not
 cached with them: alive between calls, it sits under every level's LU
 factor, where the memory peaks, and the k=2 ladder's peak RSS rose with it.
 Each chunk of cells is a GEMM:
 
-    A_uu = [G / det | 2 omega_hat] @ [T_sym; T_anti],    b_u = fhat @ Tb,
+    A_uu = [G / det | 2 omega_4 / dh] @ [T_sym; T_anti],    b_u = fhat @ Tb,
 
 with fhat = G pinv4 f4 formed on planes.  On the chart the per-cell G and
 det broadcast over the points, so one path serves both modes.  M_p and b_p
@@ -70,9 +74,10 @@ forcing, and E ``fem.exact_matrix_degree(k)`` = 2k + 1, (k + 1)^3 points;
 On the chart E's integrand is a polynomial of that degree.  On the annulus
 det J varies only across the layer (a top face is its bottom face scaled)
 and G / det is rational in zeta with parameter dr / r, a quadrature error
-(Ciarlet 1978, 4.1) that falls as the layers thin.  omega4 is read once,
-at the chart's nodes, and omega_hat is pinv4 times its prism interpolant,
-in P1 x P1, so the rule integrates the rotation term exactly for any omega4.
+(Ciarlet 1978, 4.1) that falls as the layers thin.  omega_4 is read once,
+at the chart's nodes, and the rotation plane is 2 / dh times its prism
+interpolant, in P1 x P1, so the rule integrates the rotation term exactly
+for any traditional rotation.
 
 ``solve`` condenses statically from the cell matrices: every V2 DOF and
 every V1 interior moment belongs to one cell, so all cells are condensed in
@@ -152,8 +157,11 @@ class ProblemConfig:
     triangle points; the result's leading axes need only broadcast against
     them.  Read the planes with ``geometry.coordinate_planes``, which also
     takes a (..., 4) array (as the finite-difference oracles and the tests
-    pass).  ``omega4`` is read once, at the chart's nodes, planes
-    (n_cells, 6), and interpolated (see the module docstring);
+    pass).  ``omega4`` must be a traditional rotation (0, 0, 0, omega_4),
+    the rotation along the extrusion axis i4 that the shallow approximation
+    keeps: ``assemble`` reads it once, at the chart's nodes, planes
+    (n_cells, 6), raises ValueError if any node's horizontal part is
+    nonzero, and interpolates omega_4 (see the module docstring);
     ``coriolis_enabled=False`` replaces it with zero.
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
@@ -269,6 +277,13 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     nq, nm = len(w), len(wm)
     omega_basis = geometry.nodal_basis(mrule.points)
     omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape)
+    horizontal = np.linalg.norm(omega_nodes[..., :3], axis=-1).max(axis=1)
+    if horizontal.any():
+        bad = np.argmax(horizontal != 0.0)
+        raise ValueError(
+            f"omega4 has a horizontal part of size {horizontal[bad]:.3e} at cell {bad}; "
+            "assembly takes the traditional rotation (0, 0, 0, omega_4)")
+    omega_nodes = omega_nodes[..., 3]
     tab1, tab1m = tables.v1, tables.matrix_v1
     psi, psim = tables.v2.values, tables.matrix_v2.values
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
@@ -286,8 +301,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     phim = tab1m.values                                          # (nm, nd1, 3)
     T = np.einsum("q,qic,qjd->cdqij", wm, phim, phim)
     T_sym = [T[c, d] + T[d, c] if c != d else T[c, c] for c, d in geometry.METRIC_PAIRS]
-    T_anti = [T[2, 1] - T[1, 2], T[0, 2] - T[2, 0], T[1, 0] - T[0, 1]]
-    T_uu = np.concatenate(T_sym + T_anti).reshape(9 * nm, nd1 * nd1)
+    T_uu = np.concatenate(T_sym + [T[1, 0] - T[0, 1]]).reshape(7 * nm, nd1 * nd1)
     Tb = (w[:, None, None] * tab1.values).transpose(2, 0, 1).reshape(3 * nq, nd1)
     Tp = np.einsum("qa,qb->qab", psim, psim).reshape(nm, nd2 * nd2)
     # det-free divergence coupling: identical on every cell
@@ -301,13 +315,12 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
         run = slice(cells[0], cells[0] + ch)                # chunks are runs of cells
         n_fact += q.n_factorizations
 
-        # [G / det | 2 omega_hat] planes, omega_hat = pinv4 (omega4's nodal interpolant)
-        K = np.empty((ch, 9) + m.shape[1:])
+        # [G / det | 2 omega_4 / dh] planes, omega_4 from its nodal interpolant
+        K = np.empty((ch, 7) + m.shape[1:])
         for i, g in enumerate(m.G):
             np.divide(g, m.det, out=K[:, i])
-        om4 = (omega_basis @ omega_nodes[cells]).reshape(m.shape + (4,))
-        for i, o in enumerate(m.pull(om4)):
-            np.multiply(2.0, o, out=K[:, 6 + i])
+        om = (omega_nodes[cells] @ omega_basis.T).reshape(m.shape)
+        np.multiply(2.0 * m.pinv4[:, 2, 3, None, None], om, out=K[:, 6])
         fhat = np.empty((ch, 3) + q.shape[1:])
         for i, v in enumerate(q.lower(q.pull(config.f4(q.x)))):
             fhat[:, i] = v

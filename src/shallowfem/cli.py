@@ -137,9 +137,20 @@ def _csv_lines(table: mms.ConvergenceTable):
 
 
 def _parse_levels(spec: str):
-    """``"r:L,r:L,..."`` to [(refinement, layers), ...]; ValueError if
-    malformed or rejected by the study's own check of the pairs."""
-    return mms._check_levels(tuple(map(int, part.split(":"))) for part in spec.split(","))
+    """``"r:L,r:L,..."`` to [(refinement, layers), ...]; ArgumentTypeError,
+    with the reason, if a part is not integers or the study's own check of
+    the pairs rejects it."""
+    levels = []
+    for part in spec.split(","):
+        try:
+            levels.append(tuple(int(n) for n in part.split(":")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"level {part!r}: need integers refinement:n_layers") from None
+    try:
+        return mms._check_levels(levels)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _nonnegative_int(text: str) -> int:

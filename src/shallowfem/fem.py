@@ -222,9 +222,9 @@ def exact_matrix_degree(k: int) -> int:
     """Degree 2k + 1, the matrix rule of both modes, exact on the chart.
 
     On the chart in R^4 each cell's map is affine, so J4^T J4 / pdet is
-    constant per cell, and omega_hat, pinv4 times omega4's nodal interpolant,
-    lies in P1 x P1; on the annulus G / det is rational in zeta (see
-    ``assembly``).  The V1 basis is BDM_k x P_{k-1} horizontally and
+    constant per cell, and the rotation plane 2 omega_4 / dh, from omega_4's
+    nodal interpolant, lies in P1 x P1; on the annulus G / det is rational
+    in zeta (see ``assembly``).  The V1 basis is BDM_k x P_{k-1} horizontally and
     P_{k-1} x P_k vertically, so phi_i . K phi_j has degree at most 2k + 1
     in the triangle and 2k in the interval; ``quadrature_prism(2k + 1)`` has
     (k + 1)^3 points, and the rule of degree 2k - 1 misses the shallow

@@ -524,10 +524,10 @@ class TangentFrame:
     phi: tuple             # three (...) planes
 
     @classmethod
-    def at(cls, x4, a: float = 1.0) -> "TangentFrame":
-        """The frame at manifold points, given as coordinate planes or as a
-        (..., 4) array (see ``coordinate_planes``); pole columns get a fixed
-        fallback pair."""
+    def at(cls, x4, a: float) -> "TangentFrame":
+        """The frame at manifold points of S^2(a) x [0, H], given as coordinate
+        planes or as a (..., 4) array (see ``coordinate_planes``); pole columns
+        get a fixed fallback pair."""
         x = coordinate_planes(x4)
         rho, polar, cos_l, sin_l = longitude(x[0], x[1], a)
         sin_p = x[2] / a

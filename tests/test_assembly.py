@@ -697,6 +697,29 @@ def test_rotation_is_read_at_the_chart_nodes(annulus_r0_l1_module, k, mode):
 
 
 @pytest.mark.parametrize("mode", ["shallow", "deep"])
+def test_a_rotation_with_a_horizontal_part_is_rejected(annulus_r0_l1_module, mode):
+    """Assembly takes only the traditional rotation (0, 0, 0, omega_4): one
+    with a horizontal part at the chart nodes of least x3 alone is named
+    by the first cell holding one and the part's size, before the forcing
+    is read."""
+    V1, V2 = build_spaces(annulus_r0_l1_module, 1)
+    x3 = geometry.manifold_coordinates(annulus_r0_l1_module)[..., 2]
+    bottom = x3.min()
+
+    def omega4(x):
+        x = geometry.coordinate_planes(x)
+        return geometry.stack_planes((0.0, 0.0, np.where(x[2] == bottom, 1e-3, 0.0), 0.5 * x[2]))
+
+    def f4(x):
+        pytest.fail("the forcing was read before the rotation was checked")
+
+    config = assembly.ProblemConfig(mode=mode, k=1, omega4=omega4, f4=f4)
+    cell = np.argmax((x3 == bottom).any(axis=1))     # 2, not the first cell
+    with pytest.raises(ValueError, match=rf"size 1\.000e-03 at cell {cell};.*traditional rotation"):
+        assembly.assemble(config, V1, V2)
+
+
+@pytest.mark.parametrize("mode", ["shallow", "deep"])
 def test_a_base_triangle_wound_inward_is_rejected(icosa_r0, mode):
     """``base_mesh_from_triangles`` does not check winding; a cell on a base
     triangle wound inward is inverted on the chart as in the annulus, and
@@ -764,11 +787,15 @@ def per_point_velocity_block(config, V1, matrix_degree=None):
 @pytest.mark.parametrize("coriolis", [True, False])
 def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode, coriolis):
     """The reference-tensor contraction equals the per-point formula; in
-    shallow mode the chart's GEMM equals the hedgehog's per-point formula."""
+    shallow mode the chart's GEMM equals the hedgehog's per-point formula.
+    The rotation is vertical and in P1 x P1 on the chart, so its nodal
+    interpolant is exact and the formula's general cross product checks
+    the one rotation plane."""
     V1, V2 = build_spaces(annulus_r0_l1_module, k)
     config = assembly.ProblemConfig(
         mode=mode, k=k, coriolis_enabled=coriolis,
-        omega4=lambda x: geometry.stack_planes((0.3 * x[1], -0.2 * x[3], 0.1 * x[0], 0.5 * x[2])),
+        omega4=lambda x: geometry.stack_planes(
+            (0.0, 0.0, 0.0, 0.5 * x[2] - 0.2 * x[0] * x[3] + 0.1 * x[1])),
         f4=lambda x: geometry.stack_planes((x[1], -x[0], x[3], x[2])),
     )
     system = assembly.assemble(config, V1, V2)
@@ -812,9 +839,12 @@ def four_block_system(config, V1, V2):
 
     A_uu, D, -D^T and -M_p go through four index triplets, b_u and b_p
     through two ``add.at`` calls; the per-chunk kernels are those of
-    ``assemble``: A_uu is the G / det and 2 omega_hat planes against
-    [T_sym; T_anti], with omega4 interpolated from the cell's nodes, b_u is
-    G pinv4 f4 against Tb.  The matrix blocks use
+    ``assemble`` but for the rotation, which is the general one here: A_uu
+    is the G / det planes and the three planes of 2 omega_hat = 2 pinv4
+    omega4 against [T_sym; T_anti] with one antisymmetric tensor per
+    component, where ``assemble`` keeps the one plane 2 omega_4 / dh of a
+    traditional rotation; omega4 is interpolated from the cell's nodes, and
+    b_u is G pinv4 f4 against Tb.  The matrix blocks use
     the exact rule of degree 2k + 1 and the right-hand sides
     ``config.degree``, in both modes.  Both point sets are mapped in one
     pass.

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -253,16 +254,30 @@ def test_convergence_check_passes_inside_window(tmp_path, capsys, monkeypatch):
 def test_parse_levels():
     assert cli._parse_levels("1:2,2:4,3:8") == [(1, 2), (2, 4), (3, 8)]
     assert cli._parse_levels("0:1") == [(0, 1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_levels("1-2")
 
 
-@pytest.mark.parametrize("spec", ["1-2", "a:1", "1:2:3", "", "1:0", "-1:2"])
+LEVELS_REASONS = {
+    "1-2": "level '1-2': need integers refinement:n_layers",
+    "a:1": "level 'a:1': need integers refinement:n_layers",
+    "1:2:3": "level (1, 2, 3) is not two integers",
+    "": "level '': need integers refinement:n_layers",
+    "1:0": "level (1, 0): need refinement >= 0 and n_layers >= 1",
+    "-1:2": "level (-1, 2): need refinement >= 0 and n_layers >= 1",
+}
+
+
+@pytest.mark.parametrize("spec", list(LEVELS_REASONS))
 def test_malformed_levels_is_usage_error(spec, capsys):
+    """A bad ``--levels`` is a usage error that gives its reason, not the
+    name of the function that parsed it."""
     with pytest.raises(SystemExit) as exc:
         run(["convergence", f"--levels={spec}"])
     assert exc.value.code == 2
-    assert "--levels" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --levels: {LEVELS_REASONS[spec]}" in err
+    assert "_parse_levels" not in err
 
 
 def test_unknown_subcommand_exits():

@@ -736,7 +736,7 @@ def test_pseudo_inverse_rank_deficiency_error():
 
 def test_frame_at_equator():
     x = np.array([1.0, 0.0, 0.0, 0.5])
-    f = geometry.TangentFrame.at(x)
+    f = geometry.TangentFrame.at(x, 1.0)
     np.testing.assert_allclose(f.e_lambda, [0, 1, 0, 0], atol=1e-14)
     np.testing.assert_allclose(f.e_phi, [0, 0, 1, 0], atol=1e-14)
     np.testing.assert_allclose(frame_basis(f)[2], [0, 0, 0, 1], atol=1e-14)
@@ -748,7 +748,7 @@ def test_frame_orthonormal_at_random_points():
     d = rng.standard_normal((100, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     pts = np.column_stack([d, rng.uniform(0, 1, 100)])
-    f = geometry.TangentFrame.at(pts)
+    f = geometry.TangentFrame.at(pts, 1.0)
     basis = np.moveaxis(frame_basis(f), 0, 1)
     G = np.einsum("nic,njc->nij", basis, basis)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(3), G.shape), atol=1e-12)
@@ -762,7 +762,7 @@ def test_frame_right_handed():
     d = rng.standard_normal((50, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     pts = np.column_stack([d, np.zeros(50)])
-    f = geometry.TangentFrame.at(pts)
+    f = geometry.TangentFrame.at(pts, 1.0)
     cross = np.cross(f.e_lambda[:, :3], f.e_phi[:, :3])
     np.testing.assert_allclose(cross, geometry.unit_normal(pts)[:, :3], atol=1e-12)
 
@@ -770,7 +770,7 @@ def test_frame_right_handed():
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_frame_pole_fallback(z):
     pole = np.array([0.0, 0.0, z, 0.3])
-    f = geometry.TangentFrame.at(pole)
+    f = geometry.TangentFrame.at(pole, 1.0)
     basis = frame_basis(f)
     normal = geometry.unit_normal(pole)
     np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-12)
@@ -801,7 +801,7 @@ def test_frame_vector_inverts_components_of_tangent_vectors(a):
 def test_frame_components_invert_vector():
     """components(vector(c)) == c."""
     pts = _sphere_points(60, 23)
-    f = geometry.TangentFrame.at(pts)
+    f = geometry.TangentFrame.at(pts, 1.0)
     c = np.random.default_rng(24).standard_normal((len(pts), 3))
     np.testing.assert_allclose(f.components(f.vector(c)), c, rtol=0, atol=1e-14)
 
