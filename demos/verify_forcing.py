@@ -37,6 +37,8 @@ gap = report.F_derived - case.F_printed(pts) - (u + grad_p)
 print()
 print(f"|F_derived - F_printed - (u + grad p)| = {np.abs(gap).max():.3e}")
 
-# and the printed F alone is the pure rotation term:
-cor = 2.0 * ops.tangent_cross(case.omega4(pts), u, pts)
+# and the printed F alone is the pure rotation term, 2 omega_4 i4 x u:
+omega = np.zeros_like(pts)
+omega[:, 3] = case.omega4(pts)
+cor = 2.0 * ops.tangent_cross(omega, u, pts)
 print(f"|F_printed - 2 Omega x u|              = {np.abs(case.F_printed(pts) - cor).max():.3e}")

@@ -26,17 +26,18 @@ determinants cancel and D reduces to a single reference matrix shared by
 every cell.
 
 The velocity block uses the tensor representation (Kirby & Logg 2006).
-With physical basis J phi / det and Omega_3 = J pinv4 omega4 pushed through
-chi_e, the integrand of M + C at a point is phi_i . K phi_j, where
+The rotation is the traditional one, omega_4 i4 along the extrusion axis,
+the only part of the rotation the shallow approximation keeps (White et al.
+2005), so a rotation provider returns the scalar field omega_4.  With
+physical basis J phi / det and Omega_3 = J pinv4 (omega_4 i4) pushed
+through chi_e, the integrand of M + C at a point is phi_i . K phi_j, where
 
-    K = G / det + 2 [omega_hat]x,      G = J^T J,  omega_hat = pinv4 omega4.
+    K = G / det + 2 [omega_hat]x,      G = J^T J,  omega_hat = pinv4 (omega_4 i4).
 
 The cross term carries no J and no det because (Ja) x (Jb) = det J J^-T
 (a x b) and J^-1 (J pinv4) = pinv4; both hold at every point, so one formula
-serves both modes.  Assembly takes the traditional rotation omega4 =
-omega_4 i4, the only part of the rotation the shallow approximation keeps
-(White et al. 2005): rows 0 and 1 of pinv4 hold 0 in the i4 column and
-row 2 is (0, 0, 0, 1 / dh), so omega_hat = (0, 0, omega_4 / dh).  The
+serves both modes.  Rows 0 and 1 of pinv4 hold 0 in the i4 column and row
+2 is (0, 0, 0, 1 / dh), so omega_hat = (0, 0, omega_4 / dh).  The
 symmetric part pairs the six planes of G / det with
 T_sym[(s,q),(i,j)] = w_q (phi_ic phi_jd + phi_id phi_jc) over the entries
 s = (c, d) of ``geometry.METRIC_PAIRS`` (one term when c = d), and the
@@ -77,21 +78,21 @@ and G / det is rational in zeta with parameter dr / r, a quadrature error
 (Ciarlet 1978, 4.1) that falls as the layers thin.  omega_4 is read once,
 at the chart's nodes, and the rotation plane is 2 / dh times its prism
 interpolant, in P1 x P1, so the rule integrates the rotation term exactly
-for any traditional rotation.
+for any omega_4.
 
 ``solve`` condenses statically from the cell matrices: every V2 DOF and
 every V1 interior moment belongs to one cell, so all cells are condensed in
 one batched dense pass, the leaf level of the element multifrontal method
 (Duff & Reid 1983); a row of ``cell_dofs`` is [facet | local], so each
 cell's blocks are slices of its matrix.  SuperLU factors the facet Schur
-complement in float32, in a column order: the horizontal-facet DOFs, which
-couple only inside one column of prisms, come first, so SuperLU eliminates
-them as independent column blocks; the vertical-facet DOFs follow in
-nested-dissection order over the columns (George 1973), so the dissection
-splits only the 2D graph of columns.  Refinement in float64 (Buttari et al.
-2007; Carson & Higham 2018) brings the residual to the tolerance; a step
-that fails to cut it tenfold is a SolverError, never a silent fallback to a
-float64 factor.
+complement, scaled by an exact power of two, in float32, in a column
+order: the horizontal-facet DOFs, which couple only inside one column of
+prisms, come first, so SuperLU eliminates them as independent column
+blocks; the vertical-facet DOFs follow in nested-dissection order over
+the columns (George 1973), so the dissection splits only the 2D graph of
+columns.  Refinement in float64 (Buttari et al. 2007; Carson & Higham
+2018) brings the residual to the tolerance; a step that fails to cut it
+tenfold is a SolverError, never a silent fallback to a float64 factor.
 """
 
 import ctypes
@@ -128,14 +129,23 @@ ND_LEAF = 32
 # 3e-5 at k=2 (3,8), where two steps reach 1e-10.
 MAX_REFINEMENT_STEPS = 10
 
+# ``solve`` scales the float32 system by 2^e, so that S's largest entry lies
+# in [2^109, 2^110): float32 subnormals made the Earth shell's factor 18x
+# slower than at a = 1.  U's largest entry was at most 2^8 above S's (the
+# strong-rotation test, 689 rows swapped; at most 2^0 with no row swapped)
+# and the forward solve's at most 2^4.5 above 2^e, so 10 binary orders are
+# left below float32's largest, 2^128.
+FACTOR_TOP_LOG2 = 110
+
 
 class SolverError(Exception):
     """Linear solve failed to meet the residual contract."""
 
 
 def traditional_omega(x4):
-    """Traditional-approximation rotation: (0, 0, 0, x3 / 2)."""
-    return geometry.stack_planes((0.0, 0.0, 0.0, 0.5 * geometry.coordinate_planes(x4)[2]))
+    """Traditional-approximation rotation rate omega_4 = x3 / 2, a plane of
+    the points' shape (see ``geometry.point_shape``)."""
+    return 0.5 * geometry.coordinate_planes(x4)[2]
 
 
 def _zeros(x4, *tail):
@@ -147,8 +157,8 @@ def _zeros(x4, *tail):
 class ProblemConfig:
     """Coefficients and discretisation choices for one solve.
 
-    ``omega4``, ``f4`` map batches of 4D points to tangent 4-vectors,
-    (..., 4); ``g`` maps them to scalars, (...).  Assembly calls them with
+    ``f4`` maps batches of 4D points to tangent 4-vectors, (..., 4);
+    ``omega4`` and ``g`` map them to scalars, (...).  Assembly calls them with
     the solver-point map's coordinate planes, a tuple (x1, x2, x3, h) whose
     planes broadcast over (cells, interval points, triangle points), x1, x2,
     x3 varying with the triangle point, (cells, 1, nt), and h with the
@@ -157,11 +167,10 @@ class ProblemConfig:
     triangle points; the result's leading axes need only broadcast against
     them.  Read the planes with ``geometry.coordinate_planes``, which also
     takes a (..., 4) array (as the finite-difference oracles and the tests
-    pass).  ``omega4`` must be a traditional rotation (0, 0, 0, omega_4),
-    the rotation along the extrusion axis i4 that the shallow approximation
+    pass).  ``omega4`` gives omega_4 of the traditional rotation omega_4 i4,
+    the rotation along the extrusion axis that the shallow approximation
     keeps: ``assemble`` reads it once, at the chart's nodes, planes
-    (n_cells, 6), raises ValueError if any node's horizontal part is
-    nonzero, and interpolates omega_4 (see the module docstring);
+    (n_cells, 6), and interpolates it (see the module docstring);
     ``coriolis_enabled=False`` replaces it with zero.
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
@@ -180,7 +189,7 @@ class ProblemConfig:
         if self.mode not in ("shallow", "deep"):
             raise ValueError(f"mode must be 'shallow' or 'deep', got {self.mode!r}")
         if not self.coriolis_enabled:
-            self.omega4 = lambda x4: _zeros(x4, 4)
+            self.omega4 = _zeros
         elif self.omega4 is None:
             self.omega4 = traditional_omega
         if self.f4 is None:
@@ -276,14 +285,7 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
     omega_basis = geometry.nodal_basis(mrule.points)
-    omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape)
-    horizontal = np.linalg.norm(omega_nodes[..., :3], axis=-1).max(axis=1)
-    if horizontal.any():
-        bad = np.argmax(horizontal != 0.0)
-        raise ValueError(
-            f"omega4 has a horizontal part of size {horizontal[bad]:.3e} at cell {bad}; "
-            "assembly takes the traditional rotation (0, 0, 0, omega_4)")
-    omega_nodes = omega_nodes[..., 3]
+    omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape[:-1])
     tab1, tab1m = tables.v1, tables.matrix_v1
     psi, psim = tables.v2.values, tables.matrix_v2.values
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
@@ -383,7 +385,8 @@ class SolveResult:
     of the condensed matrix), ``rows_swapped`` (the rows SuperLU's partial
     pivoting moved, the entries of ``perm_r`` off the identity: with none
     the fill depends only on the pattern), ``refinement_steps``,
-    ``ordering`` (the column order of the condensed matrix, always
+    ``factor_scale_log2`` (the e of the factor's 2^e scaling; 0 when nothing
+    is factored), ``ordering`` (the column order of the condensed matrix, always
     ``"column-nested-dissection"``: see ``_facet_order``),
     ``factor_dtype`` (the precision of the LU, always ``"float32"``) and
     ``residuals`` (the relative residual after the first solve and after
@@ -510,7 +513,12 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     SuperLU factors S in float32, keeps that column order and relaxes
     diagonal pivoting to a threshold of 0.01 so that row swaps do not undo
     it.  Everything else stays in float64; only the facet right-hand side
-    of each solve is cast to float32, scaled to unit max.
+    of each solve is cast to float32, scaled to unit max.  Both S and that
+    right-hand side are first multiplied by the same power of two 2^e,
+    which is exact and leaves the float32 solution unchanged, so that S's
+    largest entry lies just below 2^``FACTOR_TOP_LOG2``: at the Earth's
+    radius S's entries fall to 1e-25 and its unscaled factor held 182,198
+    float32 subnormals at k=1 (3,8), whose arithmetic made it 10x slower.
     The local DOFs are recovered cell by cell.  The solution is refined
     from z = 0 (relative residual 1): each step solves for the residual
     b - A z (``LinearSystem.matvec``) and adds the correction, until the
@@ -542,7 +550,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     ng = len(order)
     stats = {
         "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "rows_swapped": 0,
-        "refinement_steps": 0,
+        "refinement_steps": 0, "factor_scale_log2": 0,
         "ordering": "column-nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
@@ -557,7 +565,11 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
         return result(np.zeros_like(b), 0.0)
 
     S, facet, B_inv, W, E_gl = _condense(system, order)
-    # float64 S is a temporary: only the float32 copy is kept for the LU
+    # 2^e S is exact, so the factor's L is that of S and its U 2^e times
+    # it; float64 S is a temporary: only the float32 copy is kept for the LU
+    e = FACTOR_TOP_LOG2 - int(np.frexp(np.abs(S.data).max(initial=0.0))[1])
+    stats["factor_scale_log2"] = e
+    np.ldexp(S.data, e, out=S.data)
     S = S.astype(np.float32)
     _release_freed_heap()
     try:
@@ -575,9 +587,10 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
         y_l = np.einsum("eij,ej->ei", B_inv, rhs[local])
         Ey = np.einsum("eij,ej->ei", E_gl, y_l)
         f_g = rhs[order] - np.bincount(facet.ravel(), Ey.ravel(), ng)
-        # scaled to unit max so that a small correction stays in float32 range
+        # scaled to unit max so that a small correction stays in float32 range,
+        # then by the factor's 2^e
         scale = np.abs(f_g).max() or 1.0
-        x_g = lu.solve((f_g / scale).astype(np.float32)).astype(float) * scale
+        x_g = lu.solve(np.ldexp(f_g / scale, e).astype(np.float32)).astype(float) * scale
         z = np.empty(n)
         z[order] = x_g
         z[local] = y_l - np.einsum("eij,ej->ei", W, x_g[facet])

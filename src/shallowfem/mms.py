@@ -251,9 +251,9 @@ class ManufacturedCase:
         return (3.0 - a * a) * x4[..., 0] * x4[..., 1] * x4[..., 2] * self._q(x4[..., 3]) / a
 
     def omega4(self, x4):
-        """(0, 0, 0, x3 / (2a)): Omega sin phi with Omega = 1/2 at any radius,
-        so the Coriolis block stays the mass block's size; ``traditional_omega``
-        at a = 1."""
+        """omega_4 = x3 / (2a) of the traditional rotation omega_4 i4: Omega
+        sin phi with Omega = 1/2 at any radius, so the Coriolis block stays
+        the mass block's size; ``traditional_omega`` at a = 1."""
         return _assembly.traditional_omega(x4) / self.a
 
     def g_printed(self, x4):
@@ -293,7 +293,7 @@ class ManufacturedCase:
             # frame components of u and Omega, as in tangent_cross; Omega is
             # along i4, so its e_lambda and e_phi components vanish
             u_l, u_p = fr.dot(U)
-            o_4 = self.omega4(x4)[..., 3]
+            o_4 = self.omega4(x4)
             # frame components of grad p at y plus those of 2 Omega x u, over
             # q horizontally and over v vertically
             f_l = a * a * c_p * s_p * (c_l * c_l - s_l * s_l) - 2.0 * (o_4 * u_p)
@@ -387,10 +387,12 @@ def derive_forcing(case: ManufacturedCase, points, ops: ShallowOperators = None)
     tang = np.abs(np.sum(u_t * l, axis=-1)).max()
 
     # Built from the FD oracles, not from the providers: this is the
-    # independent derivation that the providers' closed forms are tested against.
+    # independent derivation that the providers' closed forms are tested
+    # against, with the general cross product of the rotation omega_4 i4.
+    omega = geometry.stack_planes((0.0, 0.0, 0.0, case.omega4(x4)))
     F_d = (
         u_t
-        + 2.0 * ops.tangent_cross(case.omega4(x4), u_t, x4)
+        + 2.0 * ops.tangent_cross(omega, u_t, x4)
         + ops.oracle_grad(case.p_exact, x4)
     )
     g_d = ops.oracle_div(case.u_exact, x4) - case.p_exact(x4)

@@ -106,7 +106,7 @@ def test_disabling_coriolis_equals_zero_omega(one_cell_mesh):
     V1, V2 = build_spaces(one_cell_mesh, 1)
     off = assembly.ProblemConfig(mode="shallow", k=1, coriolis_enabled=False)
     zero = assembly.ProblemConfig(
-        mode="shallow", k=1, omega4=lambda x: np.zeros(geometry.point_shape(x) + (4,))
+        mode="shallow", k=1, omega4=lambda x: np.zeros(geometry.point_shape(x))
     )
     A_off = assembly.assemble(off, V1, V2).matrix
     A_zero = assembly.assemble(zero, V1, V2).matrix
@@ -439,15 +439,66 @@ def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, parent_fill, 
     assert row.solve_stats["refinement_steps"] == steps
 
 
-def test_earth_shell_keeps_the_unit_radius_factor():
+def float32_subnormals(lu):
+    """The float32 subnormal entries stored in a factor's L and U."""
+    tiny = np.finfo(np.float32).tiny
+    return sum(np.count_nonzero((x != 0) & (np.abs(x) < tiny)) for x in (lu.L.data, lu.U.data))
+
+
+def test_earth_shell_keeps_the_unit_radius_factor(monkeypatch):
     """At the Earth's radius, a = 6.371e6 with H = 1e4, the manufactured
     rotation rate is 1/2 as at a = 1.  With no row swapped the fill depends
     only on the pattern, so each level fills the factor exactly as the a = 1
-    level does, and the first solve meets the contract."""
+    level does, and the first solve meets the contract.
+
+    S's largest entry is the inner boundary's identity 1, so ``solve``
+    scales it by 2^(FACTOR_TOP_LOG2 - 1).  The factor of the unscaled S
+    stores 350 and 7,277 float32 subnormals, whose arithmetic made it slow
+    (182,198 at (3,8)); the scaled one stores 4 and 108.  Those left are
+    mostly L's, and L does not move with the scale of S."""
+    factored = []
+
+    def spy(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        factored.append((matrix, kwargs, float32_subnormals(lu)))
+        return lu
+
+    monkeypatch.setattr(assembly, "splu", spy)
     table = mms.convergence_study(1, [(1, 2), (2, 4)], a=6.371e6, thickness=1e4)
     assert [r.solve_stats["lu_nnz"] for r in table.rows] == [37_824, 773_538]
     assert [r.solve_stats["rows_swapped"] for r in table.rows] == [0, 0]
     assert [r.solve_stats["refinement_steps"] for r in table.rows] == [0, 0]
+    for row, (S, kwargs, scaled) in zip(table.rows, factored):
+        e = row.solve_stats["factor_scale_log2"]
+        assert e == assembly.FACTOR_TOP_LOG2 - 1
+        unscaled = S.copy()
+        unscaled.data = np.ldexp(S.data, -e)
+        assert 20 * scaled <= float32_subnormals(splu(unscaled, **kwargs))
+
+
+def test_factor_scaling_is_exact(r1_system, monkeypatch):
+    """At a = 1 the float32 factor's scaling by 2^e is exact: S's largest
+    entry lies in [2^(FACTOR_TOP_LOG2 - 1), 2^FACTOR_TOP_LOG2), and the
+    factor's L is the unscaled S's bit for bit and its U 2^e times that
+    one's, with the same row swaps."""
+    captured = []
+
+    def spy(matrix, **kwargs):
+        captured.extend([matrix, kwargs, splu(matrix, **kwargs)])
+        return captured[-1]
+
+    monkeypatch.setattr(assembly, "splu", spy)
+    e = assembly.solve(r1_system).stats["factor_scale_log2"]
+    S, kwargs, lu = captured
+    assert np.frexp(np.abs(S.data).max())[1] == assembly.FACTOR_TOP_LOG2
+    unscaled = S.copy()
+    unscaled.data = np.ldexp(S.data, -e)
+    reference = splu(unscaled, **kwargs)
+    np.testing.assert_array_equal(lu.perm_r, reference.perm_r)
+    for got, ref, scale in ((lu.L, reference.L, 0), (lu.U, reference.U, e)):
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(got.data, np.ldexp(ref.data.astype(float), scale))
 
 
 @pytest.mark.parametrize("level", [(1, 1), (1, 2), (3, 8), (4, 2)], ids=str)
@@ -686,8 +737,7 @@ def test_rotation_is_read_at_the_chart_nodes(annulus_r0_l1_module, k, mode):
 
     def omega4(x):
         x = geometry.coordinate_planes(x)
-        return geometry.stack_planes(
-            (0.0, 0.0, 0.0, 0.5 * x[2] + 3.0 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - a * a)))
+        return 0.5 * x[2] + 3.0 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - a * a)
 
     E = [assembly.assemble(assembly.ProblemConfig(mode=mode, k=k, omega4=om), V1, V2).cell_matrices
          for om in (assembly.traditional_omega, omega4)]
@@ -696,27 +746,21 @@ def test_rotation_is_read_at_the_chart_nodes(annulus_r0_l1_module, k, mode):
     assert np.abs(off.cell_matrices - E[0]).max() > 1e-2 * np.abs(E[0]).max()
 
 
-@pytest.mark.parametrize("mode", ["shallow", "deep"])
-def test_a_rotation_with_a_horizontal_part_is_rejected(annulus_r0_l1_module, mode):
-    """Assembly takes only the traditional rotation (0, 0, 0, omega_4): one
-    with a horizontal part at the chart nodes of least x3 alone is named
-    by the first cell holding one and the part's size, before the forcing
-    is read."""
+def test_a_rotation_given_as_a_vector_is_rejected(annulus_r0_l1_module):
+    """``omega4`` gives the scalar omega_4: a provider that still returns
+    the vector (0, 0, 0, omega_4), (..., 4), does not broadcast to the chart's
+    nodes, so assembly raises before the forcing is read and yields no
+    number."""
     V1, V2 = build_spaces(annulus_r0_l1_module, 1)
-    x3 = geometry.manifold_coordinates(annulus_r0_l1_module)[..., 2]
-    bottom = x3.min()
 
     def omega4(x):
-        x = geometry.coordinate_planes(x)
-        return geometry.stack_planes((0.0, 0.0, np.where(x[2] == bottom, 1e-3, 0.0), 0.5 * x[2]))
+        return geometry.stack_planes((0.0, 0.0, 0.0, assembly.traditional_omega(x)))
 
     def f4(x):
-        pytest.fail("the forcing was read before the rotation was checked")
+        pytest.fail("the forcing was read before the rotation")
 
-    config = assembly.ProblemConfig(mode=mode, k=1, omega4=omega4, f4=f4)
-    cell = np.argmax((x3 == bottom).any(axis=1))     # 2, not the first cell
-    with pytest.raises(ValueError, match=rf"size 1\.000e-03 at cell {cell};.*traditional rotation"):
-        assembly.assemble(config, V1, V2)
+    with pytest.raises(ValueError):
+        assembly.assemble(assembly.ProblemConfig(k=1, omega4=omega4, f4=f4), V1, V2)
 
 
 @pytest.mark.parametrize("mode", ["shallow", "deep"])
@@ -735,7 +779,7 @@ def test_a_base_triangle_wound_inward_is_rejected(icosa_r0, mode):
 def per_point_velocity_block(config, V1, matrix_degree=None):
     """A_uu (a CSR) and b_u by the per-point physical-basis formula in R^3.
 
-    With L = J phi at every quadrature point, Om3 = J pinv4 omega4 and
+    With L = J phi at every quadrature point, Om3 = J pinv4 (omega_4 i4) and
     F3 = J pinv4 f4: A_uu = sum_q w/det L.(L + 2 Om3 x L) and
     b_u = sum_q w L.F3, scattered with the DOF signs.  A_uu is integrated
     at ``matrix_degree``, by default the matrix rule 2k + 1 of ``assemble``,
@@ -763,7 +807,8 @@ def per_point_velocity_block(config, V1, matrix_degree=None):
     w, J, push, x, L = at(matrix_degree or fem.exact_matrix_degree(config.k))
     R = L
     if config.coriolis_enabled:
-        Om3 = np.matmul(push, config.omega4(x)[..., None])[..., 0]
+        omega = geometry.stack_planes((0.0, 0.0, 0.0, config.omega4(x)))
+        Om3 = np.matmul(push, omega[..., None])[..., 0]
         R = L + np.cross(2.0 * Om3[:, :, None, :], L)
     A = np.einsum("q,eq,eqic,eqjc->eij", w, 1.0 / J.det, L, R)
     w, _, push, x, L = at(config.degree)
@@ -794,8 +839,7 @@ def test_velocity_block_matches_per_point_formula(annulus_r0_l1_module, k, mode,
     V1, V2 = build_spaces(annulus_r0_l1_module, k)
     config = assembly.ProblemConfig(
         mode=mode, k=k, coriolis_enabled=coriolis,
-        omega4=lambda x: geometry.stack_planes(
-            (0.0, 0.0, 0.0, 0.5 * x[2] - 0.2 * x[0] * x[3] + 0.1 * x[1])),
+        omega4=lambda x: 0.5 * x[2] - 0.2 * x[0] * x[3] + 0.1 * x[1],
         f4=lambda x: geometry.stack_planes((x[1], -x[0], x[3], x[2])),
     )
     system = assembly.assemble(config, V1, V2)
@@ -841,9 +885,9 @@ def four_block_system(config, V1, V2):
     through two ``add.at`` calls; the per-chunk kernels are those of
     ``assemble`` but for the rotation, which is the general one here: A_uu
     is the G / det planes and the three planes of 2 omega_hat = 2 pinv4
-    omega4 against [T_sym; T_anti] with one antisymmetric tensor per
-    component, where ``assemble`` keeps the one plane 2 omega_4 / dh of a
-    traditional rotation; omega4 is interpolated from the cell's nodes, and
+    (omega_4 i4) against [T_sym; T_anti] with one antisymmetric tensor per
+    component, where ``assemble`` keeps the one plane 2 omega_4 / dh; the
+    vector is interpolated from the cell's nodes, and
     b_u is G pinv4 f4 against Tb.  The matrix blocks use
     the exact rule of degree 2k + 1 and the right-hand sides
     ``config.degree``, in both modes.  Both point sets are mapped in one
@@ -869,7 +913,8 @@ def four_block_system(config, V1, V2):
     D_ref = np.einsum("q,qa,qd->ad", wm, psim, tab1m.divergences)
     w, wm = rule.tensor_weights, mrule.tensor_weights
     omega_basis = geometry.nodal_basis(mrule.points)
-    omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape)
+    omega_nodes = geometry.stack_planes(
+        (0.0, 0.0, 0.0, config.omega4(geometry.coordinate_planes(x4))))
 
     rows, cols, data = [], [], []
     rhs = np.zeros(n)

@@ -20,6 +20,11 @@ def sample_points():
     return mms.sample_manifold_points(1.0, 1.0, 100, seed=7)
 
 
+def rotation_vector(case, pts):
+    """The rotation vector (0, 0, 0, omega_4) of the case, for ``tangent_cross``."""
+    return geometry.stack_planes((0.0, 0.0, 0.0, case.omega4(pts)))
+
+
 CORNER = np.array([1 / np.sqrt(3.0), 1 / np.sqrt(3.0), 1 / np.sqrt(3.0), 0.0])
 
 
@@ -194,16 +199,15 @@ def test_exact_vertical_velocity_vanishes_at_inner_boundary(case):
 
 
 def test_rotation_vector_is_traditional(case, sample_points):
-    """The case's rotation is the default one, bit for bit, at a = 1, and
-    x3 / (2a), a rate of 1/2 at any radius, elsewhere."""
+    """The case's rotation rate omega_4, a scalar per point, is the default
+    one, x3 / 2, bit for bit, at a = 1, and x3 / (2a), a rate of 1/2 at any
+    radius, elsewhere."""
     om = case.omega4(sample_points)
-    np.testing.assert_allclose(om[:, :3], 0.0, atol=0)
-    np.testing.assert_allclose(om[:, 3], 0.5 * sample_points[:, 2], atol=0)
-    np.testing.assert_array_equal(om, assembly.ProblemConfig().omega4(sample_points))
+    np.testing.assert_array_equal(om, 0.5 * sample_points[:, 2])
+    np.testing.assert_array_equal(assembly.traditional_omega(sample_points), om)
+    np.testing.assert_array_equal(assembly.ProblemConfig().omega4(sample_points), om)
     pts = mms.sample_manifold_points(a=2.0)
-    om = mms.ManufacturedCase(a=2.0).omega4(pts)
-    np.testing.assert_array_equal(om[:, :3], 0.0)
-    np.testing.assert_array_equal(om[:, 3], pts[:, 2] / 4.0)
+    np.testing.assert_array_equal(mms.ManufacturedCase(a=2.0).omega4(pts), pts[:, 2] / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,7 @@ def test_printed_forcing_is_coriolis_term(case, ops, sample_points):
     """F as printed equals 2 Omega x u_exact; the derived F adds u + grad p."""
     pts = sample_points
     u = case.u_exact(pts)
-    cor = 2.0 * ops.tangent_cross(case.omega4(pts), u, pts)
+    cor = 2.0 * ops.tangent_cross(rotation_vector(case, pts), u, pts)
     np.testing.assert_allclose(case.F_printed(pts), cor, atol=1e-12)
     report = mms.derive_forcing(case, pts, ops)
     grad_p = ops.oracle_grad(case.p_exact, pts)
@@ -334,7 +338,8 @@ def test_closed_form_gradient_matches_projected_gradient(a):
     ops = mms.ShallowOperators(a=a, H=1.0)
     pts = mms.sample_manifold_points(a, 1.0, 100, seed=7)
     u = case.u_exact(pts)
-    grad = case.derived_f4(ops)(pts) - u - 2.0 * ops.tangent_cross(case.omega4(pts), u, pts)
+    rotation = 2.0 * ops.tangent_cross(rotation_vector(case, pts), u, pts)
+    grad = case.derived_f4(ops)(pts) - u - rotation
     ref = ops.grad_projected(case.p_exact, pts)
     np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
 
