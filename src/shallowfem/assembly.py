@@ -90,14 +90,16 @@ order: the horizontal-facet DOFs, which couple only inside one column of
 prisms, come first, so SuperLU eliminates them as independent column
 blocks; the vertical-facet DOFs follow in nested-dissection order over
 the columns (George 1973), so the dissection splits only the 2D graph of
-columns.  Refinement in float64 (Buttari et al. 2007; Carson & Higham
-2018) brings the residual to the tolerance; a step that fails to cut it
-tenfold is a SolverError, never a silent fallback to a float64 factor.
+columns, one tree level at a time, and keeps its separator tree (Liu
+1990).  Refinement in float64 (Buttari et al. 2007; Carson & Higham 2018)
+brings the residual to the tolerance; a step that fails to cut it tenfold
+is a SolverError, never a silent fallback to a float64 factor.
 """
 
 import ctypes
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -170,7 +172,9 @@ class ProblemConfig:
     pass).  ``omega4`` gives omega_4 of the traditional rotation omega_4 i4,
     the rotation along the extrusion axis that the shallow approximation
     keeps: ``assemble`` reads it once, at the chart's nodes, planes
-    (n_cells, 6), and interpolates it (see the module docstring);
+    (n_cells, 6), and interpolates it (see the module docstring).  A result
+    that does not broadcast to (n_cells, 6), such as the vector (..., 4), is
+    a ValueError, raised before the forcing is read.
     ``coriolis_enabled=False`` replaces it with zero.
     ``quadrature_degree`` stays only for the benchmark's traced walk, which
     passes None (that default).
@@ -285,7 +289,13 @@ def assemble(config: ProblemConfig, u_space: FunctionSpace, p_space: FunctionSpa
     w, wm = rule.weights, mrule.weights
     nq, nm = len(w), len(wm)
     omega_basis = geometry.nodal_basis(mrule.points)
-    omega_nodes = np.broadcast_to(config.omega4(geometry.coordinate_planes(x4)), x4.shape[:-1])
+    omega = config.omega4(geometry.coordinate_planes(x4))
+    try:
+        omega_nodes = np.broadcast_to(omega, x4.shape[:-1])
+    except ValueError:
+        raise ValueError(
+            f"omega4 must return the scalar omega_4, broadcasting to the chart nodes' "
+            f"shape {x4.shape[:-1]}, but returned shape {np.shape(omega)}") from None
     tab1, tab1m = tables.v1, tables.matrix_v1
     psi, psim = tables.v2.values, tables.matrix_v2.values
     nd1, nd2 = u_space.element.ndofs, p_space.element.ndofs
@@ -388,6 +398,9 @@ class SolveResult:
     ``factor_scale_log2`` (the e of the factor's 2^e scaling; 0 when nothing
     is factored), ``ordering`` (the column order of the condensed matrix, always
     ``"column-nested-dissection"``: see ``_facet_order``),
+    ``separator_tree_depth`` (the levels of that dissection's separator tree
+    below its root, ``SeparatorTree.depth``), ``largest_separator`` (the
+    vertical-facet DOFs of its largest separator; 0 when no box is split),
     ``factor_dtype`` (the precision of the LU, always ``"float32"``) and
     ``residuals`` (the relative residual after the first solve and after
     each refinement step; its last entry is ``residual``, and it is empty
@@ -406,49 +419,108 @@ def _n_facet(system: LinearSystem) -> int:
     return sum(d.entity[0] != "interior" for d in system.u_space.element.dofs)
 
 
-def _nested_dissection(column_facets, centroids):
+class SeparatorTree(NamedTuple):
+    """The nested-dissection order of the vertical-facet DOFs and its
+    separator tree, the elimination tree of the column boxes (Liu 1990).
+
+    Nodes are numbered in post-order, so every child comes before its
+    parent and a subtree is a run of nodes ending at its root.  Node i holds
+    the DOFs ``order[bounds[i]:bounds[i + 1]]``, ascending: a leaf the
+    unsplit DOFs of its box of columns, an inner node the separator of its
+    box's two halves.  ``parent[i]`` is -1 at the root, the last node.
+    ``column_leaf`` gives each column's leaf and ``depth`` the levels below
+    the root.
+    """
+
+    order: np.ndarray
+    parent: np.ndarray
+    bounds: np.ndarray
+    column_leaf: np.ndarray
+    depth: int
+
+
+def _nested_dissection(column_facets, centroids) -> SeparatorTree:
     """The vertical-facet DOFs 0 ... nv-1 in nested-dissection order over
-    the columns.
+    the columns, with its separator tree.
 
     Two vertical-facet DOFs couple in the Schur complement, once the
     horizontal-facet DOFs are eliminated, only through a shared column, so
     the order is built from each column's vertical-facet DOFs and the
     centroid of its base triangle before the matrix exists (George 1973).
-    A set of columns is split into two halves by rank along the widest axis
-    of its centroids, and the separator is the unordered DOFs that columns
-    of both halves own; it is ordered after the two halves.  A set with at
-    most ``ND_LEAF`` unordered DOFs is not split.
+    A box of columns is split into two halves by stable rank along the
+    widest axis of its centroids, and its separator is the pending DOFs (those
+    whose one or two owning columns all lie in the box) whose owners land
+    in different halves; it is ordered after the two halves.  A box with at
+    most ``ND_LEAF`` pending DOFs, or one column, is a leaf.  Every box of a
+    tree level is split in one pass of numpy calls: one ``np.lexsort`` of
+    all their columns, the box first and the centroid along the box's own
+    axis next, so that ties keep the order of the parent's halves.
     """
+    ncol, width = column_facets.shape
     nv = column_facets.max() + 1
-    side = np.zeros(nv, dtype=np.int8)   # 1: a low column owns it, 2: separator
-    order = []
+    facets, owner = column_facets.ravel(), np.repeat(np.arange(ncol), width)
+    first, last = np.full(nv, ncol), np.full(nv, -1)   # each DOF's owning columns
+    np.minimum.at(first, facets, owner)
+    np.maximum.at(last, facets, owner)
 
-    def dissect(columns, ids):
-        # ids: the unordered DOFs of columns, which no other column owns
-        if len(ids) > ND_LEAF and len(columns) > 1:
-            x = centroids[columns]
-            rank = np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")
-            low, high = np.split(columns[rank], [len(columns) // 2])
-            side[column_facets[low]] = 1
-            sep = column_facets[high]
-            sep = np.unique(sep[side[sep] == 1])
-            side[sep] = 2
-            half = side[ids]
-            side[column_facets[low]] = 0
-            dissect(low, ids[half == 1])
-            dissect(high, ids[half == 0])
-            ids = sep
-        order.append(ids)
+    # nodes are numbered level by level here; a level's boxes are top ... n_nodes-1
+    box = np.zeros(ncol, dtype=np.int64)               # each column's box
+    node = np.empty(nv, dtype=np.int64)                # each DOF's node
+    parent = np.full(2 * ncol, -1)
+    cols, pending = np.arange(ncol), np.arange(nv)     # the level's columns, box by box
+    levels, top, n_nodes = [], 0, 1
+    while True:
+        cb, db = box[cols] - top, box[first[pending]] - top
+        n_cols = np.bincount(cb, minlength=n_nodes - top)
+        split = (np.bincount(db, minlength=n_nodes - top) > ND_LEAF) & (n_cols > 1)
+        leaf = ~split[db]
+        node[pending[leaf]] = db[leaf] + top
+        pending = pending[~leaf]
+        if not split.any():
+            break
+        keep = split[cb]
+        cols, cb = cols[keep], (np.cumsum(split) - 1)[cb[keep]]
+        n = n_cols[split]
+        starts = np.cumsum(n) - n
+        x = centroids[cols]
+        axis = (np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)).argmax(axis=1)
+        cols = cols[np.lexsort((x[np.arange(len(cols)), axis[cb]], cb))]
+        high = np.arange(len(cols)) - starts[cb] >= (n // 2)[cb]
+        box[cols] = n_nodes + 2 * cb + high
+        boxes = np.flatnonzero(split) + top
+        parent[n_nodes:n_nodes + 2 * len(boxes)] = np.repeat(boxes, 2)
+        a = box[first[pending]]
+        sep = a != box[last[pending]]
+        node[pending[sep]] = parent[a[sep]]
+        pending = pending[~sep]
+        levels.append((boxes, n_nodes))
+        top, n_nodes = n_nodes, n_nodes + 2 * len(boxes)
 
-    dissect(np.arange(len(column_facets)), np.arange(nv))
-    return np.concatenate(order)
+    # post-order: a subtree's nodes start where its low child's do
+    size = np.ones(n_nodes, dtype=np.int64)
+    for p, c in reversed(levels):
+        low = c + 2 * np.arange(len(p))
+        size[p] += size[low] + size[low + 1]
+    start = np.zeros(n_nodes, dtype=np.int64)
+    for p, c in levels:
+        low = c + 2 * np.arange(len(p))
+        start[low] = start[p]
+        start[low + 1] = start[p] + size[low]
+    post = start + size - 1
+    rank = post[node]
+    tree_parent = np.full(n_nodes, -1)
+    tree_parent[post[1:]] = post[parent[1:n_nodes]]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rank, minlength=n_nodes))])
+    order = np.argsort(rank, kind="stable")
+    return SeparatorTree(order, tree_parent, bounds, post[box], len(levels))
 
 
-def _facet_order(u: FunctionSpace) -> np.ndarray:
-    """The facet DOFs 0 ... ng-1 in the order SuperLU factors them: every
-    horizontal-facet DOF (nv ... ng-1), which couples only inside its
-    column, then the vertical-facet DOFs 0 ... nv-1 by ``_nested_dissection``
-    over the columns.  Cells are numbered column-major, so a column's
+def _facet_order(u: FunctionSpace):
+    """The facet DOFs 0 ... ng-1 in the order SuperLU factors them, and the
+    vertical ones' ``SeparatorTree``: every horizontal-facet DOF (nv ...
+    ng-1), which couples only inside its column, then the vertical-facet
+    DOFs 0 ... nv-1 by ``_nested_dissection`` over the columns.  Cells are
+    numbered column-major, so a column's
     vertical-facet DOFs are a reshape of its cells' ``"quad"`` DOFs.  The
     columns' centroids come from the base mesh's unscaled ``directions``:
     the icosahedral mesh has exact coordinate ties, which centroids of the
@@ -460,16 +532,19 @@ def _facet_order(u: FunctionSpace) -> np.ndarray:
     nv = u.vfacet_dofs.size
     horizontal = np.arange(nv, nv + u.hfacet_dofs.size)
     centroids = base.directions[base.triangles].mean(axis=1)
-    return np.concatenate([horizontal, _nested_dissection(columns, centroids)])
+    tree = _nested_dissection(columns, centroids)
+    return np.concatenate([horizontal, tree.order]), tree
 
 
 def _condense(system: LinearSystem, order: np.ndarray):
     """Condense every cell's local (l) DOFs onto its facet (g) DOFs.
 
     E_gg, E_gl, E_lg and E_ll are slices of each cell matrix at f.  Per
-    cell: B^-1 = E_ll^-1, W = B^-1 E_lg and S_e = E_gg - E_gl W.  Returns S
-    = sum of the S_e, a float64 CSC in the facet order ``order``; the cells'
-    facet DOFs as positions in ``order``; B^-1, W and E_gl.
+    cell: B^-1 = E_ll^-1 and S_e = E_gg - E_gl (B^-1 E_lg).  Returns S = sum
+    of the S_e, a float64 CSC in the facet order ``order``; the cells' facet
+    DOFs as positions in ``order``; and B^-1.  B^-1 E_lg, which ``solve``
+    needs only after the factor, is a temporary here, so that it is not
+    alive across the factor.
     """
     f = _n_facet(system)
     E = system.cell_matrices
@@ -477,9 +552,7 @@ def _condense(system: LinearSystem, order: np.ndarray):
         B_inv = np.linalg.inv(E[:, f:, f:])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"cell-local block inversion failed: {exc}") from exc
-    E_gl = E[:, :f, f:]
-    W = B_inv @ E[:, f:, :f]
-    S_e = E[:, :f, :f] - E_gl @ W
+    S_e = E[:, :f, :f] - E[:, :f, f:] @ (B_inv @ E[:, f:, :f])
 
     ng = len(order)
     position = np.empty(ng, dtype=np.int64)
@@ -487,7 +560,7 @@ def _condense(system: LinearSystem, order: np.ndarray):
     facet = position[system.cell_dofs[:, :f]]
     S = _scatter_blocks(S_e, facet, ng).tocsc()
     S.eliminate_zeros()         # zeros in the constrained rows and columns would add LU fill
-    return S, facet, B_inv, W, E_gl
+    return S, facet, B_inv
 
 
 def _release_freed_heap():
@@ -526,9 +599,13 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     ``MAX_REFINEMENT_STEPS`` steps after the first solve.
 
     A level's memory peaks inside the factor: L, U and SuperLU's work
-    arrays on top of what stays alive across it, the cell matrices, B^-1, W
-    and the float32 S.  The per-cell S_e, the int64 COO indices and the
-    float64 S are freed by then, but glibc keeps a freed block below its
+    arrays on top of what stays alive across it, the cell matrices, B^-1,
+    the float32 S and the index arrays (the facet order, the cells' facet
+    positions and local DOFs).  The float32 S is dropped as soon as the
+    factor returns (the LU keeps no reference to it), and only then is W =
+    B^-1 E_lg formed, by the matmul ``_condense`` used.  The per-cell S_e,
+    B^-1 E_lg, the int64 COO indices and the float64 S are freed by then,
+    but glibc keeps a freed block below its
     dynamic mmap threshold (at most 32 MiB) resident in the heap, so
     ``_release_freed_heap`` hands those pages back just before the factor.
     That helps only where the freed arrays fall under the threshold: at k=2
@@ -546,11 +623,13 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     n, n_u = len(b), system.n_u
     f = _n_facet(system)
     local = system.cell_dofs[:, f:]
-    order = _facet_order(system.u_space)
+    order, tree = _facet_order(system.u_space)
     ng = len(order)
+    separators = np.diff(tree.bounds)[tree.parent[tree.parent >= 0]]
     stats = {
         "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "rows_swapped": 0,
-        "refinement_steps": 0, "factor_scale_log2": 0,
+        "refinement_steps": 0, "factor_scale_log2": 0, "separator_tree_depth": tree.depth,
+        "largest_separator": int(separators.max(initial=0)),
         "ordering": "column-nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
@@ -564,7 +643,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     if bnorm == 0.0:
         return result(np.zeros_like(b), 0.0)
 
-    S, facet, B_inv, W, E_gl = _condense(system, order)
+    S, facet, B_inv = _condense(system, order)
     # 2^e S is exact, so the factor's L is that of S and its U 2^e times
     # it; float64 S is a temporary: only the float32 copy is kept for the LU
     e = FACTOR_TOP_LOG2 - int(np.frexp(np.abs(S.data).max(initial=0.0))[1])
@@ -580,6 +659,9 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
         ) from exc
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
+    del S                       # W is formed only now, on pages S held during the factor
+    E = system.cell_matrices
+    E_gl, W = E[:, :f, f:], B_inv @ E[:, f:, :f]
     stats["lu_nnz"] = int(lu.nnz)
     stats["rows_swapped"] = int(np.count_nonzero(lu.perm_r != np.arange(ng)))
 

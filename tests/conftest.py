@@ -184,3 +184,37 @@ def vertical_facet_normal_values(m, coords, u, vf, facets, s, z):
         v = evaluate_velocity(u, coords, [c], ref)[0]
         out.append((v * n).sum(axis=1))
     return out
+
+
+def nested_dissection(column_facets, centroids, leaf):
+    """The vertical-facet DOFs 0 ... nv-1 in nested-dissection order over
+    the columns, by recursion (an oracle for ``assembly._nested_dissection``).
+
+    A set of columns is split into two halves by rank along the widest axis
+    of its centroids, and the separator is the unordered DOFs that columns
+    of both halves own; it is ordered after the two halves.  A set with at
+    most ``leaf`` unordered DOFs is not split.
+    """
+    nv = column_facets.max() + 1
+    side = np.zeros(nv, dtype=np.int8)   # 1: a low column owns it, 2: separator
+    order = []
+
+    def dissect(columns, ids):
+        # ids: the unordered DOFs of columns, which no other column owns
+        if len(ids) > leaf and len(columns) > 1:
+            x = centroids[columns]
+            rank = np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")
+            low, high = np.split(columns[rank], [len(columns) // 2])
+            side[column_facets[low]] = 1
+            sep = column_facets[high]
+            sep = np.unique(sep[side[sep] == 1])
+            side[sep] = 2
+            half = side[ids]
+            side[column_facets[low]] = 0
+            dissect(low, ids[half == 1])
+            dissect(high, ids[half == 0])
+            ids = sep
+        order.append(ids)
+
+    dissect(np.arange(len(column_facets)), np.arange(nv))
+    return np.concatenate(order)

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from shallowfem import assembly, fem, geometry, mesh, mms
+
+from conftest import nested_dissection
 
 
 def inner_dofs(system):
@@ -335,10 +340,9 @@ def n_vertical_facet_dofs(system):
     return system.u_space.vfacet_dofs.size
 
 
-def facet_inputs(system):
+def facet_inputs(u):
     """(each column's vertical-facet DOFs, its base triangle's centroid), the
-    inputs of ``_nested_dissection`` in ``solve``."""
-    u = system.u_space
+    inputs of ``_nested_dissection`` in ``solve``, for the V1 space ``u``."""
     base = u.mesh.base
     quad = [d.entity[0] == "quad" for d in u.element.dofs]
     columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
@@ -377,20 +381,20 @@ def test_cell_dofs_put_the_facet_dofs_first(annulus_r1_l2, k):
 
 
 def test_nested_dissection_is_a_deterministic_permutation(r1_system):
-    columns, centroids = facet_inputs(r1_system)
-    order = assembly._nested_dissection(columns, centroids)
+    columns, centroids = facet_inputs(r1_system.u_space)
+    order = assembly._nested_dissection(columns, centroids).order
     np.testing.assert_array_equal(np.sort(order), np.arange(n_vertical_facet_dofs(r1_system)))
-    np.testing.assert_array_equal(assembly._nested_dissection(columns, centroids), order)
+    np.testing.assert_array_equal(assembly._nested_dissection(columns, centroids).order, order)
 
 
 def test_facet_order_puts_the_horizontal_facet_dofs_first(r1_system):
     """Every horizontal-facet DOF (nv ... ng-1) precedes every vertical-facet
     DOF, and the vertical ones follow in ``_nested_dissection`` order."""
-    order = assembly._facet_order(r1_system.u_space)
+    order = assembly._facet_order(r1_system.u_space)[0]
     nv, ng = n_vertical_facet_dofs(r1_system), n_facet_dofs(r1_system)
     assert len(order) == ng
     np.testing.assert_array_equal(order[:ng - nv], np.arange(nv, ng))
-    vertical = assembly._nested_dissection(*facet_inputs(r1_system))
+    vertical = assembly._nested_dissection(*facet_inputs(r1_system.u_space)).order
     np.testing.assert_array_equal(order[ng - nv:], vertical)
 
 
@@ -400,8 +404,8 @@ def test_nested_dissection_orders_the_top_separator_last(r1_system):
     own, and no column owns a DOF of the low block and one of the high
     block.  The top separator holds only vertical-facet DOFs, last in the
     order ``solve`` factors in."""
-    columns, centroids = facet_inputs(r1_system)
-    order = assembly._nested_dissection(columns, centroids)
+    columns, centroids = facet_inputs(r1_system.u_space)
+    order = assembly._nested_dissection(columns, centroids).order
     nv = len(order)
     axis = np.ptp(centroids, axis=0).argmax()
     low, high = np.split(np.argsort(centroids[:, axis], kind="stable"), [len(centroids) // 2])
@@ -409,7 +413,7 @@ def test_nested_dissection_orders_the_top_separator_last(r1_system):
     sep = np.intersect1d(low_ids, high_ids)
     assert len(sep)
     np.testing.assert_array_equal(np.sort(order[nv - len(sep):]), sep)
-    full = assembly._facet_order(r1_system.u_space)
+    full = assembly._facet_order(r1_system.u_space)[0]
     np.testing.assert_array_equal(np.sort(full[len(full) - len(sep):]), sep)
     assert sep.max() < nv
 
@@ -419,6 +423,91 @@ def test_nested_dissection_orders_the_top_separator_last(r1_system):
     block[order] = np.repeat([0, 1, 2], [n_low, nv - n_low - len(sep), len(sep)])
     owned = block[columns]
     assert not ((owned == 0).any(axis=1) & (owned == 1).any(axis=1)).any()
+
+
+def test_solve_reports_the_separator_tree(r1_system):
+    """``stats`` gives the separator tree's depth, 4 levels below the root
+    over k=1 (1,2)'s 80 columns, and its largest separator, here the top
+    one, the last node: 48 DOFs."""
+    stats = assembly.solve(r1_system).stats
+    tree = assembly._facet_order(r1_system.u_space)[1]
+    assert stats["separator_tree_depth"] == tree.depth == 4
+    assert stats["largest_separator"] == tree.bounds[-1] - tree.bounds[-2] == 48
+
+
+DISSECTION_LEVELS = {
+    "k1-1:2": (1, 1, 2), "k1-2:4": (1, 2, 4), "k1-2:16": (1, 2, 16), "k1-3:8": (1, 3, 8),
+    "deep-3:1": (1, 3, 1), "deep-4:2": (1, 4, 2), "k2-2:4": (2, 2, 4),
+    "earth-1:2": (1, 1, 2, 6.371e6, 1e4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def dissection_inputs(k, refinement, layers, a=1.0, thickness=1.0):
+    """``facet_inputs`` of a ladder level's V1 space; deep mode dissects the
+    same mesh as shallow mode."""
+    m = mesh.extrude_radial(mesh.build_icosahedral_sphere(refinement, a), layers, thickness)
+    return facet_inputs(fem.build_dof_map(m, mesh.classify_facets(m), fem.make_element("V1", k)))
+
+
+@pytest.mark.parametrize("level", DISSECTION_LEVELS.values(), ids=DISSECTION_LEVELS.keys())
+def test_nested_dissection_matches_the_recursive_one(level):
+    """The level-synchronous dissection orders the DOFs bit for bit as the
+    recursion that splits one box at a time (``conftest.nested_dissection``)."""
+    columns, centroids = dissection_inputs(*level)
+    expected = nested_dissection(columns, centroids, assembly.ND_LEAF)
+    got = assembly._nested_dissection(columns, centroids).order
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("level", DISSECTION_LEVELS.values(), ids=DISSECTION_LEVELS.keys())
+def test_separator_tree_invariants(level):
+    """The tree's node ranges tile the order, each ascending; nodes are in
+    post-order, so children come before their parent and every subtree is a
+    run of nodes ending at its root; a leaf holds at most ``ND_LEAF`` DOFs or
+    one column, and only DOFs whose owning columns lie in it; and every
+    separator DOF is owned by a column of each of its node's two children."""
+    columns, centroids = dissection_inputs(*level)
+    tree = assembly._nested_dissection(columns, centroids)
+    nv, n = len(tree.order), len(tree.parent)
+    assert len(tree.bounds) == n + 1 and tree.bounds[0] == 0 and tree.bounds[-1] == nv
+    sizes = np.diff(tree.bounds)
+    assert (sizes >= 0).all()
+    node = np.repeat(np.arange(n), sizes)
+    assert (np.diff(tree.order)[node[1:] == node[:-1]] > 0).all()
+
+    assert tree.parent[-1] == -1 and (tree.parent[:-1] > np.arange(n - 1)).all()
+    subtree, depth = np.ones(n, dtype=int), np.zeros(n, dtype=int)
+    for i in range(n - 1):
+        subtree[tree.parent[i]] += subtree[i]
+    for i in range(n - 2, -1, -1):
+        depth[i] = depth[tree.parent[i]] + 1
+    first = np.arange(n) - subtree + 1         # the subtree of i is first[i] ... i
+    assert (first[tree.parent[:-1]] <= first[:-1]).all()
+    assert tree.depth == depth.max()
+    children = np.bincount(tree.parent[:-1], minlength=n)
+    assert set(children) <= {0, 2}
+
+    # on the closed sphere every vertical-facet DOF has two owning columns
+    flat = columns.ravel()
+    assert (np.bincount(flat) == 2).all()
+    owners = np.repeat(np.arange(len(columns)), columns.shape[1])[np.argsort(flat, kind="stable")]
+    leaf_of = tree.column_leaf[owners.reshape(nv, 2)[tree.order]]   # (nv, 2), in the order
+    leaves = children == 0
+    assert leaves[tree.column_leaf].all()
+    on_leaf = leaves[node]
+    assert (leaf_of[on_leaf] == node[on_leaf, None]).all()
+    n_columns = np.bincount(tree.column_leaf, minlength=n)
+    assert ((sizes <= assembly.ND_LEAF) | (n_columns == 1))[leaves].all()
+
+    high = np.arange(n) - 1                     # an inner node's children: high, then low
+    low = high - subtree[high]
+    inner = np.flatnonzero(~leaves)
+    assert (tree.parent[high[inner]] == inner).all() and (tree.parent[low[inner]] == inner).all()
+    sep_node, sep_leaves = node[~on_leaf, None], leaf_of[~on_leaf]
+    for child in (low, high):
+        inside = (first[child[sep_node]] <= sep_leaves) & (sep_leaves <= child[sep_node])
+        assert (inside.sum(axis=1) == 1).all()
 
 
 @pytest.mark.parametrize("k, mode, level, parent_fill, steps", [
@@ -511,7 +600,7 @@ def test_column_order_does_not_depend_on_the_radius(level):
     def order(a):
         m = mesh.extrude_radial(mesh.build_icosahedral_sphere(level[0], a), level[1], 1.0)
         V1 = fem.build_dof_map(m, mesh.classify_facets(m), fem.make_element("V1", 1))
-        return assembly._facet_order(V1)
+        return assembly._facet_order(V1)[0]
 
     ref = order(1.0)
     for a in (0.3, 2.0, 1e5, 1e6, 6.371e6, 1e7, 3e7, 1e9):
@@ -547,7 +636,7 @@ def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
     assert captured["permc_spec"] == "NATURAL"
 
     cell_facets = r1_system.u_space.cell_dofs[:, :assembly._n_facet(r1_system)]
-    order = assembly._facet_order(r1_system.u_space)
+    order = assembly._facet_order(r1_system.u_space)[0]
     ng = len(order)
     index = np.empty(ng, dtype=np.int64)
     index[order] = np.arange(ng)
@@ -750,7 +839,7 @@ def test_a_rotation_given_as_a_vector_is_rejected(annulus_r0_l1_module):
     """``omega4`` gives the scalar omega_4: a provider that still returns
     the vector (0, 0, 0, omega_4), (..., 4), does not broadcast to the chart's
     nodes, so assembly raises before the forcing is read and yields no
-    number."""
+    number, naming ``omega4``, the nodes' shape and the shape it got."""
     V1, V2 = build_spaces(annulus_r0_l1_module, 1)
 
     def omega4(x):
@@ -759,7 +848,7 @@ def test_a_rotation_given_as_a_vector_is_rejected(annulus_r0_l1_module):
     def f4(x):
         pytest.fail("the forcing was read before the rotation")
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"omega4 .*scalar.*\(20, 6\).*\(20, 6, 4\)"):
         assembly.assemble(assembly.ProblemConfig(k=1, omega4=omega4, f4=f4), V1, V2)
 
 
@@ -1037,7 +1126,7 @@ def test_cell_condensation_matches_the_sparse_one(bc_system):
     of the oracle matrix, in the column order of ``solve``, and stores only
     its nonzeros."""
     A = bc_system.matrix
-    order = assembly._facet_order(bc_system.u_space)
+    order = assembly._facet_order(bc_system.u_space)[0]
     local = cell_local_dofs(bc_system).ravel()
     B_inv = np.linalg.inv(cell_local_blocks(bc_system))
     A_gl = A[order][:, local]
@@ -1058,6 +1147,54 @@ def test_solve_never_builds_the_global_matrix(r1_system, monkeypatch):
     result = assembly.solve(r1_system)
     assert result.residual <= 1e-10
     assert result.p.coeffs.tobytes() == expected.p.coeffs.tobytes()
+
+
+def test_the_factor_holds_only_b_inv_s_and_the_index_arrays(monkeypatch):
+    """k=2 (1,2): of what ``solve`` allocates, only B^-1, the float32 S and
+    the index arrays (the facet order, the cells' facet positions and
+    ``cell_dofs``, which the local DOFs view) are alive when ``splu`` is
+    called, with 64 KiB for the separator tree and small objects; W = B^-1
+    E_lg (450 KiB here) is not.  S's arrays are freed before the first
+    triangular solve."""
+    V1, V2 = build_spaces(mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0), 2)
+    system = assembly.apply_inner_bc(
+        assembly.assemble(assembly.ProblemConfig(k=2, g=lambda x: x[0]), V1, V2))
+    seen = {}
+
+    class Factor:
+        """The LU, recording whether S's arrays are alive at its first solve."""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, rhs):
+            seen.setdefault("alive", [ref() is not None for ref in seen["refs"]])
+            return self.lu.solve(rhs)
+
+    def spy(matrix, **kwargs):
+        arrays = (matrix.data, matrix.indices, matrix.indptr)
+        seen["traced"] = tracemalloc.get_traced_memory()[0]
+        seen["S"] = sum(a.nbytes for a in arrays)
+        seen["refs"] = [weakref.ref(a) for a in arrays]
+        return Factor(splu(matrix, **kwargs))
+
+    monkeypatch.setattr(assembly, "splu", spy)
+    tracemalloc.start()
+    try:
+        result = assembly.solve(system)
+    finally:
+        tracemalloc.stop()
+    assert result.residual <= 1e-10
+
+    nc, nd = system.cell_matrices.shape[:2]
+    f = assembly._n_facet(system)
+    b_inv = nc * (nd - f) ** 2 * 8
+    index = (nc * f + result.stats["n_global"] + nc * nd) * 8
+    assert seen["traced"] <= b_inv + seen["S"] + index + 64 * 1024
+    assert seen["alive"] == [False, False, False]
 
 
 def test_heap_release_changes_no_bit_of_the_solve(r1_system, monkeypatch):
