@@ -126,6 +126,17 @@ __all__ = [
 # 64 gave 6.88M, 15.33M and 4.90M, and 128 gave 6.93M, 15.33M and 5.25M.
 ND_LEAF = 32
 
+# SuperLU's panel width w (its default is 20).  The factor's panel work
+# arrays take about 12 bytes per facet unknown per panel column, and w does
+# not move the fill.  Factor RSS rise (fresh process) and median time (21
+# factors alternating in one process, one BLAS thread) at w = 4, 6, 8, 10,
+# 12, 16, 20: k=2 (2,4) 42.3, 42.6, 42.9, 43.4, 43.7, 44.5, 45.2 MiB and
+# 225, 230, 225, 227, 212, 213, 214 ms; deep (4,2) 34.9, 35.9, 37.0, 38.1,
+# 39.1, 41.2, 43.3 MiB and 153, 154, 152, 156, 153, 150, 152 ms.  k=2 (3,8)
+# rose 794-817 MiB; there 6 and 8 factored 27 % and 10 % slower than 20,
+# 10 lost 25 of 34 alternating pairs to 20, and 12 won 11 of 16.
+PANEL_SIZE = 12
+
 # Most refinement steps after the first solve with the float32 factor.  Each
 # step scales the residual by about cond(S) 2^-24: 1e-5 at k=2 (2,4) and
 # 3e-5 at k=2 (3,8), where two steps reach 1e-10.
@@ -401,7 +412,9 @@ class SolveResult:
     ``separator_tree_depth`` (the levels of that dissection's separator tree
     below its root, ``SeparatorTree.depth``), ``largest_separator`` (the
     vertical-facet DOFs of its largest separator; 0 when no box is split),
-    ``factor_dtype`` (the precision of the LU, always ``"float32"``) and
+    ``factor_dtype`` (the precision of the LU, always ``"float32"``),
+    ``panel_size`` (SuperLU's panel width, always ``PANEL_SIZE``, also when
+    nothing is factored) and
     ``residuals`` (the relative residual after the first solve and after
     each refinement step; its last entry is ``residual``, and it is empty
     when the right-hand side is zero and nothing is solved).
@@ -598,12 +611,17 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     relative residual is at most ``tolerance``, for at most
     ``MAX_REFINEMENT_STEPS`` steps after the first solve.
 
-    A level's memory peaks inside the factor: L, U and SuperLU's work
-    arrays on top of what stays alive across it, the cell matrices, B^-1,
-    the float32 S and the index arrays (the facet order, the cells' facet
-    positions and local DOFs).  The float32 S is dropped as soon as the
-    factor returns (the LU keeps no reference to it), and only then is W =
-    B^-1 E_lg formed, by the matmul ``_condense`` used.  The per-cell S_e,
+    A level's memory peaks at the factor or just after it.  At the factor
+    L, U and SuperLU's work arrays sit on top of what stays alive across
+    it: the cell matrices, B^-1, the float32 S and the index arrays (the
+    facet order, the cells' facet positions and local DOFs).  SuperLU's
+    panel work arrays grow with the panel width ``PANEL_SIZE``: each unit
+    of it costs about 0.53 MiB at ng = 46,080 facet unknowns (deep k=1
+    (4,2)) and 0.19 MiB at ng = 16,320 (k=2 (2,4)).  The float32 S is
+    dropped as soon as the factor returns (the LU keeps no reference to
+    it), and only then is W = B^-1 E_lg formed, by the matmul ``_condense``
+    used.  At k=2 (2,4) the level's maximum falls after the factor: 133.3
+    MiB when it returns, 134.2 MiB at the level's end.  The per-cell S_e,
     B^-1 E_lg, the int64 COO indices and the float64 S are freed by then,
     but glibc keeps a freed block below its
     dynamic mmap threshold (at most 32 MiB) resident in the heap, so
@@ -630,7 +648,8 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
         "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "rows_swapped": 0,
         "refinement_steps": 0, "factor_scale_log2": 0, "separator_tree_depth": tree.depth,
         "largest_separator": int(separators.max(initial=0)),
-        "ordering": "column-nested-dissection", "factor_dtype": "float32", "residuals": [],
+        "ordering": "column-nested-dissection", "factor_dtype": "float32",
+        "panel_size": PANEL_SIZE, "residuals": [],
     }
 
     def result(z, res):
@@ -652,7 +671,7 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     S = S.astype(np.float32)
     _release_freed_heap()
     try:
-        lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01)
+        lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01, panel_size=PANEL_SIZE)
     except MemoryError as exc:
         raise SolverError(
             f"out of memory factoring the condensed matrix (n={ng}, nnz={S.nnz})"

@@ -435,6 +435,51 @@ def test_solve_reports_the_separator_tree(r1_system):
     assert stats["largest_separator"] == tree.bounds[-1] - tree.bounds[-2] == 48
 
 
+def test_solve_factors_at_the_panel_size(r1_system, monkeypatch):
+    """SuperLU gets ``PANEL_SIZE`` as its panel width, and ``stats`` report
+    it, also when the right-hand side is zero and nothing is factored."""
+    widths = []
+
+    def spy(matrix, **kwargs):
+        widths.append(kwargs["panel_size"])
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", spy)
+    assert assembly.solve(r1_system).stats["panel_size"] == assembly.PANEL_SIZE
+    assert widths == [assembly.PANEL_SIZE]
+    zero = assembly.solve(dataclasses.replace(r1_system, rhs=np.zeros_like(r1_system.rhs)))
+    assert zero.stats["panel_size"] == assembly.PANEL_SIZE and widths == [assembly.PANEL_SIZE]
+
+
+@pytest.mark.parametrize("k, mode, level", [
+    (1, "shallow", (2, 4)), (1, "deep", (3, 1)), (2, "shallow", (1, 2)),
+], ids=["k1-2:4", "deep-3:1", "k2-1:2"])
+def test_the_panel_moves_only_rounding(k, mode, level, monkeypatch):
+    """The panel width changes how SuperLU blocks its updates, not what it
+    computes: a manufactured level solved at ``PANEL_SIZE`` and at SuperLU's
+    default of 20 has the same fill, row swaps and refinement steps, and
+    its fields agree to 1e-9 relative."""
+    results, solve = [], assembly.solve
+
+    def recorded(system, tolerance):
+        results.append(solve(system, tolerance))
+        return results[-1]
+
+    def default_panel(matrix, **kwargs):
+        return splu(matrix, **{**kwargs, "panel_size": 20})
+
+    monkeypatch.setattr(assembly, "solve", recorded)
+    mms.convergence_study(k, [level], mode=mode)
+    monkeypatch.setattr(assembly, "splu", default_panel)
+    mms.convergence_study(k, [level], mode=mode)
+    ours, default = results
+    assert ours.residual <= 1e-10 and default.residual <= 1e-10
+    for key in ("lu_nnz", "rows_swapped", "refinement_steps"):
+        assert ours.stats[key] == default.stats[key]
+    for a, b in ((ours.u, default.u), (ours.p, default.p)):
+        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9 * np.abs(b.coeffs).max()
+
+
 DISSECTION_LEVELS = {
     "k1-1:2": (1, 1, 2), "k1-2:4": (1, 2, 4), "k1-2:16": (1, 2, 16), "k1-3:8": (1, 3, 8),
     "deep-3:1": (1, 3, 1), "deep-4:2": (1, 4, 2), "k2-2:4": (2, 2, 4),

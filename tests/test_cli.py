@@ -222,8 +222,8 @@ def test_convergence_stats_json(tiny_run, tmp_path):
     for r, row in zip(records, rows):
         assert set(r) == {"level", "n_global", "n_local_per_cell", "lu_nnz",
                           "rows_swapped", "refinement_steps", "factor_scale_log2", "residual",
-                          "ordering", "factor_dtype", "residuals", "separator_tree_depth",
-                          "largest_separator"}
+                          "ordering", "factor_dtype", "panel_size", "residuals",
+                          "separator_tree_depth", "largest_separator"}
         ncells, ndofs = int(row[3]), int(row[4])
         assert r["n_local_per_cell"] == 1 and r["n_global"] == ndofs - ncells
         assert r["lu_nnz"] > 0 and r["residual"] <= 1e-10
