@@ -84,26 +84,27 @@ for any omega_4.
 every V1 interior moment belongs to one cell, so all cells are condensed in
 one batched dense pass, the leaf level of the element multifrontal method
 (Duff & Reid 1983); a row of ``cell_dofs`` is [facet | local], so each
-cell's blocks are slices of its matrix.  SuperLU factors the facet Schur
-complement, scaled by an exact power of two, in float32, in a column
-order: the horizontal-facet DOFs, which couple only inside one column of
-prisms, come first, so SuperLU eliminates them as independent column
-blocks; the vertical-facet DOFs follow in nested-dissection order over
-the columns (George 1973), so the dissection splits only the 2D graph of
-columns, one tree level at a time, and keeps its separator tree (Liu
-1990).  Refinement in float64 (Buttari et al. 2007; Carson & Higham 2018)
-brings the residual to the tolerance; a step that fails to cut it tenfold
-is a SolverError, never a silent fallback to a float64 factor.
+cell's blocks are slices of its matrix.  The facet Schur complement S,
+scaled by an exact power of two, is factored in float32 by a numpy
+multifrontal method (Liu 1992) in a column order: the horizontal-facet
+DOFs, which couple only inside one column of prisms, are eliminated first,
+each column's in a front of its own; the vertical-facet DOFs follow in
+nested-dissection order over the columns (George 1973), so the dissection
+splits only the 2D graph of columns, one tree level at a time, and its
+separator tree (Liu 1990) is the tree of the remaining fronts.  Fronts are
+summed from the cells' Schur complements and their children's updates,
+never from a global matrix, and the fronts of one tree height are factored
+and solved together, padded to one shape.  Refinement in float64 (Buttari
+et al. 2007; Carson & Higham 2018) brings the residual to the tolerance; a
+step that fails to cut it tenfold is a SolverError, never a silent
+fallback to a float64 factor.
 """
 
-import ctypes
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import geometry
 from .fem import Field, FunctionSpace, default_quadrature_degree, reference_tables
@@ -126,29 +127,51 @@ __all__ = [
 # 64 gave 6.88M, 15.33M and 4.90M, and 128 gave 6.93M, 15.33M and 5.25M.
 ND_LEAF = 32
 
-# SuperLU's panel width w (its default is 20).  The factor's panel work
-# arrays take about 12 bytes per facet unknown per panel column, and w does
-# not move the fill.  Factor RSS rise (fresh process) and median time (21
-# factors alternating in one process, one BLAS thread) at w = 4, 6, 8, 10,
-# 12, 16, 20: k=2 (2,4) 42.3, 42.6, 42.9, 43.4, 43.7, 44.5, 45.2 MiB and
-# 225, 230, 225, 227, 212, 213, 214 ms; deep (4,2) 34.9, 35.9, 37.0, 38.1,
-# 39.1, 41.2, 43.3 MiB and 153, 154, 152, 156, 153, 150, 152 ms.  k=2 (3,8)
-# rose 794-817 MiB; there 6 and 8 factored 27 % and 10 % slower than 20,
-# 10 lost 25 of 34 alternating pairs to 20, and 12 won 11 of 16.
-PANEL_SIZE = 12
+# Most padding entries one batch of fronts may hold.  A batch costs a fixed
+# number of numpy calls in the factor and in each solve, a padding entry
+# its share of the GEMMs and of the extend-add.  Median solve at k=2 (2,4)
+# and deep (4,2), one process: 2^12 160 and 191 ms (33 and 212 batches),
+# 2^14 171 and 203, 2^16 171 and 153 (31 and 37), 2^18 196 and 161, 2^20
+# 210 and 169 ms (12 and 13).
+BATCH_PADDING = 2 ** 16
+
+# Most update entries one extend-add call adds (its int64 index takes 8
+# bytes an entry).
+EXTEND_ADD_CHUNK = 2 ** 20
+
+# Order up to which ``_invert`` hands a pivot block to ``np.linalg.inv``,
+# whose cost per block grows with its order (25 us at 32, 6 us at 16).
+# Median factor at k=2 (2,4) and deep (4,2): 134 and 144 ms at 4, 124 and
+# 93 at 8, 124 and 91 at 16, 119 and 94 ms at 32.
+INVERT_BASE = 16
+
+# Most entries, padding included, one batch of fronts may hold; a larger
+# front is a batch of its own.  It bounds the batch's float32 front and its
+# inverse, X and update, which sit on the factor.  Median solve and
+# tracemalloc peak at k=2 (2,4) and deep (4,2), one BLAS thread: 2^17 155
+# and 166 ms, 40.0 and 30.5 MiB; 2^19 143 and 158 ms, 40.2 and 33.2 MiB;
+# 2^21 143 and 163 ms, 50.4 and 38.5 MiB; unbounded 144 and 160 ms, 50.8
+# and 38.5 MiB.
+BATCH_ENTRIES = 2 ** 19
 
 # Most refinement steps after the first solve with the float32 factor.  Each
 # step scales the residual by about cond(S) 2^-24: 1e-5 at k=2 (2,4) and
 # 3e-5 at k=2 (3,8), where two steps reach 1e-10.
 MAX_REFINEMENT_STEPS = 10
 
-# ``solve`` scales the float32 system by 2^e, so that S's largest entry lies
-# in [2^109, 2^110): float32 subnormals made the Earth shell's factor 18x
-# slower than at a = 1.  U's largest entry was at most 2^8 above S's (the
-# strong-rotation test, 689 rows swapped; at most 2^0 with no row swapped)
-# and the forward solve's at most 2^4.5 above 2^e, so 10 binary orders are
-# left below float32's largest, 2^128.
-FACTOR_TOP_LOG2 = 110
+# ``solve`` scales the float32 system by 2^e, so that the largest entry of
+# the cells' S_e lies in [2^7, 2^8).  The factor holds entries of S's scale
+# (fronts, F21, updates) and of its inverse's (F11^-1), so the top sits near
+# the middle of float32's range.  Stored float32 subnormals, top 2^8 (2^24;
+# 2^64; 2^110; unscaled): Earth k=1 (1,2) 0 (0; 376; 24; 624), (2,4) 0 (0;
+# 22,336; 2,892; 10,032), (3,8) 10,352 (119,831; 436,055; 52,482; 127,636);
+# a = 1e9 (1,2) 0 (312; 1,373; 240; 0), (2,4) 0 (7,056; 49,029; 8,004; 0);
+# k=1 (3,8) 31 (280; 191; 147,466; 70); none on the k=2 and deep ladders or
+# in the strong-rotation test, where 2^110 stored 196,268 at k=2 (2,4).  At
+# 2^8 fronts and updates stay within 2^4.7 of the top (the strong-rotation
+# test), X = F11^-1 F12 within 2^7 and F11^-1 within 2^52 (a = 1e9), 76
+# binary orders below float32's largest, 2^128.
+FACTOR_TOP_LOG2 = 8
 
 
 class SolverError(Exception):
@@ -247,9 +270,10 @@ class LinearSystem:
     def n_p(self) -> int:
         return self.p_space.n_dofs
 
-    @property
+    @cached_property
     def cell_dofs(self) -> np.ndarray:
-        """(n_cells, nd) each cell's global [V1 facet | V1 interior | V2] DOFs, facets first."""
+        """(n_cells, nd) each cell's global [V1 facet | V1 interior | V2] DOFs,
+        facets first; built once per system."""
         return np.hstack([self.u_space.cell_dofs, self.p_space.cell_dofs + self.n_u])
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
@@ -259,21 +283,20 @@ class LinearSystem:
         return np.bincount(dofs.ravel(), Ez.ravel(), len(z))
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The global CSR, the tests' oracle; ``solve`` never builds it.  A
-        facet DOF lies in at most two cells, so no entry sums more than two
-        contributions and the CSR does not depend on the scatter order.  It
-        stores no zeros."""
-        A = _scatter_blocks(self.cell_matrices, self.cell_dofs, len(self.rhs)).tocsr()
+    def matrix(self):
+        """The global scipy CSR, the tests' oracle; ``solve`` never builds it,
+        and only this property imports scipy.  A facet DOF lies in at most
+        two cells, so no entry sums more than two contributions and the CSR
+        does not depend on the scatter order.  It stores no zeros."""
+        import scipy.sparse as sp
+
+        dofs = self.cell_dofs
+        rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        n = len(self.rhs)
+        A = sp.coo_matrix((self.cell_matrices.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(n, n)).tocsr()
         A.eliminate_zeros()
         return A
-
-
-def _scatter_blocks(blocks, index, n):
-    """The n x n COO sum of the per-cell blocks (n_cells, m, m), each at the
-    rows and columns ``index`` (n_cells, m)."""
-    rows, cols = np.broadcast_arrays(index[:, :, None], index[:, None, :])
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def coordinate_field(config: ProblemConfig, mesh) -> np.ndarray:
@@ -383,7 +406,8 @@ def apply_inner_bc(system: LinearSystem) -> LinearSystem:
     its right-hand side is zeroed (the constrained value is zero, so nothing
     moves to the RHS).  The input system is left unchanged.  Dropping these
     DOFs from S instead raised deep (4,2) LU fill from 4.79M to 12.72M under
-    SuperLU's default relaxed supernodes; the deep (3,1) fill test catches it.
+    SuperLU's default relaxed supernodes, which factored S before the
+    multifrontal method did.
     """
     space = system.u_space
     dofs = np.unique(space.hfacet_dofs[space.facets.inner_boundary].ravel())
@@ -402,22 +426,23 @@ class SolveResult:
     """Solution fields, the achieved relative residual and solver counts.
 
     ``stats``: ``n_global`` (order of the condensed matrix),
-    ``n_local_per_cell`` (DOFs eliminated per cell), ``lu_nnz`` (SuperLU fill
-    of the condensed matrix), ``rows_swapped`` (the rows SuperLU's partial
-    pivoting moved, the entries of ``perm_r`` off the identity: with none
-    the fill depends only on the pattern), ``refinement_steps``,
+    ``n_local_per_cell`` (DOFs eliminated per cell), ``lu_nnz`` (the float32
+    entries the factor stores, F11^-1, X and F21 of every front, padding
+    included), ``n_fronts`` (the columns of prisms plus the separator tree's
+    nodes), ``largest_front`` (the rows of the largest front, unpadded),
+    ``factor_flops`` (the factor's floating-point operations, padding
+    included), ``refinement_steps``,
     ``factor_scale_log2`` (the e of the factor's 2^e scaling; 0 when nothing
     is factored), ``ordering`` (the column order of the condensed matrix, always
     ``"column-nested-dissection"``: see ``_facet_order``),
     ``separator_tree_depth`` (the levels of that dissection's separator tree
     below its root, ``SeparatorTree.depth``), ``largest_separator`` (the
     vertical-facet DOFs of its largest separator; 0 when no box is split),
-    ``factor_dtype`` (the precision of the LU, always ``"float32"``),
-    ``panel_size`` (SuperLU's panel width, always ``PANEL_SIZE``, also when
-    nothing is factored) and
+    ``factor_dtype`` (the precision of the factor, always ``"float32"``) and
     ``residuals`` (the relative residual after the first solve and after
     each refinement step; its last entry is ``residual``, and it is empty
-    when the right-hand side is zero and nothing is solved).
+    when the right-hand side is zero and nothing is solved).  The front
+    counts come from the symbolic phase, also when nothing is factored.
     """
 
     u: Field
@@ -529,7 +554,7 @@ def _nested_dissection(column_facets, centroids) -> SeparatorTree:
 
 
 def _facet_order(u: FunctionSpace):
-    """The facet DOFs 0 ... ng-1 in the order SuperLU factors them, and the
+    """The facet DOFs 0 ... ng-1 in the order the factor eliminates them, and the
     vertical ones' ``SeparatorTree``: every horizontal-facet DOF (nv ...
     ng-1), which couples only inside its column, then the vertical-facet
     DOFs 0 ... nv-1 by ``_nested_dissection`` over the columns.  Cells are
@@ -538,7 +563,7 @@ def _facet_order(u: FunctionSpace):
     columns' centroids come from the base mesh's unscaled ``directions``:
     the icosahedral mesh has exact coordinate ties, which centroids of the
     scaled vertices break by rounding differently at some radii, so the
-    order, and with it the LU fill, is the same at every radius."""
+    order, and with it the factor, is the same at every radius."""
     base = u.mesh.base
     quad = [d.entity[0] == "quad" for d in u.element.dofs]
     columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
@@ -549,15 +574,14 @@ def _facet_order(u: FunctionSpace):
     return np.concatenate([horizontal, tree.order]), tree
 
 
-def _condense(system: LinearSystem, order: np.ndarray):
+def _condense(system: LinearSystem):
     """Condense every cell's local (l) DOFs onto its facet (g) DOFs.
 
     E_gg, E_gl, E_lg and E_ll are slices of each cell matrix at f.  Per
-    cell: B^-1 = E_ll^-1 and S_e = E_gg - E_gl (B^-1 E_lg).  Returns S = sum
-    of the S_e, a float64 CSC in the facet order ``order``; the cells' facet
-    DOFs as positions in ``order``; and B^-1.  B^-1 E_lg, which ``solve``
-    needs only after the factor, is a temporary here, so that it is not
-    alive across the factor.
+    cell: B^-1 = E_ll^-1 and S_e = E_gg - E_gl (B^-1 E_lg).  Returns the
+    S_e (n_cells, f, f), which sum to S over the cells' facet DOFs, and
+    B^-1.  B^-1 E_lg, which ``solve`` needs only after the factor, is a
+    temporary here, so that it is not alive across the factor.
     """
     f = _n_facet(system)
     E = system.cell_matrices
@@ -565,91 +589,286 @@ def _condense(system: LinearSystem, order: np.ndarray):
         B_inv = np.linalg.inv(E[:, f:, f:])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"cell-local block inversion failed: {exc}") from exc
-    S_e = E[:, :f, :f] - E[:, :f, f:] @ (B_inv @ E[:, f:, :f])
-
-    ng = len(order)
-    position = np.empty(ng, dtype=np.int64)
-    position[order] = np.arange(ng)
-    facet = position[system.cell_dofs[:, :f]]
-    S = _scatter_blocks(S_e, facet, ng).tocsc()
-    S.eliminate_zeros()         # zeros in the constrained rows and columns would add LU fill
-    return S, facet, B_inv
+    return E[:, :f, :f] - E[:, :f, f:] @ (B_inv @ E[:, f:, :f]), B_inv
 
 
-def _release_freed_heap():
-    """Hand the heap that freed arrays leave behind back to the OS.
+def _invert(A):
+    """The inverses of a stack of float32 pivot blocks (nb, n, n), by 2 x 2
+    block elimination down to order ``INVERT_BASE``, where ``np.linalg.inv``
+    pivots inside the block.  No pivot leaves its half (static pivoting, Li
+    & Demmel 2003), so the work is GEMMs.  S is indefinite, so nothing
+    guarantees a half invertible; SuperLU's threshold pivoting kept every
+    diagonal pivot on every benchmark level.  A singular half shows as a
+    LinAlgError or as non-finite entries."""
+    n = A.shape[-1]
+    if n <= INVERT_BASE:
+        return np.linalg.inv(A)
+    h = n // 2
+    inv11 = _invert(A[:, :h, :h])
+    X, Y = inv11 @ A[:, :h, h:], A[:, h:, :h] @ inv11
+    out = np.empty_like(A)
+    out[:, h:, h:] = _invert(A[:, h:, h:] - A[:, h:, :h] @ X)
+    out[:, :h, h:] = -(X @ out[:, h:, h:])
+    out[:, h:, :h] = -(out[:, h:, h:] @ Y)
+    out[:, :h, :h] = inv11 - out[:, :h, h:] @ Y
+    return out
 
-    glibc keeps a freed block below its dynamic mmap threshold (at most
-    32 MiB) in the heap, where it stays resident; ``malloc_trim(0)`` returns
-    those pages.  Where the C library has no ``malloc_trim``, or cannot be
-    opened by ``ctypes.CDLL(None)``, nothing is done.
+
+class _Batch(NamedTuple):
+    """Fronts of one height in the front tree, factored together.  Each is
+    padded to ``P`` pivots (its own first) and M border rows (its own
+    first), so the batch is one (nb, P + M, P + M) array.  ``dofs`` gives
+    each row's facet DOF, ng on padding, where the solves read and write a
+    zero; ``eye`` the flat indices of the padding pivots' diagonal, set to
+    1; ``up`` (nb, M) the row of each border row in its parent's padded
+    front, 0 on padding, whose update entries are zero.  A front sums the
+    blocks added at its rows: ``cells`` (cells, slots, rows (n, f)), the
+    S_e of a column's cells, and ``children``, per earlier batch (batch,
+    slots there, slots here), its children's updates."""
+
+    dofs: np.ndarray
+    P: int
+    eye: np.ndarray
+    up: np.ndarray
+    cells: tuple
+    children: list
+
+
+class _Fronts(NamedTuple):
+    """The front tree's batches in factor order; for each batch the last
+    batch that reads its updates (-1 for none); the facet order's
+    ``SeparatorTree``; and the counts ``solve`` reports."""
+
+    batches: list
+    last_read: np.ndarray
+    tree: SeparatorTree
+    n_fronts: int
+    largest_front: int
+    entries: int
+    flops: float
+
+
+def _front_tree(u: FunctionSpace, f: int) -> _Fronts:
+    """The multifrontal factor's symbolic phase (Duff & Reid 1983; Liu
+    1992): its fronts, their rows and the maps that add each front's update
+    into its parent's.
+
+    The fronts are the columns of prisms, then the nodes of the facet
+    order's ``SeparatorTree``.  A column's pivots are its horizontal-facet
+    DOFs, which couple only inside it, and its parent is its leaf; a tree
+    node's pivots are its vertical-facet DOFs.  A DOF lies in the fronts on
+    the path from its cells' columns up to the one that eliminates it, in
+    elimination order (``_facet_order``), so a front's pivots come first
+    and its border rows are its ancestors' DOFs.  Each height of the tree
+    (columns 0, leaves 1, ...) is cut, largest fronts first, into batches
+    of at most ``BATCH_PADDING`` padding entries.  Every index map is built
+    for all fronts at once, in numpy.
     """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim(0)
+    order, tree = _facet_order(u)
+    ng, n_nodes = len(order), len(tree.parent)
+    ncol = u.mesh.base.n_triangles
+    n = ncol + n_nodes
+    facets = u.cell_dofs[:, :f]
+    column = np.arange(len(facets)) // u.mesh.n_layers
+    rank = np.empty(ng, dtype=np.int64)
+    rank[order] = np.arange(ng)
+    owner = np.empty(ng, dtype=np.int64)                 # the front that eliminates each DOF
+    owner[facets] = column[:, None]
+    owner[tree.order] = ncol + np.repeat(np.arange(n_nodes), np.diff(tree.bounds))
+    parent = np.concatenate([ncol + tree.column_leaf,
+                             np.where(tree.parent < 0, -1, ncol + tree.parent)])
+
+    front, dof, keys = column.repeat(f), facets.ravel(), []
+    while len(dof):
+        keys.append(front * ng + rank[dof])
+        up = front != owner[dof]
+        front, dof = parent[front[up]], dof[up]
+    keys = np.sort(np.concatenate(keys))                 # (front, rank), ascending
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    start = np.searchsorted(keys, np.arange(n + 1) * ng)
+    size = np.diff(start)
+    p = np.bincount(owner, minlength=n)
+    m = size - p
+
+    height = np.zeros(n, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    for _ in range(tree.depth + 2):
+        np.maximum.at(height, parent[child], height[child] + 1)
+    batch, slot, shapes = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), []
+    for h in range(height.max() + 1):
+        ids = np.flatnonzero(height == h)
+        ids = ids[np.lexsort((-p[ids], -size[ids]))]
+        while len(ids):
+            P, M = np.maximum.accumulate(p[ids]), np.maximum.accumulate(m[ids])
+            entries = np.arange(1, len(ids) + 1) * (P + M) ** 2
+            fits = (entries - np.cumsum(size[ids] ** 2) <= BATCH_PADDING) & (entries <= BATCH_ENTRIES)
+            nb = max(1, np.argmin(np.append(fits, False)))
+            batch[ids[:nb]], slot[ids[:nb]] = len(shapes), np.arange(nb)
+            shapes.append((nb, P[nb - 1], M[nb - 1]))
+            ids = ids[nb:]
+    nb, P, M = (np.array(x) for x in zip(*shapes))
+    N = P + M
+
+    # each (front, DOF)'s row in its padded front, and a border row's in the parent's
+    fr = keys // ng
+    q = np.arange(len(keys)) - start[fr]
+    row = np.where(q < p[fr], q, P[batch[fr]] + q - p[fr])
+    dofs = np.full((nb * N).sum(), ng)
+    dofs[(np.cumsum(nb * N) - nb * N)[batch[fr]] + slot[fr] * N[batch[fr]] + row] = order[keys % ng]
+    border = (q >= p[fr]) & (parent[fr] >= 0)
+    fb = fr[border]
+    up = np.zeros((nb * M).sum(), dtype=np.int64)
+    up[(np.cumsum(nb * M) - nb * M)[batch[fb]] + slot[fb] * M[batch[fb]] + q[border] - p[fb]] = \
+        row[np.searchsorted(keys, parent[fb] * ng + keys[border] % ng)]
+    cell_rows = row[np.searchsorted(keys, column[:, None] * ng + rank[facets])]
+
+    n_pad = P[batch] - p                                 # each front's padding pivots
+    pad = np.repeat(np.arange(n), n_pad)
+    d = p[pad] + np.arange(len(pad)) - np.repeat(np.cumsum(n_pad) - n_pad, n_pad)
+    eye = slot[pad] * N[batch[pad]] ** 2 + d * (N[batch[pad]] + 1)
+    eye = np.split(eye[np.argsort(batch[pad], kind="stable")],
+                   np.cumsum(np.bincount(batch[pad], minlength=len(nb)))[:-1])
+    dofs = np.split(dofs, np.cumsum(nb * N)[:-1])
+    up = np.split(up, np.cumsum(nb * M)[:-1])
+    batches = []
+    for i in range(len(nb)):
+        cells = np.flatnonzero(batch[column] == i)
+        cells = (cells, slot[column[cells]], cell_rows[cells]) if len(cells) else None
+        batches.append(_Batch(dofs[i].reshape(nb[i], N[i]), int(P[i]), eye[i],
+                              up[i].reshape(nb[i], M[i]), cells, []))
+    c = child[np.lexsort((slot[child], batch[child], batch[parent[child]]))]
+    t, s = batch[parent[c]], batch[c]
+    for g in np.split(np.arange(len(c)), np.flatnonzero(np.diff(t * len(nb) + s)) + 1):
+        batches[t[g[0]]].children.append((s[g[0]], slot[c[g]], slot[parent[c[g]]]))
+    last_read = np.full(len(nb), -1)
+    last_read[s] = t
+    return _Fronts(
+        batches, last_read, tree, n, int(size.max(initial=0)),
+        int((nb * (P ** 2 + 2 * P * M)).sum()),
+        float((nb * (2 * P ** 3 + 2 * P ** 2 * M + 2 * P * M ** 2)).sum()),
+    )
+
+
+def _block_index(slots, rows, N):
+    """Flat indices into a batch (nb, N, N) of the blocks ``rows`` x
+    ``rows`` of the fronts ``slots``."""
+    return ((slots * (N * N))[:, None, None] + rows[:, :, None] * N + rows[:, None, :]).ravel()
+
+
+def _column_fronts(fronts: _Fronts, S_e: np.ndarray, e: int) -> dict:
+    """The float32 fronts of the batches with cells (the columns), flat, by
+    batch: the cells' S_e scaled by 2^e (in place), cast and summed."""
+    blocks = np.ldexp(S_e, e, out=S_e).astype(np.float32)
+    out = {}
+    for i, b in enumerate(fronts.batches):
+        if b.cells is not None:
+            cells, slots, rows = b.cells
+            out[i] = np.zeros(b.dofs.size * b.dofs.shape[1], dtype=np.float32)
+            np.add.at(out[i], _block_index(slots, rows, b.dofs.shape[1]), blocks[cells].ravel())
+    return out
+
+
+def _factor(fronts: _Fronts, columns: dict) -> list:
+    """The float32 multifrontal factor of the matrix whose column fronts
+    ``_column_fronts`` gives, which it empties.
+
+    The other fronts are summed from their children's updates.  Per batch
+    the factor keeps F11^-1, X = F11^-1 F12 and F21, and holds the update
+    F22 - F21 X until the batch that reads it last.  A pivot block with a
+    zero pivot or a non-finite inverse is a SolverError."""
+    parts, updates = [], {}
+    for i, b in enumerate(fronts.batches):
+        nb, N = b.dofs.shape
+        P = b.P
+        F = columns.pop(i, None)
+        if F is None:
+            F = np.zeros(nb * N * N, dtype=np.float32)
+        F[b.eye] = 1.0
+        for s, src, slots in b.children:
+            rows = fronts.batches[s].up[src]
+            # in chunks of about EXTEND_ADD_CHUNK entries, which bound the index array
+            step = max(1, EXTEND_ADD_CHUNK // rows.shape[1] ** 2)
+            for lo in range(0, len(src), step):
+                hi = lo + step
+                np.add.at(F, _block_index(slots[lo:hi], rows[lo:hi], N),
+                          updates[s][src[lo:hi]].ravel())
+        for s in np.flatnonzero(fronts.last_read == i):
+            del updates[s]
+        F = F.reshape(nb, N, N)
+        try:
+            inv = _invert(F[:, :P, :P])
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is None or not np.isfinite(inv).all():
+            raise SolverError(f"singular pivot block in a front of {N} rows")
+        X = inv @ F[:, :P, P:]
+        F21 = F[:, P:, :P].copy()
+        U = F21 @ X
+        updates[i] = np.subtract(F[:, P:, P:], U, out=U)
+        del F, U
+        parts.append((inv, X, F21))
+    return parts
+
+
+def _front_solve(fronts: _Fronts, parts: list, w: np.ndarray) -> None:
+    """Solve with the factor, in place on w (ng + 1,) float32, whose last
+    entry, which the padding rows read, is 0: forward through the batches,
+    y = F11^-1 w_piv and w_border -= F21 y, then back, x_piv = y - X x_border."""
+    for b, (inv, X, F21) in zip(fronts.batches, parts):
+        piv, border = b.dofs[:, :b.P], b.dofs[:, b.P:]
+        y = inv @ w[piv][:, :, None]
+        w[piv] = y[:, :, 0]
+        np.subtract.at(w, border, (F21 @ y)[:, :, 0])
+    for b, (inv, X, F21) in zip(reversed(fronts.batches), reversed(parts)):
+        piv, border = b.dofs[:, :b.P], b.dofs[:, b.P:]
+        w[piv] -= (X @ w[border][:, :, None])[:, :, 0]
 
 
 def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     """Sparse direct solve by static condensation, with a residual contract.
 
-    ``_condense`` sums the cells' Schur complements into S = A_gg - A_gl
-    B^-1 A_lg on the facet DOFs, in the column order of ``_facet_order``.
-    SuperLU factors S in float32, keeps that column order and relaxes
-    diagonal pivoting to a threshold of 0.01 so that row swaps do not undo
-    it.  Everything else stays in float64; only the facet right-hand side
-    of each solve is cast to float32, scaled to unit max.  Both S and that
-    right-hand side are first multiplied by the same power of two 2^e,
-    which is exact and leaves the float32 solution unchanged, so that S's
-    largest entry lies just below 2^``FACTOR_TOP_LOG2``: at the Earth's
-    radius S's entries fall to 1e-25 and its unscaled factor held 182,198
-    float32 subnormals at k=1 (3,8), whose arithmetic made it 10x slower.
-    The local DOFs are recovered cell by cell.  The solution is refined
-    from z = 0 (relative residual 1): each step solves for the residual
-    b - A z (``LinearSystem.matvec``) and adds the correction, until the
-    relative residual is at most ``tolerance``, for at most
-    ``MAX_REFINEMENT_STEPS`` steps after the first solve.
+    ``_condense`` forms the cells' Schur complements S_e, which sum to S =
+    A_gg - A_gl B^-1 A_lg on the facet DOFs.  ``_factor`` factors 2^e S in
+    float32 over the fronts of ``_front_tree``, in the elimination order of
+    ``_facet_order``.  Everything else stays in float64; only the facet
+    right-hand side of each solve is cast to float32, scaled to unit max.
+    The power of two 2^e is exact and leaves the float32 solution
+    unchanged; it puts the S_e's largest entry just below
+    2^``FACTOR_TOP_LOG2``, so that the factor's entries, of S's scale and of
+    its inverse's, stay within float32's normal range: at the Earth's
+    radius S's entries fall to 1e-25.  The local DOFs are recovered cell by
+    cell.  The solution is refined from z = 0 (relative residual 1): each
+    step solves for the residual b - A z (``LinearSystem.matvec``) and adds
+    the correction, until the relative residual is at most ``tolerance``,
+    for at most ``MAX_REFINEMENT_STEPS`` steps after the first solve.
 
-    A level's memory peaks at the factor or just after it.  At the factor
-    L, U and SuperLU's work arrays sit on top of what stays alive across
-    it: the cell matrices, B^-1, the float32 S and the index arrays (the
-    facet order, the cells' facet positions and local DOFs).  SuperLU's
-    panel work arrays grow with the panel width ``PANEL_SIZE``: each unit
-    of it costs about 0.53 MiB at ng = 46,080 facet unknowns (deep k=1
-    (4,2)) and 0.19 MiB at ng = 16,320 (k=2 (2,4)).  The float32 S is
-    dropped as soon as the factor returns (the LU keeps no reference to
-    it), and only then is W = B^-1 E_lg formed, by the matmul ``_condense``
-    used.  At k=2 (2,4) the level's maximum falls after the factor: 133.3
-    MiB when it returns, 134.2 MiB at the level's end.  The per-cell S_e,
-    B^-1 E_lg, the int64 COO indices and the float64 S are freed by then,
-    but glibc keeps a freed block below its
-    dynamic mmap threshold (at most 32 MiB) resident in the heap, so
-    ``_release_freed_heap`` hands those pages back just before the factor.
-    That helps only where the freed arrays fall under the threshold: at k=2
-    (2,4) they are 5.6-11.2 MiB each and the level's peak falls by about 16
-    MiB; at k=2 (3,8) they are 45-90 MiB, were mapped and unmapped on their
-    own, and the peak moves by about 1 MiB.
+    A level's memory peaks in the factor, where its float32 parts
+    (``stats["lu_nnz"]`` entries), the updates not yet read and the batch
+    being factored sit on top of what stays alive across it: the cell
+    matrices, B^-1 and the fronts' index maps.  The S_e are dropped once
+    the columns' fronts are summed, and only after the factor is W = B^-1
+    E_lg formed, by the matmul ``_condense`` used.
 
-    Raises SolverError when a cell block is singular, when SuperLU fails or
-    runs out of memory, when a solve (the first one included) cuts the
-    residual less than tenfold, and when the residual misses the tolerance
-    after ``MAX_REFINEMENT_STEPS`` steps; the last two name the residual
-    history.
+    Raises SolverError when a cell block or a pivot block is singular, when
+    the factor runs out of memory, when a solve (the first one included)
+    cuts the residual less than tenfold, and when the residual misses the
+    tolerance after ``MAX_REFINEMENT_STEPS`` steps; the last two name the
+    residual history.
     """
     b = system.rhs
     n, n_u = len(b), system.n_u
     f = _n_facet(system)
-    local = system.cell_dofs[:, f:]
-    order, tree = _facet_order(system.u_space)
-    ng = len(order)
+    facet, local = system.cell_dofs[:, :f], system.cell_dofs[:, f:]
+    ng = n - local.size
+    fronts = _front_tree(system.u_space, f)
+    tree = fronts.tree
     separators = np.diff(tree.bounds)[tree.parent[tree.parent >= 0]]
     stats = {
-        "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": 0, "rows_swapped": 0,
-        "refinement_steps": 0, "factor_scale_log2": 0, "separator_tree_depth": tree.depth,
-        "largest_separator": int(separators.max(initial=0)),
-        "ordering": "column-nested-dissection", "factor_dtype": "float32",
-        "panel_size": PANEL_SIZE, "residuals": [],
+        "n_global": ng, "n_local_per_cell": local.shape[1], "lu_nnz": fronts.entries,
+        "n_fronts": fronts.n_fronts, "largest_front": fronts.largest_front,
+        "factor_flops": fronts.flops, "refinement_steps": 0, "factor_scale_log2": 0,
+        "separator_tree_depth": tree.depth, "largest_separator": int(separators.max(initial=0)),
+        "ordering": "column-nested-dissection", "factor_dtype": "float32", "residuals": [],
     }
 
     def result(z, res):
@@ -662,38 +881,37 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     if bnorm == 0.0:
         return result(np.zeros_like(b), 0.0)
 
-    S, facet, B_inv = _condense(system, order)
-    # 2^e S is exact, so the factor's L is that of S and its U 2^e times
-    # it; float64 S is a temporary: only the float32 copy is kept for the LU
-    e = FACTOR_TOP_LOG2 - int(np.frexp(np.abs(S.data).max(initial=0.0))[1])
+    S_e, B_inv = _condense(system)
+    # 2^e S_e is exact; the factor's F11^-1 is 2^-e times the unscaled one's,
+    # F21 2^e times, and X the same
+    e = FACTOR_TOP_LOG2 - int(np.frexp(np.abs(S_e).max(initial=0.0))[1])
     stats["factor_scale_log2"] = e
-    np.ldexp(S.data, e, out=S.data)
-    S = S.astype(np.float32)
-    _release_freed_heap()
     try:
-        lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01, panel_size=PANEL_SIZE)
+        columns = _column_fronts(fronts, S_e, e)
+        del S_e
+        with np.errstate(all="ignore"):     # a singular pivot block is checked
+            parts = _factor(fronts, columns)
     except MemoryError as exc:
         raise SolverError(
-            f"out of memory factoring the condensed matrix (n={ng}, nnz={S.nnz})"
+            f"out of memory factoring the condensed matrix (n={ng}, nnz={fronts.entries})"
         ) from exc
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed: {exc}") from exc
-    del S                       # W is formed only now, on pages S held during the factor
     E = system.cell_matrices
     E_gl, W = E[:, :f, f:], B_inv @ E[:, f:, :f]
-    stats["lu_nnz"] = int(lu.nnz)
-    stats["rows_swapped"] = int(np.count_nonzero(lu.perm_r != np.arange(ng)))
 
     def apply_inverse(rhs):
         y_l = np.einsum("eij,ej->ei", B_inv, rhs[local])
         Ey = np.einsum("eij,ej->ei", E_gl, y_l)
-        f_g = rhs[order] - np.bincount(facet.ravel(), Ey.ravel(), ng)
+        f_g = rhs[:ng] - np.bincount(facet.ravel(), Ey.ravel(), ng)
         # scaled to unit max so that a small correction stays in float32 range,
-        # then by the factor's 2^e
+        # then by the factor's 2^e; the last entry is the padding rows' zero
         scale = np.abs(f_g).max() or 1.0
-        x_g = lu.solve(np.ldexp(f_g / scale, e).astype(np.float32)).astype(float) * scale
+        w = np.zeros(ng + 1, dtype=np.float32)
+        w[:ng] = np.ldexp(f_g / scale, e)
+        with np.errstate(all="ignore"):     # a non-finite solve fails the contract
+            _front_solve(fronts, parts, w)
+        x_g = w[:ng].astype(float) * scale
         z = np.empty(n)
-        z[order] = x_g
+        z[:ng] = x_g
         z[local] = y_l - np.einsum("eij,ej->ei", W, x_g[facet])
         return z
 

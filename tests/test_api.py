@@ -1,5 +1,6 @@
 """The public API: every name a module's ``__all__`` lists resolves, the
-package imports nothing, and only ``assembly`` imports scipy."""
+package imports nothing, and the program runs without scipy, which only
+the tests' oracle matrix ``LinearSystem.matrix`` imports."""
 
 import ast
 import importlib
@@ -43,12 +44,13 @@ def test_mesh_geometry_fem_load_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_only_assembly_imports_scipy():
-    importers = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                importers.append(path.name)
-    assert sorted(set(importers)) == ["assembly.py"]
+def test_the_program_runs_without_scipy():
+    """In a fresh interpreter, the CLI module and a one-level convergence
+    study load no scipy module."""
+    probe = ("import sys, shallowfem.cli\n"
+             "from shallowfem import mms\n"
+             "mms.convergence_study(1, [(0, 1)])\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"

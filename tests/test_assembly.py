@@ -1,13 +1,12 @@
 import dataclasses
 import functools
 import tracemalloc
-import types
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
 from shallowfem import assembly, fem, geometry, mesh, mms
 
@@ -309,10 +308,10 @@ def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
     system = assembly.apply_inner_bc(coarse_system)
     system.rhs[:] = 1.0
 
-    def no_memory(matrix, **kwargs):
+    def no_memory(fronts, columns):
         raise MemoryError
 
-    monkeypatch.setattr(assembly, "splu", no_memory)
+    monkeypatch.setattr(assembly, "_factor", no_memory)
     with pytest.raises(assembly.SolverError, match=r"n=\d+, nnz=\d+"):
         assembly.solve(system)
 
@@ -347,6 +346,27 @@ def facet_inputs(u):
     quad = [d.entity[0] == "quad" for d in u.element.dofs]
     columns = u.cell_dofs[:, quad].reshape(base.n_triangles, -1)
     return columns, base.directions[base.triangles].mean(axis=1)
+
+
+def condensed_matrix(system):
+    """S, the sum of ``_condense``'s cell Schur complements, as a scipy CSR
+    over the facet DOFs 0 ... ng-1."""
+    S_e = assembly._condense(system)[0]
+    f = S_e.shape[1]
+    facet = system.cell_dofs[:, :f]
+    rows, cols = np.broadcast_arrays(facet[:, :, None], facet[:, None, :])
+    ng = n_facet_dofs(system)
+    return sp.coo_matrix((S_e.ravel(), (rows.ravel(), cols.ravel())), shape=(ng, ng)).tocsr()
+
+
+def front_tree(system):
+    return assembly._front_tree(system.u_space, assembly._n_facet(system))
+
+
+def float32_subnormals(parts):
+    """The float32 subnormal entries stored in a factor's parts."""
+    tiny = np.finfo(np.float32).tiny
+    return sum(int(np.count_nonzero((x != 0) & (np.abs(x) < tiny))) for part in parts for x in part)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -435,48 +455,62 @@ def test_solve_reports_the_separator_tree(r1_system):
     assert stats["largest_separator"] == tree.bounds[-1] - tree.bounds[-2] == 48
 
 
-def test_solve_factors_at_the_panel_size(r1_system, monkeypatch):
-    """SuperLU gets ``PANEL_SIZE`` as its panel width, and ``stats`` report
-    it, also when the right-hand side is zero and nothing is factored."""
-    widths = []
+def test_solve_reports_the_fronts(r1_system, monkeypatch):
+    """``stats`` report the front tree, also when the right-hand side is zero
+    and nothing is factored: one front per column of prisms and per
+    separator-tree node, the rows of the largest, the entries the factor
+    stores (padding included) and its flops."""
+    stored = []
+    factor = assembly._factor
 
-    def spy(matrix, **kwargs):
-        widths.append(kwargs["panel_size"])
-        return splu(matrix, **kwargs)
+    def spy(fronts, columns):
+        parts = factor(fronts, columns)
+        stored.append(sum(x.size for part in parts for x in part))
+        return parts
 
-    monkeypatch.setattr(assembly, "splu", spy)
-    assert assembly.solve(r1_system).stats["panel_size"] == assembly.PANEL_SIZE
-    assert widths == [assembly.PANEL_SIZE]
+    monkeypatch.setattr(assembly, "_factor", spy)
+    stats = assembly.solve(r1_system).stats
+    fronts = front_tree(r1_system)
+    base = r1_system.u_space.mesh.base
+    assert stats["n_fronts"] == fronts.n_fronts == base.n_triangles + len(fronts.tree.parent)
+    assert stats["largest_front"] == fronts.largest_front > stats["largest_separator"]
+    assert stats["lu_nnz"] == fronts.entries == stored[0]
+    flops = 0
+    for b in fronts.batches:
+        (nb, N), P = b.dofs.shape, b.P
+        flops += nb * (2 * P ** 3 + 2 * P * P * (N - P) + 2 * P * (N - P) ** 2)
+    assert stats["factor_flops"] == flops
     zero = assembly.solve(dataclasses.replace(r1_system, rhs=np.zeros_like(r1_system.rhs)))
-    assert zero.stats["panel_size"] == assembly.PANEL_SIZE and widths == [assembly.PANEL_SIZE]
+    for key in ("n_fronts", "largest_front", "lu_nnz", "factor_flops"):
+        assert zero.stats[key] == stats[key]
+    assert len(stored) == 1
 
 
 @pytest.mark.parametrize("k, mode, level", [
     (1, "shallow", (2, 4)), (1, "deep", (3, 1)), (2, "shallow", (1, 2)),
 ], ids=["k1-2:4", "deep-3:1", "k2-1:2"])
-def test_the_panel_moves_only_rounding(k, mode, level, monkeypatch):
-    """The panel width changes how SuperLU blocks its updates, not what it
-    computes: a manufactured level solved at ``PANEL_SIZE`` and at SuperLU's
-    default of 20 has the same fill, row swaps and refinement steps, and
-    its fields agree to 1e-9 relative."""
+def test_the_batching_moves_only_rounding(k, mode, level, monkeypatch):
+    """Batching pads fronts to one shape, which changes how the factor
+    rounds, not what it computes: a manufactured level solved in the
+    default batches and with every front in a batch of its own, unpadded,
+    has the same fronts and refinement steps, and its fields agree to 1e-9
+    relative."""
     results, solve = [], assembly.solve
 
     def recorded(system, tolerance):
         results.append(solve(system, tolerance))
         return results[-1]
 
-    def default_panel(matrix, **kwargs):
-        return splu(matrix, **{**kwargs, "panel_size": 20})
-
     monkeypatch.setattr(assembly, "solve", recorded)
     mms.convergence_study(k, [level], mode=mode)
-    monkeypatch.setattr(assembly, "splu", default_panel)
+    monkeypatch.setattr(assembly, "BATCH_ENTRIES", 0)
     mms.convergence_study(k, [level], mode=mode)
-    ours, default = results
-    assert ours.residual <= 1e-10 and default.residual <= 1e-10
-    for key in ("lu_nnz", "rows_swapped", "refinement_steps"):
-        assert ours.stats[key] == default.stats[key]
-    for a, b in ((ours.u, default.u), (ours.p, default.p)):
+    ours, single = results
+    assert ours.residual <= 1e-10 and single.residual <= 1e-10
+    for key in ("n_fronts", "largest_front", "refinement_steps"):
+        assert ours.stats[key] == single.stats[key]
+    assert single.stats["lu_nnz"] < ours.stats["lu_nnz"]
+    for a, b in ((ours.u, single.u), (ours.p, single.p)):
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9 * np.abs(b.coeffs).max()
 
 
@@ -555,84 +589,105 @@ def test_separator_tree_invariants(level):
         assert (inside.sum(axis=1) == 1).all()
 
 
-@pytest.mark.parametrize("k, mode, level, parent_fill, steps", [
-    (2, "shallow", (1, 2), 463_527, 1),
-    (1, "deep", (3, 1), 287_188, 1),
+@pytest.mark.parametrize("k, mode, level, steps", [
+    (2, "shallow", (1, 2), 1),
+    (1, "deep", (3, 1), 2),
 ], ids=["k2-shallow-1:2", "k1-deep-3:1"])
-def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, parent_fill, steps):
-    """SuperLU fill of the manufactured ladder's condensed matrix stays below
-    that of an earlier order, and the float32 factor needs ``steps``
-    refinement steps.  Deep (3,1) compares with the nested dissection over
-    cells (287,188; 2 steps).  k=2 (1,2) keeps the bound of the order before
-    it, which split the facet DOFs at the median of their mean cell
-    centroids: there the column order fills 331,872, only 0.5 % below the
-    cell order's 333,627, and the layer-averaged column centroids that
-    break ties differently filled 343,680, 3 % above it."""
+def test_nested_dissection_over_cells_cuts_lu_fill(k, mode, level, steps, monkeypatch):
+    """The column dissection keeps the factor small: its fronts store under
+    a quarter of what one undissected front of every vertical-facet DOF
+    would, and at most twice the fill of SuperLU's sparse LU of S in the
+    same order (331,872 and 258,040 here; the fronts store 465,840 and
+    442,016, padding included).  The float32 factor needs ``steps``
+    refinement steps (SuperLU took 1 at both levels)."""
+    systems, solve = [], assembly.solve
+
+    def recorded(system, tolerance):
+        systems.append(system)
+        return solve(system, tolerance)
+
+    monkeypatch.setattr(assembly, "solve", recorded)
     (row,) = mms.convergence_study(k, [level], mode=mode).rows
-    assert 0 < row.solve_stats["lu_nnz"] < parent_fill
+    stored = row.solve_stats["lu_nnz"]
     assert row.solve_stats["refinement_steps"] == steps
+    (system,) = systems
+    from scipy.sparse.linalg import splu
 
-
-def float32_subnormals(lu):
-    """The float32 subnormal entries stored in a factor's L and U."""
-    tiny = np.finfo(np.float32).tiny
-    return sum(np.count_nonzero((x != 0) & (np.abs(x) < tiny)) for x in (lu.L.data, lu.U.data))
+    order = assembly._facet_order(system.u_space)[0]
+    S = condensed_matrix(system)[order][:, order].tocsc()
+    S.eliminate_zeros()
+    fill = splu(S.astype(np.float32), permc_spec="NATURAL", diag_pivot_thresh=0.01).nnz
+    assert 0 < stored <= 2 * fill
+    monkeypatch.setattr(assembly, "ND_LEAF", n_vertical_facet_dofs(system))
+    undissected = front_tree(system)
+    assert undissected.tree.depth == 0 and 4 * stored < undissected.entries
 
 
 def test_earth_shell_keeps_the_unit_radius_factor(monkeypatch):
     """At the Earth's radius, a = 6.371e6 with H = 1e4, the manufactured
-    rotation rate is 1/2 as at a = 1.  With no row swapped the fill depends
-    only on the pattern, so each level fills the factor exactly as the a = 1
-    level does, and the first solve meets the contract.
+    rotation rate is 1/2 as at a = 1.  The fronts depend only on the
+    mesh's topology, so each level stores the factor's entries exactly as
+    the a = 1 level does, and the first solve meets the contract.
 
-    S's largest entry is the inner boundary's identity 1, so ``solve``
-    scales it by 2^(FACTOR_TOP_LOG2 - 1).  The factor of the unscaled S
-    stores 350 and 7,277 float32 subnormals, whose arithmetic made it slow
-    (182,198 at (3,8)); the scaled one stores 4 and 108.  Those left are
-    mostly L's, and L does not move with the scale of S."""
+    The S_e's largest entry is the inner boundary's identity 1, so
+    ``solve`` scales by 2^(FACTOR_TOP_LOG2 - 1).  The factor of the
+    unscaled column fronts stores 624 and 10,032 float32 subnormals, most
+    of them in F21, whose arithmetic is slow; the scaled one stores none."""
     factored = []
+    factor = assembly._factor
 
-    def spy(matrix, **kwargs):
-        lu = splu(matrix, **kwargs)
-        factored.append((matrix, kwargs, float32_subnormals(lu)))
-        return lu
+    def spy(fronts, columns):
+        factored.append((fronts, {i: F.copy() for i, F in columns.items()}))
+        parts = factor(fronts, columns)
+        factored[-1] += (float32_subnormals(parts),)
+        return parts
 
-    monkeypatch.setattr(assembly, "splu", spy)
+    monkeypatch.setattr(assembly, "_factor", spy)
     table = mms.convergence_study(1, [(1, 2), (2, 4)], a=6.371e6, thickness=1e4)
-    assert [r.solve_stats["lu_nnz"] for r in table.rows] == [37_824, 773_538]
-    assert [r.solve_stats["rows_swapped"] for r in table.rows] == [0, 0]
+    unit = mms.convergence_study(1, [(1, 2), (2, 4)])
+    assert [r.solve_stats["lu_nnz"] for r in table.rows] == \
+        [r.solve_stats["lu_nnz"] for r in unit.rows]
     assert [r.solve_stats["refinement_steps"] for r in table.rows] == [0, 0]
-    for row, (S, kwargs, scaled) in zip(table.rows, factored):
+    for row, (fronts, columns, scaled) in zip(table.rows, factored):
         e = row.solve_stats["factor_scale_log2"]
         assert e == assembly.FACTOR_TOP_LOG2 - 1
-        unscaled = S.copy()
-        unscaled.data = np.ldexp(S.data, -e)
-        assert 20 * scaled <= float32_subnormals(splu(unscaled, **kwargs))
+        with np.errstate(all="ignore"):
+            unscaled = float32_subnormals(
+                factor(fronts, {i: np.ldexp(F, -e) for i, F in columns.items()}))
+        assert unscaled > 0 and 20 * scaled <= unscaled
 
 
 def test_factor_scaling_is_exact(r1_system, monkeypatch):
-    """At a = 1 the float32 factor's scaling by 2^e is exact: S's largest
-    entry lies in [2^(FACTOR_TOP_LOG2 - 1), 2^FACTOR_TOP_LOG2), and the
-    factor's L is the unscaled S's bit for bit and its U 2^e times that
-    one's, with the same row swaps."""
+    """At a = 1 the float32 factor's scaling by 2^e is exact: the S_e's
+    largest entry lies in [2^(FACTOR_TOP_LOG2 - 1), 2^FACTOR_TOP_LOG2), and
+    the factor of the scaled column fronts is that of the unscaled ones bit
+    for bit, F11^-1 2^-e times, X the same and F21 2^e times, but for the
+    padding pivots' identity, which is not scaled."""
     captured = []
+    factor = assembly._factor
 
-    def spy(matrix, **kwargs):
-        captured.extend([matrix, kwargs, splu(matrix, **kwargs)])
+    def spy(fronts, columns):
+        captured.append((fronts, {i: F.copy() for i, F in columns.items()}))
+        captured.append(factor(fronts, columns))
         return captured[-1]
 
-    monkeypatch.setattr(assembly, "splu", spy)
+    monkeypatch.setattr(assembly, "_factor", spy)
     e = assembly.solve(r1_system).stats["factor_scale_log2"]
-    S, kwargs, lu = captured
-    assert np.frexp(np.abs(S.data).max())[1] == assembly.FACTOR_TOP_LOG2
-    unscaled = S.copy()
-    unscaled.data = np.ldexp(S.data, -e)
-    reference = splu(unscaled, **kwargs)
-    np.testing.assert_array_equal(lu.perm_r, reference.perm_r)
-    for got, ref, scale in ((lu.L, reference.L, 0), (lu.U, reference.U, e)):
-        np.testing.assert_array_equal(got.indptr, ref.indptr)
-        np.testing.assert_array_equal(got.indices, ref.indices)
-        np.testing.assert_array_equal(got.data, np.ldexp(ref.data.astype(float), scale))
+    (fronts, columns), parts = captured
+    S_e = assembly._condense(r1_system)[0]
+    assert np.frexp(np.abs(S_e).max())[1] + e == assembly.FACTOR_TOP_LOG2
+    reference = factor(fronts, {i: np.ldexp(F, -e) for i, F in columns.items()})
+    ng = n_facet_dofs(r1_system)
+    padded = 0
+    for b, got, ref in zip(fronts.batches, parts, reference):
+        pivot = b.dofs[:, :b.P] < ng
+        real = pivot[:, :, None] & pivot[:, None, :]
+        padded += np.count_nonzero(~pivot)
+        np.testing.assert_array_equal(got[0][real], np.ldexp(ref[0][real], -e))
+        np.testing.assert_array_equal(got[0][~real], ref[0][~real])
+        np.testing.assert_array_equal(got[1], ref[1])
+        np.testing.assert_array_equal(got[2], np.ldexp(ref[2], e))
+    assert padded > 0
 
 
 @pytest.mark.parametrize("level", [(1, 1), (1, 2), (3, 8), (4, 2)], ids=str)
@@ -655,45 +710,47 @@ def test_column_order_does_not_depend_on_the_radius(level):
 def test_strong_rotation_swaps_rows_and_meets_the_contract():
     """ProblemConfig's default rotation x3 / 2 is a rate of a / 2: at a = 1000
     with the Earth's aspect ratio the Coriolis block dwarfs the mass block,
-    so SuperLU swaps rows (689), which more than doubles the fill of k=1
-    (1,4) at a = 1 (146,890); refinement still meets the residual contract."""
+    so SuperLU swapped rows (689) and more than doubled the fill of k=1
+    (1,4) at a = 1 (146,890).  The fronts pivot only inside their pivot
+    blocks' base blocks, which the factor does not report; refinement still
+    meets the residual contract."""
     a, H = 1000.0, 1000.0 / 637
     V1, V2 = build_spaces(mesh.extrude_radial(mesh.build_icosahedral_sphere(1, a), 4, H), 1)
     case, ops = mms.ManufacturedCase(a=a, H=H), mms.ShallowOperators(a=a, H=H)
     config = assembly.ProblemConfig(k=1, f4=case.derived_f4(ops), g=case.derived_g(ops))
     result = assembly.solve(assembly.apply_inner_bc(assembly.assemble(config, V1, V2)))
     assert result.residual <= 1e-10
-    assert result.stats["rows_swapped"] > 0
-    assert result.stats["lu_nnz"] > 2 * 146_890
 
 
-def test_condensed_pattern_within_cell_graph(r1_system, monkeypatch):
-    """S couples two facet DOFs only if they share a cell, in the ordered
-    indexing that SuperLU is told to keep."""
-    captured = {}
-
-    def spy(matrix, **kwargs):
-        captured.update(kwargs, matrix=matrix)
-        return splu(matrix, **kwargs)
-
-    monkeypatch.setattr(assembly, "splu", spy)
-    assert assembly.solve(r1_system).residual <= 1e-10
-    assert captured["permc_spec"] == "NATURAL"
-
-    cell_facets = r1_system.u_space.cell_dofs[:, :assembly._n_facet(r1_system)]
-    order = assembly._facet_order(r1_system.u_space)[0]
-    ng = len(order)
-    index = np.empty(ng, dtype=np.int64)
-    index[order] = np.arange(ng)
-    nc, f = cell_facets.shape
-    E = sp.csr_matrix(
-        (np.ones(nc * f), (index[cell_facets].ravel(), np.repeat(np.arange(nc), f))), shape=(ng, nc)
-    )
-    graph = (E @ E.T).tocsr()
-    S = captured["matrix"].tocoo()
-    nz = S.data != 0.0
+def test_condensed_pattern_within_cell_graph(r1_system):
+    """S couples two facet DOFs only if they share a cell, and the front
+    that eliminates the earlier of the two, in the order of
+    ``_facet_order``, holds the later one, where the factor adds their
+    coupling."""
+    S = condensed_matrix(r1_system).tocoo()
+    nz = (S.data != 0.0) & (S.row != S.col)
+    i, j = S.row[nz], S.col[nz]
+    ng = n_facet_dofs(r1_system)
     assert nz.sum() > ng
-    assert (np.asarray(graph[S.row[nz], S.col[nz]]).ravel() > 0).all()
+    cell_facets = r1_system.u_space.cell_dofs[:, :assembly._n_facet(r1_system)]
+    nc, f = cell_facets.shape
+    E = sp.csr_matrix((np.ones(nc * f), (cell_facets.ravel(), np.repeat(np.arange(nc), f))),
+                      shape=(ng, nc))
+    graph = (E @ E.T).tocsr()
+    assert (np.asarray(graph[i, j]).ravel() > 0).all()
+
+    order = assembly._facet_order(r1_system.u_space)[0]
+    rank = np.empty(ng, dtype=np.int64)
+    rank[order] = np.arange(ng)
+    fronts, owner, holds = front_tree(r1_system), np.empty(ng, dtype=np.int64), []
+    for k, b in enumerate(fronts.batches):
+        front = k * 2 ** 20 + np.arange(len(b.dofs))
+        rows = np.broadcast_to(front[:, None], b.dofs.shape)
+        real = b.dofs < ng
+        owner[b.dofs[:, :b.P][real[:, :b.P]]] = rows[:, :b.P][real[:, :b.P]]
+        holds.append(rows[real] * ng + b.dofs[real])
+    first, later = np.where(rank[i] < rank[j], i, j), np.where(rank[i] < rank[j], j, i)
+    assert np.isin(owner[first] * ng + later, np.concatenate(holds)).all()
 
 
 def test_refinement_residuals_fall_to_the_tolerance(r1_system):
@@ -729,15 +786,16 @@ def test_stalled_refinement_is_solver_error(r1_system, monkeypatch):
     """A factor of a perturbed S cuts the residual threefold a step: the
     loop raises with the residual history and never refactors in float64."""
     dtypes = []
+    factor = assembly._factor
 
-    def perturbed(matrix, **kwargs):
-        dtypes.append(matrix.dtype)
-        return splu(1.5 * matrix, **kwargs)
+    def perturbed(fronts, columns):
+        dtypes.append({F.dtype for F in columns.values()})
+        return factor(fronts, {i: np.float32(1.5) * F for i, F in columns.items()})
 
-    monkeypatch.setattr(assembly, "splu", perturbed)
+    monkeypatch.setattr(assembly, "_factor", perturbed)
     with pytest.raises(assembly.SolverError, match=r"residuals \d\.\d{3}e"):
         assembly.solve(r1_system)
-    assert dtypes == [np.float32]
+    assert dtypes == [{np.dtype(np.float32)}]
 
 
 def test_refinement_is_capped(r1_system, monkeypatch):
@@ -1168,18 +1226,57 @@ def test_cell_matvec_matches_the_oracle_matrix(cell_system, bc_system):
 
 def test_cell_condensation_matches_the_sparse_one(bc_system):
     """S summed from the cell Schur complements equals A_gg - A_gl B^-1 A_lg
-    of the oracle matrix, in the column order of ``solve``, and stores only
-    its nonzeros."""
+    of the oracle matrix over the facet DOFs 0 ... ng-1."""
     A = bc_system.matrix
-    order = assembly._facet_order(bc_system.u_space)[0]
+    facets = np.arange(n_facet_dofs(bc_system))
     local = cell_local_dofs(bc_system).ravel()
     B_inv = np.linalg.inv(cell_local_blocks(bc_system))
-    A_gl = A[order][:, local]
-    W = sp.block_diag(list(B_inv)) @ A[local][:, order]
-    S_ref = (A[order][:, order] - A_gl @ W).toarray()
-    S = assembly._condense(bc_system, order)[0]
-    assert S.nnz == np.count_nonzero(S_ref)     # no explicit zeros to add LU fill
-    assert np.abs(S.toarray() - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
+    A_gl = A[facets][:, local]
+    W = sp.block_diag(list(B_inv)) @ A[local][:, facets]
+    S_ref = (A[facets][:, facets] - A_gl @ W).toarray()
+    S = condensed_matrix(bc_system).toarray()
+    assert np.abs(S - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
+
+
+def test_cell_dofs_is_built_once_per_system(coarse_system):
+    """``cell_dofs`` is built once per system, so ``matvec`` does not rebuild
+    it at every refinement step, and the system that ``apply_inner_bc``
+    returns through ``dataclasses.replace`` holds its own copy."""
+    first = coarse_system.cell_dofs
+    assert coarse_system.cell_dofs is first
+    constrained = assembly.apply_inner_bc(coarse_system)
+    assert constrained.cell_dofs is constrained.cell_dofs
+    assert not np.shares_memory(constrained.cell_dofs, first)
+    np.testing.assert_array_equal(constrained.cell_dofs, first)
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 40])
+def test_invert_matches_numpy(n):
+    """The block-elimination inverse of a stack of float32 blocks agrees
+    with ``np.linalg.inv`` in float64 to float32 accuracy, at orders below,
+    at and above ``INVERT_BASE``."""
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((3, n, n)) + 2 * n * np.eye(n)
+    got = assembly._invert(A.astype(np.float32))
+    assert got.dtype == np.float32
+    ref = np.linalg.inv(A)
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_singular_pivot_block_is_solver_error(r1_system):
+    """A facet DOF whose row and column are zero in every cell makes S, and
+    the pivot block of the front that eliminates it, singular: a
+    SolverError, not a number."""
+    f = assembly._n_facet(r1_system)
+    dofs = r1_system.cell_dofs
+    d = np.setdiff1d(dofs[:, :f], inner_dofs(r1_system))[0]
+    cells, pos = np.nonzero(dofs == d)
+    E = r1_system.cell_matrices.copy()
+    E[cells, pos, :] = 0.0
+    E[cells, :, pos] = 0.0
+    system = dataclasses.replace(r1_system, cell_matrices=E, rhs=np.ones(len(r1_system.rhs)))
+    with pytest.raises(assembly.SolverError, match="singular pivot block"):
+        assembly.solve(system)
 
 
 def test_solve_never_builds_the_global_matrix(r1_system, monkeypatch):
@@ -1194,39 +1291,41 @@ def test_solve_never_builds_the_global_matrix(r1_system, monkeypatch):
     assert result.p.coeffs.tobytes() == expected.p.coeffs.tobytes()
 
 
+def nbytes(obj):
+    """Bytes of the numpy arrays in nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(nbytes(x) for x in obj)
+    return 0
+
+
 def test_the_factor_holds_only_b_inv_s_and_the_index_arrays(monkeypatch):
-    """k=2 (1,2): of what ``solve`` allocates, only B^-1, the float32 S and
-    the index arrays (the facet order, the cells' facet positions and
-    ``cell_dofs``, which the local DOFs view) are alive when ``splu`` is
-    called, with 64 KiB for the separator tree and small objects; W = B^-1
-    E_lg (450 KiB here) is not.  S's arrays are freed before the first
-    triangular solve."""
+    """k=2 (1,2): of what ``solve`` allocates, only B^-1, S as the float32
+    column fronts and the index arrays (the front tree's maps and
+    ``cell_dofs``, which the facet and local DOFs view) are alive when
+    ``_factor`` is called, with 64 KiB for small objects; the S_e (230 KiB
+    here) and W = B^-1 E_lg (450 KiB) are not.  The factor empties the
+    column fronts before the first triangular solve."""
     V1, V2 = build_spaces(mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0), 2)
     system = assembly.apply_inner_bc(
         assembly.assemble(assembly.ProblemConfig(k=2, g=lambda x: x[0]), V1, V2))
     seen = {}
+    factor, front_solve = assembly._factor, assembly._front_solve
 
-    class Factor:
-        """The LU, recording whether S's arrays are alive at its first solve."""
-
-        def __init__(self, lu):
-            self.lu = lu
-
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-        def solve(self, rhs):
-            seen.setdefault("alive", [ref() is not None for ref in seen["refs"]])
-            return self.lu.solve(rhs)
-
-    def spy(matrix, **kwargs):
-        arrays = (matrix.data, matrix.indices, matrix.indptr)
+    def spy(fronts, columns):
         seen["traced"] = tracemalloc.get_traced_memory()[0]
-        seen["S"] = sum(a.nbytes for a in arrays)
-        seen["refs"] = [weakref.ref(a) for a in arrays]
-        return Factor(splu(matrix, **kwargs))
+        seen["columns"] = sum(F.nbytes for F in columns.values())
+        seen["index"] = nbytes(fronts)
+        seen["refs"] = [weakref.ref(F) for F in columns.values()]
+        return factor(fronts, columns)
 
-    monkeypatch.setattr(assembly, "splu", spy)
+    def solve_spy(fronts, parts, w):
+        seen.setdefault("alive", [ref() is not None for ref in seen["refs"]])
+        return front_solve(fronts, parts, w)
+
+    monkeypatch.setattr(assembly, "_factor", spy)
+    monkeypatch.setattr(assembly, "_front_solve", solve_spy)
     tracemalloc.start()
     try:
         result = assembly.solve(system)
@@ -1237,49 +1336,8 @@ def test_the_factor_holds_only_b_inv_s_and_the_index_arrays(monkeypatch):
     nc, nd = system.cell_matrices.shape[:2]
     f = assembly._n_facet(system)
     b_inv = nc * (nd - f) ** 2 * 8
-    index = (nc * f + result.stats["n_global"] + nc * nd) * 8
-    assert seen["traced"] <= b_inv + seen["S"] + index + 64 * 1024
-    assert seen["alive"] == [False, False, False]
-
-
-def test_heap_release_changes_no_bit_of_the_solve(r1_system, monkeypatch):
-    """The heap is handed back once, right before the factor, and the
-    solution, residuals and stats are those of a solve without it."""
-    calls = []
-    release = assembly._release_freed_heap
-
-    def recorded(name, fn):
-        def call(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(assembly, "splu", recorded("splu", splu))
-    monkeypatch.setattr(assembly, "_release_freed_heap", recorded("release", release))
-    trimmed = assembly.solve(r1_system)
-    assert calls == ["release", "splu"]
-    monkeypatch.setattr(assembly, "_release_freed_heap", lambda: None)
-    plain = assembly.solve(r1_system)
-    for a, b in ((trimmed.u, plain.u), (trimmed.p, plain.p)):
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
-    assert trimmed.residual == plain.residual
-    assert trimmed.stats == plain.stats
-
-
-@pytest.mark.parametrize("lookup", ["found", "missing", "unloadable"])
-def test_heap_release_calls_malloc_trim_where_it_exists(monkeypatch, lookup):
-    """``malloc_trim(0)`` where the C library has it; a C library without
-    the symbol, or none at all, is left alone."""
-    calls = []
-
-    def cdll(name):
-        if lookup == "unloadable":
-            raise OSError("no C library")
-        return types.SimpleNamespace(malloc_trim=calls.append) if lookup == "found" else object()
-
-    monkeypatch.setattr(assembly.ctypes, "CDLL", cdll)
-    assert assembly._release_freed_heap() is None
-    assert calls == ([0] if lookup == "found" else [])
+    assert seen["traced"] <= b_inv + seen["columns"] + seen["index"] + nc * nd * 8 + 64 * 1024
+    assert seen["alive"] and not any(seen["alive"])
 
 
 def test_mismatched_cell_matrices_rejected(coarse_system):

@@ -221,8 +221,9 @@ def test_convergence_stats_json(tiny_run, tmp_path):
     assert [r["level"] for r in records] == [1, 2]
     for r, row in zip(records, rows):
         assert set(r) == {"level", "n_global", "n_local_per_cell", "lu_nnz",
-                          "rows_swapped", "refinement_steps", "factor_scale_log2", "residual",
-                          "ordering", "factor_dtype", "panel_size", "residuals",
+                          "n_fronts", "largest_front", "factor_flops",
+                          "refinement_steps", "factor_scale_log2", "residual",
+                          "ordering", "factor_dtype", "residuals",
                           "separator_tree_depth", "largest_separator"}
         ncells, ndofs = int(row[3]), int(row[4])
         assert r["n_local_per_cell"] == 1 and r["n_global"] == ndofs - ncells
