@@ -91,13 +91,13 @@ DOFs, which couple only inside one column of prisms, are eliminated first,
 each column's in a front of its own; the vertical-facet DOFs follow in
 nested-dissection order over the columns (George 1973), so the dissection
 splits only the 2D graph of columns, one tree level at a time, and its
-separator tree (Liu 1990) is the tree of the remaining fronts.  Fronts are
-summed from the cells' Schur complements and their children's updates,
-never from a global matrix, and the fronts of one tree height are factored
-and solved together, padded to one shape.  Refinement in float64 (Buttari
-et al. 2007; Carson & Higham 2018) brings the residual to the tolerance; a
-step that fails to cut it tenfold is a SolverError, never a silent
-fallback to a float64 factor.
+separator tree (Liu 1990) is the tree of the remaining fronts.  One
+extend-add sums the fronts from the cells' Schur complements and their
+children's updates, never from a global matrix, and the fronts of one tree
+height are factored and solved together, padded to one shape.  Refinement
+in float64 (Buttari et al. 2007; Carson & Higham 2018) brings the residual
+to the tolerance; a step that fails to cut it tenfold is a SolverError,
+never a silent fallback to a float64 factor.
 """
 
 from dataclasses import dataclass, field, replace
@@ -122,9 +122,12 @@ __all__ = [
 
 
 # Most unordered vertical-facet DOFs that nested dissection leaves unsplit.
-# LU fill at k=2 (2,4), k=1 (3,8) and deep k=1 (4,2) is 6.88M, 15.25M and
-# 4.79M with 32, the same with 8 and 16 but for 4.78M at deep (4,2) with 8;
-# 64 gave 6.88M, 15.33M and 4.90M, and 128 gave 6.93M, 15.33M and 5.25M.
+# Entries the factor stores (``lu_nnz``) with 8 / 16 / 32 / 64 / 128 / 256:
+# k=2 (2,4) 7.62M / 7.62M / 7.51M / 7.56M / 8.21M / 10.25M, k=1 (3,8)
+# 16.59M / 16.57M / 16.69M / 17.94M / 17.94M / 21.43M and deep k=1 (4,2)
+# 6.13M / 6.26M / 6.25M / 6.99M / 8.80M / 12.60M.  32 stores the least at
+# k=2 (2,4) and at most 2 % above the least at the others; deep (4,2) takes
+# 3 refinement steps from 64 on, 2 below.
 ND_LEAF = 32
 
 # Most padding entries one batch of fronts may hold.  A batch costs a fixed
@@ -135,14 +138,18 @@ ND_LEAF = 32
 # 210 and 169 ms (12 and 13).
 BATCH_PADDING = 2 ** 16
 
-# Most update entries one extend-add call adds (its int64 index takes 8
-# bytes an entry).
+# Most source entries, the cells' S_e or the children's updates, one
+# extend-add call adds (its int64 index takes 8 bytes an entry).  An
+# index-free ``np.add.at`` that broadcasts (slots, rows, rows) builds no
+# index, but took 35 ms against 7 ms on 1.15M float32 entries.
 EXTEND_ADD_CHUNK = 2 ** 20
 
 # Order up to which ``_invert`` hands a pivot block to ``np.linalg.inv``,
 # whose cost per block grows with its order (25 us at 32, 6 us at 16).
 # Median factor at k=2 (2,4) and deep (4,2): 134 and 144 ms at 4, 124 and
-# 93 at 8, 124 and 91 at 16, 119 and 94 ms at 32.
+# 93 at 8, 124 and 91 at 16, 119 and 94 ms at 32.  A whole-block
+# ``np.linalg.inv`` of every pivot block raised the k=2 benchmark ladder's
+# peak RSS from 108.1 to 112.5 MiB (median of 5 runs, higher in all 5).
 INVERT_BASE = 16
 
 # Most entries, padding included, one batch of fronts may hold; a larger
@@ -620,27 +627,27 @@ class _Batch(NamedTuple):
     first), so the batch is one (nb, P + M, P + M) array.  ``dofs`` gives
     each row's facet DOF, ng on padding, where the solves read and write a
     zero; ``eye`` the flat indices of the padding pivots' diagonal, set to
-    1; ``up`` (nb, M) the row of each border row in its parent's padded
-    front, 0 on padding, whose update entries are zero.  A front sums the
-    blocks added at its rows: ``cells`` (cells, slots, rows (n, f)), the
-    S_e of a column's cells, and ``children``, per earlier batch (batch,
-    slots there, slots here), its children's updates."""
+    1.  ``children`` lists what the batch's fronts sum, one entry per
+    source, (source, blocks there, slots here, rows (n, r)): each block is
+    added at its rows of the front at its slot.  Source -1 is the cells'
+    S_e, added into the columns' fronts; source j is batch j's updates,
+    added into their parents' fronts, at the border rows' rows there (0 on
+    padding, whose update entries are zero)."""
 
     dofs: np.ndarray
     P: int
     eye: np.ndarray
-    up: np.ndarray
-    cells: tuple
     children: list
 
 
 class _Fronts(NamedTuple):
-    """The front tree's batches in factor order; for each batch the last
-    batch that reads its updates (-1 for none); the facet order's
-    ``SeparatorTree``; and the counts ``solve`` reports."""
+    """The front tree's batches in factor order; for each source the last
+    batch that reads it (-1 the cells, i batch i's updates; the root's are
+    read by none); the facet order's ``SeparatorTree``; and the counts
+    ``solve`` reports."""
 
     batches: list
-    last_read: np.ndarray
+    last_read: dict
     tree: SeparatorTree
     n_fronts: int
     largest_front: int
@@ -650,8 +657,8 @@ class _Fronts(NamedTuple):
 
 def _front_tree(u: FunctionSpace, f: int) -> _Fronts:
     """The multifrontal factor's symbolic phase (Duff & Reid 1983; Liu
-    1992): its fronts, their rows and the maps that add each front's update
-    into its parent's.
+    1992): its fronts, their rows and the maps that add the cells' S_e
+    and each front's update into the fronts that sum them.
 
     The fronts are the columns of prisms, then the nodes of the facet
     order's ``SeparatorTree``.  A column's pivots are its horizontal-facet
@@ -729,19 +736,18 @@ def _front_tree(u: FunctionSpace, f: int) -> _Fronts:
     eye = np.split(eye[np.argsort(batch[pad], kind="stable")],
                    np.cumsum(np.bincount(batch[pad], minlength=len(nb)))[:-1])
     dofs = np.split(dofs, np.cumsum(nb * N)[:-1])
-    up = np.split(up, np.cumsum(nb * M)[:-1])
-    batches = []
-    for i in range(len(nb)):
+    up = [u.reshape(k, -1) for u, k in zip(np.split(up, np.cumsum(nb * M)[:-1]), nb)]
+    batches = [_Batch(dofs[i].reshape(nb[i], N[i]), int(P[i]), eye[i], [])
+               for i in range(len(nb))]
+    for i in np.unique(batch[:ncol]):
         cells = np.flatnonzero(batch[column] == i)
-        cells = (cells, slot[column[cells]], cell_rows[cells]) if len(cells) else None
-        batches.append(_Batch(dofs[i].reshape(nb[i], N[i]), int(P[i]), eye[i],
-                              up[i].reshape(nb[i], M[i]), cells, []))
+        batches[i].children.append((-1, cells, slot[column[cells]], cell_rows[cells]))
     c = child[np.lexsort((slot[child], batch[child], batch[parent[child]]))]
     t, s = batch[parent[c]], batch[c]
     for g in np.split(np.arange(len(c)), np.flatnonzero(np.diff(t * len(nb) + s)) + 1):
-        batches[t[g[0]]].children.append((s[g[0]], slot[c[g]], slot[parent[c[g]]]))
-    last_read = np.full(len(nb), -1)
-    last_read[s] = t
+        j, src = int(s[g[0]]), slot[c[g]]
+        batches[t[g[0]]].children.append((j, src, slot[parent[c[g]]], up[j][src]))
+    last_read = {src[0]: i for i, b in enumerate(batches) for src in b.children}
     return _Fronts(
         batches, last_read, tree, n, int(size.max(initial=0)),
         int((nb * (P ** 2 + 2 * P * M)).sum()),
@@ -755,45 +761,32 @@ def _block_index(slots, rows, N):
     return ((slots * (N * N))[:, None, None] + rows[:, :, None] * N + rows[:, None, :]).ravel()
 
 
-def _column_fronts(fronts: _Fronts, S_e: np.ndarray, e: int) -> dict:
-    """The float32 fronts of the batches with cells (the columns), flat, by
-    batch: the cells' S_e scaled by 2^e (in place), cast and summed."""
-    blocks = np.ldexp(S_e, e, out=S_e).astype(np.float32)
-    out = {}
-    for i, b in enumerate(fronts.batches):
-        if b.cells is not None:
-            cells, slots, rows = b.cells
-            out[i] = np.zeros(b.dofs.size * b.dofs.shape[1], dtype=np.float32)
-            np.add.at(out[i], _block_index(slots, rows, b.dofs.shape[1]), blocks[cells].ravel())
-    return out
+def _factor(fronts: _Fronts, sources: dict) -> list:
+    """The float32 multifrontal factor of the matrix whose cells' S_e, 2^e
+    scaled, are ``sources[-1]``.
 
-
-def _factor(fronts: _Fronts, columns: dict) -> list:
-    """The float32 multifrontal factor of the matrix whose column fronts
-    ``_column_fronts`` gives, which it empties.
-
-    The other fronts are summed from their children's updates.  Per batch
-    the factor keeps F11^-1, X = F11^-1 F12 and F21, and holds the update
-    F22 - F21 X until the batch that reads it last.  A pivot block with a
-    zero pivot or a non-finite inverse is a SolverError."""
-    parts, updates = [], {}
+    Every front is summed from zero by one extend-add over its
+    ``children``: a column's from its cells' S_e, the others from their
+    children's updates.  Per batch the factor keeps F11^-1, X = F11^-1 F12
+    and F21, and puts the update F22 - F21 X in ``sources``; each source is
+    deleted after the last batch that reads it, so ``sources`` is empty
+    when the factor returns.  A pivot block with a zero pivot or a
+    non-finite inverse is a SolverError."""
+    parts = []
     for i, b in enumerate(fronts.batches):
         nb, N = b.dofs.shape
         P = b.P
-        F = columns.pop(i, None)
-        if F is None:
-            F = np.zeros(nb * N * N, dtype=np.float32)
+        F = np.zeros(nb * N * N, dtype=np.float32)
         F[b.eye] = 1.0
-        for s, src, slots in b.children:
-            rows = fronts.batches[s].up[src]
+        for s, src, slots, rows in b.children:
             # in chunks of about EXTEND_ADD_CHUNK entries, which bound the index array
             step = max(1, EXTEND_ADD_CHUNK // rows.shape[1] ** 2)
             for lo in range(0, len(src), step):
                 hi = lo + step
                 np.add.at(F, _block_index(slots[lo:hi], rows[lo:hi], N),
-                          updates[s][src[lo:hi]].ravel())
-        for s in np.flatnonzero(fronts.last_read == i):
-            del updates[s]
+                          sources[s][src[lo:hi]].ravel())
+            if fronts.last_read[s] == i:
+                del sources[s]
         F = F.reshape(nb, N, N)
         try:
             inv = _invert(F[:, :P, :P])
@@ -803,9 +796,11 @@ def _factor(fronts: _Fronts, columns: dict) -> list:
             raise SolverError(f"singular pivot block in a front of {N} rows")
         X = inv @ F[:, :P, P:]
         F21 = F[:, P:, :P].copy()
-        U = F21 @ X
-        updates[i] = np.subtract(F[:, P:, P:], U, out=U)
-        del F, U
+        if i in fronts.last_read:
+            U = F21 @ X
+            sources[i] = np.subtract(F[:, P:, P:], U, out=U)
+            del U
+        del F
         parts.append((inv, X, F21))
     return parts
 
@@ -830,14 +825,15 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     ``_condense`` forms the cells' Schur complements S_e, which sum to S =
     A_gg - A_gl B^-1 A_lg on the facet DOFs.  ``_factor`` factors 2^e S in
     float32 over the fronts of ``_front_tree``, in the elimination order of
-    ``_facet_order``.  Everything else stays in float64; only the facet
-    right-hand side of each solve is cast to float32, scaled to unit max.
-    The power of two 2^e is exact and leaves the float32 solution
-    unchanged; it puts the S_e's largest entry just below
-    2^``FACTOR_TOP_LOG2``, so that the factor's entries, of S's scale and of
-    its inverse's, stay within float32's normal range: at the Earth's
-    radius S's entries fall to 1e-25.  The local DOFs are recovered cell by
-    cell.  The solution is refined from z = 0 (relative residual 1): each
+    ``_facet_order``, summing the float32 2^e S_e into the columns' fronts
+    as it sums the updates into their parents'.  Everything else stays in
+    float64; only the facet right-hand side of each solve is cast to
+    float32, scaled to unit max.  The power of two 2^e is exact and leaves
+    the float32 solution unchanged; it puts the S_e's largest entry just
+    below 2^``FACTOR_TOP_LOG2``, so that the factor's entries, of S's scale
+    and of its inverse's, stay within float32's normal range: at the
+    Earth's radius S's entries fall to 1e-25.  The local DOFs are recovered
+    cell by cell.  The solution is refined from z = 0 (relative residual 1): each
     step solves for the residual b - A z (``LinearSystem.matvec``) and adds
     the correction, until the relative residual is at most ``tolerance``,
     for at most ``MAX_REFINEMENT_STEPS`` steps after the first solve.
@@ -845,9 +841,10 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     A level's memory peaks in the factor, where its float32 parts
     (``stats["lu_nnz"]`` entries), the updates not yet read and the batch
     being factored sit on top of what stays alive across it: the cell
-    matrices, B^-1 and the fronts' index maps.  The S_e are dropped once
-    the columns' fronts are summed, and only after the factor is W = B^-1
-    E_lg formed, by the matmul ``_condense`` used.
+    matrices, B^-1 and the fronts' index maps.  The S_e are cast to
+    float32 before the factor starts and freed after the last column
+    batch, and only after the factor is W = B^-1 E_lg formed, by the
+    matmul ``_condense`` used.
 
     Raises SolverError when a cell block or a pivot block is singular, when
     the factor runs out of memory, when a solve (the first one included)
@@ -887,10 +884,10 @@ def solve(system: LinearSystem, tolerance: float = 1e-10) -> SolveResult:
     e = FACTOR_TOP_LOG2 - int(np.frexp(np.abs(S_e).max(initial=0.0))[1])
     stats["factor_scale_log2"] = e
     try:
-        columns = _column_fronts(fronts, S_e, e)
+        sources = {-1: np.ldexp(S_e, e, out=S_e).astype(np.float32)}
         del S_e
         with np.errstate(all="ignore"):     # a singular pivot block is checked
-            parts = _factor(fronts, columns)
+            parts = _factor(fronts, sources)
     except MemoryError as exc:
         raise SolverError(
             f"out of memory factoring the condensed matrix (n={ng}, nnz={fronts.entries})"

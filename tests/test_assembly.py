@@ -308,7 +308,7 @@ def test_solve_out_of_memory_is_solver_error(coarse_system, monkeypatch):
     system = assembly.apply_inner_bc(coarse_system)
     system.rhs[:] = 1.0
 
-    def no_memory(fronts, columns):
+    def no_memory(fronts, sources):
         raise MemoryError
 
     monkeypatch.setattr(assembly, "_factor", no_memory)
@@ -463,8 +463,8 @@ def test_solve_reports_the_fronts(r1_system, monkeypatch):
     stored = []
     factor = assembly._factor
 
-    def spy(fronts, columns):
-        parts = factor(fronts, columns)
+    def spy(fronts, sources):
+        parts = factor(fronts, sources)
         stored.append(sum(x.size for part in parts for x in part))
         return parts
 
@@ -512,6 +512,40 @@ def test_the_batching_moves_only_rounding(k, mode, level, monkeypatch):
     assert single.stats["lu_nnz"] < ours.stats["lu_nnz"]
     for a, b in ((ours.u, single.u), (ours.p, single.p)):
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9 * np.abs(b.coeffs).max()
+
+
+@pytest.mark.parametrize("k, mode, level", [
+    (1, "shallow", (2, 4)), (1, "deep", (3, 1)), (2, "shallow", (1, 2)),
+], ids=["k1-2:4", "deep-3:1", "k2-1:2"])
+def test_the_factor_reads_every_source_and_frees_it(k, mode, level, monkeypatch):
+    """One extend-add sums every front from its sources, the cells' S_e
+    (-1) and the earlier batches' updates: the column batches' cell
+    sources cover every cell exactly once, every batch's update but the
+    root's is read by later batches, ``last_read`` gives the last batch
+    that reads each source, and the dict ``solve`` passes to ``_factor``
+    is empty when the factor returns."""
+    seen, factor = [], assembly._factor
+
+    def spy(fronts, sources):
+        n_cells = len(sources[-1])
+        parts = factor(fronts, sources)
+        seen.append((fronts, n_cells, dict(sources)))
+        return parts
+
+    monkeypatch.setattr(assembly, "_factor", spy)
+    mms.convergence_study(k, [level], mode=mode)
+    [(fronts, n_cells, left)] = seen
+    assert left == {}
+    readers, cells = {}, []
+    for i, b in enumerate(fronts.batches):
+        for s, src, slots, rows in b.children:
+            assert s < i and len(src) == len(slots) == len(rows)
+            readers.setdefault(s, []).append(i)
+            if s == -1:
+                cells.append(src)
+    np.testing.assert_array_equal(np.sort(np.concatenate(cells)), np.arange(n_cells))
+    assert set(readers) == {-1, *range(len(fronts.batches) - 1)}
+    assert fronts.last_read == {s: max(r) for s, r in readers.items()}
 
 
 DISSECTION_LEVELS = {
@@ -631,14 +665,14 @@ def test_earth_shell_keeps_the_unit_radius_factor(monkeypatch):
 
     The S_e's largest entry is the inner boundary's identity 1, so
     ``solve`` scales by 2^(FACTOR_TOP_LOG2 - 1).  The factor of the
-    unscaled column fronts stores 624 and 10,032 float32 subnormals, most
-    of them in F21, whose arithmetic is slow; the scaled one stores none."""
+    unscaled S_e stores 624 and 10,032 float32 subnormals, most of them in
+    F21, whose arithmetic is slow; the scaled one stores none."""
     factored = []
     factor = assembly._factor
 
-    def spy(fronts, columns):
-        factored.append((fronts, {i: F.copy() for i, F in columns.items()}))
-        parts = factor(fronts, columns)
+    def spy(fronts, sources):
+        factored.append((fronts, {i: S.copy() for i, S in sources.items()}))
+        parts = factor(fronts, sources)
         factored[-1] += (float32_subnormals(parts),)
         return parts
 
@@ -648,35 +682,34 @@ def test_earth_shell_keeps_the_unit_radius_factor(monkeypatch):
     assert [r.solve_stats["lu_nnz"] for r in table.rows] == \
         [r.solve_stats["lu_nnz"] for r in unit.rows]
     assert [r.solve_stats["refinement_steps"] for r in table.rows] == [0, 0]
-    for row, (fronts, columns, scaled) in zip(table.rows, factored):
+    for row, (fronts, sources, scaled) in zip(table.rows, factored):
         e = row.solve_stats["factor_scale_log2"]
         assert e == assembly.FACTOR_TOP_LOG2 - 1
         with np.errstate(all="ignore"):
             unscaled = float32_subnormals(
-                factor(fronts, {i: np.ldexp(F, -e) for i, F in columns.items()}))
+                factor(fronts, {i: np.ldexp(S, -e) for i, S in sources.items()}))
         assert unscaled > 0 and 20 * scaled <= unscaled
 
 
 def test_factor_scaling_is_exact(r1_system, monkeypatch):
     """At a = 1 the float32 factor's scaling by 2^e is exact: the S_e's
     largest entry lies in [2^(FACTOR_TOP_LOG2 - 1), 2^FACTOR_TOP_LOG2), and
-    the factor of the scaled column fronts is that of the unscaled ones bit
-    for bit, F11^-1 2^-e times, X the same and F21 2^e times, but for the
+    the factor of the scaled S_e is that of the unscaled ones bit for bit, F11^-1 2^-e times, X the same and F21 2^e times, but for the
     padding pivots' identity, which is not scaled."""
     captured = []
     factor = assembly._factor
 
-    def spy(fronts, columns):
-        captured.append((fronts, {i: F.copy() for i, F in columns.items()}))
-        captured.append(factor(fronts, columns))
+    def spy(fronts, sources):
+        captured.append((fronts, {i: S.copy() for i, S in sources.items()}))
+        captured.append(factor(fronts, sources))
         return captured[-1]
 
     monkeypatch.setattr(assembly, "_factor", spy)
     e = assembly.solve(r1_system).stats["factor_scale_log2"]
-    (fronts, columns), parts = captured
+    (fronts, sources), parts = captured
     S_e = assembly._condense(r1_system)[0]
     assert np.frexp(np.abs(S_e).max())[1] + e == assembly.FACTOR_TOP_LOG2
-    reference = factor(fronts, {i: np.ldexp(F, -e) for i, F in columns.items()})
+    reference = factor(fronts, {i: np.ldexp(S, -e) for i, S in sources.items()})
     ng = n_facet_dofs(r1_system)
     padded = 0
     for b, got, ref in zip(fronts.batches, parts, reference):
@@ -788,9 +821,9 @@ def test_stalled_refinement_is_solver_error(r1_system, monkeypatch):
     dtypes = []
     factor = assembly._factor
 
-    def perturbed(fronts, columns):
-        dtypes.append({F.dtype for F in columns.values()})
-        return factor(fronts, {i: np.float32(1.5) * F for i, F in columns.items()})
+    def perturbed(fronts, sources):
+        dtypes.append({S.dtype for S in sources.values()})
+        return factor(fronts, {i: np.float32(1.5) * S for i, S in sources.items()})
 
     monkeypatch.setattr(assembly, "_factor", perturbed)
     with pytest.raises(assembly.SolverError, match=r"residuals \d\.\d{3}e"):
@@ -1301,24 +1334,24 @@ def nbytes(obj):
 
 
 def test_the_factor_holds_only_b_inv_s_and_the_index_arrays(monkeypatch):
-    """k=2 (1,2): of what ``solve`` allocates, only B^-1, S as the float32
-    column fronts and the index arrays (the front tree's maps and
-    ``cell_dofs``, which the facet and local DOFs view) are alive when
-    ``_factor`` is called, with 64 KiB for small objects; the S_e (230 KiB
-    here) and W = B^-1 E_lg (450 KiB) are not.  The factor empties the
-    column fronts before the first triangular solve."""
+    """k=2 (1,2): of what ``solve`` allocates, only B^-1, S as the cells'
+    float32 S_e (360 KiB here, against 633 KiB of summed column fronts)
+    and the index arrays (the front tree's maps and ``cell_dofs``, which
+    the facet and local DOFs view) are alive when ``_factor`` is called,
+    with 64 KiB for small objects; the float64 S_e (720 KiB) and W = B^-1
+    E_lg (450 KiB) are not.  The factor frees the float32 S_e before the first
+    triangular solve."""
     V1, V2 = build_spaces(mesh.extrude_radial(mesh.build_icosahedral_sphere(1, 1.0), 2, 1.0), 2)
     system = assembly.apply_inner_bc(
         assembly.assemble(assembly.ProblemConfig(k=2, g=lambda x: x[0]), V1, V2))
     seen = {}
     factor, front_solve = assembly._factor, assembly._front_solve
 
-    def spy(fronts, columns):
+    def spy(fronts, sources):
         seen["traced"] = tracemalloc.get_traced_memory()[0]
-        seen["columns"] = sum(F.nbytes for F in columns.values())
         seen["index"] = nbytes(fronts)
-        seen["refs"] = [weakref.ref(F) for F in columns.values()]
-        return factor(fronts, columns)
+        seen["refs"] = [weakref.ref(S) for S in sources.values()]
+        return factor(fronts, sources)
 
     def solve_spy(fronts, parts, w):
         seen.setdefault("alive", [ref() is not None for ref in seen["refs"]])
@@ -1335,8 +1368,8 @@ def test_the_factor_holds_only_b_inv_s_and_the_index_arrays(monkeypatch):
 
     nc, nd = system.cell_matrices.shape[:2]
     f = assembly._n_facet(system)
-    b_inv = nc * (nd - f) ** 2 * 8
-    assert seen["traced"] <= b_inv + seen["columns"] + seen["index"] + nc * nd * 8 + 64 * 1024
+    b_inv, cells = nc * (nd - f) ** 2 * 8, nc * f * f * 4
+    assert seen["traced"] <= b_inv + cells + seen["index"] + nc * nd * 8 + 64 * 1024
     assert seen["alive"] and not any(seen["alive"])
 
 

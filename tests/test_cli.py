@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +208,23 @@ def test_convergence_rerun_byte_identical(tiny_run, tmp_path):
     run(["convergence", "--k", "1", "--levels", "0:1,1:2",
          "--csv", str(csv2), "--forcing-report", str(tmp_path / "f.txt")])
     assert csv2.read_bytes() == csv.read_bytes()
+
+
+def test_convergence_is_byte_identical_across_processes(tmp_path):
+    """Two fresh interpreters with one BLAS thread write the same CSV,
+    stats JSON and forcing report, byte for byte, at k=2."""
+    written = []
+    for run_dir in (tmp_path / "first", tmp_path / "second"):
+        run_dir.mkdir()
+        files = [run_dir / "t.csv", run_dir / "s.json", run_dir / "f.txt"]
+        argv = ["convergence", "--k", "2", "--levels", "0:1,1:2", "--csv", str(files[0]),
+                "--stats-json", str(files[1]), "--forcing-report", str(files[2])]
+        probe = f"import sys\nfrom shallowfem import cli\nsys.exit(cli.main({argv!r}))"
+        subprocess.run([sys.executable, "-c", probe],
+                       check=True, capture_output=True, cwd=Path(cli.__file__).parents[1],
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        written.append([f.read_bytes() for f in files])
+    assert written[0] == written[1]
 
 
 def test_convergence_stats_json(tiny_run, tmp_path):
